@@ -24,30 +24,56 @@
 namespace wcdma::common {
 
 namespace detail {
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320.  Row 0 is
+/// the classic bytewise table; row k maps a byte to its CRC after k more
+/// zero bytes, so eight lookups advance the register by eight input bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc32_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    t[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+    }
+  }
+  return t;
 }
-inline constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
+inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables =
+    make_crc32_tables();
+
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 }  // namespace detail
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `size` bytes.
 /// Chainable: pass a previous return value as `seed` to extend a running
 /// checksum.  Archives append crc32(payload) as a little-endian u32 footer so
 /// corruption (bit-flips as well as truncation) is detected by checksum
-/// rather than parse luck.
+/// rather than parse luck.  Takes eight bytes per step (slicing-by-8) and
+/// the tail bytewise; the result equals the bytewise CRC for every input.
 inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                            std::uint32_t seed = 0) {
+  const auto& t = detail::kCrc32Tables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = detail::kCrc32Table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const std::uint32_t lo = c ^ detail::load_le32(data + i);
+    const std::uint32_t hi = detail::load_le32(data + i + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < size; ++i) {
+    c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -74,6 +100,12 @@ class BinaryWriter {
   void str(const std::string& s) {
     u64(s.size());
     bytes_.insert(bytes_.end(), s.begin(), s.end());
+  }
+  /// Length-prefixed raw bytes in one copy; the layout of a u64 count
+  /// followed by that many u8() fields.
+  void blob(const std::vector<std::uint8_t>& b) {
+    u64(b.size());
+    bytes_.insert(bytes_.end(), b.begin(), b.end());
   }
 
   void vec_f64(const std::vector<double>& v) {
@@ -103,9 +135,11 @@ class BinaryWriter {
  private:
   template <typename T>
   void append_le(T v) {
+    std::uint8_t le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    bytes_.insert(bytes_.end(), le, le + sizeof(T));
   }
 
   std::vector<std::uint8_t> bytes_;
@@ -145,6 +179,12 @@ class BinaryReader {
     if (!plausible(n, 1) || !take(static_cast<std::size_t>(n))) return {};
     return std::string(reinterpret_cast<const char*>(data_ + pos_ - n),
                        static_cast<std::size_t>(n));
+  }
+  /// Reads what BinaryWriter::blob() wrote, in one copy; empty on failure.
+  void blob(std::vector<std::uint8_t>& out) {
+    const std::size_t n = seq(1);
+    out.clear();
+    if (take(n)) out.assign(data_ + pos_ - n, data_ + pos_);
   }
 
   void vec_f64(std::vector<double>& v) { read_vec(v, sizeof(double), [this] { return f64(); }); }

@@ -63,6 +63,29 @@ bool open_archive(const std::vector<std::uint8_t>& bytes, std::uint32_t magic,
 
 void seal(common::BinaryWriter& w) { w.u32(common::crc32(w.bytes())); }
 
+/// Boundary s of the cost split: the smallest k minimising
+/// |workers * cost[0, k) - s * whole|, in exact integers.  The running
+/// total never decreases, so neither do the boundaries.
+std::size_t cost_boundary(const std::vector<std::uint64_t>& costs,
+                          std::uint64_t whole, std::size_t s,
+                          std::size_t workers) {
+  if (s == workers) return costs.size();
+  const std::uint64_t target = s * whole;
+  std::size_t best = 0;
+  std::uint64_t best_gap = target;
+  std::uint64_t prefix = 0;
+  for (std::size_t k = 1; k <= costs.size(); ++k) {
+    prefix += costs[k - 1];
+    const std::uint64_t scaled = workers * prefix;
+    const std::uint64_t gap = scaled > target ? scaled - target : target - scaled;
+    if (gap < best_gap) {
+      best = k;
+      best_gap = gap;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 ShardRange shard_range(std::size_t total, std::size_t shard,
@@ -73,6 +96,20 @@ ShardRange shard_range(std::size_t total, std::size_t shard,
   ShardRange range;
   range.begin = shard * total / workers;
   range.end = (shard + 1) * total / workers;
+  return range;
+}
+
+ShardRange shard_range(const std::vector<std::uint64_t>& costs,
+                       std::size_t shard, std::size_t workers) {
+  WCDMA_ASSERT(workers >= 1 && shard < workers);
+  std::uint64_t whole = 0;
+  for (const std::uint64_t c : costs) {
+    WCDMA_ASSERT(c <= UINT64_MAX / workers - whole && "grid cost overflows");
+    whole += c;
+  }
+  ShardRange range;
+  range.begin = cost_boundary(costs, whole, shard, workers);
+  range.end = cost_boundary(costs, whole, shard + 1, workers);
   return range;
 }
 
@@ -162,8 +199,7 @@ std::vector<std::uint8_t> encode_shard_checkpoint(const ShardCheckpoint& ck) {
   write_header(w, ck.header);
   w.u64(ck.next_item);
   for (const sim::SimMetrics& m : ck.completed) m.save(w);
-  w.u64(ck.snapshot.size());
-  for (std::uint8_t b : ck.snapshot) w.u8(b);
+  w.blob(ck.snapshot);
   seal(w);
   return w.take();
 }
@@ -195,9 +231,7 @@ bool decode_shard_checkpoint(const std::vector<std::uint8_t>& bytes,
                              " failed to decode");
     }
   }
-  const std::size_t snap_len = r.seq(1);
-  out->snapshot.resize(snap_len);
-  for (std::size_t i = 0; i < snap_len; ++i) out->snapshot[i] = r.u8();
+  r.blob(out->snapshot);
   if (!r.ok() || !r.at_end()) {
     return fail(error, "checkpoint has trailing or missing payload");
   }

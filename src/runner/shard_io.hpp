@@ -31,15 +31,25 @@
 
 namespace wcdma::runner {
 
-/// Contiguous item block of `shard` when `total` items split across
-/// `workers` shards (balanced: sizes differ by at most one).
+/// Contiguous item block [begin, end) of one shard.
 struct ShardRange {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::size_t size() const { return end - begin; }
 };
+/// Block of `shard` when `total` items split across `workers` shards by
+/// count (floor boundaries: sizes differ by at most one).
 ShardRange shard_range(std::size_t total, std::size_t shard,
                        std::size_t workers);
+/// Block of `shard` when items of the given costs split across `workers`
+/// shards by cost: boundary s sits at the item whose running cost total is
+/// nearest s/workers of the whole (the earlier one on a tie).  No shard
+/// exceeds whole/workers by more than the costliest item; with fewer items
+/// than workers some shards are empty.  Supervised sweeps split this way,
+/// by frames x users per item (item_costs() in worker.hpp): E4/E5 put the
+/// data-user axis outermost, so a count split overloads the last shard.
+ShardRange shard_range(const std::vector<std::uint64_t>& costs,
+                       std::size_t shard, std::size_t workers);
 
 /// Identity header of both shard file kinds: a file is only trusted when
 /// every field matches the run that expects it.

@@ -146,11 +146,11 @@ SupervisorResult run_supervised_sweep(
   WCDMA_ASSERT(options.workers >= 1);
   WCDMA_ASSERT(options.max_retries >= 0);
 
-  const std::size_t total = sweep::item_count(spec);
+  const std::vector<std::uint64_t> costs = item_costs(spec);
   const std::size_t workers = options.workers;
   std::vector<ShardState> shards(workers);
   for (std::size_t s = 0; s < workers; ++s) {
-    shards[s].range = shard_range(total, s, workers);
+    shards[s].range = shard_range(costs, s, workers);
     shards[s].result_path = shard_file(options.work_dir, s, ".result");
     shards[s].checkpoint_path = shard_file(options.work_dir, s, ".ckpt");
     // A stale file from an earlier run must never satisfy this one; the
@@ -284,7 +284,7 @@ SupervisorResult run_supervised_sweep(
 
   // Deterministic merge: one slot per item, filled per shard, merged in
   // index order -- completion order cannot leak into the output.
-  std::vector<sim::SimMetrics> per_item(total);
+  std::vector<sim::SimMetrics> per_item(costs.size());
   for (std::size_t s = 0; s < workers; ++s) {
     const ShardState& st = shards[s];
     WCDMA_ASSERT(st.items.size() == st.range.size());

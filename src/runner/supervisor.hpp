@@ -1,11 +1,11 @@
 // Fault-tolerant multi-process sweep supervisor.
 //
 // run_supervised_sweep() shards the (scenario x replication) grid across N
-// worker processes (src/runner/worker.hpp), watches them, and merges their
-// result files through sweep::merge_item_metrics() -- the same merge the
-// in-process runner ends in, so the output is byte-identical to
-// sweep::run_sweep() for any worker count.  The supervisor owns the
-// robustness contract:
+// worker processes (src/runner/worker.hpp) in contiguous blocks of about
+// equal cost (item_costs()), watches them, and merges their result files
+// through sweep::merge_item_metrics() -- the same merge the in-process
+// runner ends in, so the output is byte-identical to sweep::run_sweep()
+// for any worker count.  The supervisor owns the robustness contract:
 //
 //  * crash detection -- exit codes and signals are attributed per shard;
 //  * wall-clock timeouts -- a stalled worker is SIGKILLed at its deadline;

@@ -35,9 +35,19 @@ void corrupt_file(const std::string& path, CorruptMode mode) {
 
 }  // namespace
 
+std::vector<std::uint64_t> item_costs(const sweep::SweepSpec& spec) {
+  std::vector<std::uint64_t> costs(sweep::item_count(spec));
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    const sim::SystemConfig cfg = sweep::item_config(spec, i);
+    costs[i] = static_cast<std::uint64_t>(cfg.total_frames()) *
+               static_cast<std::uint64_t>(cfg.voice.users + cfg.data.users);
+  }
+  return costs;
+}
+
 int run_worker(const WorkerJob& job) {
-  const std::size_t total_items = sweep::item_count(job.spec);
-  const ShardRange range = shard_range(total_items, job.shard, job.workers);
+  const ShardRange range =
+      shard_range(item_costs(job.spec), job.shard, job.workers);
   ShardHeader header;
   header.shard = job.shard;
   header.workers = job.workers;
@@ -45,13 +55,13 @@ int run_worker(const WorkerJob& job) {
   header.item_end = range.end;
   header.master_seed = job.spec.base.seed;
 
-  std::vector<sim::SimMetrics> completed;
-  std::size_t start_item = range.begin;
-  std::vector<std::uint8_t> pending_snapshot;
-
+  // The shard's progress, kept in checkpoint form: `completed` grows item
+  // by item, and a cadence frame only refreshes the snapshot.
+  ShardCheckpoint ck;
+  ck.header = header;
+  ck.next_item = range.begin;
   if (job.resume) {
     std::vector<std::uint8_t> bytes;
-    ShardCheckpoint ck;
     std::string why;
     if (!read_file(job.checkpoint_path, &bytes) ||
         !decode_shard_checkpoint(bytes, header, &ck, &why)) {
@@ -60,24 +70,20 @@ int run_worker(const WorkerJob& job) {
                    why.empty() ? "unreadable file" : why.c_str());
       return kWorkerBadCheckpoint;
     }
-    completed = std::move(ck.completed);
-    start_item = static_cast<std::size_t>(ck.next_item);
-    pending_snapshot = std::move(ck.snapshot);
   }
+  const std::size_t start_item = static_cast<std::size_t>(ck.next_item);
 
   const bool fault_armed = job.fault.armed_for(job.shard, job.attempt);
   bool fault_fired = false;
 
   for (std::size_t item = start_item; item < range.end; ++item) {
     sim::Simulator sim(sweep::item_config(job.spec, item));
-    if (item == start_item && !pending_snapshot.empty()) {
-      if (!sim.restore(pending_snapshot)) {
-        std::fprintf(stderr,
-                     "worker shard %zu: snapshot in %s refused by restore()\n",
-                     job.shard, job.checkpoint_path.c_str());
-        return kWorkerBadCheckpoint;
-      }
-      pending_snapshot.clear();
+    ck.next_item = item;
+    if (item == start_item && !ck.snapshot.empty() && !sim.restore(ck.snapshot)) {
+      std::fprintf(stderr,
+                   "worker shard %zu: snapshot in %s refused by restore()\n",
+                   job.shard, job.checkpoint_path.c_str());
+      return kWorkerBadCheckpoint;
     }
     const std::int64_t frames = sim.total_frames();
     while (sim.frame_index() < frames) {
@@ -90,10 +96,6 @@ int run_worker(const WorkerJob& job) {
       // is precisely the boundary the resume property tests exercise.
       if (job.checkpoint_every_frames > 0 && at < frames &&
           at % job.checkpoint_every_frames == 0) {
-        ShardCheckpoint ck;
-        ck.header = header;
-        ck.next_item = item;
-        ck.completed = completed;
         ck.snapshot = sim.snapshot();
         if (!write_file_atomic(job.checkpoint_path,
                                encode_shard_checkpoint(ck))) {
@@ -120,7 +122,7 @@ int run_worker(const WorkerJob& job) {
         }
       }
     }
-    completed.push_back(sim.metrics());
+    ck.completed.push_back(sim.metrics());
   }
 
   if (fault_armed && job.fault.kind == FaultKind::kDropResult) {
@@ -130,7 +132,7 @@ int run_worker(const WorkerJob& job) {
     return kWorkerOk;
   }
   if (!write_file_atomic(job.result_path,
-                         encode_shard_result(header, completed))) {
+                         encode_shard_result(ck.header, ck.completed))) {
     std::fprintf(stderr, "worker shard %zu: cannot write result %s\n",
                  job.shard, job.result_path.c_str());
     return kWorkerIoError;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/runner/fault.hpp"
 #include "src/sweep/sweep.hpp"
@@ -46,6 +47,14 @@ struct WorkerJob {
   /// 0-based attempt number (retries increment it).
   int attempt = 0;
 };
+
+/// Per-item cost the grid is sharded by: total frames x (voice + data
+/// users) of each item_config().  E4/E5 put the data-user axis outermost,
+/// so a split by item count would hand the last shard all the heaviest
+/// items.  The supervisor and every worker (forked, or exec'd from replayed
+/// flags) cut shard_range(item_costs(spec), shard, workers) from the same
+/// spec, so they agree on every boundary.
+std::vector<std::uint64_t> item_costs(const sweep::SweepSpec& spec);
 
 /// Runs the shard to completion; returns the process exit code.  Never
 /// throws; fault kinds kKill/kStall/kCorruptCheckpoint do not return.

@@ -1,6 +1,7 @@
 #include "src/sim/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/admission/policy.hpp"
 #include "src/common/assert.hpp"
@@ -25,6 +26,10 @@ double LoadRampConfig::scale(double now_s, std::size_t cell) const {
   const double blend =
       cell_weights.empty() ? 1.0 : cell_weights[std::min(cell, cell_weights.size() - 1)];
   return 1.0 + (peak_scale - 1.0) * shape * blend;
+}
+
+std::int64_t SystemConfig::total_frames() const {
+  return static_cast<std::int64_t>(std::llround(sim_duration_s / frame_s));
 }
 
 const SystemConfig& SystemConfig::validate() const {

@@ -222,6 +222,8 @@ struct SystemConfig {
   LoadRampConfig load_ramp{};
   ServiceOverloadConfig service{};
 
+  /// Frames a full run steps: sim_duration_s / frame_s, rounded.
+  std::int64_t total_frames() const;
   /// Aborts on invalid combinations; returns *this for chaining.
   const SystemConfig& validate() const;
 };

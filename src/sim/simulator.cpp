@@ -195,8 +195,7 @@ Simulator::Simulator(const SystemConfig& config)
 }
 
 std::int64_t Simulator::total_frames() const {
-  return static_cast<std::int64_t>(
-      std::llround(config_.sim_duration_s / config_.frame_s));
+  return config_.total_frames();
 }
 
 SimMetrics Simulator::run() {

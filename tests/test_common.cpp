@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <thread>
 
@@ -376,10 +377,12 @@ TEST(ParallelForIndex, StressRepeatedLaunches) {
 // ------------------------------------------------------------- serialize
 
 TEST(BinaryReader, SoftFailsAtEveryTruncationPoint) {
+  const std::vector<std::uint8_t> blob = {0x00, 0xFF, 0x7E, 0x81, 0x10};
   BinaryWriter w;
   w.u32(0xDEADBEEF);
   w.str("fingerprint");
   w.vec_f64({1.0, -2.5, 3.25});
+  w.blob(blob);
   w.boolean(true);
   w.i64(-42);
   const std::vector<std::uint8_t> bytes = w.take();
@@ -392,6 +395,10 @@ TEST(BinaryReader, SoftFailsAtEveryTruncationPoint) {
     r.str();
     std::vector<double> v;
     r.vec_f64(v);
+    std::vector<std::uint8_t> b = {0xAA};
+    r.blob(b);
+    // A failed bulk read hands back nothing, never a partial copy.
+    EXPECT_TRUE(b.empty() || b == blob) << "cut at " << cut;
     r.boolean();
     r.i64();
     // Every prefix-truncated archive must clear ok() -- never throw, abort,
@@ -404,9 +411,132 @@ TEST(BinaryReader, SoftFailsAtEveryTruncationPoint) {
   std::vector<double> v;
   full.vec_f64(v);
   EXPECT_EQ(v, (std::vector<double>{1.0, -2.5, 3.25}));
+  std::vector<std::uint8_t> b;
+  full.blob(b);
+  EXPECT_EQ(b, blob);
   EXPECT_TRUE(full.boolean());
   EXPECT_EQ(full.i64(), -42);
   EXPECT_TRUE(full.ok() && full.at_end());
+}
+
+/// Little-endian reference encoder: every field spelled out byte by byte,
+/// independent of BinaryWriter's implementation.
+struct ReferenceEncoder {
+  std::vector<std::uint8_t> bytes;
+  void le(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+    }
+  }
+  void f64(double x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    le(bits, 8);
+  }
+  template <typename V>
+  void seq(const V& v, int width) {
+    le(v.size(), 8);
+    for (const auto x : v) le(static_cast<std::uint64_t>(x), width);
+  }
+};
+
+TEST(BinaryWriter, MatchesALittleEndianReferenceEncoderByteForByte) {
+  Rng rng(20260501);
+  // Integers of every magnitude, and doubles that hit the awkward bit
+  // patterns: -0.0, infinities, a denormal, NaNs with random payloads.
+  const auto any_u64 = [&] { return rng.next_u64() >> rng.uniform_int(64); };
+  const auto any_f64 = [&] {
+    switch (rng.uniform_int(6)) {
+      case 0: return -0.0;
+      case 1: return rng.uniform_int(2) ? HUGE_VAL : -HUGE_VAL;
+      case 2: return 4.9e-324;
+      case 3: {
+        const std::uint64_t bits = 0x7FF0000000000000ull |
+                                   (rng.uniform_int(2) << 63) |
+                                   (1 + rng.uniform_int(0xFFFFFFFFFFFFFull));
+        double nan;
+        std::memcpy(&nan, &bits, sizeof(nan));
+        return nan;
+      }
+      default: return rng.normal(0.0, 1e6);
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    BinaryWriter w;
+    ReferenceEncoder ref;
+    for (std::uint64_t f = rng.uniform_int(40); f > 0; --f) {
+      const std::uint64_t x = any_u64();
+      const double d = any_f64();
+      const std::size_t n = rng.uniform_int(5);
+      std::vector<std::uint8_t> raw(n * 7);
+      for (std::uint8_t& b : raw) b = static_cast<std::uint8_t>(rng.next_u64());
+      std::vector<double> doubles(n);
+      for (double& v : doubles) v = any_f64();
+      std::vector<std::uint64_t> wide(n);
+      for (std::uint64_t& v : wide) v = any_u64();
+      const std::vector<std::uint32_t> narrow(wide.begin(), wide.end());
+      const std::vector<int> ints(wide.begin(), wide.end());
+      const std::vector<std::int64_t> longs(wide.begin(), wide.end());
+      switch (rng.uniform_int(14)) {
+        case 0: w.u8(static_cast<std::uint8_t>(x)); ref.le(x, 1); break;
+        case 1: w.u32(static_cast<std::uint32_t>(x)); ref.le(x, 4); break;
+        case 2: w.u64(x); ref.le(x, 8); break;
+        case 3: w.i32(static_cast<std::int32_t>(x)); ref.le(x, 4); break;
+        case 4: w.i64(static_cast<std::int64_t>(x)); ref.le(x, 8); break;
+        case 5: w.boolean(x & 1u); ref.le(x & 1u, 1); break;
+        case 6: w.f64(d); ref.f64(d); break;
+        case 7: w.str(std::string(raw.begin(), raw.end())); ref.seq(raw, 1); break;
+        case 8: w.blob(raw); ref.seq(raw, 1); break;
+        case 9:
+          w.vec_f64(doubles);
+          ref.le(n, 8);
+          for (const double v : doubles) ref.f64(v);
+          break;
+        case 10: w.vec_u32(narrow); ref.seq(narrow, 4); break;
+        case 11: w.vec_u64(wide); ref.seq(wide, 8); break;
+        case 12: w.vec_i32(ints); ref.seq(ints, 4); break;
+        default: w.vec_i64(longs); ref.seq(longs, 8); break;
+      }
+    }
+    ASSERT_EQ(w.bytes(), ref.bytes) << "trial " << trial;
+  }
+}
+
+/// The plain bytewise CRC-32 that crc32() must reproduce for every input.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size,
+                              std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, SlicingBy8MatchesTheBytewiseReference) {
+  Rng rng(8);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  // Every length and alignment: the 8-byte stride, its bytewise tail, and
+  // buffers that start mid-word.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(common::crc32(p, len), reference_crc32(p, len, 0))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Chaining: a checksum extended piece by piece equals the one-shot
+  // checksum, for random cut points and a nonzero starting seed.
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t len = rng.uniform_int(301);
+    const std::size_t cut = rng.uniform_int(len + 1);
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint32_t head = common::crc32(buf.data(), cut, seed);
+    EXPECT_EQ(common::crc32(buf.data() + cut, len - cut, head),
+              reference_crc32(buf.data(), len, seed))
+        << "length " << len << " cut " << cut;
+  }
 }
 
 TEST(Crc32, MatchesTheIeeeCheckValueAndSeesEveryBit) {

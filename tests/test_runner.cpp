@@ -11,18 +11,22 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/common/serialize.hpp"
 #include "src/runner/fault.hpp"
 #include "src/runner/shard_io.hpp"
 #include "src/runner/supervisor.hpp"
 #include "src/runner/worker.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/sweep/presets.hpp"
 #include "src/sweep/sweep.hpp"
 
 namespace wcdma::runner {
@@ -158,6 +162,66 @@ TEST(ShardRangeTest, PartitionsTheGridExactlyOnce) {
   }
 }
 
+TEST(ShardRangeTest, CostSplitIsContiguousCoveringAndBalanced) {
+  common::Rng rng(5151);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Fewer items than workers (some shards then empty), zero-cost items,
+    // and cost ranges from uniform to one dominant item.
+    const std::size_t total = rng.uniform_int(24);
+    const std::size_t workers = 1 + rng.uniform_int(8);
+    const std::uint64_t spread = 1 + rng.uniform_int(1000);
+    std::vector<std::uint64_t> costs(total);
+    for (std::uint64_t& c : costs) c = rng.uniform_int(spread + 1);
+    std::uint64_t whole = 0, largest = 0;
+    for (const std::uint64_t c : costs) {
+      whole += c;
+      largest = std::max(largest, c);
+    }
+    std::size_t prev_end = 0;
+    for (std::size_t s = 0; s < workers; ++s) {
+      const ShardRange r = shard_range(costs, s, workers);
+      ASSERT_EQ(r.begin, prev_end) << "trial " << trial << " shard " << s;
+      ASSERT_LE(r.begin, r.end) << "trial " << trial << " shard " << s;
+      std::uint64_t cost = 0;
+      for (std::size_t i = r.begin; i < r.end; ++i) cost += costs[i];
+      // cost <= whole/workers + largest, kept in integers.
+      EXPECT_LE(cost * workers, whole + largest * workers)
+          << "trial " << trial << " shard " << s;
+      prev_end = r.end;
+    }
+    EXPECT_EQ(prev_end, total) << "trial " << trial;
+  }
+}
+
+TEST(ShardRangeTest, CostSplitMovesThePaperSweepBoundaries) {
+  // E4 puts the data-user axis outermost: 15 items per user count, cost
+  // 2500 frames x (30 voice + 4..24 data users).  By count the boundary
+  // is item 45; by cost it is item 51, at 4.97M / 4.94M user-frames.
+  const std::vector<std::uint64_t> e4 = item_costs(scenario::e4_delay_fl());
+  ASSERT_EQ(e4.size(), 90u);
+  EXPECT_EQ(shard_range(e4.size(), 0, 2).end, 45u);
+  EXPECT_EQ(shard_range(e4, 0, 2).end, 51u);
+  EXPECT_EQ(shard_range(e4, 1, 2).end, 90u);
+  std::uint64_t first = 0, second = 0;
+  for (std::size_t i = 0; i < e4.size(); ++i) (i < 51 ? first : second) += e4[i];
+  EXPECT_EQ(first, 4965000u);
+  EXPECT_EQ(second, 4935000u);
+  // data-heavy: 12 items, 4 per data-user count of 12, 18 and 24.
+  const std::vector<std::uint64_t> heavy =
+      item_costs(sweep::make_preset("data-heavy"));
+  ASSERT_EQ(heavy.size(), 12u);
+  EXPECT_EQ(shard_range(heavy.size(), 0, 2).end, 6u);
+  EXPECT_EQ(shard_range(heavy, 0, 2).end, 7u);
+  // tiny_spec: the 3-worker cost split differs from the count split, so
+  // the supervised tests below cross a moved boundary.
+  const std::vector<std::uint64_t> tiny = item_costs(tiny_spec());
+  bool moved = false;
+  for (std::size_t s = 0; s < 3; ++s) {
+    moved = moved || shard_range(tiny, s, 3).end != shard_range(tiny.size(), s, 3).end;
+  }
+  EXPECT_TRUE(moved);
+}
+
 TEST(ShardArchive, ResultRoundTripsAndRefusesDamage) {
   const sweep::SweepSpec spec = tiny_spec();
   std::vector<sim::SimMetrics> items;
@@ -231,6 +295,15 @@ TEST(ShardArchive, CheckpointRoundTripsWithSnapshotAndCursor) {
   EXPECT_EQ(back.next_item, 1u);
   ASSERT_EQ(back.completed.size(), 1u);
   EXPECT_TRUE(back.snapshot == ck.snapshot);
+
+  // The snapshot is embedded verbatim: a u64 length and the raw bytes just
+  // before the crc footer, and it decodes back byte for byte.
+  const std::size_t at = bytes.size() - 4 - ck.snapshot.size();
+  EXPECT_TRUE(std::equal(ck.snapshot.begin(), ck.snapshot.end(),
+                         bytes.begin() + static_cast<long>(at)));
+  common::BinaryReader len(bytes.data() + at - 8, 8);
+  EXPECT_EQ(len.u64(), ck.snapshot.size());
+  EXPECT_EQ(encode_shard_checkpoint(back), bytes);
 
   // The restored snapshot actually restores.
   sim::Simulator resumed(sweep::item_config(spec, 1));

@@ -269,8 +269,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto total_frames =
-      static_cast<std::int64_t>(std::llround(cfg.sim_duration_s / cfg.frame_s));
+  const std::int64_t total_frames = cfg.total_frames();
 
   sim::SimMetrics final_metrics;
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "src/common/table.hpp"
-#include "src/sim/monte_carlo.hpp"
 #include "src/sim/simulator.hpp"
 
 using namespace wcdma;

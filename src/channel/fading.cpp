@@ -11,8 +11,8 @@ namespace {
 constexpr double kTwoPi = 6.283185307179586;
 
 // libstdc++'s cyl_bessel_j series runs through lgamma(), which writes the
-// process-global `signgam` -- a data race when Monte-Carlo replications
-// construct Simulators on worker threads.  The call sits on cold paths only
+// process-global `signgam` -- a data race when sweep items construct
+// Simulators on worker threads.  The call sits on cold paths only
 // (AR(1) construction and the rare non-nominal-dt step), so serializing it
 // is free in the frame loop and keeps the result bit-identical to the
 // unsynchronized call (a reimplementation would not be).

@@ -1,11 +1,14 @@
 // Short-term (fast) fading component Xs(t) of Eq. (1).
 //
-// Two interchangeable Rayleigh generators:
+// Two Rayleigh generators:
 //  * JakesFading — Clarke/Jakes sum-of-sinusoids; a deterministic function
 //    of time given its random phases, so symbol-level benches can sample it
 //    densely and tests can verify the Doppler autocorrelation J0(2*pi*fd*tau).
+//    sim::FrameState keeps one per link when Jakes fading is configured.
 //  * Ar1Fading — complex Gauss-Markov process stepped at the frame rate;
-//    cheap, used by the system simulator where only per-frame values matter.
+//    cheap, where only per-frame values matter.  sim::FrameState replays
+//    the same recursion lazily in flat buffers; this eager object is the
+//    twin its tests check that replay against.
 // Both are normalised to unit mean power so the composite channel of Eq. (1)
 // separates cleanly into mean (path loss x shadowing) and fluctuation.
 #pragma once
@@ -17,24 +20,16 @@
 
 namespace wcdma::channel {
 
-/// Common interface so the simulator can switch generators.
-class FadingProcess {
- public:
-  virtual ~FadingProcess() = default;
-  /// Advances internal time by dt seconds and returns the instantaneous
-  /// *power* gain (unit mean).
-  virtual double step(double dt) = 0;
-  /// Current power gain without advancing.
-  virtual double power_gain() const = 0;
-};
-
-class JakesFading final : public FadingProcess {
+class JakesFading {
  public:
   /// `paths` sinusoids per quadrature (8-32 typical).
   JakesFading(double doppler_hz, common::Rng rng, int paths = 16);
 
-  double step(double dt) override;
-  double power_gain() const override;
+  /// Advances internal time by dt seconds and returns the instantaneous
+  /// *power* gain (unit mean).
+  double step(double dt);
+  /// Current power gain without advancing.
+  double power_gain() const;
 
   /// Evaluates the complex gain at absolute time t (used by tests/benches).
   std::complex<double> gain_at(double t) const;
@@ -55,14 +50,15 @@ class JakesFading final : public FadingProcess {
   double norm_;
 };
 
-class Ar1Fading final : public FadingProcess {
+class Ar1Fading {
  public:
   /// `dt_nominal` is the expected step interval; the AR coefficient is
   /// recomputed if step() is called with a different dt.
   Ar1Fading(double doppler_hz, double dt_nominal, common::Rng rng);
 
-  double step(double dt) override;
-  double power_gain() const override;
+  /// Advances by dt seconds and returns the instantaneous power gain.
+  double step(double dt);
+  double power_gain() const;
 
   /// step(dt_nominal) without the per-step innovation sqrt: the coefficient
   /// pair is cached at construction.  Bit-identical to step(dt_nominal).

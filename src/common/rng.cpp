@@ -101,11 +101,4 @@ double Rng::lognormal_shadow(double sigma_db) {
   return std::pow(10.0, normal(0.0, sigma_db) / 10.0);
 }
 
-std::vector<std::uint64_t> derive_seeds(std::uint64_t master, std::size_t n) {
-  SplitMix64 sm(master);
-  std::vector<std::uint64_t> out(n);
-  for (auto& s : out) s = sm.next();
-  return out;
-}
-
 }  // namespace wcdma::common

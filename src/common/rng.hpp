@@ -10,7 +10,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/assert.hpp"
 
@@ -140,8 +139,5 @@ inline double Rng::normal() {
 inline double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
-
-/// Convenience: derive `n` independent seeds from a master seed.
-std::vector<std::uint64_t> derive_seeds(std::uint64_t master, std::size_t n);
 
 }  // namespace wcdma::common

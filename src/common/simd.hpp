@@ -11,16 +11,15 @@
 // kernel is ELEMENT-WISE IDENTICAL to the scalar implementation -- same IEEE
 // operations in the same order, no FMA contraction, no reassociation -- so
 // the level is a pure throughput knob.  A `fast`-provider trajectory is
-// byte-identical under scalar, SSE2, and AVX2 dispatch (pinned by
+// byte-identical under scalar and AVX2 dispatch (pinned by
 // tests/test_kernels.cpp), and the default/exhaustive path never reaches
 // these kernels at all.
 //
 // Resolution order for the startup level:
-//   1. WCDMA_SIMD environment variable  (auto | scalar | sse2 | avx2)
-//   2. WCDMA_SIMD_DEFAULT compile definition (CMake -DWCDMA_SIMD=...)
-//   3. auto == the best level the host supports.
+//   1. WCDMA_SIMD environment variable  (auto | scalar | avx2)
+//   2. auto == the best level the host supports.
 // Requests above the host's capability clamp down to the supported maximum,
-// so WCDMA_SIMD=avx2 on an SSE2-only host degrades instead of faulting.
+// so WCDMA_SIMD=avx2 on a host without AVX2 degrades instead of faulting.
 #pragma once
 
 #include <cstdlib>
@@ -29,32 +28,24 @@
 namespace wcdma::common {
 
 /// Kernel instruction-set tiers, ordered so numeric comparison == capability
-/// comparison.  kSse2 is the x86-64 baseline (always present there); kScalar
-/// is the portable fallback and the reference semantics for every kernel.
-enum class SimdLevel : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// comparison.  kScalar is the portable fallback and the reference semantics
+/// for every kernel.
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 1 };
 
 inline const char* simd_level_name(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar: return "scalar";
-    case SimdLevel::kSse2: return "sse2";
-    case SimdLevel::kAvx2: return "avx2";
-  }
-  return "scalar";
+  return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
 
 /// Best level this host can execute (one-time CPUID probe on x86).
 inline SimdLevel max_supported_simd_level() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
-  return SimdLevel::kScalar;
-#else
-  return SimdLevel::kScalar;
 #endif
+  return SimdLevel::kScalar;
 }
 
-/// Parses "auto" / "scalar" / "sse2" / "avx2" ("auto" resolves to the host
-/// maximum).  Returns false, leaving *out untouched, on anything else.
+/// Parses "auto" / "scalar" / "avx2" ("auto" resolves to the host maximum).
+/// Returns false, leaving *out untouched, on anything else.
 inline bool parse_simd_level(const char* text, SimdLevel* out) {
   if (text == nullptr) return false;
   if (std::strcmp(text, "auto") == 0) {
@@ -63,10 +54,6 @@ inline bool parse_simd_level(const char* text, SimdLevel* out) {
   }
   if (std::strcmp(text, "scalar") == 0) {
     *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(text, "sse2") == 0) {
-    *out = SimdLevel::kSse2;
     return true;
   }
   if (std::strcmp(text, "avx2") == 0) {
@@ -83,19 +70,14 @@ inline SimdLevel clamp_to_supported(SimdLevel level) {
   return static_cast<int>(level) > static_cast<int>(max) ? max : level;
 }
 
-/// Startup resolution: env override, then build default, then auto.  Reads
-/// the environment exactly once (the result is cached in simd_level_slot),
-/// so the level cannot drift mid-run.
+/// Startup resolution: env override, then auto.  Reads the environment
+/// exactly once (the result is cached in simd_level_slot), so the level
+/// cannot drift mid-run.
 inline SimdLevel resolve_startup_simd_level() {
   SimdLevel level = SimdLevel::kScalar;
-  if (const char* env = std::getenv("WCDMA_SIMD")) {
-    if (parse_simd_level(env, &level)) return clamp_to_supported(level);
-  }
-#ifdef WCDMA_SIMD_DEFAULT
-  if (parse_simd_level(WCDMA_SIMD_DEFAULT, &level)) {
+  if (parse_simd_level(std::getenv("WCDMA_SIMD"), &level)) {
     return clamp_to_supported(level);
   }
-#endif
   return max_supported_simd_level();
 }
 

@@ -122,7 +122,7 @@ std::size_t ZigguratNormal::fill_scalar(Rng& rng, double* out, std::size_t n) co
 
 #if WCDMA_ZIGGURAT_X86
 
-// The block fills vectorize only the ~99% accept path: draw a block of
+// The block fill vectorizes only the ~99% accept path: draw a block of
 // words, split the (layer, magnitude, sign) fields and gather the table
 // entries scalar, then do the magnitude * w multiply, the accept compare,
 // and the sign flip packed.  On the FIRST rejected lane the RNG rewinds to
@@ -130,56 +130,6 @@ std::size_t ZigguratNormal::fill_scalar(Rng& rng, double* out, std::size_t n) co
 // the rejected sample through the full scalar slow path -- so sample values,
 // stream mapping, and word counts are identical to fill_scalar by
 // construction, for any block size.
-
-std::size_t ZigguratNormal::fill_block_sse2(Rng& rng, double* out,
-                                            std::size_t n) const {
-  std::size_t words = 0;
-  std::size_t i = 0;
-  double magd[kFillBlock], wsel[kFillBlock], ksel[kFillBlock], x[kFillBlock];
-  std::uint64_t sign[kFillBlock];
-  while (i < n) {
-    const std::size_t m = n - i < kFillBlock ? n - i : kFillBlock;
-    const Rng snapshot = rng;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t u = rng.next_u64();
-      const std::size_t layer = u & 0xff;
-      magd[j] = static_cast<double>(u >> 11);
-      wsel[j] = tables_->w[layer];
-      ksel[j] = tables_->kd[layer];
-      sign[j] = (u & 0x100) << 55;  // bit 8 -> IEEE sign bit
-    }
-    std::uint32_t reject = 0;
-    std::size_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-      const __m128d md = _mm_loadu_pd(magd + j);
-      __m128d xv = _mm_mul_pd(md, _mm_loadu_pd(wsel + j));
-      xv = _mm_xor_pd(xv, _mm_castsi128_pd(_mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(sign + j))));
-      _mm_storeu_pd(x + j, xv);
-      const int accept = _mm_movemask_pd(_mm_cmplt_pd(md, _mm_loadu_pd(ksel + j)));
-      reject |= static_cast<std::uint32_t>(~accept & 0x3) << j;
-    }
-    for (; j < m; ++j) {
-      x[j] = apply_sign(magd[j] * wsel[j], sign[j]);
-      if (!(magd[j] < ksel[j])) reject |= std::uint32_t{1} << j;
-    }
-    if (reject == 0) {
-      std::memcpy(out + i, x, m * sizeof(double));
-      words += m;
-      i += m;
-      continue;
-    }
-    std::size_t j0 = 0;
-    while (((reject >> j0) & 1u) == 0) ++j0;
-    for (std::size_t a = 0; a < j0; ++a) out[i + a] = x[a];
-    rng = snapshot;
-    for (std::size_t a = 0; a < j0; ++a) rng.next_u64();
-    words += j0;
-    out[i + j0] = draw_counted(rng, &words);
-    i += j0 + 1;
-  }
-  return words;
-}
 
 __attribute__((target("avx2"))) std::size_t ZigguratNormal::fill_block_avx2(
     Rng& rng, double* out, std::size_t n) const {
@@ -234,11 +184,6 @@ __attribute__((target("avx2"))) std::size_t ZigguratNormal::fill_block_avx2(
 
 #else  // !WCDMA_ZIGGURAT_X86
 
-std::size_t ZigguratNormal::fill_block_sse2(Rng& rng, double* out,
-                                            std::size_t n) const {
-  return fill_scalar(rng, out, n);
-}
-
 std::size_t ZigguratNormal::fill_block_avx2(Rng& rng, double* out,
                                             std::size_t n) const {
   return fill_scalar(rng, out, n);
@@ -247,14 +192,7 @@ std::size_t ZigguratNormal::fill_block_avx2(Rng& rng, double* out,
 #endif  // WCDMA_ZIGGURAT_X86
 
 std::size_t ZigguratNormal::fill(Rng& rng, double* out, std::size_t n) const {
-  switch (active_simd_level()) {
-    case SimdLevel::kAvx2:
-      return fill_block_avx2(rng, out, n);
-    case SimdLevel::kSse2:
-      return fill_block_sse2(rng, out, n);
-    case SimdLevel::kScalar:
-      break;
-  }
+  if (active_simd_level() == SimdLevel::kAvx2) return fill_block_avx2(rng, out, n);
   return fill_scalar(rng, out, n);
 }
 

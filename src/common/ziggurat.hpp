@@ -79,7 +79,6 @@ class ZigguratNormal {
   double draw_slow_counted(Rng& rng, std::size_t layer, double x,
                            std::size_t* words) const;
   std::size_t fill_scalar(Rng& rng, double* out, std::size_t n) const;
-  std::size_t fill_block_sse2(Rng& rng, double* out, std::size_t n) const;
   std::size_t fill_block_avx2(Rng& rng, double* out, std::size_t n) const;
 
   const Tables* tables_;

@@ -17,6 +17,7 @@
 #include "src/cell/mobility.hpp"
 #include "src/channel/channel.hpp"
 #include "src/channel/path_loss.hpp"
+#include "src/channel/shadowing.hpp"
 #include "src/mac/mac_state.hpp"
 #include "src/phy/adaptation.hpp"
 #include "src/phy/modes.hpp"

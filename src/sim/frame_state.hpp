@@ -1,10 +1,9 @@
 // Structure-of-arrays per-link channel state for the simulator hot path.
 //
-// The legacy frame loop kept each user's link state behind two layers of
-// indirection (Simulator::User -> std::vector<channel::Link> -> heap
-// FadingProcess) and recomputed the composite gain twice per link per frame.
-// FrameState hoists all of it into flat, simulator-owned buffers indexed
-// [user * num_cells + cell], so the measurement loops stream linearly:
+// FrameState keeps every (user, cell) link's state -- the composite channel
+// of Eq. (1) over the mean path loss -- in flat, simulator-owned buffers
+// indexed [user * num_cells + cell], so the measurement loops stream
+// linearly:
 //
 //  * shadowing: per-link (rng, value_db) pairs stepped once per frame for
 //    every candidate cell, with the AR(1) correlation pair hoisted to one
@@ -25,9 +24,9 @@
 // from a scatter (racy under sharding) into a deterministic per-station
 // gather in ascending user order.
 //
-// RNG stream discipline matches the legacy per-user Link construction
-// exactly: link (user, cell) forks user_rng.fork(100 + cell), shadowing
-// consumes fork(1), fading fork(2).  Golden tests pin the equivalence.
+// RNG stream discipline: link (user, cell) forks user_rng.fork(100 + cell),
+// shadowing consumes fork(1), fading fork(2).  Golden tests pin the
+// resulting trajectories.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +51,8 @@ class FrameState {
             const channel::ShadowingConfig& shadowing, channel::FadingKind fading,
             double frame_s, int jakes_paths, std::size_t num_users);
 
-  /// Builds one user's per-cell link state, consuming `user_rng` streams
-  /// exactly as the legacy per-user std::vector<channel::Link> did.
+  /// Builds one user's per-cell link state from the `user_rng` streams
+  /// (see the stream discipline above).
   void init_user(std::size_t user, const common::Rng& user_rng, double doppler_hz);
 
   /// Switches link stepping and AR(1) fading replay onto the relaxed-

@@ -16,9 +16,9 @@
 //    scalar early-return that preserves NaN payloads.
 //
 // The AVX2 bodies are compiled via function-level target attributes, so the
-// file needs no -mavx2 flag and the baseline objects stay SSE2-clean; the
-// CPUID dispatch in common::active_simd_level() guarantees they only run on
-// hosts that have the instructions.
+// file needs no -mavx2 flag and the baseline objects run on any x86-64; the
+// CPUID dispatch in common::active_simd_level() guarantees the AVX2 bodies
+// only run on hosts that have the instructions.
 #include "src/sim/kernels.hpp"
 
 #include "src/common/fastmath.hpp"
@@ -69,139 +69,10 @@ void shadow_gain_scalar(double rho, double innovation_db, double gain_bias,
 #if WCDMA_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// SSE2 (x86-64 baseline), width 2.
-// ---------------------------------------------------------------------------
-
-/// Packed fast_exp2: clamp, round-to-nearest split, degree-7 Taylor,
-/// exponent bit stuffing.  NaN lanes return the original input bits.
-inline __m128d exp2_pd_sse2(__m128d x) {
-  const __m128d nan_mask = _mm_cmpunord_pd(x, x);
-  // Clamp to [-1022, 1022] (min/max pass NaN through from the second
-  // operand, so NaN lanes stay NaN into the arithmetic below; their junk
-  // results are blended away at the end).
-  __m128d xc = _mm_min_pd(_mm_set1_pd(1022.0), _mm_max_pd(_mm_set1_pd(-1022.0), x));
-  // n = floor(xc + 0.5), emulated exactly: truncate (exact for |y| < 2^31),
-  // then subtract 1 where truncation rounded a negative y up.
-  const __m128d y = _mm_add_pd(xc, _mm_set1_pd(0.5));
-  const __m128d t = _mm_cvtepi32_pd(_mm_cvttpd_epi32(y));
-  const __m128d n = _mm_sub_pd(t, _mm_and_pd(_mm_cmplt_pd(y, t), _mm_set1_pd(1.0)));
-  const __m128d z = _mm_mul_pd(_mm_sub_pd(xc, n), _mm_set1_pd(0.69314718055994531));
-  __m128d p = _mm_set1_pd(1.0 / 5040.0);
-  p = _mm_add_pd(_mm_set1_pd(1.0 / 720.0), _mm_mul_pd(z, p));
-  p = _mm_add_pd(_mm_set1_pd(1.0 / 120.0), _mm_mul_pd(z, p));
-  p = _mm_add_pd(_mm_set1_pd(1.0 / 24.0), _mm_mul_pd(z, p));
-  p = _mm_add_pd(_mm_set1_pd(1.0 / 6.0), _mm_mul_pd(z, p));
-  p = _mm_add_pd(_mm_set1_pd(0.5), _mm_mul_pd(z, p));
-  p = _mm_add_pd(_mm_set1_pd(1.0), _mm_mul_pd(z, p));
-  p = _mm_add_pd(_mm_set1_pd(1.0), _mm_mul_pd(z, p));
-  // 2^n via the exponent field: n + 1023 is in [1, 2045], so the i32
-  // conversion and the zero-extending unpack below are exact.
-  const __m128i ni = _mm_cvttpd_epi32(n);  // n is integral: trunc == value
-  const __m128i biased = _mm_add_epi32(ni, _mm_set1_epi32(1023));
-  const __m128i wide = _mm_unpacklo_epi32(biased, _mm_setzero_si128());
-  const __m128d pow2 = _mm_castsi128_pd(_mm_slli_epi64(wide, 52));
-  const __m128d r = _mm_mul_pd(p, pow2);
-  return _mm_or_pd(_mm_andnot_pd(nan_mask, r), _mm_and_pd(nan_mask, x));
-}
-
-/// Packed fast_log2 for finite x > 0 (subnormals renormalized, as in the
-/// fixed scalar kernel).
-inline __m128d log2_pd_sse2(__m128d x) {
-  // Subnormal rescue: for positive finite x, (exponent field == 0) is
-  // exactly (x < DBL_MIN).  The 2^54 scale is exact.
-  const __m128d sub_mask = _mm_cmplt_pd(x, _mm_set1_pd(0x1p-1022));
-  const __m128d x_scaled = _mm_mul_pd(x, _mm_set1_pd(0x1p54));
-  x = _mm_or_pd(_mm_andnot_pd(sub_mask, x), _mm_and_pd(sub_mask, x_scaled));
-  const __m128d e_extra = _mm_and_pd(sub_mask, _mm_set1_pd(54.0));
-  const __m128i bits = _mm_castpd_si128(x);
-  // Exponent field -> double.  The field fits 11 bits, so each 64-bit lane's
-  // low dword carries it all and the shuffle + i32 conversion are exact.
-  const __m128i field =
-      _mm_and_si128(_mm_srli_epi64(bits, 52), _mm_set1_epi64x(0x7ff));
-  const __m128d field_d =
-      _mm_cvtepi32_pd(_mm_shuffle_epi32(field, _MM_SHUFFLE(3, 3, 2, 0)));
-  __m128d e = _mm_sub_pd(_mm_sub_pd(field_d, _mm_set1_pd(1023.0)), e_extra);
-  __m128d m = _mm_castsi128_pd(
-      _mm_or_si128(_mm_and_si128(bits, _mm_set1_epi64x(0x000fffffffffffffLL)),
-                   _mm_set1_epi64x(0x3ff0000000000000LL)));  // [1, 2)
-  // Re-centre on 1: m in [sqrt(1/2), sqrt(2)).
-  const __m128d recentre = _mm_cmpgt_pd(m, _mm_set1_pd(1.4142135623730951));
-  const __m128d m_half = _mm_mul_pd(m, _mm_set1_pd(0.5));
-  m = _mm_or_pd(_mm_andnot_pd(recentre, m), _mm_and_pd(recentre, m_half));
-  e = _mm_add_pd(e, _mm_and_pd(recentre, _mm_set1_pd(1.0)));
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d t = _mm_div_pd(_mm_sub_pd(m, one), _mm_add_pd(m, one));
-  const __m128d t2 = _mm_mul_pd(t, t);
-  // Same series shape as scalar: the innermost term is a DIVISION (t2/11).
-  __m128d s = _mm_add_pd(_mm_set1_pd(1.0 / 9.0), _mm_div_pd(t2, _mm_set1_pd(11.0)));
-  s = _mm_add_pd(_mm_set1_pd(1.0 / 7.0), _mm_mul_pd(t2, s));
-  s = _mm_add_pd(_mm_set1_pd(1.0 / 5.0), _mm_mul_pd(t2, s));
-  s = _mm_add_pd(_mm_set1_pd(1.0 / 3.0), _mm_mul_pd(t2, s));
-  s = _mm_add_pd(one, _mm_mul_pd(t2, s));
-  const __m128d ln_m = _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(2.0), t), s);
-  return _mm_add_pd(e, _mm_mul_pd(ln_m, _mm_set1_pd(1.4426950408889634)));
-}
-
-void exp2_sse2(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, exp2_pd_sse2(_mm_loadu_pd(x + i)));
-  }
-  exp2_scalar(x + i, out + i, n - i);
-}
-
-void log2_sse2(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, log2_pd_sse2(_mm_loadu_pd(x + i)));
-  }
-  log2_scalar(x + i, out + i, n - i);
-}
-
-void linear_to_db_sse2(const double* x, double* out, std::size_t n) {
-  const __m128d scale = _mm_set1_pd(3.0102999566398120);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_mul_pd(log2_pd_sse2(_mm_loadu_pd(x + i)), scale));
-  }
-  linear_to_db_scalar(x + i, out + i, n - i);
-}
-
-void db_to_linear_sse2(const double* db, double* out, std::size_t n) {
-  const __m128d scale = _mm_set1_pd(common::kExp2PerDb);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, exp2_pd_sse2(_mm_mul_pd(_mm_loadu_pd(db + i), scale)));
-  }
-  db_to_linear_scalar(db + i, out + i, n - i);
-}
-
-void shadow_gain_sse2(double rho, double innovation_db, double gain_bias,
-                      double half_log2_slope, const double* z, const double* d_sq,
-                      double* shadow_db, double* gain, std::size_t n) {
-  const __m128d rho_v = _mm_set1_pd(rho);
-  const __m128d inn_v = _mm_set1_pd(innovation_db);
-  const __m128d bias_v = _mm_set1_pd(gain_bias);
-  const __m128d half_v = _mm_set1_pd(half_log2_slope);
-  const __m128d k_v = _mm_set1_pd(common::kExp2PerDb);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d s = _mm_add_pd(_mm_mul_pd(rho_v, _mm_loadu_pd(shadow_db + i)),
-                                 _mm_mul_pd(inn_v, _mm_loadu_pd(z + i)));
-    _mm_storeu_pd(shadow_db + i, s);
-    const __m128d loss =
-        _mm_mul_pd(half_v, log2_pd_sse2(_mm_loadu_pd(d_sq + i)));
-    const __m128d arg =
-        _mm_sub_pd(_mm_add_pd(_mm_mul_pd(k_v, s), bias_v), loss);
-    _mm_storeu_pd(gain + i, exp2_pd_sse2(arg));
-  }
-  shadow_gain_scalar(rho, innovation_db, gain_bias, half_log2_slope, z + i,
-                     d_sq + i, shadow_db + i, gain + i, n - i);
-}
-
-// ---------------------------------------------------------------------------
 // AVX2, width 4 (function-level target attribute; dispatched at runtime).
 // ---------------------------------------------------------------------------
+
+bool avx2_active() { return common::active_simd_level() == common::SimdLevel::kAvx2; }
 
 __attribute__((target("avx2"))) inline __m256d exp2_pd_avx2(__m256d x) {
   const __m256d nan_mask = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
@@ -333,60 +204,42 @@ __attribute__((target("avx2"))) void shadow_gain_avx2(
 }  // namespace
 
 void exp2_lane(const double* x, double* out, std::size_t n) {
-  const common::SimdLevel level = common::active_simd_level();
 #if WCDMA_KERNELS_X86
-  if (level == common::SimdLevel::kAvx2) return exp2_avx2(x, out, n);
-  if (level == common::SimdLevel::kSse2) return exp2_sse2(x, out, n);
+  if (avx2_active()) return exp2_avx2(x, out, n);
 #endif
-  (void)level;
   exp2_scalar(x, out, n);
 }
 
 void log2_lane(const double* x, double* out, std::size_t n) {
-  const common::SimdLevel level = common::active_simd_level();
 #if WCDMA_KERNELS_X86
-  if (level == common::SimdLevel::kAvx2) return log2_avx2(x, out, n);
-  if (level == common::SimdLevel::kSse2) return log2_sse2(x, out, n);
+  if (avx2_active()) return log2_avx2(x, out, n);
 #endif
-  (void)level;
   log2_scalar(x, out, n);
 }
 
 void linear_to_db_lane(const double* x, double* out, std::size_t n) {
-  const common::SimdLevel level = common::active_simd_level();
 #if WCDMA_KERNELS_X86
-  if (level == common::SimdLevel::kAvx2) return linear_to_db_avx2(x, out, n);
-  if (level == common::SimdLevel::kSse2) return linear_to_db_sse2(x, out, n);
+  if (avx2_active()) return linear_to_db_avx2(x, out, n);
 #endif
-  (void)level;
   linear_to_db_scalar(x, out, n);
 }
 
 void db_to_linear_lane(const double* db, double* out, std::size_t n) {
-  const common::SimdLevel level = common::active_simd_level();
 #if WCDMA_KERNELS_X86
-  if (level == common::SimdLevel::kAvx2) return db_to_linear_avx2(db, out, n);
-  if (level == common::SimdLevel::kSse2) return db_to_linear_sse2(db, out, n);
+  if (avx2_active()) return db_to_linear_avx2(db, out, n);
 #endif
-  (void)level;
   db_to_linear_scalar(db, out, n);
 }
 
 void shadow_gain_lane(double rho, double innovation_db, double gain_bias,
                       double half_log2_slope, const double* z, const double* d_sq,
                       double* shadow_db, double* gain, std::size_t n) {
-  const common::SimdLevel level = common::active_simd_level();
 #if WCDMA_KERNELS_X86
-  if (level == common::SimdLevel::kAvx2) {
+  if (avx2_active()) {
     return shadow_gain_avx2(rho, innovation_db, gain_bias, half_log2_slope, z,
                             d_sq, shadow_db, gain, n);
   }
-  if (level == common::SimdLevel::kSse2) {
-    return shadow_gain_sse2(rho, innovation_db, gain_bias, half_log2_slope, z,
-                            d_sq, shadow_db, gain, n);
-  }
 #endif
-  (void)level;
   shadow_gain_scalar(rho, innovation_db, gain_bias, half_log2_slope, z, d_sq,
                      shadow_db, gain, n);
 }

@@ -1,12 +1,13 @@
 // Runtime-dispatched SIMD batch kernels for the fast CSI hot path.
 //
-// Three loops dominate the fast provider's frame budget (ROADMAP item 4):
-// the fused exp2 gain lane in sim::FrameState::step_user_links_fast, the
-// ziggurat batch fill (vectorized in src/common/ziggurat.cpp against the
-// same dispatch), and the power-control dB conversions in
-// Simulator::step_power_control.  This module gives each a lane API that
-// dispatches once per call on common::active_simd_level() to a scalar,
-// SSE2, or AVX2 implementation.
+// Three loops dominate the fast provider's frame budget: the fused exp2
+// gain lane in sim::FrameState::step_user_links_fast, the ziggurat batch
+// fill (vectorized in src/common/ziggurat.cpp against the same dispatch),
+// and the dB conversion lanes of Simulator::step_power_control -- the one
+// power-control loop every provider runs, which calls these kernels only
+// when the fast provider armed FrameState's relaxed precision.  This module
+// gives each a lane API that dispatches once per call on
+// common::active_simd_level() to a scalar or AVX2 implementation.
 //
 // THE CONTRACT -- element-wise identity.  Every vector implementation
 // performs the exact IEEE-754 operation sequence of the scalar fastmath
@@ -16,7 +17,7 @@
 // -ffp-contract=off so the compiler cannot contract one in), and no
 // reduction or reassociation crosses elements.  Consequence: a fast-provider
 // trajectory is BYTE-IDENTICAL at every dispatch level -- the statcheck
-// certification of `fast` transfers to sse2/avx2 by identity, and
+// certification of `fast` transfers to avx2 by identity, and
 // tests/test_kernels.cpp pins both the per-kernel agreement and whole-run
 // metric equality.  The default/exhaustive path never calls these kernels.
 //

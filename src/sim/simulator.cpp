@@ -15,6 +15,8 @@ namespace wcdma::sim {
 namespace {
 
 constexpr double kTiny = 1e-30;
+/// Sinusoids per quadrature of each Jakes fading link.
+constexpr int kJakesPaths = 16;
 
 /// Registry name of the configured admission policy: the explicit string
 /// wins; the legacy SchedulerKind enum is the fallback.
@@ -88,7 +90,7 @@ Simulator::Simulator(const SystemConfig& config)
 
   const int total_users = config_.voice.users + config_.data.users;
   state_.init(&layout_, &path_loss_, config_.shadowing, config_.fading,
-              config_.frame_s, channel::LinkConfig{}.jakes_paths,
+              config_.frame_s, kJakesPaths,
               static_cast<std::size_t>(total_users));
   queues_.init(config_.placement.carriers);
   round_ranges_.assign(static_cast<std::size_t>(config_.placement.carriers) * 2,
@@ -182,9 +184,6 @@ Simulator::Simulator(const SystemConfig& config)
   }
 
   csi_->init(&layout_, users_.size(), &state_);
-  // The provider may have armed the FrameState's relaxed-precision kernels;
-  // mirror that into the per-user loops (power-control dB conversions).
-  fast_math_ = state_.fast_math();
 
   far_field_.init(&layout_, &path_loss_, config_.shadowing, config_.csi,
                   users_.size(), config_.placement.carriers, csi_->culls());
@@ -220,25 +219,23 @@ void Simulator::step_frame() {
   step_reverse_measurements();
   step_power_control();
   step_traffic();
+  // lint-allow(DET-WALLCLOCK): start of the bench-only span, set only when timing
+  std::chrono::steady_clock::time_point t0;
   if (decision_timing_) {
     // lint-allow(DET-WALLCLOCK): latency bench instrumentation; the measured
     // durations feed BENCH_decision_latency.json only, never simulation state
-    const auto t0 = std::chrono::steady_clock::now();
-    build_frame_context();
-    for (int c = 0; c < config_.placement.carriers; ++c) {
-      run_admission(mac::LinkDirection::kForward, c);
-      run_admission(mac::LinkDirection::kReverse, c);
-    }
+    t0 = std::chrono::steady_clock::now();
+  }
+  build_frame_context();
+  for (int c = 0; c < config_.placement.carriers; ++c) {
+    run_admission(mac::LinkDirection::kForward, c);
+    run_admission(mac::LinkDirection::kReverse, c);
+  }
+  if (decision_timing_) {
     // lint-allow(DET-WALLCLOCK): closes the bench-only timing span above
     const auto t1 = std::chrono::steady_clock::now();
     decision_times_s_.push_back(std::chrono::duration<double>(t1 - t0).count());
     decisions_made_ += static_cast<std::int64_t>(frame_ctx_.requests.size());
-  } else {
-    build_frame_context();
-    for (int c = 0; c < config_.placement.carriers; ++c) {
-      run_admission(mac::LinkDirection::kForward, c);
-      run_admission(mac::LinkDirection::kReverse, c);
-    }
   }
   step_transmission();
   update_transmit_powers();
@@ -351,7 +348,7 @@ void Simulator::forward_measure_user(std::size_t shard, std::size_t i) {
       // comparisons run directly on the linear pilots (order statistics are
       // domain-invariant), skipping the per-cell dB conversion.
       scratch.pilot_pairs.clear();
-      if (fast_math_) {
+      if (state_.fast_math()) {
         // Relaxed path: one reciprocal per user instead of one divide per
         // candidate (differs from x / total in the last ulp only).
         const double inv_total = config_.radio.pilot_power_w / total;
@@ -410,13 +407,13 @@ void Simulator::step_reverse_measurements() {
 }
 
 void Simulator::step_power_control() {
-  // The relaxed-precision provider swaps this whole loop for a lane-
-  // structured twin whose dB conversions run through the SIMD-dispatched
-  // kernels; the default path below keeps libm bit-identity.
-  if (fast_math_) {
-    step_power_control_fast();
-    return;
-  }
+  // Pass A -- scalar SIR measurement.  Every measured SIR lands in a
+  // contiguous lane instead of converting to dB inline.  All reads are last
+  // frame's powers (received_w, fwd_interference_eff_w, power_watt caches)
+  // and no user reads another user's loop state, so deferring the loop
+  // updates to pass C changes nothing.
+  pc_entries_.clear();
+  pc_sir_linear_.clear();
   for (std::size_t i = 0; i < users_.size(); ++i) {
     User& u = users_[i];
     u.fch_on = u.is_data
@@ -433,102 +430,46 @@ void Simulator::step_power_control() {
     // ("the fast fading component (Xl) is handled by the VTAOC system"),
     // and a per-frame loop that chased Rayleigh fades would attempt the
     // divergent E[1/h] inversion.
+    const std::size_t prim = u.active_set.primary();
+    const double gain = state_.gain_mean(i, prim);
+    // Every active user transmits a reverse pilot + FCH: its FCH Eb/I0 at
+    // the primary BS drives the reverse loop.
+    const double fch_tx = u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
+    const double rl_sir = std::max(
+        fch_tx * gain * fch_pg_ /
+            std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
+            u.active_set.reverse_adjustment(),
+        kTiny);
+    const auto user = static_cast<std::uint32_t>(i);
     if (u.is_data && !u.forward_dir) {
-      // Reverse-link data user: control the mobile TX (pilot) power from the
-      // FCH Eb/I0 achieved at the primary BS.
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      u.fch_sir_linear = std::max(sir, kTiny);
-      u.rl_pc.update(common::linear_to_db(u.fch_sir_linear));
-      if (u.rl_pc.saturated() && !in_warmup()) ++metrics_.mobile_power_saturations;
-    } else {
-      // Forward FCH power control (voice users and forward data users).
-      const std::size_t prim = u.active_set.primary();
-      const double sir = u.fl_pc.power_watt() * state_.gain_mean(i, prim) * fch_pg_ /
-                         std::max(u.fwd_interference_eff_w, kTiny);
-      u.fch_sir_linear = std::max(sir, kTiny);
-      const double sir_db = common::linear_to_db(u.fch_sir_linear);
-      u.fl_pc.update(sir_db);
-      if (u.fl_pc.saturated() && !in_warmup()) ++metrics_.bs_power_saturations;
-      if (!u.is_data && !in_warmup()) {
-        metrics_.voice_sir_error_db.add(sir_db - config_.radio.fch_ebio_target_db);
-      }
-    }
-    // Reverse-link voice/forward-data users still transmit a reverse pilot +
-    // FCH; track its power with the reverse loop as well.
-    if (!u.is_data || u.forward_dir) {
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      u.rl_pc.update(common::linear_to_db(std::max(sir, kTiny)));
-    }
-  }
-}
-
-void Simulator::step_power_control_fast() {
-  // Pass A -- scalar SIR measurement.  Same branch structure and arithmetic
-  // as the default loop; every measured SIR lands in a contiguous lane
-  // instead of converting to dB inline.  All reads are last frame's powers
-  // (received_w, fwd_interference_eff_w, power_watt caches), so deferring
-  // the loop updates to pass C changes nothing.
-  pc_entries_.clear();
-  pc_sir_linear_.clear();
-  for (std::size_t i = 0; i < users_.size(); ++i) {
-    User& u = users_[i];
-    u.fch_on = u.is_data
-                   ? (u.has_pending || u.burst.active ||
-                      u.mac.state() == mac::MacState::kActive ||
-                      u.mac.state() == mac::MacState::kControlHold)
-                   : u.voice_active;
-    if (!u.fch_on) {
-      u.fch_sir_linear = 0.0;
+      // Reverse-link data user: that loop is its FCH power control.
+      u.fch_sir_linear = rl_sir;
+      pc_entries_.push_back({user, PcKind::kRlData});
+      pc_sir_linear_.push_back(rl_sir);
       continue;
     }
-    if (u.is_data && !u.forward_dir) {
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      u.fch_sir_linear = std::max(sir, kTiny);
-      pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kRlData});
-      pc_sir_linear_.push_back(u.fch_sir_linear);
-    } else {
-      const std::size_t prim = u.active_set.primary();
-      const double sir = u.fl_pc.power_watt() * state_.gain_mean(i, prim) * fch_pg_ /
-                         std::max(u.fwd_interference_eff_w, kTiny);
-      u.fch_sir_linear = std::max(sir, kTiny);
-      pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kForward});
-      pc_sir_linear_.push_back(u.fch_sir_linear);
-    }
-    if (!u.is_data || u.forward_dir) {
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kRlPilot});
-      pc_sir_linear_.push_back(std::max(sir, kTiny));
-    }
+    // Forward FCH power control (voice users and forward data users), then
+    // the reverse loop that tracks their pilot.
+    const double sir =
+        u.fl_pc.power_watt() * gain * fch_pg_ / std::max(u.fwd_interference_eff_w, kTiny);
+    u.fch_sir_linear = std::max(sir, kTiny);
+    pc_entries_.push_back({user, PcKind::kForward});
+    pc_sir_linear_.push_back(u.fch_sir_linear);
+    pc_entries_.push_back({user, PcKind::kRlPilot});
+    pc_sir_linear_.push_back(rl_sir);
   }
 
-  // Pass B -- one SIMD batch for every linear -> dB conversion this frame.
+  // Pass B -- every linear -> dB conversion this frame, as one lane.
+  const bool fast = state_.fast_math();
   const std::size_t n = pc_entries_.size();
   pc_sir_db_.resize(n);
-  kernels::linear_to_db_lane(pc_sir_linear_.data(), pc_sir_db_.data(), n);
+  if (fast) {
+    kernels::linear_to_db_lane(pc_sir_linear_.data(), pc_sir_db_.data(), n);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      pc_sir_db_[j] = common::linear_to_db(pc_sir_linear_[j]);
+    }
+  }
 
   // Pass C -- scalar loop stepping + saturation/voice metrics, ascending
   // user order (the entry order), queueing the dBm -> W refresh.
@@ -557,10 +498,14 @@ void Simulator::step_power_control_fast() {
     }
   }
 
-  // Pass D -- one SIMD batch for every dB -> W refresh, then commit the
-  // cached wattages.  Nothing reads power_watt() between update_db and here.
+  // Pass D -- every dB -> W refresh as one lane, then commit the cached
+  // wattages.  Nothing reads power_watt() between update_db and here.
   pc_watt_.resize(n);
-  kernels::db_to_linear_lane(pc_dbm_.data(), pc_watt_.data(), n);
+  if (fast) {
+    kernels::db_to_linear_lane(pc_dbm_.data(), pc_watt_.data(), n);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) pc_watt_[j] = common::db_to_linear(pc_dbm_[j]);
+  }
   for (std::size_t j = 0; j < n; ++j) {
     User& u = users_[pc_entries_[j].user];
     if (pc_entries_[j].kind == PcKind::kForward) {

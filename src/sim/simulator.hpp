@@ -276,18 +276,19 @@ class Simulator {
   void step_mobility_and_channel();
   void forward_measure_user(std::size_t shard, std::size_t user);
   void step_reverse_measurements();
+  /// Closed-loop power control for every provider, as four passes: scalar
+  /// SIR measurement into a lane (A), every linear -> dB conversion as one
+  /// batch (B), loop stepping plus saturation/voice metrics in ascending
+  /// user order (C), and every dBm -> W refresh as one batch (D).  Passes B
+  /// and D run the SIMD-dispatched fastmath kernels when FrameState's
+  /// relaxed precision is armed (the `fast` provider) and plain libm
+  /// otherwise.  No cross-user state flows through power control within a
+  /// frame (every SIR reads last frame's powers and this user's pre-update
+  /// loop state), so per element the libm lanes are exactly
+  /// ClosedLoopPowerControl::update() and the exact path stays
+  /// bit-identical; the fast lanes are byte-identical across dispatch
+  /// levels by the kernel contract.
   void step_power_control();
-  /// The fast provider's lane-structured twin of step_power_control: the
-  /// per-user SIR measurements are computed scalar (pass A), every dB
-  /// conversion runs through the SIMD-dispatched kernels as one batch
-  /// (passes B and D), and the scalar stepping/saturation/metric logic in
-  /// between (pass C) runs in the same ascending-user order as the default
-  /// loop.  No cross-user state flows through power control within a frame
-  /// (every SIR reads last frame's powers and this user's pre-update loop
-  /// state), so the split is element-wise identical to the fused loop it
-  /// replaced -- and byte-identical across dispatch levels by the kernel
-  /// contract.
-  void step_power_control_fast();
   void step_traffic();
   /// Snapshots this frame's measurements and the queued eligible requests
   /// into the read-only FrameContext handed to the admission policy, one
@@ -368,7 +369,7 @@ class Simulator {
   std::vector<std::pair<std::size_t, std::size_t>> round_ranges_;
   std::vector<std::size_t> round_scratch_;  // request indices of one round
   std::vector<int> grant_m_scratch_, grant_carrier_scratch_;
-  /// step_power_control_fast lane scratch: one entry per closed-loop update
+  /// step_power_control lane scratch: one entry per closed-loop update
   /// this frame (a user contributes kRlData, or kForward plus kRlPilot).
   enum class PcKind : std::uint8_t { kRlData, kForward, kRlPilot };
   struct PcEntry {
@@ -381,11 +382,6 @@ class Simulator {
   double noise_w_ = 0.0;
   double l_max_w_ = 0.0;
   double mobile_max_w_ = 0.0;  // dbm_to_watt(mobile_max_power_dbm), hoisted
-  /// True when the CSI provider armed FrameState's relaxed-precision
-  /// kernels (the "fast" provider): the per-user power-control loop then
-  /// uses the fastmath dB conversions too.  Always false on the default
-  /// bit-identical path.
-  bool fast_math_ = false;
   double fch_pg_ = 0.0;          // W / R_f processing gain
   double fch_sir_target_ = 0.0;  // linear Eb/I0 target
   double now_s_ = 0.0;

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <set>
 #include <thread>
 
 #include "src/common/matrix.hpp"
@@ -139,12 +138,6 @@ TEST(Rng, LognormalShadowMedianIsOne) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) above += rng.lognormal_shadow(8.0) > 1.0 ? 1 : 0;
   EXPECT_NEAR(above, n / 2, 4 * std::sqrt(n / 4.0));
-}
-
-TEST(Rng, DeriveSeedsDistinct) {
-  const auto seeds = derive_seeds(99, 64);
-  std::set<std::uint64_t> unique(seeds.begin(), seeds.end());
-  EXPECT_EQ(unique.size(), seeds.size());
 }
 
 // ---------------------------------------------------------------- units

@@ -2,7 +2,7 @@
 // dispatch level of every kernel is ELEMENT-WISE IDENTICAL to the scalar
 // fastmath reference -- not "close", bit-identical -- so the level is a pure
 // throughput knob and the statcheck certification of the `fast` provider
-// transfers to SSE2/AVX2 by identity.
+// transfers to AVX2 by identity.
 //
 // Layers, bottom up:
 //  * parse/dispatch plumbing (common/simd.hpp): level names, the WCDMA_SIMD
@@ -50,11 +50,8 @@ std::uint64_t bits_of(double x) {
 /// Every level this host can execute, scalar first (the reference).
 std::vector<common::SimdLevel> supported_levels() {
   std::vector<common::SimdLevel> levels = {common::SimdLevel::kScalar};
-  for (common::SimdLevel l : {common::SimdLevel::kSse2, common::SimdLevel::kAvx2}) {
-    if (static_cast<int>(l) <=
-        static_cast<int>(common::max_supported_simd_level())) {
-      levels.push_back(l);
-    }
+  if (common::max_supported_simd_level() == common::SimdLevel::kAvx2) {
+    levels.push_back(common::SimdLevel::kAvx2);
   }
   return levels;
 }
@@ -72,8 +69,6 @@ TEST(SimdDispatch, ParseSimdLevelAcceptsTheDocumentedSpellings) {
   common::SimdLevel level = common::SimdLevel::kAvx2;
   EXPECT_TRUE(common::parse_simd_level("scalar", &level));
   EXPECT_EQ(level, common::SimdLevel::kScalar);
-  EXPECT_TRUE(common::parse_simd_level("sse2", &level));
-  EXPECT_EQ(level, common::SimdLevel::kSse2);
   EXPECT_TRUE(common::parse_simd_level("avx2", &level));
   EXPECT_EQ(level, common::SimdLevel::kAvx2);
   EXPECT_TRUE(common::parse_simd_level("auto", &level));
@@ -81,10 +76,10 @@ TEST(SimdDispatch, ParseSimdLevelAcceptsTheDocumentedSpellings) {
 }
 
 TEST(SimdDispatch, ParseSimdLevelRejectsJunkAndLeavesOutputUntouched) {
-  common::SimdLevel level = common::SimdLevel::kSse2;
-  for (const char* bad : {"", "AVX2", "sse", "avx512", "scalar ", "0"}) {
+  common::SimdLevel level = common::SimdLevel::kAvx2;
+  for (const char* bad : {"", "AVX2", "sse", "sse2", "avx512", "scalar ", "0"}) {
     EXPECT_FALSE(common::parse_simd_level(bad, &level)) << "'" << bad << "'";
-    EXPECT_EQ(level, common::SimdLevel::kSse2) << "'" << bad << "'";
+    EXPECT_EQ(level, common::SimdLevel::kAvx2) << "'" << bad << "'";
   }
   EXPECT_FALSE(common::parse_simd_level(nullptr, &level));
 }

@@ -1,10 +1,13 @@
-// Power-control tests: closed-loop convergence, rail behaviour, and the
-// outer-loop FER equilibrium.
+// Power-control tests: closed-loop convergence, rail behaviour, the split
+// update the simulator's lanes rely on, and the outer-loop FER equilibrium.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "src/common/rng.hpp"
+#include "src/common/units.hpp"
 #include "src/power/power_control.hpp"
 
 namespace wcdma::power {
@@ -73,6 +76,42 @@ TEST(ClosedLoop, TracksSlowFade) {
   }
   // Converged within a step of the ideal power.
   EXPECT_NEAR(pc.power_dbm() + gain, cfg.target_sir_db, 1.0);
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+// Simulator::step_power_control splits update() into update_db() plus a
+// batched dBm -> W refresh committed with set_power_watt().  On the exact
+// path that refresh is common::db_to_linear(dBm - 30), which must reproduce
+// update()'s state bit for bit, on and off both power rails.
+TEST(ClosedLoop, SplitUpdateMatchesUpdateBitForBit) {
+  PowerControlConfig cfg;
+  cfg.min_power_dbm = -20.0;
+  cfg.max_power_dbm = 23.0;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    common::Rng rng(seed);
+    ClosedLoopPowerControl whole(cfg, 0.0);
+    ClosedLoopPowerControl split(cfg, 0.0);
+    int at_max = 0, at_min = 0;
+    for (int frame = 0; frame < 2000; ++frame) {
+      const double sir_db = rng.uniform(-60.0, 70.0);
+      whole.update(sir_db);
+      split.update_db(sir_db);
+      split.set_power_watt(common::db_to_linear(split.power_dbm() - 30.0));
+      ASSERT_EQ(bits_of(split.power_dbm()), bits_of(whole.power_dbm())) << frame;
+      ASSERT_EQ(bits_of(split.power_watt()), bits_of(whole.power_watt())) << frame;
+      ASSERT_EQ(split.saturated(), whole.saturated()) << frame;
+      at_max += whole.saturated() ? 1 : 0;
+      at_min += whole.power_dbm() <= cfg.min_power_dbm ? 1 : 0;
+    }
+    // The draws must have driven the loop onto both rails.
+    EXPECT_GT(at_max, 0) << "seed " << seed;
+    EXPECT_GT(at_min, 0) << "seed " << seed;
+  }
 }
 
 TEST(OuterLoop, EquilibriumFerMatchesTarget) {

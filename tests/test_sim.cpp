@@ -1,11 +1,10 @@
 // Dynamic-simulator tests: invariants of the frame loop (power caps, noise
-// floors), determinism, Monte-Carlo thread invariance, and metric sanity.
+// floors), determinism, and metric sanity.
 // Scenarios use the 7-cell layout and short horizons to stay fast.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "src/sim/monte_carlo.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace wcdma::sim {
@@ -218,25 +217,6 @@ TEST(Simulator, InvariantsHoldWithCulledProviderAndFarField) {
   Simulator resumed(cfg);
   ASSERT_TRUE(resumed.restore(simulator.snapshot()));
   ASSERT_TRUE(resumed.check_invariants(&why)) << why;
-}
-
-TEST(MonteCarlo, ThreadCountInvariant) {
-  SystemConfig cfg = small_config();
-  cfg.sim_duration_s = 10.0;
-  const MonteCarloResult one = run_replications(cfg, 3, 1);
-  const MonteCarloResult two = run_replications(cfg, 3, 2);
-  ASSERT_EQ(one.replication_mean_delay_s.size(), two.replication_mean_delay_s.size());
-  for (std::size_t i = 0; i < one.replication_mean_delay_s.size(); ++i) {
-    EXPECT_DOUBLE_EQ(one.replication_mean_delay_s[i], two.replication_mean_delay_s[i]);
-  }
-  EXPECT_DOUBLE_EQ(one.merged.mean_delay_s(), two.merged.mean_delay_s());
-}
-
-TEST(MonteCarlo, ReplicationsAreIndependent) {
-  SystemConfig cfg = small_config();
-  cfg.sim_duration_s = 10.0;
-  const MonteCarloResult r = run_replications(cfg, 3, 2);
-  EXPECT_NE(r.replication_mean_delay_s[0], r.replication_mean_delay_s[1]);
 }
 
 TEST(Metrics, MergeAddsEverything) {

@@ -182,8 +182,8 @@ bool has_policy(const std::string& name);
 std::unique_ptr<AdmissionPolicy> make_policy(const std::string& name,
                                              std::uint64_t seed = 1);
 std::string policy_description(const std::string& name);
-/// Registry name of a legacy SchedulerKind (backward compatibility shim for
-/// configs that still speak the enum).
+/// Registry name of a SchedulerKind (the sweep's `scheduler` axis speaks
+/// the enum and sets the config's policy string through this).
 const char* policy_name(SchedulerKind kind);
 
 }  // namespace wcdma::admission

@@ -1,7 +1,6 @@
-// The fast-fading model selector and the CSI feedback pipeline of
-// Fig. 1(a): the receiver-side estimate travels to the transmitter through a
-// low-capacity feedback channel, so the adapter sees a *delayed, noisy* copy
-// of the channel state.  The composite link of Eq. (1), X(t) = Xl(t) * Xs(t)
+// The CSI feedback pipeline of Fig. 1(a): the receiver-side estimate
+// travels to the transmitter through a low-capacity feedback channel, so
+// the adapter sees a *delayed, noisy* copy of the channel state.  The composite link of Eq. (1), X(t) = Xl(t) * Xs(t)
 // over the mean path loss, lives in sim::FrameState's per-link buffers.
 #pragma once
 
@@ -16,8 +15,6 @@ class BinaryReader;
 }  // namespace wcdma::common
 
 namespace wcdma::channel {
-
-enum class FadingKind { kJakes, kAr1, kNone };
 
 /// Delay-and-noise model of the CSI feedback channel (Fig. 1a).  push() the
 /// receiver's measured CSI once per frame; current() returns what the

@@ -2,13 +2,13 @@
 //
 // Two Rayleigh generators:
 //  * JakesFading — Clarke/Jakes sum-of-sinusoids; a deterministic function
-//    of time given its random phases, so symbol-level benches can sample it
-//    densely and tests can verify the Doppler autocorrelation J0(2*pi*fd*tau).
-//    sim::FrameState keeps one per link when Jakes fading is configured.
+//    of time given its random phases, so tests can sample it densely and
+//    verify the Doppler autocorrelation J0(2*pi*fd*tau).  It is the Clarke
+//    reference the frame-rate AR(1) model is checked against.
 //  * Ar1Fading — complex Gauss-Markov process stepped at the frame rate;
 //    cheap, where only per-frame values matter.  sim::FrameState replays
-//    the same recursion lazily in flat buffers; this eager object is the
-//    twin its tests check that replay against.
+//    the same recursion lazily in flat buffers for every link; this eager
+//    object is the twin its tests check that replay against.
 // Both are normalised to unit mean power so the composite channel of Eq. (1)
 // separates cleanly into mean (path loss x shadowing) and fluctuation.
 #pragma once
@@ -35,11 +35,6 @@ class JakesFading {
   std::complex<double> gain_at(double t) const;
 
   double doppler_hz() const { return doppler_hz_; }
-
-  /// Checkpoint support: the process is a deterministic function of time
-  /// given its (init-time) random phases, so only the clock round-trips.
-  double time_s() const { return t_; }
-  void set_time_s(double t) { t_ = t; }
 
  private:
   double doppler_hz_;

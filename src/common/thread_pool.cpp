@@ -1,12 +1,12 @@
 #include "src/common/thread_pool.hpp"
 
-#include <atomic>
+#include <utility>
 
 namespace wcdma::common {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool(std::size_t workers) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -16,69 +16,61 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stop_ = true;
   }
-  cv_task_.notify_all();
+  cv_start_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
   if (workers_.empty()) {
-    task();
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   {
     std::lock_guard lock(mutex_);
-    queue_.push(std::move(task));
+    fn_ = &fn;
+    n_ = n;
+    next_ = 0;
+    ++generation_;
   }
-  cv_task_.notify_one();
+  cv_start_.notify_all();
+  drain();
+  // Every item is claimed; wait only for the workers that joined, not for
+  // ones that have not woken yet (they find fn_ cleared and sleep on).
+  std::unique_lock lock(mutex_);
+  cv_done_.wait(lock, [this] { return active_ == 0; });
+  fn_ = nullptr;
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-void ThreadPool::wait_idle() {
-  if (workers_.empty()) return;
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
+void ThreadPool::drain() {
+  for (;;) {
+    const std::size_t i = next_++;
+    if (i >= n_) return;
+    try {
+      (*fn_)(i);
+    } catch (...) {
+      std::lock_guard lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      next_ = n_;  // skip the unclaimed items
+    }
+  }
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
-      ++in_flight_;
-    }
-    task();
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
+    cv_start_.wait(lock, [&] { return stop_ || (fn_ && generation_ != seen); });
+    if (stop_) return;
+    seen = generation_;
+    ++active_;
+    lock.unlock();
+    drain();
+    lock.lock();
+    if (--active_ == 0) cv_done_.notify_one();
   }
-}
-
-void parallel_for_index(std::size_t n, std::size_t threads,
-                        const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      fn(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const std::size_t spawn = std::min(threads, n) - 1;
-  pool.reserve(spawn);
-  for (std::size_t t = 0; t < spawn; ++t) pool.emplace_back(drain);
-  drain();
-  for (auto& t : pool) t.join();
 }
 
 std::size_t default_thread_count() {

@@ -5,34 +5,6 @@
 
 namespace wcdma::runner {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kKill: return "kill";
-    case FaultKind::kStall: return "stall";
-    case FaultKind::kCorruptCheckpoint: return "corrupt-checkpoint";
-    case FaultKind::kDropResult: return "drop-result";
-  }
-  return "?";
-}
-
-std::string FaultPlan::spec() const {
-  if (!enabled()) return "none";
-  std::string out = to_string(kind);
-  out += ":shard=" + std::to_string(shard);
-  if (kind == FaultKind::kKill || kind == FaultKind::kStall ||
-      kind == FaultKind::kCorruptCheckpoint) {
-    out += ",frame=" + std::to_string(frame);
-  }
-  if (item != SIZE_MAX) out += ",item=" + std::to_string(item);
-  if (kind == FaultKind::kCorruptCheckpoint) {
-    out += std::string(",mode=") +
-           (mode == CorruptMode::kBitFlip ? "bitflip" : "truncate");
-  }
-  if (every_attempt) out += ",attempts=all";
-  return out;
-}
-
 namespace {
 
 bool parse_u64(const std::string& text, std::uint64_t* out) {

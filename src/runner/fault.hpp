@@ -6,10 +6,9 @@
 // self-injected (the worker process carries its own plan and triggers it
 // from inside the frame loop) so the trigger point is deterministic: "kill
 // at frame N" means after exactly N frames of the in-flight item, not
-// whenever a signal happens to land.  The supervisor forwards the plan to
-// the matching shard over the worker command line (`FaultPlan::spec()`
-// round-trips through `parse()`), and tests drive the same plans through
-// the fork-mode entry point.
+// whenever a signal happens to land.  The supervisor hands the plan to the
+// matching shard's forked worker in its WorkerJob; the CLI and the tests
+// build plans the same way.
 //
 // Spec grammar (tools/sweep_main --fault=SPEC):
 //
@@ -60,14 +59,10 @@ struct FaultPlan {
            (every_attempt || attempt == 0);
   }
 
-  /// Canonical spec string; parse(spec()) reproduces the plan exactly.
-  std::string spec() const;
   /// Parses the grammar above; on failure returns false and, when `error`
   /// is non-null, names the offending token.
   static bool parse(const std::string& text, FaultPlan* out,
                     std::string* error);
 };
-
-const char* to_string(FaultKind kind);
 
 }  // namespace wcdma::runner

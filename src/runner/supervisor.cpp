@@ -67,13 +67,11 @@ ShardHeader header_for(const sweep::SweepSpec& spec, const ShardState& state,
   return h;
 }
 
-/// Forks one worker attempt.  Fork-mode children run run_worker() and
-/// _exit without unwinding the parent's stack; exec-mode children replace
-/// themselves with the worker command line.
+/// Forks one worker attempt.  The child runs run_worker() on the
+/// supervisor's own spec and _exits without unwinding the parent's stack.
 pid_t launch_worker(const sweep::SweepSpec& spec,
-                    const SupervisorOptions& options,
-                    const std::vector<std::string>& worker_argv,
-                    std::size_t shard, const ShardState& state) {
+                    const SupervisorOptions& options, std::size_t shard,
+                    const ShardState& state) {
   WorkerJob job;
   job.spec = spec;
   job.shard = shard;
@@ -89,35 +87,7 @@ pid_t launch_worker(const sweep::SweepSpec& spec,
 
   const pid_t pid = fork();
   if (pid != 0) return pid;  // parent (or fork failure, pid < 0)
-
-  if (worker_argv.empty()) {
-    _exit(run_worker(job));
-  }
-  std::vector<std::string> args = worker_argv;
-  args.push_back("--worker-shard");
-  args.push_back(std::to_string(shard));
-  args.push_back("--worker-count");
-  args.push_back(std::to_string(options.workers));
-  args.push_back("--worker-out");
-  args.push_back(job.result_path);
-  args.push_back("--worker-checkpoint");
-  args.push_back(job.checkpoint_path);
-  args.push_back("--checkpoint-every");
-  args.push_back(std::to_string(job.checkpoint_every_frames));
-  args.push_back("--worker-attempt");
-  args.push_back(std::to_string(job.attempt));
-  if (job.resume) args.push_back("--worker-resume");
-  if (job.fault.enabled()) {
-    args.push_back("--fault");
-    args.push_back(job.fault.spec());
-  }
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  execv(argv[0], argv.data());
-  std::fprintf(stderr, "worker shard %zu: cannot exec %s\n", shard, argv[0]);
-  _exit(127);
+  _exit(run_worker(job));
 }
 
 std::string describe_exit(int wait_status, const ShardState& state,
@@ -138,9 +108,8 @@ std::string describe_exit(int wait_status, const ShardState& state,
 
 }  // namespace
 
-SupervisorResult run_supervised_sweep(
-    const sweep::SweepSpec& spec, const SupervisorOptions& options,
-    const std::vector<std::string>& worker_argv) {
+SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
+                                      const SupervisorOptions& options) {
   SupervisorResult out;
   spec.validate();
   WCDMA_ASSERT(options.workers >= 1);
@@ -230,7 +199,7 @@ SupervisorResult run_supervised_sweep(
     for (std::size_t s = 0; s < workers; ++s) {
       ShardState& st = shards[s];
       if (st.status != ShardStatus::kPending || now < st.ready_s) continue;
-      const pid_t pid = launch_worker(spec, options, worker_argv, s, st);
+      const pid_t pid = launch_worker(spec, options, s, st);
       if (pid < 0) return abort_with(s, "fork() failed");
       if (st.resume_next) ++out.checkpoint_resumes;
       st.pid = pid;

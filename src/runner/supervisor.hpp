@@ -1,8 +1,8 @@
 // Fault-tolerant multi-process sweep supervisor.
 //
 // run_supervised_sweep() shards the (scenario x replication) grid across N
-// worker processes (src/runner/worker.hpp) in contiguous blocks of about
-// equal cost (item_costs()), watches them, and merges their result files
+// forked worker processes (src/runner/worker.hpp) in contiguous blocks of
+// about equal cost (item_costs()), watches them, and merges their result files
 // through sweep::merge_item_metrics() -- the same merge the in-process
 // runner ends in, so the output is byte-identical to sweep::run_sweep()
 // for any worker count.  The supervisor owns the robustness contract:
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/runner/fault.hpp"
 #include "src/sweep/sweep.hpp"
@@ -77,15 +76,10 @@ struct SupervisorResult {
   int discarded_checkpoints = 0;
 };
 
-/// Runs the sweep under process supervision.  With `worker_argv` empty,
-/// workers are forked children running run_worker() in-process (the test
-/// path; children _exit and never return through the caller's stack).
-/// With `worker_argv` set, it is the exec prefix of a worker command line
-/// (binary plus config-shaping flags, e.g. from sweep_main); the
-/// supervisor appends its own --worker-* flags per launch -- each worker
-/// then runs in a clean address space.
-SupervisorResult run_supervised_sweep(
-    const sweep::SweepSpec& spec, const SupervisorOptions& options,
-    const std::vector<std::string>& worker_argv = {});
+/// Runs the sweep under process supervision.  Each worker is a forked
+/// child that runs run_worker() on `spec` itself and _exits, so every
+/// worker simulates exactly the spec validated here.
+SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
+                                      const SupervisorOptions& options);
 
 }  // namespace wcdma::runner

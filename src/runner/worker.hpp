@@ -3,11 +3,10 @@
 // seeding, checkpoints its progress every `checkpoint_every_frames`
 // frames, and writes its per-item metrics as one atomic result file.
 //
-// run_worker() is the whole process body.  The supervisor calls it in a
-// forked child (tests: no exec needed) or via `sweep_main --worker-shard`
-// (the CLI path: a clean address space per worker).  Either way the worker
-// is a pure function of its job description plus the files on disk, so a
-// retried attempt -- resumed from the checkpoint or restarted from
+// run_worker() is the whole process body: the supervisor calls it in a
+// forked child, on its own SweepSpec, for the CLI and the tests alike.  The
+// worker is a pure function of its job description plus the files on disk,
+// so a retried attempt -- resumed from the checkpoint or restarted from
 // scratch -- reproduces the exact metrics an undisturbed attempt would
 // have produced.
 #pragma once
@@ -51,9 +50,9 @@ struct WorkerJob {
 /// Per-item cost the grid is sharded by: total frames x (voice + data
 /// users) of each item_config().  E4/E5 put the data-user axis outermost,
 /// so a split by item count would hand the last shard all the heaviest
-/// items.  The supervisor and every worker (forked, or exec'd from replayed
-/// flags) cut shard_range(item_costs(spec), shard, workers) from the same
-/// spec, so they agree on every boundary.
+/// items.  The supervisor and every forked worker cut
+/// shard_range(item_costs(spec), shard, workers) from the same spec, so
+/// they agree on every boundary.
 std::vector<std::uint64_t> item_costs(const sweep::SweepSpec& spec);
 
 /// Runs the shard to completion; returns the process exit code.  Never

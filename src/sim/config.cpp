@@ -33,10 +33,8 @@ std::int64_t SystemConfig::total_frames() const {
 }
 
 const SystemConfig& SystemConfig::validate() const {
-  if (!admission.policy.empty()) {
-    WCDMA_ASSERT(admission::has_policy(admission.policy) &&
-                 "unknown admission policy name");
-  }
+  WCDMA_ASSERT(admission::has_policy(admission.policy) &&
+               "unknown admission policy name");
   WCDMA_ASSERT(has_channel_provider(csi.provider) &&
                "unknown channel-state provider name");
   WCDMA_ASSERT(csi.refresh_interval_s > 0.0);

@@ -11,15 +11,12 @@
 #include <vector>
 
 #include "src/admission/objectives.hpp"
-#include "src/admission/schedulers.hpp"
 #include "src/cell/active_set.hpp"
 #include "src/cell/geometry.hpp"
 #include "src/cell/mobility.hpp"
-#include "src/channel/channel.hpp"
 #include "src/channel/path_loss.hpp"
 #include "src/channel/shadowing.hpp"
 #include "src/mac/mac_state.hpp"
-#include "src/phy/adaptation.hpp"
 #include "src/phy/modes.hpp"
 #include "src/phy/spreading.hpp"
 
@@ -62,7 +59,6 @@ struct DataScenario {
 struct PhyScenario {
   phy::VtaocParams vtaoc{};           // 6-mode ladder
   double target_ber = 1e-3;           // SCH constant-BER operating point
-  phy::FloorPolicy floor = phy::FloorPolicy::kOutage;
   std::size_t feedback_delay_frames = 1;
   double feedback_error_db = 0.5;
   /// Non-adaptive ablation: run the SCH at this fixed mode instead of
@@ -71,12 +67,8 @@ struct PhyScenario {
 };
 
 struct AdmissionScenario {
-  /// Admission policy by registry name (admission::policy_names()).  Empty
-  /// selects the legacy `scheduler` enum below via admission::policy_name();
-  /// non-empty wins over it.  Policies beyond the six schedulers (e.g.
-  /// "hand-down") are only reachable through this string.
-  std::string policy;
-  admission::SchedulerKind scheduler = admission::SchedulerKind::kJabaSd;
+  /// Admission policy by registry name (admission::policy_names()).
+  std::string policy = "jaba-sd";
   admission::ObjectiveKind objective = admission::ObjectiveKind::kJ2DelayAware;
   admission::DelayPenaltyConfig penalty{};
   double min_burst_s = 0.080;  // T_min of Eq. 24 (4 frames)
@@ -209,7 +201,6 @@ struct SystemConfig {
   cell::ActiveSetConfig active_set{};
   channel::PathLossConfig path_loss{};
   channel::ShadowingConfig shadowing{};
-  channel::FadingKind fading = channel::FadingKind::kAr1;
   double carrier_hz = 2.0e9;
 
   phy::SpreadingConfig spreading{};        // includes gamma_s and M

@@ -17,16 +17,13 @@ using common::kExp2PerDb;  // one exp2 unit per dB, shared with fastmath
 }  // namespace
 
 void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
-                      const channel::ShadowingConfig& shadowing,
-                      channel::FadingKind fading, double frame_s, int jakes_paths,
+                      const channel::ShadowingConfig& shadowing, double frame_s,
                       std::size_t num_users) {
   WCDMA_ASSERT(layout != nullptr && path_loss != nullptr);
   layout_ = layout;
   path_loss_ = path_loss;
   shadowing_ = shadowing;
-  fading_kind_ = fading;
   frame_s_ = frame_s;
-  jakes_paths_ = jakes_paths;
   num_users_ = num_users;
   num_cells_ = layout->num_cells();
   frame_ = 0;
@@ -38,18 +35,12 @@ void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* pa
   gain_mean_.assign(links, 0.0);
   pilot_fl_.assign(links, 0.0);
   far_fl_w_.assign(num_users_, 0.0);
-  if (fading_kind_ == channel::FadingKind::kAr1) {
-    fade_rng_.resize(links);
-    fade_re_.assign(links, 0.0);
-    fade_im_.assign(links, 0.0);
-    fade_frame_.assign(links, 0);
-    fade_rho_.assign(num_users_, 0.0);
-    fade_innovation_.assign(num_users_, 0.0);
-  } else if (fading_kind_ == channel::FadingKind::kJakes) {
-    jakes_.clear();
-    jakes_.reserve(links);
-    jakes_frame_.assign(links, 0);
-  }
+  fade_rng_.resize(links);
+  fade_re_.assign(links, 0.0);
+  fade_im_.assign(links, 0.0);
+  fade_frame_.assign(links, 0);
+  fade_rho_.assign(num_users_, 0.0);
+  fade_innovation_.assign(num_users_, 0.0);
   candidate_epoch_ = ~std::uint64_t{0};
 }
 
@@ -58,11 +49,9 @@ void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
   // Stream discipline mirrors the legacy Link construction: link (user, k)
   // derives user_rng.fork(100 + k); its shadowing process consumes fork(1)
   // (one initial N(0, sigma) draw), its fading process fork(2).
-  if (fading_kind_ == channel::FadingKind::kAr1) {
-    const double rho = channel::Ar1Fading::correlation(doppler_hz, frame_s_);
-    fade_rho_[user] = rho;
-    fade_innovation_[user] = std::sqrt(std::max(0.0, 1.0 - rho * rho) * 0.5);
-  }
+  const double rho = channel::Ar1Fading::correlation(doppler_hz, frame_s_);
+  fade_rho_[user] = rho;
+  fade_innovation_[user] = std::sqrt(std::max(0.0, 1.0 - rho * rho) * 0.5);
   // Fast-mode batch stream; an unused fork never perturbs the legacy
   // streams (fork() is const on the parent).
   fast_shadow_rng_[user] = user_rng.fork(7);
@@ -72,24 +61,12 @@ void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
     common::Rng srng = link_rng.fork(1);
     shadow_db_[idx] = srng.normal(0.0, shadowing_.sigma_db);
     shadow_rng_[idx] = srng;
-    switch (fading_kind_) {
-      case channel::FadingKind::kAr1: {
-        common::Rng frng = link_rng.fork(2);
-        // Stationary start h ~ CN(0, 1), drawn exactly as Ar1Fading's ctor.
-        fade_re_[idx] = frng.normal(0.0, std::sqrt(0.5));
-        fade_im_[idx] = frng.normal(0.0, std::sqrt(0.5));
-        fade_rng_[idx] = frng;
-        fade_frame_[idx] = 0;
-        break;
-      }
-      case channel::FadingKind::kJakes:
-        WCDMA_ASSERT(jakes_.size() == idx && "init_user must run in user order");
-        jakes_.emplace_back(doppler_hz, link_rng.fork(2), jakes_paths_);
-        jakes_frame_[idx] = 0;
-        break;
-      case channel::FadingKind::kNone:
-        break;
-    }
+    common::Rng frng = link_rng.fork(2);
+    // Stationary start h ~ CN(0, 1), drawn exactly as Ar1Fading's ctor.
+    fade_re_[idx] = frng.normal(0.0, std::sqrt(0.5));
+    fade_im_[idx] = frng.normal(0.0, std::sqrt(0.5));
+    fade_rng_[idx] = frng;
+    fade_frame_[idx] = 0;
   }
 }
 
@@ -174,38 +151,25 @@ void FrameState::step_user_links_fast(std::size_t user, cell::Point pos,
 
 double FrameState::fading_factor(std::size_t user, std::size_t cell) {
   const std::size_t idx = link_index(user, cell);
-  switch (fading_kind_) {
-    case channel::FadingKind::kAr1: {
-      const double rho = fade_rho_[user];
-      const double innovation = fade_innovation_[user];
-      double re = fade_re_[idx], im = fade_im_[idx];
-      common::Rng& rng = fade_rng_[idx];
-      if (fast_math_) {
-        for (std::int64_t f = fade_frame_[idx]; f < frame_; ++f) {
-          re = rho * re + innovation * zig_.draw(rng);
-          im = rho * im + innovation * zig_.draw(rng);
-        }
-      } else {
-        for (std::int64_t f = fade_frame_[idx]; f < frame_; ++f) {
-          re = rho * re + rng.normal(0.0, innovation);
-          im = rho * im + rng.normal(0.0, innovation);
-        }
-      }
-      fade_re_[idx] = re;
-      fade_im_[idx] = im;
-      fade_frame_[idx] = frame_;
-      return re * re + im * im;
+  const double rho = fade_rho_[user];
+  const double innovation = fade_innovation_[user];
+  double re = fade_re_[idx], im = fade_im_[idx];
+  common::Rng& rng = fade_rng_[idx];
+  if (fast_math_) {
+    for (std::int64_t f = fade_frame_[idx]; f < frame_; ++f) {
+      re = rho * re + innovation * zig_.draw(rng);
+      im = rho * im + innovation * zig_.draw(rng);
     }
-    case channel::FadingKind::kJakes: {
-      channel::JakesFading& j = jakes_[idx];
-      for (std::int64_t f = jakes_frame_[idx]; f < frame_; ++f) j.step(frame_s_);
-      jakes_frame_[idx] = frame_;
-      return j.power_gain();
+  } else {
+    for (std::int64_t f = fade_frame_[idx]; f < frame_; ++f) {
+      re = rho * re + rng.normal(0.0, innovation);
+      im = rho * im + rng.normal(0.0, innovation);
     }
-    case channel::FadingKind::kNone:
-      return 1.0;
   }
-  return 1.0;  // unreachable
+  fade_re_[idx] = re;
+  fade_im_[idx] = im;
+  fade_frame_[idx] = frame_;
+  return re * re + im * im;
 }
 
 void FrameState::refresh_candidate_index(const ChannelStateProvider& provider) {
@@ -280,11 +244,6 @@ void FrameState::save(common::BinaryWriter& w) const {
   w.vec_f64(fade_re_);
   w.vec_f64(fade_im_);
   w.vec_i64(fade_frame_);
-  // Jakes state is a deterministic function of time given the init-time
-  // phases, so the time offset is the whole evolved state.
-  w.u64(jakes_.size());
-  for (const channel::JakesFading& j : jakes_) w.f64(j.time_s());
-  w.vec_i64(jakes_frame_);
   w.vec_f64(gain_mean_);
   w.vec_f64(pilot_fl_);
   w.vec_f64(far_fl_w_);
@@ -304,9 +263,6 @@ bool FrameState::load(common::BinaryReader& r) {
   if (!load_sized_f64(r, fade_re_)) return false;
   if (!load_sized_f64(r, fade_im_)) return false;
   if (!load_sized_i64(r, fade_frame_)) return false;
-  if (r.seq(8) != jakes_.size()) return false;
-  for (channel::JakesFading& j : jakes_) j.set_time_s(r.f64());
-  if (!load_sized_i64(r, jakes_frame_)) return false;
   if (!load_sized_f64(r, gain_mean_)) return false;
   if (!load_sized_f64(r, pilot_fl_)) return false;
   if (!load_sized_f64(r, far_fl_w_)) return false;

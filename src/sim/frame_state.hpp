@@ -8,7 +8,7 @@
 //  * shadowing: per-link (rng, value_db) pairs stepped once per frame for
 //    every candidate cell, with the AR(1) correlation pair hoisted to one
 //    exp/sqrt per *user* (all links of a mobile move together);
-//  * fast fading: per-link AR(1)/Jakes state advanced LAZILY -- the stream
+//  * fast fading: per-link AR(1) state advanced LAZILY -- the stream
 //    is replayed up to the current frame only when a link's fading factor
 //    is observed (the serving leg of an active burst).  Bit-identical to
 //    stepping every frame because each link owns its RNG stream and only
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "src/cell/geometry.hpp"
-#include "src/channel/channel.hpp"
 #include "src/channel/fading.hpp"
 #include "src/channel/path_loss.hpp"
 #include "src/channel/shadowing.hpp"
@@ -48,8 +47,8 @@ class ChannelStateProvider;
 class FrameState {
  public:
   void init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
-            const channel::ShadowingConfig& shadowing, channel::FadingKind fading,
-            double frame_s, int jakes_paths, std::size_t num_users);
+            const channel::ShadowingConfig& shadowing, double frame_s,
+            std::size_t num_users);
 
   /// Builds one user's per-cell link state from the `user_rng` streams
   /// (see the stream discipline above).
@@ -63,7 +62,7 @@ class FrameState {
   /// same candidate semantics -- but NOT bit-identical to the default path,
   /// so only the `fast` channel-state provider may flip this.  Must be
   /// called after init() (it folds the path-loss model into affine
-  /// log-domain constants).  Jakes fading keeps the reference generator.
+  /// log-domain constants).
   void set_fast_math(bool on);
   bool fast_math() const { return fast_math_; }
 
@@ -145,9 +144,9 @@ class FrameState {
   bool candidate_index_matches(const ChannelStateProvider& provider) const;
 
   /// Serializes the evolved state only: frame clock, shadowing/fading RNG
-  /// streams and lanes, Jakes time offsets, cached gains/pilots, far-field
-  /// lane, and the CSR candidate index.  Init-time state (geometry tables,
-  /// Jakes phases, fast-math fold constants) is reproduced by re-running
+  /// streams and lanes, cached gains/pilots, far-field lane, and the CSR
+  /// candidate index.  Init-time state (geometry tables, per-user fading
+  /// coefficients, fast-math fold constants) is reproduced by re-running
   /// init()/init_user() on the same config, so load() overwrites only what
   /// evolves and size-checks every lane against the initialised layout.
   void save(common::BinaryWriter& w) const;
@@ -164,9 +163,7 @@ class FrameState {
   const cell::HexLayout* layout_ = nullptr;
   const channel::PathLoss* path_loss_ = nullptr;
   channel::ShadowingConfig shadowing_{};
-  channel::FadingKind fading_kind_ = channel::FadingKind::kAr1;
   double frame_s_ = 0.020;
-  int jakes_paths_ = 16;
   std::size_t num_users_ = 0;
   std::size_t num_cells_ = 0;
   std::int64_t frame_ = 0;
@@ -188,10 +185,6 @@ class FrameState {
   std::vector<double> fade_re_, fade_im_;
   std::vector<std::int64_t> fade_frame_;
   std::vector<double> fade_rho_, fade_innovation_;  // per user
-
-  // Jakes fallback: per-link generator objects, advanced lazily.
-  std::vector<channel::JakesFading> jakes_;
-  std::vector<std::int64_t> jakes_frame_;
 
   // Per-frame link outputs (flat, stride num_cells_).
   std::vector<double> gain_mean_;

@@ -15,16 +15,6 @@ namespace wcdma::sim {
 namespace {
 
 constexpr double kTiny = 1e-30;
-/// Sinusoids per quadrature of each Jakes fading link.
-constexpr int kJakesPaths = 16;
-
-/// Registry name of the configured admission policy: the explicit string
-/// wins; the legacy SchedulerKind enum is the fallback.
-std::string resolved_policy_name(const SystemConfig& config) {
-  return config.admission.policy.empty()
-             ? admission::policy_name(config.admission.scheduler)
-             : config.admission.policy;
-}
 
 power::PowerControlConfig forward_pc_config(const RadioConfig& radio) {
   power::PowerControlConfig cfg;
@@ -49,11 +39,9 @@ Simulator::Simulator(const SystemConfig& config)
       layout_(config.layout),
       path_loss_(config.path_loss),
       spreading_(config.spreading),
-      policy_(phy::make_vtaoc_modes(config.phy.vtaoc), config.phy.target_ber,
-              config.phy.floor),
-      admission_policy_name_(resolved_policy_name(config)),
+      policy_(phy::make_vtaoc_modes(config.phy.vtaoc), config.phy.target_ber),
       admission_policy_(
-          admission::make_policy(admission_policy_name_, config.seed ^ 0x5cedu)),
+          admission::make_policy(config.admission.policy, config.seed ^ 0x5cedu)),
       csi_(make_channel_provider(config.csi)),
       rng_(config.seed) {
   config_.validate();
@@ -89,8 +77,7 @@ Simulator::Simulator(const SystemConfig& config)
   }
 
   const int total_users = config_.voice.users + config_.data.users;
-  state_.init(&layout_, &path_loss_, config_.shadowing, config_.fading,
-              config_.frame_s, kJakesPaths,
+  state_.init(&layout_, &path_loss_, config_.shadowing, config_.frame_s,
               static_cast<std::size_t>(total_users));
   queues_.init(config_.placement.carriers);
   round_ranges_.assign(static_cast<std::size_t>(config_.placement.carriers) * 2,
@@ -106,12 +93,11 @@ Simulator::Simulator(const SystemConfig& config)
   // sim_threads_ is the SHARD count (fixed partitioning, so results are
   // identical everywhere); the worker pool is additionally capped at the
   // hardware concurrency -- oversubscribing a CPU-bound loop only adds
-  // context switches.  The calling thread always works shard 0, so the pool
+  // context switches.  The calling thread claims shards too, so the pool
   // holds min(shards, cores) - 1 workers; with one core the shards simply
   // run in order on the caller, at sequential speed.
-  const std::size_t workers =
-      std::min(sim_threads_, common::default_thread_count()) - 1;
-  if (workers >= 1) pool_ = std::make_unique<common::ThreadPool>(workers);
+  pool_ = std::make_unique<common::ThreadPool>(
+      std::min(sim_threads_, common::default_thread_count()) - 1);
   shard_scratch_.resize(sim_threads_);
   for (ShardScratch& s : shard_scratch_) s.pilot_db.resize(layout_.num_cells());
 
@@ -251,28 +237,15 @@ void Simulator::for_shards(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  if (sim_threads_ <= 1) {
-    fn(0, 0, n);
-    return;
-  }
   // Fixed contiguous ranges derived only from (n, sim_threads_): the split
   // itself never depends on the worker count, and no shard shares state, so
   // every execution order produces identical results.
   const std::size_t shards = std::min(sim_threads_, n);
   const std::size_t chunk = (n + shards - 1) / shards;
-  auto run = [&fn, chunk, n](std::size_t s) {
+  pool_->parallel_for(shards, [&fn, chunk, n](std::size_t s) {
     const std::size_t begin = s * chunk;
     fn(s, begin, std::min(begin + chunk, n));
-  };
-  if (!pool_) {
-    for (std::size_t s = 0; s < shards; ++s) run(s);
-    return;
-  }
-  for (std::size_t s = 1; s < shards; ++s) {
-    pool_->submit([&run, s] { run(s); });
-  }
-  run(0);  // the calling thread is a worker too
-  pool_->wait_idle();
+  });
 }
 
 void Simulator::maybe_refresh_far_field() {
@@ -937,7 +910,9 @@ namespace {
 constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 // v2: trailing crc32 footer over the whole payload (header included), so a
 // bit-flipped checkpoint is refused by checksum instead of parse luck.
-constexpr std::uint32_t kSnapshotVersion = 2;
+// v3: FrameState no longer writes the (always empty) Jakes clock and frame
+// lanes; every link's fading is the AR(1) lane.
+constexpr std::uint32_t kSnapshotVersion = 3;
 constexpr std::size_t kSnapshotFooterBytes = 4;
 }  // namespace
 
@@ -954,7 +929,7 @@ std::vector<std::uint8_t> Simulator::snapshot() const {
   w.u64(layout_.num_cells());
   w.i32(config_.placement.carriers);
   w.f64(config_.frame_s);
-  w.str(admission_policy_name_);
+  w.str(config_.admission.policy);
   w.str(csi_->name());
 
   w.f64(now_s_);
@@ -1020,7 +995,7 @@ bool Simulator::check_snapshot_header(common::BinaryReader& r) const {
   if (r.i32() != config_.placement.carriers) return false;
   // lint-allow(DET-FLOAT-EQ): config fingerprint; any bit difference must refuse
   if (r.f64() != config_.frame_s) return false;
-  if (r.str() != admission_policy_name_) return false;
+  if (r.str() != config_.admission.policy) return false;
   if (r.str() != csi_->name()) return false;
   return r.ok();
 }

@@ -100,9 +100,9 @@ class Simulator {
   /// Worker threads the intra-frame loops actually use (resolved from
   /// config.sim_threads; 0 resolves to hardware concurrency).
   std::size_t sim_threads() const { return sim_threads_; }
-  /// Resolved admission-policy and channel-state-provider registry names
+  /// Admission-policy and channel-state-provider registry names
   /// (round-trippable through admission::make_policy / make_channel_provider).
-  std::string policy_name() const { return admission_policy_name_; }
+  std::string policy_name() const { return config_.admission.policy; }
   std::string channel_provider_name() const { return csi_->name(); }
   /// Epoch-contract cross-checks for the candidate-index regression tests:
   /// the CSR index must mirror the provider's live candidate sets after
@@ -337,7 +337,6 @@ class Simulator {
   channel::PathLoss path_loss_;
   phy::Spreading spreading_;
   phy::AdaptationPolicy policy_;
-  std::string admission_policy_name_;  // registry key the policy resolved from
   std::unique_ptr<admission::AdmissionPolicy> admission_policy_;
   std::unique_ptr<ChannelStateProvider> csi_;
   common::Rng rng_;

@@ -1,5 +1,6 @@
 #include "src/sweep/sweep.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
@@ -72,7 +73,7 @@ Axis axis_scheduler(const std::vector<admission::SchedulerKind>& kinds) {
   Axis axis{"scheduler", {}};
   for (auto kind : kinds) {
     axis.values.push_back({admission::to_string(kind), [kind](sim::SystemConfig& cfg) {
-                             cfg.admission.scheduler = kind;
+                             cfg.admission.policy = admission::policy_name(kind);
                            }});
   }
   return axis;
@@ -285,7 +286,10 @@ SweepResult run_sweep(const SweepSpec& spec, std::size_t threads,
   std::vector<sim::SimMetrics> per_item(total);
   std::mutex progress_mutex;
   std::size_t done = 0;
-  common::parallel_for_index(total, threads, [&](std::size_t item) {
+  // The calling thread claims items too, so the pool holds one worker
+  // fewer than `threads` (0 and 1 both run inline).
+  common::ThreadPool pool(threads > 1 ? std::min(threads, total) - 1 : 0);
+  pool.parallel_for(total, [&](std::size_t item) {
     sim::Simulator simulator(item_config(spec, item));
     per_item[item] = simulator.run();
     if (progress) {

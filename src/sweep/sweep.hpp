@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/admission/schedulers.hpp"
 #include "src/common/table.hpp"
 #include "src/sim/config.hpp"
 #include "src/sim/metrics.hpp"

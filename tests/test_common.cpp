@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "src/common/matrix.hpp"
@@ -299,71 +300,83 @@ TEST(JainFairness, Extremes) {
 
 // ---------------------------------------------------------------- pool
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    ThreadPool pool(workers);
+    for (const std::size_t n : {0u, 1u, 2u, 7u, 500u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << workers << " workers, n=" << n << ", i=" << i;
+      }
+    }
+  }
 }
 
-TEST(ThreadPool, InlineWhenZeroWorkers) {
+TEST(ThreadPool, ZeroWorkersRunInlineInIndexOrder) {
   ThreadPool pool(0);
-  int count = 0;
-  pool.submit([&] { ++count; });
-  EXPECT_EQ(count, 1);  // executed synchronously
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  pool.parallel_for(16, [&](std::size_t i) {
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(all_on_caller);
+  ASSERT_EQ(order.size(), 16u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ParallelForIndex, CoversAllIndicesOnce) {
-  std::vector<std::atomic<int>> hits(500);
-  parallel_for_index(500, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForIndex, ThreadCountInvariantResult) {
+TEST(ThreadPool, ResultDoesNotDependOnTheWorkerCount) {
   // Work whose result depends only on the index must merge identically.
-  auto run = [](std::size_t threads) {
+  auto run = [](std::size_t workers) {
+    ThreadPool pool(workers);
     std::vector<double> out(64);
-    parallel_for_index(64, threads, [&](std::size_t i) {
+    pool.parallel_for(out.size(), [&](std::size_t i) {
       Rng rng(Rng(1234).fork(i)());
       out[i] = rng.uniform();
     });
     return out;
   };
-  EXPECT_EQ(run(1), run(4));
+  const std::vector<double> inline_run = run(0);
+  EXPECT_EQ(run(1), inline_run);
+  EXPECT_EQ(run(4), inline_run);
 }
 
-// Startup/shutdown churn with concurrent submitters: the Simulator's
-// persistent pool spawns no workers on single-core hosts, so this test is
-// what actually drives the pool's handoff paths under the TSan CI config.
-TEST(ThreadPool, StressSubmitAndTeardown) {
-  for (int cycle = 0; cycle < 20; ++cycle) {
+TEST(ThreadPool, RethrowsTheFirstExceptionOnceEveryThreadIsDone) {
+  for (const std::size_t workers : {0u, 3u}) {
+    ThreadPool pool(workers);
+    std::atomic<int> inside{0};  // threads currently inside fn
+    const auto fn = [&](std::size_t i) {
+      inside.fetch_add(1);
+      std::this_thread::yield();
+      inside.fetch_sub(1);
+      if (i == 5) throw std::runtime_error("item 5");
+    };
+    EXPECT_THROW(pool.parallel_for(64, fn), std::runtime_error);
+    EXPECT_EQ(inside.load(), 0) << workers << " workers";
+    // The pool stays usable after a failed loop.
     std::atomic<int> count{0};
-    {
-      ThreadPool pool(4);
-      std::vector<std::thread> submitters;
-      for (int s = 0; s < 3; ++s) {
-        submitters.emplace_back([&] {
-          for (int i = 0; i < 50; ++i) pool.submit([&] { count.fetch_add(1); });
-        });
-      }
-      for (auto& t : submitters) t.join();
-      pool.wait_idle();
-      EXPECT_EQ(count.load(), 150);
-      // Destructor joins workers with tasks already drained.
-    }
+    pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 10) << workers << " workers";
   }
 }
 
-TEST(ParallelForIndex, StressRepeatedLaunches) {
-  // parallel_for_index spawns fresh threads per call; hammer the spawn/join
-  // and work-stealing paths so TSan sees them even on one-core hosts.
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<std::uint64_t> sum{0};
-    parallel_for_index(256, 4, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 256u * 255u / 2);
+// Repeated loops of 0 to 8 items on one pool, then teardown, many times
+// over: this drives the start/join handoff (including workers that wake
+// only after a loop has ended) and the shutdown path under the TSan CI
+// config, even on hosts where the simulator's pool gets no workers.
+TEST(ThreadPool, StressRepeatedLoopsAndTeardown) {
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    ThreadPool pool(4);
+    for (int round = 0; round < 50; ++round) {
+      const std::size_t n = static_cast<std::size_t>(round % 9);  // incl. 0
+      std::atomic<std::uint64_t> sum{0};
+      pool.parallel_for(n, [&](std::size_t i) {
+        sum.fetch_add(i + 1, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(sum.load(), n * (n + 1) / 2) << "cycle " << cycle << " round " << round;
+    }
   }
 }
 

@@ -115,8 +115,7 @@ TEST(FrameStateFading, LazyReplayMatchesEagerAr1OnTheSameStream) {
   const double doppler = 24.0;
 
   sim::FrameState state;
-  state.init(&layout, &path_loss, shadowing, channel::FadingKind::kAr1, frame_s, 16,
-             1);
+  state.init(&layout, &path_loss, shadowing, frame_s, 1);
   const common::Rng user_rng(0xfade);
   state.init_user(0, user_rng, doppler);
 
@@ -133,17 +132,6 @@ TEST(FrameStateFading, LazyReplayMatchesEagerAr1OnTheSameStream) {
       EXPECT_EQ(state.fading_factor(0, cell_idx), eager_gain) << "frame " << frame;
     }
   }
-}
-
-TEST(FrameStateFading, NoneFadingIsUnitGain) {
-  const cell::HexLayout layout(cell::HexLayoutConfig{});
-  const channel::PathLoss path_loss{channel::PathLossConfig{}};
-  sim::FrameState state;
-  state.init(&layout, &path_loss, channel::ShadowingConfig{},
-             channel::FadingKind::kNone, 0.020, 16, 1);
-  state.init_user(0, common::Rng(1), 10.0);
-  state.advance_frame();
-  EXPECT_EQ(state.fading_factor(0, 0), 1.0);
 }
 
 // --- Indexed request queues ------------------------------------------------

@@ -7,6 +7,8 @@
 // assertions are robust for the fixed seeds used here.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/sim/simulator.hpp"
 
 namespace wcdma::sim {
@@ -29,8 +31,8 @@ SimMetrics run_with(SystemConfig cfg) { return Simulator(cfg).run(); }
 
 // Count-weighted mean delay over three replications: single seeds are too
 // noisy for scheduler comparisons (heavy-tailed burst sizes).
-double replicated_delay(SystemConfig cfg, admission::SchedulerKind kind) {
-  cfg.admission.scheduler = kind;
+double replicated_delay(SystemConfig cfg, const std::string& policy) {
+  cfg.admission.policy = policy;
   SimMetrics merged;
   for (const std::uint64_t bump : {0u, 7919u, 15838u}) {
     SystemConfig rep = cfg;
@@ -42,8 +44,8 @@ double replicated_delay(SystemConfig cfg, admission::SchedulerKind kind) {
 
 TEST(Integration, JabaSdBeatsEqualShareOnDelay) {
   const SystemConfig cfg = contended_config(31);
-  const double jaba = replicated_delay(cfg, admission::SchedulerKind::kJabaSd);
-  const double eq = replicated_delay(cfg, admission::SchedulerKind::kEqualShare);
+  const double jaba = replicated_delay(cfg, "jaba-sd");
+  const double eq = replicated_delay(cfg, "equal-share");
   EXPECT_LT(jaba, eq);
 }
 
@@ -57,16 +59,16 @@ TEST(Integration, JabaSdBeatsSingleBurstFcfsOnReverseLink) {
   cfg.data.users = 24;
   cfg.data.mean_reading_s = 0.5;
   cfg.data.forward_fraction = 0.0;
-  const double jaba = replicated_delay(cfg, admission::SchedulerKind::kJabaSd);
-  const double fcfs1 = replicated_delay(cfg, admission::SchedulerKind::kFcfsSingle);
+  const double jaba = replicated_delay(cfg, "jaba-sd");
+  const double fcfs1 = replicated_delay(cfg, "fcfs-single");
   EXPECT_LT(jaba, fcfs1);
 }
 
 TEST(Integration, GreedyTracksExactClosely) {
   SystemConfig cfg = contended_config(35);
-  cfg.admission.scheduler = admission::SchedulerKind::kJabaSd;
+  cfg.admission.policy = "jaba-sd";
   const double exact = run_with(cfg).mean_delay_s();
-  cfg.admission.scheduler = admission::SchedulerKind::kGreedy;
+  cfg.admission.policy = "jaba-sd-greedy";
   const double greedy = run_with(cfg).mean_delay_s();
   // The polynomial engine should stay within ~35% of the exact solver.
   EXPECT_LT(greedy, exact * 1.35);
@@ -127,8 +129,8 @@ TEST(Integration, SetupPenaltiesLengthenDelay) {
   slow.mac_timers.d2_s = 3.0;
   // Large set-up penalties must not *reduce* delay (3-seed aggregates, with
   // a noise band for the heavy-tailed burst sizes).
-  const double fast_d = replicated_delay(fast, admission::SchedulerKind::kJabaSd);
-  const double slow_d = replicated_delay(slow, admission::SchedulerKind::kJabaSd);
+  const double fast_d = replicated_delay(fast, "jaba-sd");
+  const double slow_d = replicated_delay(slow, "jaba-sd");
   EXPECT_LE(fast_d, slow_d * 1.10);
 }
 

@@ -58,14 +58,13 @@ TEST(ChannelProviderRegistry, RoundTripsEveryRegisteredName) {
   EXPECT_FALSE(sim::has_channel_provider("no-such-provider"));
 }
 
-TEST(PolicyRegistry, SimulatorResolvesExplicitPolicyOverEnum) {
+TEST(PolicyRegistry, SimulatorReportsItsConfiguredPolicy) {
   sim::SystemConfig cfg = sim::default_config();
   cfg.layout.rings = 1;
   cfg.voice.users = 4;
   cfg.data.users = 2;
   cfg.sim_duration_s = 2.0;
   cfg.warmup_s = 0.5;
-  cfg.admission.scheduler = admission::SchedulerKind::kJabaSd;
   cfg.admission.policy = "fcfs";
   const sim::Simulator simulator(cfg);
   // Registry keys, so the names round-trip through make_policy().
@@ -204,27 +203,6 @@ TEST(GoldenMetrics, DefaultNineteenCellRunIsBitIdenticalToPreRefactor) {
   EXPECT_EQ(m.reverse_rise_db.mean(), 1.9151694279634321);
   EXPECT_EQ(m.forward_load_fraction.mean(), 0.22418013411970059);
   EXPECT_EQ(m.carrier_hand_downs, 0);
-}
-
-TEST(GoldenMetrics, ExplicitPolicyStringMatchesLegacyEnumPath) {
-  sim::SystemConfig cfg = sim::default_config();
-  cfg.layout.rings = 1;
-  cfg.voice.users = 10;
-  cfg.data.users = 6;
-  cfg.sim_duration_s = 6.0;
-  cfg.warmup_s = 1.0;
-  cfg.seed = 4242;
-
-  cfg.admission.scheduler = admission::SchedulerKind::kEqualShare;
-  cfg.admission.policy.clear();
-  const sim::SimMetrics via_enum = sim::Simulator(cfg).run();
-
-  cfg.admission.policy = "equal-share";
-  const sim::SimMetrics via_string = sim::Simulator(cfg).run();
-
-  EXPECT_EQ(via_enum.mean_delay_s(), via_string.mean_delay_s());
-  EXPECT_EQ(via_enum.data_bits_delivered, via_string.data_bits_delivered);
-  EXPECT_EQ(via_enum.grants, via_string.grants);
 }
 
 // --- Exhaustive vs culled provider equivalence ----------------------------

@@ -4,16 +4,18 @@
 // bit-identical to the in-process sweep or fails hard with an error naming
 // the shard and cause.
 //
-// Supervised runs here use the fork-mode entry point (no exec), so the
-// whole state machine runs under the test binary.  The exec path through
-// tools/sweep_main is exercised by ExecMode* below when ctest exports
-// WCDMA_SWEEP_MAIN, and by the CI crash-recovery smoke.
+// Supervised runs here call run_supervised_sweep() directly, so the whole
+// state machine runs under the test binary.  The same supervisor behind
+// tools/sweep_main --workers is exercised by SweepMainCli* below when ctest
+// exports WCDMA_SWEEP_MAIN, and by the CI crash-recovery smoke.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -50,15 +52,20 @@ sweep::SweepSpec tiny_spec(std::uint64_t seed = 7705) {
   return spec;
 }
 
-/// Fresh work dir per supervised run; shard files are removed by the
-/// supervisor on success, the dir itself here.
+/// Fresh work dir per supervised run, removed with its contents here: a
+/// failed run keeps its shard files for post-mortem.
 struct WorkDir {
   WorkDir() {
     char tmpl[] = "/tmp/wcdma-runner-test-XXXXXX";
-    path = mkdtemp(tmpl) ? tmpl : ".";
+    made = mkdtemp(tmpl) != nullptr;
+    path = made ? tmpl : ".";
   }
-  ~WorkDir() { rmdir(path.c_str()); }
+  ~WorkDir() {
+    std::error_code ignored;
+    if (made) std::filesystem::remove_all(path, ignored);
+  }
   std::string path;
+  bool made = false;
 };
 
 SupervisorOptions fast_options(const std::string& work_dir) {
@@ -83,30 +90,54 @@ TEST(Backoff, DoublesFromBaseAndSaturatesAtTheCap) {
   EXPECT_DOUBLE_EQ(backoff_delay_s(4, 0.0, 1.0), 0.0);    // zero base stays 0
 }
 
-TEST(FaultPlanSpec, RoundTripsThroughParse) {
-  const char* specs[] = {
-      "kill:shard=1,frame=50",
-      "stall:shard=0,frame=10",
-      "kill:shard=2,frame=7,item=3,attempts=all",
-      "corrupt-checkpoint:shard=0,frame=40,mode=bitflip",
-      "corrupt-checkpoint:shard=1,frame=8,mode=truncate,attempts=all",
-      "drop-result:shard=2",
+TEST(FaultPlanSpec, ParsesEveryFieldOfEachGrammarForm) {
+  const struct {
+    const char* text;
+    FaultKind kind;
+    std::size_t shard;
+    std::int64_t frame;
+    std::size_t item;
+    CorruptMode mode;
+    bool every_attempt;
+  } cases[] = {
+      {"kill:shard=1,frame=50", FaultKind::kKill, 1, 50, SIZE_MAX,
+       CorruptMode::kBitFlip, false},
+      {"stall:shard=0,frame=10", FaultKind::kStall, 0, 10, SIZE_MAX,
+       CorruptMode::kBitFlip, false},
+      {"kill:shard=2,frame=7,item=3,attempts=all", FaultKind::kKill, 2, 7, 3,
+       CorruptMode::kBitFlip, true},
+      {"stall:shard=3,frame=9,item=0,attempts=first", FaultKind::kStall, 3, 9, 0,
+       CorruptMode::kBitFlip, false},
+      {"corrupt-checkpoint:shard=0,frame=40,mode=bitflip",
+       FaultKind::kCorruptCheckpoint, 0, 40, SIZE_MAX, CorruptMode::kBitFlip, false},
+      {"corrupt-checkpoint:shard=1,frame=8,mode=truncate,attempts=all",
+       FaultKind::kCorruptCheckpoint, 1, 8, SIZE_MAX, CorruptMode::kTruncate, true},
+      {"corrupt-checkpoint:shard=4", FaultKind::kCorruptCheckpoint, 4, 0, SIZE_MAX,
+       CorruptMode::kBitFlip, false},
+      {"drop-result:shard=2", FaultKind::kDropResult, 2, 0, SIZE_MAX,
+       CorruptMode::kBitFlip, false},
+      {"drop-result:shard=5,attempts=all", FaultKind::kDropResult, 5, 0, SIZE_MAX,
+       CorruptMode::kBitFlip, true},
   };
-  for (const char* text : specs) {
+  for (const auto& c : cases) {
     FaultPlan plan;
     std::string why;
-    ASSERT_TRUE(FaultPlan::parse(text, &plan, &why)) << text << ": " << why;
-    EXPECT_TRUE(plan.enabled());
-    // Canonical spec() must reproduce the normalized input exactly.
-    FaultPlan again;
-    ASSERT_TRUE(FaultPlan::parse(plan.spec(), &again, &why)) << plan.spec();
-    EXPECT_EQ(plan.spec(), again.spec()) << text;
+    ASSERT_TRUE(FaultPlan::parse(c.text, &plan, &why)) << c.text << ": " << why;
+    EXPECT_TRUE(plan.enabled()) << c.text;
+    EXPECT_EQ(plan.kind, c.kind) << c.text;
+    EXPECT_EQ(plan.shard, c.shard) << c.text;
+    EXPECT_EQ(plan.frame, c.frame) << c.text;
+    EXPECT_EQ(plan.item, c.item) << c.text;
+    EXPECT_EQ(plan.mode, c.mode) << c.text;
+    EXPECT_EQ(plan.every_attempt, c.every_attempt) << c.text;
   }
-  FaultPlan none;
-  std::string why;
-  ASSERT_TRUE(FaultPlan::parse("none", &none, &why));
-  EXPECT_FALSE(none.enabled());
-  EXPECT_EQ(none.spec(), "none");
+  for (const char* off : {"none", ""}) {
+    FaultPlan plan;
+    plan.kind = FaultKind::kKill;  // parse must reset it
+    std::string why;
+    ASSERT_TRUE(FaultPlan::parse(off, &plan, &why)) << off;
+    EXPECT_FALSE(plan.enabled()) << off;
+  }
 }
 
 TEST(FaultPlanSpec, ErrorsNameTheOffendingToken) {
@@ -481,7 +512,7 @@ TEST(Supervisor, WorkerBadCheckpointExitIsTheResumeBackstop) {
   std::remove(job.checkpoint_path.c_str());
 }
 
-// ------------------------------------------------- exec path (sweep_main)
+// ----------------------------------------------- the CLI (sweep_main)
 
 std::string read_text_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -489,7 +520,7 @@ std::string read_text_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-TEST(ExecMode, SweepMainWorkersSurviveAKillFaultBitIdentically) {
+TEST(SweepMainCli, WorkersSurviveAKillFaultBitIdentically) {
   const char* bin = std::getenv("WCDMA_SWEEP_MAIN");
   if (!bin || access(bin, X_OK) != 0) {
     GTEST_SKIP() << "WCDMA_SWEEP_MAIN not exported by ctest";

@@ -60,7 +60,7 @@ TEST(SweepSpec, AxesApplyTheirKnobs) {
                axis_max_speed_kmh({90.0}), axis_path_loss_exponent({4.5}),
                axis_fixed_mode({3})};
   const Scenario s = spec.scenario(0);
-  EXPECT_EQ(s.config.admission.scheduler, admission::SchedulerKind::kEqualShare);
+  EXPECT_EQ(s.config.admission.policy, "equal-share");
   EXPECT_EQ(s.config.admission.objective, admission::ObjectiveKind::kJ1MaxRate);
   EXPECT_NEAR(s.config.mobility.max_speed_mps, 25.0, 1e-9);
   EXPECT_EQ(s.config.path_loss.kind, channel::PathLossModelKind::kLogDistance);

@@ -4,12 +4,12 @@
 // bit-identical for any --threads value, so sweeps are safely parallel.
 //
 // --workers N switches from the in-process thread pool to the
-// fault-tolerant multi-process supervisor (src/runner/): N forked+exec'd
-// copies of this binary each run one shard of the grid, checkpoint their
-// progress, and are retried (resuming from the checkpoint) on crashes and
-// timeouts.  The merged output stays byte-identical to the in-process run
-// for any worker count.  --fault injects one deliberate worker failure for
-// testing the recovery paths end to end.
+// fault-tolerant multi-process supervisor (src/runner/): N forked worker
+// processes each run one shard of the grid, checkpoint their progress, and
+// are retried (resuming from the checkpoint) on crashes and timeouts.  The
+// merged output stays byte-identical to the in-process run for any worker
+// count.  --fault injects one deliberate worker failure for testing the
+// recovery paths end to end.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -17,14 +17,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "src/admission/policy.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/runner/supervisor.hpp"
-#include "src/runner/worker.hpp"
 #include "src/sim/channel_state.hpp"
 #include "src/sweep/presets.hpp"
 #include "src/sweep/sweep.hpp"
@@ -96,18 +93,6 @@ bool parse_positive_double(const char* text, double* out) {
   return true;
 }
 
-/// Path of the running binary, for the supervisor's worker exec lines;
-/// argv[0] is the fallback when /proc is unavailable.
-std::string self_exe_path(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,21 +118,6 @@ int main(int argc, char** argv) {
   std::size_t checkpoint_every = 256;
   std::string fault_spec;
   bool strict_checkpoint = false;
-
-  // Hidden worker-mode flags, appended by the supervisor when it execs
-  // this binary as a shard worker.
-  bool is_worker = false;
-  std::size_t worker_shard = 0, worker_count = 1, worker_attempt = 0;
-  std::string worker_out, worker_checkpoint;
-  bool worker_resume = false;
-
-  // Config-shaping flags replayed verbatim on worker exec lines so every
-  // worker rebuilds the exact spec the supervisor validated.
-  std::vector<std::string> shape_args;
-  auto shape = [&](const char* flag, const char* value) {
-    shape_args.push_back(flag);
-    shape_args.push_back(value);
-  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -183,54 +153,43 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--preset") {
       preset = next_value();
-      shape("--preset", preset.c_str());
     } else if (arg == "--policy") {
       policy = next_value();
-      shape("--policy", policy.c_str());
     } else if (arg == "--csi-provider") {
       csi_provider = next_value();
-      shape("--csi-provider", csi_provider.c_str());
     } else if (arg == "--format") {
       format = next_value();
     } else if (arg == "--output") {
       output_path = next_value();
     } else if (arg == "--replications") {
-      const char* text = next_value();
-      have_replications = parse_size(text, &replications);
+      have_replications = parse_size(next_value(), &replications);
       if (!have_replications || replications == 0) {
         std::fprintf(stderr, "sweep_main: bad --replications value\n");
         return 2;
       }
-      shape("--replications", text);
     } else if (arg == "--threads") {
       if (!parse_size(next_value(), &threads)) {
         std::fprintf(stderr, "sweep_main: bad --threads value\n");
         return 2;
       }
     } else if (arg == "--sim-threads") {
-      const char* text = next_value();
-      have_sim_threads = parse_size(text, &sim_threads);
+      have_sim_threads = parse_size(next_value(), &sim_threads);
       if (!have_sim_threads) {
         std::fprintf(stderr, "sweep_main: bad --sim-threads value\n");
         return 2;
       }
-      shape("--sim-threads", text);
     } else if (arg == "--seed") {
-      const char* text = next_value();
-      have_seed = parse_size(text, &seed);
+      have_seed = parse_size(next_value(), &seed);
       if (!have_seed) {
         std::fprintf(stderr, "sweep_main: bad --seed value\n");
         return 2;
       }
-      shape("--seed", text);
     } else if (arg == "--duration") {
-      const char* text = next_value();
-      have_duration = parse_positive_double(text, &duration_s);
+      have_duration = parse_positive_double(next_value(), &duration_s);
       if (!have_duration) {
         std::fprintf(stderr, "sweep_main: bad --duration value\n");
         return 2;
       }
-      shape("--duration", text);
     } else if (arg == "--warmup") {
       const char* text = next_value();
       char* end = nullptr;
@@ -240,7 +199,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "sweep_main: bad --warmup value\n");
         return 2;
       }
-      shape("--warmup", text);
     } else if (arg == "--progress") {
       want_progress = true;
     } else if (arg == "--workers") {
@@ -274,28 +232,6 @@ int main(int argc, char** argv) {
       fault_spec = next_value();
     } else if (arg == "--strict-checkpoint") {
       strict_checkpoint = true;
-    } else if (arg == "--worker-shard") {
-      is_worker = true;
-      if (!parse_size(next_value(), &worker_shard)) {
-        std::fprintf(stderr, "sweep_main: bad --worker-shard value\n");
-        return 2;
-      }
-    } else if (arg == "--worker-count") {
-      if (!parse_size(next_value(), &worker_count) || worker_count == 0) {
-        std::fprintf(stderr, "sweep_main: bad --worker-count value\n");
-        return 2;
-      }
-    } else if (arg == "--worker-out") {
-      worker_out = next_value();
-    } else if (arg == "--worker-checkpoint") {
-      worker_checkpoint = next_value();
-    } else if (arg == "--worker-attempt") {
-      if (!parse_size(next_value(), &worker_attempt)) {
-        std::fprintf(stderr, "sweep_main: bad --worker-attempt value\n");
-        return 2;
-      }
-    } else if (arg == "--worker-resume") {
-      worker_resume = true;
     } else {
       std::fprintf(stderr, "sweep_main: unknown option %s\n", arg.c_str());
       print_usage();
@@ -377,27 +313,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (is_worker) {
-    // Exec'd by the supervisor: run one shard and exit with a worker code.
-    if (worker_out.empty() || worker_checkpoint.empty()) {
-      std::fprintf(stderr,
-                   "sweep_main: worker mode needs --worker-out and "
-                   "--worker-checkpoint\n");
-      return 2;
-    }
-    runner::WorkerJob job;
-    job.spec = spec;
-    job.shard = worker_shard;
-    job.workers = worker_count;
-    job.result_path = worker_out;
-    job.checkpoint_path = worker_checkpoint;
-    job.checkpoint_every_frames = static_cast<std::int64_t>(checkpoint_every);
-    job.resume = worker_resume;
-    job.fault = fault;
-    job.attempt = static_cast<int>(worker_attempt);
-    return runner::run_worker(job);
-  }
-
   sweep::SweepResult supervised_result;
   if (workers > 0) {
     runner::SupervisorOptions options;
@@ -425,12 +340,7 @@ int main(int argc, char** argv) {
     }
     options.work_dir = runner_dir;
 
-    std::vector<std::string> worker_argv;
-    worker_argv.push_back(self_exe_path(argv[0]));
-    worker_argv.insert(worker_argv.end(), shape_args.begin(), shape_args.end());
-
-    const runner::SupervisorResult sup =
-        runner::run_supervised_sweep(spec, options, worker_argv);
+    const runner::SupervisorResult sup = runner::run_supervised_sweep(spec, options);
     if (!sup.ok) {
       std::fprintf(stderr, "sweep_main: %s\n", sup.error.c_str());
       // The work dir is kept for post-mortem when the run fails.

@@ -5,6 +5,7 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/serialize.hpp"
+#include "src/common/units.hpp"
 
 namespace wcdma::cell {
 
@@ -12,6 +13,7 @@ ActiveSet::ActiveSet(const ActiveSetConfig& config, std::size_t num_cells)
     : config_(config),
       t_add_linear_(std::pow(10.0, config.t_add_db / 10.0)),
       t_drop_linear_(std::pow(10.0, config.t_drop_db / 10.0)),
+      t_add_band_lo_(t_add_linear_ * (1.0 - kAddBand)),
       last_pilot_db_(num_cells, -999.0),
       below_drop_s_(num_cells, 0.0) {
   WCDMA_ASSERT(config_.max_size >= 1);
@@ -96,39 +98,36 @@ void ActiveSet::update(const std::vector<double>& pilot_ec_io_db, double dt) {
   finish_update();
 }
 
-void ActiveSet::update_sparse(const std::vector<std::pair<std::size_t, double>>& pilots,
-                              double floor_db, double dt) {
-  // The implicit floor must sit below the drop threshold, or unreported
-  // cells could not be treated as absent.
-  WCDMA_ASSERT(floor_db < config_.t_drop_db);
-  for (const auto& [cell, db] : pilots) {
-    WCDMA_ASSERT(cell < last_pilot_db_.size());
-    last_pilot_db_[cell] = db;
-  }
-
-  // Members are always among the reported cells (the culled provider keeps
-  // active-set members candidates until hand-off drops them), so their
-  // slots in last_pilot_db_ are fresh.
+void ActiveSet::update_linear(const double* pilot, std::size_t n, double floor,
+                              double dt) {
+  WCDMA_ASSERT(n == last_pilot_db_.size());
+  const auto convert = [&](std::size_t cell) {
+    last_pilot_db_[cell] = common::linear_to_db(std::max(pilot[cell], floor));
+  };
+  for (std::size_t cell : members_) convert(cell);
   drop_phase(config_.t_drop_db, dt);
 
-  // Add phase over the reported cells only: unreported cells sit at the
-  // floor, below T_ADD by construction.
+  // Add phase as in update().  A floored pilot below the band's lower edge
+  // is below T_ADD in dB too; anything else (NaN included) is converted and
+  // tested in dB, and a passing cell needs its dB value for the ordering.
   candidates_scratch_.clear();
-  for (const auto& [cell, db] : pilots) {
-    if (db >= config_.t_add_db && !contains(cell)) candidates_scratch_.push_back(cell);
+  for (std::size_t cell = 0; cell < n; ++cell) {
+    if (std::max(pilot[cell], floor) < t_add_band_lo_ || contains(cell)) continue;
+    convert(cell);
+    if (last_pilot_db_[cell] >= config_.t_add_db) candidates_scratch_.push_back(cell);
   }
   add_phase();
 
-  // Never run empty: latch onto the strongest reported pilot (all real
-  // measurements beat the implicit floor).
-  if (members_.empty() && !pilots.empty()) {
-    std::size_t best = pilots.front().first;
-    for (const auto& [cell, db] : pilots) {
-      if (db > last_pilot_db_[best]) best = cell;
+  // The empty fallback's first-strongest scan runs in dB, where pilots that
+  // differ in linear can tie, so every cell is converted for it.
+  if (members_.empty()) {
+    for (std::size_t cell = 0; cell < n; ++cell) convert(cell);
+    std::size_t best = 0;
+    for (std::size_t cell = 1; cell < n; ++cell) {
+      if (last_pilot_db_[cell] > last_pilot_db_[best]) best = cell;
     }
     members_.push_back(best);
   }
-  WCDMA_ASSERT(!members_.empty());
 
   finish_update();
 }
@@ -192,16 +191,33 @@ void ActiveSet::save(common::BinaryWriter& w) const {
   w.boolean(initialised_);
 }
 
-void ActiveSet::load(common::BinaryReader& r) {
+bool ActiveSet::load(common::BinaryReader& r) {
   std::vector<double> pilots, timers;
   r.vec_f64(pilots);
   r.vec_f64(timers);
-  if (pilots.size() == last_pilot_db_.size()) last_pilot_db_ = std::move(pilots);
-  if (timers.size() == below_drop_s_.size()) below_drop_s_ = std::move(timers);
+  if (!r.ok() || pilots.size() != last_pilot_db_.size() ||
+      timers.size() != below_drop_s_.size()) {
+    return false;
+  }
   const std::size_t n = r.seq(8);
-  members_.clear();
-  for (std::size_t i = 0; i < n; ++i) members_.push_back(static_cast<std::size_t>(r.u64()));
-  initialised_ = r.boolean();
+  if (!r.ok() || n > config_.max_size) return false;
+  std::vector<std::size_t> members;
+  members.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t m = r.u64();
+    if (!r.ok() || m >= last_pilot_db_.size() ||
+        std::find(members.begin(), members.end(), m) != members.end()) {
+      return false;
+    }
+    members.push_back(static_cast<std::size_t>(m));
+  }
+  const bool initialised = r.boolean();
+  if (!r.ok() || (initialised && members.empty())) return false;
+  last_pilot_db_ = std::move(pilots);
+  below_drop_s_ = std::move(timers);
+  members_ = std::move(members);
+  initialised_ = initialised;
+  return true;
 }
 
 }  // namespace wcdma::cell

@@ -45,53 +45,45 @@ class HexLayout {
   const std::vector<Point>& centers() const { return centers_; }
   double cell_radius_m() const { return config_.cell_radius_m; }
 
-  /// Distance from `p` to the centre of cell `k`, minimised over the
-  /// wrap-around images when enabled.  The nearest image is selected by
-  /// squared distance (multiply-adds only) over the precomputed image table;
-  /// the final metric distance is one hypot on the winner, matching the
-  /// legacy min-over-hypot evaluation.
-  double distance_to_cell(Point p, std::size_t k) const {
+  /// Offset (dx, dy) from the nearest wrap image of cell `k`'s centre to
+  /// `p`.  The nearest image is selected by squared distance (multiply-adds
+  /// only) over the precomputed image table, identity first; a later image
+  /// wins only when strictly nearer.  The one scan every distance below is
+  /// derived from.
+  Point nearest_offset(Point p, std::size_t k) const {
     WCDMA_DEBUG_ASSERT(k < centers_.size());
     const Point* images = &images_[k * images_per_cell_];
-    double dx = p.x - images[0].x;
-    double dy = p.y - images[0].y;
-    double best_sq = dx * dx + dy * dy;
+    Point best = p - images[0];
+    double best_sq = best.x * best.x + best.y * best.y;
     // Near-field shortcut: when the direct distance is under half the
     // closest wrap translation, the triangle inequality guarantees every
     // mirror image is strictly farther -- no need to scan them.
-    if (best_sq < near_field_sq_) return metric_distance(dx, dy);
-    double best_dx = dx, best_dy = dy;
+    if (best_sq < near_field_sq_) return best;
     for (std::size_t i = 1; i < images_per_cell_; ++i) {
-      dx = p.x - images[i].x;
-      dy = p.y - images[i].y;
-      const double sq = dx * dx + dy * dy;
+      const Point d = p - images[i];
+      const double sq = d.x * d.x + d.y * d.y;
       if (sq < best_sq) {
         best_sq = sq;
-        best_dx = dx;
-        best_dy = dy;
+        best = d;
       }
     }
-    return metric_distance(best_dx, best_dy);
+    return best;
   }
 
-  /// Squared distance from `p` to the nearest wrap image of cell `k`:
-  /// the multiply-add scan of distance_to_cell without the final hypot.
-  /// The relaxed-precision CSI path consumes distances only through
+  /// Distance from `p` to the centre of cell `k`, minimised over the
+  /// wrap-around images when enabled: the hypot of the nearest offset.  The
+  /// reference link path batches the same hypot through
+  /// sim::kernels::hypot_lane.
+  double distance_to_cell(Point p, std::size_t k) const {
+    return norm(nearest_offset(p, k));
+  }
+
+  /// Squared distance from `p` to the nearest wrap image of cell `k`.  The
+  /// relaxed-precision CSI path consumes distances only through
   /// log2(d) = log2(d^2) / 2, so it never needs the metric root.
   double distance_sq_to_cell(Point p, std::size_t k) const {
-    WCDMA_DEBUG_ASSERT(k < centers_.size());
-    const Point* images = &images_[k * images_per_cell_];
-    double dx = p.x - images[0].x;
-    double dy = p.y - images[0].y;
-    double best_sq = dx * dx + dy * dy;
-    if (best_sq < near_field_sq_) return best_sq;
-    for (std::size_t i = 1; i < images_per_cell_; ++i) {
-      dx = p.x - images[i].x;
-      dy = p.y - images[i].y;
-      const double sq = dx * dx + dy * dy;
-      if (sq < best_sq) best_sq = sq;
-    }
-    return best_sq;
+    const Point d = nearest_offset(p, k);
+    return d.x * d.x + d.y * d.y;
   }
 
   /// Index of the nearest cell (wrap-aware).
@@ -107,8 +99,6 @@ class HexLayout {
   const std::vector<Point>& wrap_translations() const { return translations_; }
 
  private:
-  static double metric_distance(double dx, double dy) { return std::hypot(dx, dy); }
-
   HexLayoutConfig config_;
   std::vector<Point> centers_;
   std::vector<Point> translations_;  // identity excluded

@@ -14,6 +14,25 @@ namespace {
 
 using common::kExp2PerDb;  // one exp2 unit per dB, shared with fastmath
 
+/// The cell -> users transpose of a CSR candidate index, by counting sort:
+/// per-cell user lists come out ascending because the forward pass visits
+/// users in ascending order.
+void transpose_csr(const std::vector<std::uint32_t>& offsets,
+                   const std::vector<std::uint32_t>& cells, std::size_t num_cells,
+                   std::vector<std::uint32_t>& t_offsets,
+                   std::vector<std::uint32_t>& t_users) {
+  t_offsets.assign(num_cells + 2, 0);
+  for (std::uint32_t k : cells) ++t_offsets[k + 2];
+  for (std::size_t k = 2; k < t_offsets.size(); ++k) t_offsets[k] += t_offsets[k - 1];
+  t_users.resize(cells.size());
+  for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
+    for (std::uint32_t o = offsets[u]; o < offsets[u + 1]; ++o) {
+      t_users[t_offsets[cells[o] + 1]++] = static_cast<std::uint32_t>(u);
+    }
+  }
+  t_offsets.pop_back();
+}
+
 }  // namespace
 
 void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
@@ -98,13 +117,27 @@ void FrameState::step_user_links(std::size_t user, cell::Point pos, double moved
   const double rho = channel::Shadowing::correlation(shadowing_, moved_m);
   const double innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
   const std::size_t row = user * num_cells_;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t k = cells[i];
-    const std::size_t idx = row + k;
-    const double d = layout_->distance_to_cell(pos, k);
-    shadow_db_[idx] = rho * shadow_db_[idx] + shadow_rng_[idx].normal(0.0, innovation);
-    gain_mean_[idx] =
-        path_loss_->gain_linear(d) * std::pow(10.0, shadow_db_[idx] / 10.0);
+  constexpr std::size_t kLane = 32;
+  double dx[kLane], dy[kLane], d[kLane];
+  for (std::size_t base = 0; base < count; base += kLane) {
+    const std::size_t n = std::min(kLane, count - base);
+    // The geometry scan gathers each link's nearest-image offset, and the
+    // SIMD-dispatched hypot lane -- std::hypot bit for bit -- takes the
+    // roots as one batch.  The shadowing step and gain stay one fused loop:
+    // the normal draw and the pow/log10 calls are libm's and must run per
+    // link.
+    for (std::size_t i = 0; i < n; ++i) {
+      const cell::Point o = layout_->nearest_offset(pos, cells[base + i]);
+      dx[i] = o.x;
+      dy[i] = o.y;
+    }
+    kernels::hypot_lane(dx, dy, d, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t idx = row + cells[base + i];
+      shadow_db_[idx] = rho * shadow_db_[idx] + shadow_rng_[idx].normal(0.0, innovation);
+      gain_mean_[idx] =
+          path_loss_->gain_linear(d[i]) * std::pow(10.0, shadow_db_[idx] / 10.0);
+    }
   }
 }
 
@@ -185,21 +218,24 @@ void FrameState::refresh_candidate_index(const ChannelStateProvider& provider) {
     csr_offsets_[u + 1] = static_cast<std::uint32_t>(csr_cells_.size());
   }
 
-  // Transpose via counting sort: per-cell user lists come out ascending
-  // because the forward pass visits users in ascending order.
-  transpose_offsets_.assign(num_cells_ + 2, 0);
-  for (std::uint32_t k : csr_cells_) ++transpose_offsets_[k + 2];
-  for (std::size_t k = 2; k < transpose_offsets_.size(); ++k) {
-    transpose_offsets_[k] += transpose_offsets_[k - 1];
+  transpose_csr(csr_offsets_, csr_cells_, num_cells_, transpose_offsets_,
+                transpose_users_);
+}
+
+bool FrameState::candidate_index_well_formed() const {
+  if (csr_offsets_.size() != num_users_ + 1 || csr_offsets_.front() != 0 ||
+      csr_offsets_.back() != csr_cells_.size()) {
+    return false;
   }
-  transpose_users_.resize(csr_cells_.size());
   for (std::size_t u = 0; u < num_users_; ++u) {
-    for (std::uint32_t o = csr_offsets_[u]; o < csr_offsets_[u + 1]; ++o) {
-      transpose_users_[transpose_offsets_[csr_cells_[o] + 1]++] =
-          static_cast<std::uint32_t>(u);
-    }
+    if (csr_offsets_[u] > csr_offsets_[u + 1]) return false;
   }
-  transpose_offsets_.pop_back();
+  for (std::uint32_t k : csr_cells_) {
+    if (k >= num_cells_) return false;
+  }
+  std::vector<std::uint32_t> offsets, users;
+  transpose_csr(csr_offsets_, csr_cells_, num_cells_, offsets, users);
+  return offsets == transpose_offsets_ && users == transpose_users_;
 }
 
 namespace {
@@ -267,18 +303,21 @@ bool FrameState::load(common::BinaryReader& r) {
   if (!load_sized_f64(r, pilot_fl_)) return false;
   if (!load_sized_f64(r, far_fl_w_)) return false;
   // The CSR index is variable-sized (it tracks candidate sets); it is
-  // restored wholesale together with the epoch it was built for.
+  // restored wholesale together with the epoch it was built for.  Its
+  // entries index the gain rows and the per-user lanes, so an archive must
+  // hold either no index (never built) or a well-formed one.
   r.vec_u32(csr_offsets_);
   r.vec_u32(csr_cells_);
   r.vec_u32(transpose_offsets_);
   r.vec_u32(transpose_users_);
   candidate_epoch_ = r.u64();
-  return r.ok();
+  const bool never_built = csr_offsets_.empty() && csr_cells_.empty() &&
+                           transpose_offsets_.empty() && transpose_users_.empty();
+  return r.ok() && (never_built || candidate_index_well_formed());
 }
 
 bool FrameState::candidate_index_matches(const ChannelStateProvider& provider) const {
-  if (csr_offsets_.size() != num_users_ + 1) return false;
-  std::size_t transpose_total = 0;
+  if (!candidate_index_well_formed()) return false;
   for (std::size_t u = 0; u < num_users_; ++u) {
     const std::vector<std::size_t>& live = provider.cells_for(u);
     if (candidate_count(u) != live.size()) return false;
@@ -286,9 +325,8 @@ bool FrameState::candidate_index_matches(const ChannelStateProvider& provider) c
     for (std::size_t i = 0; i < live.size(); ++i) {
       if (cand[i] != live[i]) return false;
     }
-    transpose_total += live.size();
   }
-  return transpose_users_.size() == transpose_total;
+  return true;
 }
 
 }  // namespace wcdma::sim

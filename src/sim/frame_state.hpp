@@ -71,8 +71,10 @@ class FrameState {
   void advance_frame() { ++frame_; }
 
   /// Steps shadowing and refreshes local-mean gains for the user's
-  /// candidate `cells` after the mobile moved `moved_m` to `pos`.  Safe to
-  /// call concurrently for distinct users.
+  /// candidate `cells` after the mobile moved `moved_m` to `pos`.  On the
+  /// reference path the link distances are taken in 32-link blocks through
+  /// kernels::hypot_lane, which equals std::hypot bit for bit at every
+  /// dispatch level.  Safe to call concurrently for distinct users.
   void step_user_links(std::size_t user, cell::Point pos, double moved_m,
                        const std::size_t* cells, std::size_t count);
 
@@ -136,8 +138,8 @@ class FrameState {
     return transpose_offsets_[cell + 1] - transpose_offsets_[cell];
   }
 
-  /// Cross-checks the CSR candidate index (and its transpose sizing)
-  /// against the provider's live per-user candidate sets: the
+  /// Cross-checks the CSR candidate index against the provider's live
+  /// per-user candidate sets, and its transpose against a rebuild: the
   /// candidate-epoch contract says they may only disagree if the provider
   /// changed a set without moving its epoch.  Test/debug hook for the
   /// epoch regression suite; O(users x candidates).
@@ -148,13 +150,17 @@ class FrameState {
   /// candidate index.  Init-time state (geometry tables, per-user fading
   /// coefficients, fast-math fold constants) is reproduced by re-running
   /// init()/init_user() on the same config, so load() overwrites only what
-  /// evolves and size-checks every lane against the initialised layout.
+  /// evolves, size-checks every lane against the initialised layout, and
+  /// refuses a CSR index that is not well formed over this world.
   void save(common::BinaryWriter& w) const;
   bool load(common::BinaryReader& r);
 
  private:
   void step_user_links_fast(std::size_t user, cell::Point pos, double moved_m,
                             const std::size_t* cells, std::size_t count);
+  /// The CSR index covers every user with ascending offsets and in-range
+  /// cells, and the stored transpose is its rebuild.
+  bool candidate_index_well_formed() const;
   std::size_t link_index(std::size_t user, std::size_t cell) const {
     WCDMA_DEBUG_ASSERT(user < num_users_ && cell < num_cells_);
     return user * num_cells_ + cell;

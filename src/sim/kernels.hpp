@@ -1,29 +1,33 @@
-// Runtime-dispatched SIMD batch kernels for the fast CSI hot path.
+// Runtime-dispatched SIMD batch kernels.
 //
 // Three loops dominate the fast provider's frame budget: the fused exp2
 // gain lane in sim::FrameState::step_user_links_fast, the ziggurat batch
 // fill (vectorized in src/common/ziggurat.cpp against the same dispatch),
 // and the dB conversion lanes of Simulator::step_power_control -- the one
 // power-control loop every provider runs, which calls these kernels only
-// when the fast provider armed FrameState's relaxed precision.  This module
-// gives each a lane API that dispatches once per call on
+// when the fast provider armed FrameState's relaxed precision.  The
+// reference (`exhaustive` and `culled`) link step in
+// sim::FrameState::step_user_links calls exactly one kernel, hypot_lane.
+// This module gives each a lane API that dispatches once per call on
 // common::active_simd_level() to a scalar or AVX2 implementation.
 //
 // THE CONTRACT -- element-wise identity.  Every vector implementation
-// performs the exact IEEE-754 operation sequence of the scalar fastmath
-// kernels (src/common/fastmath.hpp), in the same order, per element:
-// add/sub/mul/div/min/max are correctly rounded and identical scalar or
-// packed, the kernels use no FMA (and their translation units compile with
-// -ffp-contract=off so the compiler cannot contract one in), and no
-// reduction or reassociation crosses elements.  Consequence: a fast-provider
-// trajectory is BYTE-IDENTICAL at every dispatch level -- the statcheck
-// certification of `fast` transfers to avx2 by identity, and
-// tests/test_kernels.cpp pins both the per-kernel agreement and whole-run
-// metric equality.  The default/exhaustive path never calls these kernels.
+// performs the exact IEEE-754 operation sequence of its scalar reference,
+// in the same order, per element: add/sub/mul/div/sqrt/min/max are
+// correctly rounded and identical scalar or packed, the kernels use no FMA
+// (and their translation units compile with -ffp-contract=off so the
+// compiler cannot contract one in), and no reduction or reassociation
+// crosses elements.  The references are the scalar fastmath kernels
+// (src/common/fastmath.hpp) for the fast lanes and libm's std::hypot
+// itself for hypot_lane.  Consequence: a trajectory is BYTE-IDENTICAL at
+// every dispatch level -- the statcheck certification of `fast` transfers
+// to avx2 by identity, the reference path's goldens hold at every level,
+// and tests/test_kernels.cpp pins both the per-kernel agreement and
+// whole-run metric equality.
 //
 // Input domains are the fastmath ones: exp2 lanes accept anything (clamped
 // to [-1022, 1022], NaN propagates); log2 lanes require finite x > 0
-// (subnormals included, per the PR 10 fast_log2 fix).
+// (subnormals included).  hypot_lane accepts anything std::hypot does.
 #pragma once
 
 #include <cstddef>
@@ -57,5 +61,15 @@ void db_to_linear_lane(const double* db, double* out, std::size_t n);
 void shadow_gain_lane(double rho, double innovation_db, double gain_bias,
                       double half_log2_slope, const double* z, const double* d_sq,
                       double* shadow_db, double* gain, std::size_t n);
+
+/// out[i] = std::hypot(dx[i], dy[i]), bit for bit, for every input.  The
+/// AVX2 body transliterates glibc's non-FMA __hypot kernel (glibc >= 2.35,
+/// sysdeps/ieee754/dbl-64/e_hypot.c: sqrt(ax^2 + ay^2) plus the Borges
+/// correction), built only from correctly rounded operations; a 4-lane
+/// block holding any input off that kernel's common case (non-finite,
+/// above 2^511, below 2^-511, or ay <= ax 2^-54) goes to std::hypot whole.
+/// On other C libraries the lane is std::hypot at every level.  `out` must
+/// not alias the inputs.
+void hypot_lane(const double* dx, const double* dy, double* out, std::size_t n);
 
 }  // namespace wcdma::sim::kernels

@@ -99,7 +99,6 @@ Simulator::Simulator(const SystemConfig& config)
   pool_ = std::make_unique<common::ThreadPool>(
       std::min(sim_threads_, common::default_thread_count()) - 1);
   shard_scratch_.resize(sim_threads_);
-  for (ShardScratch& s : shard_scratch_) s.pilot_db.resize(layout_.num_cells());
 
   users_.reserve(static_cast<std::size_t>(total_users));
   const auto fl_cfg = forward_pc_config(config_.radio);
@@ -308,12 +307,12 @@ void Simulator::forward_measure_user(std::size_t shard, std::size_t i) {
     }
     u.fwd_interference_w = total;
     if (n_cand == cells) {
-      // Exhaustive provider: dense update, bit-identical to the legacy path.
+      // Exhaustive provider: dense update, bit-identical to update() on the
+      // dB pilots; only the cells whose dB value can matter are converted.
       for (std::size_t k = 0; k < cells; ++k) {
         pilot[k] = config_.radio.pilot_power_w * gain[k] / total;
-        scratch.pilot_db[k] = common::linear_to_db(std::max(pilot[k], kTiny));
       }
-      u.active_set.update(scratch.pilot_db, config_.frame_s);
+      u.active_set.update_linear(pilot, cells, kTiny, config_.frame_s);
     } else {
       // Culled provider: only candidate cells report; everything else sits
       // at the floor pilot (below every hand-off threshold) implicitly, so
@@ -679,7 +678,7 @@ void Simulator::run_admission(mac::LinkDirection direction, int carrier) {
     WCDMA_ASSERT(g.request >= start && g.request < end &&
                  "policy granted a request outside its round");
     WCDMA_ASSERT(g.m > 0 && g.m <= frame_ctx_.requests[g.request].tx_cap);
-    WCDMA_ASSERT(g.carrier >= 0 && g.carrier < config_.placement.carriers);
+    WCDMA_ASSERT(carrier_in_range(g.carrier));
     grant_m_scratch_[g.request - start] = g.m;
     grant_carrier_scratch_[g.request - start] = g.carrier;
   }
@@ -898,7 +897,7 @@ void Simulator::cancel_request(std::size_t user) {
 
 void Simulator::set_user_carrier(std::size_t user, int carrier) {
   WCDMA_ASSERT(user < users_.size());
-  WCDMA_ASSERT(carrier >= 0 && carrier < config_.placement.carriers);
+  WCDMA_ASSERT(carrier_in_range(carrier));
   User& u = users_[user];
   // Carrier moves are only legal while the user holds no queue membership:
   // the request buckets are keyed by (carrier, direction).
@@ -1030,6 +1029,8 @@ bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
 }
 
 bool Simulator::restore_body(common::BinaryReader& r) {
+  // Every index field is range-checked before anything can use it: a
+  // CRC-valid archive is not a trusted one.
   now_s_ = r.f64();
   frame_count_ = r.i64();
   far_refresh_left_s_ = r.f64();
@@ -1051,6 +1052,9 @@ bool Simulator::restore_body(common::BinaryReader& r) {
     std::vector<int> carriers;
     r.vec_i32(carriers);
     if (!r.ok() || carriers.size() != user_carrier_.size()) return false;
+    for (const int c : carriers) {
+      if (!carrier_in_range(c)) return false;
+    }
     user_carrier_ = std::move(carriers);
   }
   {
@@ -1064,8 +1068,9 @@ bool Simulator::restore_body(common::BinaryReader& r) {
   if (r.seq(1) != users_.size()) return false;
   for (User& u : users_) {
     u.carrier = r.i32();
+    if (!carrier_in_range(u.carrier)) return false;
     if (!u.mobility->load(r)) return false;
-    u.active_set.load(r);
+    if (!u.active_set.load(r)) return false;
     u.fl_pc.load(r);
     u.rl_pc.load(r);
     if (u.voice) u.voice->load(r);
@@ -1084,7 +1089,9 @@ bool Simulator::restore_body(common::BinaryReader& r) {
     u.burst.remaining_bits = r.f64();
     u.burst.arrival_s = r.f64();
     u.burst.setup_left_s = r.f64();
-    u.burst.distance_bin = static_cast<std::size_t>(r.u64());
+    const std::uint64_t bin = r.u64();
+    if (bin >= kCoverageBins) return false;
+    u.burst.distance_bin = static_cast<std::size_t>(bin);
     u.fwd_interference_w = r.f64();
     u.fwd_interference_eff_w = r.f64();
     u.fch_sir_linear = r.f64();
@@ -1116,6 +1123,23 @@ bool Simulator::check_invariants(std::string* why) const {
     return fail("per-user SoA mirrors diverged from the population size");
   if (stations_.size() != n_cells * n_carriers)
     return fail("station table size diverged from cells x carriers");
+
+  // Index fields vs the tables they index.
+  for (std::size_t i = 0; i < n_users; ++i) {
+    const User& u = users_[i];
+    if (!carrier_in_range(u.carrier) || !carrier_in_range(user_carrier_[i]))
+      return fail("user " + std::to_string(i) + "'s carrier is out of range");
+    if (u.burst.distance_bin >= kCoverageBins)
+      return fail("user " + std::to_string(i) + "'s coverage bin is out of range");
+    const std::vector<std::size_t>& members = u.active_set.members();
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      if (members[j] >= n_cells ||
+          std::find(members.begin(), members.begin() + j, members[j]) !=
+              members.begin() + j)
+        return fail("user " + std::to_string(i) +
+                    "'s active set holds an out-of-range or repeated cell");
+    }
+  }
 
   // Request-queue buckets vs the per-user burst state they index.
   if (queues_.carriers() != config_.placement.carriers)
@@ -1164,13 +1188,13 @@ void Simulator::validate_invariants() const {
 
 double Simulator::forward_power_w(std::size_t cell, int carrier) const {
   WCDMA_ASSERT(cell < layout_.num_cells());
-  WCDMA_ASSERT(carrier >= 0 && carrier < config_.placement.carriers);
+  WCDMA_ASSERT(carrier_in_range(carrier));
   return stations_[station_index(cell, carrier)].forward_w;
 }
 
 double Simulator::reverse_interference_w(std::size_t cell, int carrier) const {
   WCDMA_ASSERT(cell < layout_.num_cells());
-  WCDMA_ASSERT(carrier >= 0 && carrier < config_.placement.carriers);
+  WCDMA_ASSERT(carrier_in_range(carrier));
   return stations_[station_index(cell, carrier)].received_w;
 }
 

@@ -264,7 +264,6 @@ class Simulator {
   /// Per-shard measurement scratch (one per worker shard, so the forward
   /// loop never shares a buffer across threads).
   struct ShardScratch {
-    std::vector<double> pilot_db;
     std::vector<std::pair<std::size_t, double>> pilot_pairs;
   };
 
@@ -325,6 +324,9 @@ class Simulator {
   /// corrupt archive -- restore() wraps it transactionally with a rollback
   /// snapshot so callers never observe the partial state.
   bool restore_body(common::BinaryReader& r);
+  bool carrier_in_range(int carrier) const {
+    return carrier >= 0 && carrier < config_.placement.carriers;
+  }
 
   bool in_warmup() const { return now_s_ < config_.warmup_s; }
   double sch_mean_csi(const User& u) const;

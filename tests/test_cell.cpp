@@ -2,13 +2,17 @@
 // and soft-handoff active-set management.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "src/cell/active_set.hpp"
 #include "src/cell/geometry.hpp"
 #include "src/cell/mobility.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/serialize.hpp"
+#include "src/common/units.hpp"
 
 namespace wcdma::cell {
 namespace {
@@ -102,6 +106,37 @@ TEST(HexLayout, WrapTranslationsHaveClusterMagnitude) {
   ASSERT_EQ(layout.wrap_translations().size(), 6u);
   for (const Point& t : layout.wrap_translations()) {
     EXPECT_NEAR(norm(t), std::sqrt(3.0 * 19.0) * 1000.0, 1.0);
+  }
+}
+
+// The reference link path takes its roots in batches (sim::kernels::
+// hypot_lane), so both distances must be pure functions of the one offset
+// scan, and that scan must find the nearest wrap image.
+TEST(HexLayout, DistancesDeriveFromTheNearestOffset) {
+  for (const int rings : {1, 2}) {
+    for (const bool wrap : {true, false}) {
+      const HexLayout layout(HexLayoutConfig{rings, 1000.0, wrap});
+      std::vector<Point> images = {{0.0, 0.0}};
+      for (const Point& t : layout.wrap_translations()) images.push_back(t);
+      Rng rng(0x0ff5 + static_cast<std::uint64_t>(rings));
+      const double span = 1.5 * layout.service_radius_m();
+      for (int trial = 0; trial < 500; ++trial) {
+        const Point p{(2.0 * rng.uniform() - 1.0) * span,
+                      (2.0 * rng.uniform() - 1.0) * span};
+        for (std::size_t k = 0; k < layout.num_cells(); ++k) {
+          const Point o = layout.nearest_offset(p, k);
+          ASSERT_EQ(layout.distance_to_cell(p, k), std::hypot(o.x, o.y));
+          ASSERT_EQ(layout.distance_sq_to_cell(p, k), o.x * o.x + o.y * o.y);
+          double nearest_sq = INFINITY;
+          for (const Point& t : images) {
+            const Point d = p - (layout.center(k) + t);
+            nearest_sq = std::min(nearest_sq, d.x * d.x + d.y * d.y);
+          }
+          ASSERT_EQ(o.x * o.x + o.y * o.y, nearest_sq)
+              << "rings=" << rings << " wrap=" << wrap << " cell " << k;
+        }
+      }
+    }
   }
 }
 
@@ -347,9 +382,11 @@ TEST(ActiveSet, ReducedSetIsTwoStrongest) {
 }
 
 TEST(ActiveSet, SparseUpdateMatchesDenseWithFloor) {
-  // Two sets driven by the same pilot trajectory: one dense (unreported
-  // cells at the floor), one sparse.  Membership must evolve identically,
-  // including drop-timer expiry of a cell that stops being reported.
+  // Two sets driven by the same pilot trajectory: one dense on dB pilots
+  // (unreported cells at the floor), one sparse on the linear values of the
+  // reported pilots -- the culled providers' call.  Membership must evolve
+  // identically, including drop-timer expiry of a cell that stops being
+  // reported.
   ActiveSet dense(as_config(), 6);
   ActiveSet sparse(as_config(), 6);
   const double kFloor = -500.0;
@@ -357,9 +394,13 @@ TEST(ActiveSet, SparseUpdateMatchesDenseWithFloor) {
   auto step_both = [&](const std::vector<std::pair<std::size_t, double>>& pilots,
                        double dt) {
     std::vector<double> full(6, kFloor);
-    for (const auto& [cell, db] : pilots) full[cell] = db;
+    std::vector<std::pair<std::size_t, double>> linear;
+    for (const auto& [cell, db] : pilots) {
+      full[cell] = db;
+      linear.push_back({cell, common::db_to_linear(db)});
+    }
     dense.update(full, dt);
-    sparse.update_sparse(pilots, kFloor, dt);
+    sparse.update_sparse_linear(linear, dt);
     ASSERT_EQ(dense.members(), sparse.members());
     EXPECT_EQ(dense.primary(), sparse.primary());
     EXPECT_EQ(dense.reduced(), sparse.reduced());
@@ -373,6 +414,188 @@ TEST(ActiveSet, SparseUpdateMatchesDenseWithFloor) {
   }
   EXPECT_FALSE(sparse.contains(1));  // drop timer expired identically
   EXPECT_TRUE(sparse.contains(4));
+  // Cell 1 stops being reported: it sits at the floor and stays out.
+  for (int i = 0; i < 60; ++i) step_both({{0, -9.0}, {2, -13.0}, {4, -10.0}}, 0.02);
+  EXPECT_FALSE(sparse.contains(1));
+}
+
+/// The pilot and drop-timer lanes an ActiveSet would checkpoint.
+std::pair<std::vector<double>, std::vector<double>> saved_lanes(const ActiveSet& as) {
+  common::BinaryWriter w;
+  as.save(w);
+  common::BinaryReader r(w.bytes());
+  std::pair<std::vector<double>, std::vector<double>> lanes;
+  r.vec_f64(lanes.first);
+  r.vec_f64(lanes.second);
+  return lanes;
+}
+
+/// Linear pilots on and around T_ADD and T_DROP: the thresholds, their three
+/// nearest doubles either side, +-1e-12 relative, and update_linear()'s
+/// band edges.
+std::vector<double> threshold_pilots(const ActiveSetConfig& cfg) {
+  std::vector<double> out;
+  for (const double t_db : {cfg.t_add_db, cfg.t_drop_db}) {
+    const double t = common::db_to_linear(t_db);
+    out.push_back(t);
+    double below = t, above = t;
+    for (int k = 0; k < 3; ++k) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1.0);
+      out.push_back(below);
+      out.push_back(above);
+    }
+    for (const double rel : {1e-12, ActiveSet::kAddBand}) {
+      out.push_back(t * (1.0 - rel));
+      out.push_back(t * (1.0 + rel));
+    }
+  }
+  return out;
+}
+
+/// Two adjacent doubles near `x` with the same dB value: distinct in
+/// linear, tied in dB.
+std::pair<double, double> db_tied_pair(double x) {
+  for (;; x = std::nextafter(x, 1.0)) {
+    const double next = std::nextafter(x, 1.0);
+    if (common::linear_to_db(x) == common::linear_to_db(next)) return {x, next};
+  }
+}
+
+// update_linear() must be update() on the dB values of the floored linear
+// pilots: same members in the same order, same member dB values, same drop
+// timers, frame after frame.  The trajectories mix a random walk with
+// pilots on and within 1e-12 of both thresholds, exact ties, ties that only
+// exist in dB, zero pilots (the floor), and all-below frames long enough to
+// empty the set (the fallback).
+TEST(ActiveSet, UpdateLinearMatchesUpdateOnDbPilots) {
+  constexpr std::size_t kCells = 19;
+  constexpr double kFloor = 1e-30;
+  const ActiveSetConfig cfg = as_config();
+  const std::vector<double> special = threshold_pilots(cfg);
+  const auto [tie_lo, tie_hi] = db_tied_pair(common::db_to_linear(-20.5));
+  ASSERT_LT(tie_lo, tie_hi);
+  Rng rng(0xac71);
+  std::size_t fallbacks = 0, threshold_cells = 0;
+  for (int trajectory = 0; trajectory < 150; ++trajectory) {
+    ActiveSet dense(cfg, kCells), linear(cfg, kCells);
+    std::vector<double> walk_db(kCells), pilot(kCells), db(kCells);
+    for (double& w : walk_db) w = -30.0 + 25.0 * rng.uniform();
+    for (int frame = 0; frame < 120; ++frame) {
+      const double dt = rng.uniform() < 0.5 ? 0.02 : 0.3;  // 0.3 s: timers expire fast
+      for (std::size_t k = 0; k < kCells; ++k) {
+        walk_db[k] = std::clamp(walk_db[k] + rng.normal(0.0, 1.5), -40.0, -2.0);
+        pilot[k] = common::db_to_linear(walk_db[k]);
+        const double pick = rng.uniform();
+        if (pick < 0.15) {
+          pilot[k] = special[rng.uniform_int(special.size())];
+          ++threshold_cells;
+        } else if (pick < 0.2) {
+          pilot[k] = 0.0;
+        } else if (pick < 0.25 && k > 0) {
+          pilot[k] = pilot[k - 1];  // exact tie
+        }
+      }
+      if (frame == 0 || frame % 40 >= 30) {
+        // All below T_DROP for long enough to empty the set, with the
+        // strongest pair tied in dB only.
+        for (std::size_t k = 0; k < kCells; ++k) {
+          pilot[k] = rng.uniform() < 0.3
+                         ? 0.0
+                         : common::db_to_linear(-35.0 + 10.0 * rng.uniform());
+        }
+        pilot[rng.uniform_int(kCells)] = tie_lo;
+        pilot[rng.uniform_int(kCells)] = tie_hi;
+      }
+      for (std::size_t k = 0; k < kCells; ++k) {
+        db[k] = common::linear_to_db(std::max(pilot[k], kFloor));
+      }
+      const std::vector<std::size_t> before = linear.members();
+      dense.update(db, dt);
+      linear.update_linear(pilot.data(), kCells, kFloor, dt);
+      ASSERT_EQ(dense.members(), linear.members())
+          << "trajectory " << trajectory << " frame " << frame;
+      const auto [dense_db, dense_timers] = saved_lanes(dense);
+      const auto [linear_db, linear_timers] = saved_lanes(linear);
+      for (const std::size_t m : linear.members()) {
+        ASSERT_EQ(dense_db[m], linear_db[m]) << "member " << m;
+      }
+      ASSERT_EQ(dense_timers, linear_timers);
+      // With nothing at T_ADD, only the empty fallback can bring a cell in.
+      const bool none_pass = *std::max_element(db.begin(), db.end()) < cfg.t_add_db;
+      fallbacks += none_pass && std::find(before.begin(), before.end(),
+                                          linear.primary()) == before.end();
+    }
+  }
+  // The trajectories must reach the cases they are built for.
+  EXPECT_GT(fallbacks, 300u);
+  EXPECT_GT(threshold_cells, 10000u);
+}
+
+/// An ActiveSet checkpoint written field by field, for forging.
+std::vector<std::uint8_t> active_set_archive(const std::vector<double>& pilots,
+                                             const std::vector<double>& timers,
+                                             const std::vector<std::uint64_t>& members,
+                                             bool initialised) {
+  common::BinaryWriter w;
+  w.vec_f64(pilots);
+  w.vec_f64(timers);
+  w.u64(members.size());
+  for (const std::uint64_t m : members) w.u64(m);
+  w.boolean(initialised);
+  return w.take();
+}
+
+TEST(ActiveSet, LoadRoundTripsAndRefusesMalformedArchives) {
+  ActiveSet donor(as_config(), 4);
+  donor.update({-10.0, -13.0, -20.0, -25.0}, 0.02);
+  common::BinaryWriter w;
+  donor.save(w);
+  const std::vector<std::uint8_t> good = w.take();
+
+  ActiveSet as(as_config(), 4);
+  {
+    common::BinaryReader r(good);
+    ASSERT_TRUE(as.load(r));
+    EXPECT_TRUE(r.at_end());
+  }
+  EXPECT_EQ(as.members(), donor.members());
+  EXPECT_EQ(saved_lanes(as), saved_lanes(donor));
+
+  const std::vector<double> p4(4, -20.0), t4(4, 0.0);
+  const std::pair<const char*, std::vector<std::uint8_t>> refused[] = {
+      {"pilot lane for 5 cells",
+       active_set_archive(std::vector<double>(5, -20.0), t4, {0}, true)},
+      {"timer lane for 3 cells",
+       active_set_archive(p4, std::vector<double>(3, 0.0), {0}, true)},
+      {"more than max_size members", active_set_archive(p4, t4, {0, 1, 2, 3}, true)},
+      {"member out of range", active_set_archive(p4, t4, {0, 100000}, true)},
+      {"member one past the last cell", active_set_archive(p4, t4, {4}, true)},
+      {"repeated member", active_set_archive(p4, t4, {1, 2, 1}, true)},
+      {"initialised without members", active_set_archive(p4, t4, {}, true)},
+      {"truncated", std::vector<std::uint8_t>(good.begin(), good.end() - 9)},
+  };
+  for (const auto& [why, bytes] : refused) {
+    common::BinaryReader r(bytes);
+    EXPECT_FALSE(as.load(r)) << why;
+    // A refused load leaves the set as it was.
+    EXPECT_EQ(as.members(), donor.members()) << why;
+    EXPECT_EQ(saved_lanes(as), saved_lanes(donor)) << why;
+  }
+
+  // The accepted edges: a full set in any order, and a fresh empty one.
+  {
+    const std::vector<std::uint8_t> full = active_set_archive(p4, t4, {3, 0, 2}, true);
+    common::BinaryReader r(full);
+    ASSERT_TRUE(as.load(r));
+    EXPECT_EQ(as.members(), (std::vector<std::size_t>{3, 0, 2}));
+  }
+  {
+    const std::vector<std::uint8_t> fresh = active_set_archive(p4, t4, {}, false);
+    common::BinaryReader r(fresh);
+    ASSERT_TRUE(as.load(r));
+    EXPECT_TRUE(as.members().empty());
+  }
 }
 
 TEST(ActiveSet, AdjustmentFactors) {

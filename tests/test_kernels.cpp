@@ -1,21 +1,24 @@
 // Certification of the SIMD kernel contract (src/sim/kernels.hpp): every
-// dispatch level of every kernel is ELEMENT-WISE IDENTICAL to the scalar
-// fastmath reference -- not "close", bit-identical -- so the level is a pure
-// throughput knob and the statcheck certification of the `fast` provider
-// transfers to AVX2 by identity.
+// dispatch level of every kernel is ELEMENT-WISE IDENTICAL to its scalar
+// reference -- not "close", bit-identical -- so the level is a pure
+// throughput knob, the statcheck certification of the `fast` provider
+// transfers to AVX2 by identity, and the reference path's goldens hold at
+// every level.
 //
 // Layers, bottom up:
 //  * parse/dispatch plumbing (common/simd.hpp): level names, the WCDMA_SIMD
 //    parser, capability clamping of the set_simd_level test hook;
 //  * per-kernel bitwise agreement on randomized lanes plus the documented
 //    edge inputs (subnormals, the +/-1022 exp2 rails, NaN payloads, odd lane
-//    tails) for exp2/log2/dB lanes and the fused shadow-gain kernel;
+//    tails) for exp2/log2/dB lanes and the fused shadow-gain kernel, and
+//    hypot_lane against libm's std::hypot itself;
 //  * ziggurat fill: sample-for-sample, word-count, and stream-position
 //    equality between the scalar fill and the SIMD block fill, across batch
 //    sizes that cover empty, sub-block, block-boundary, and multi-block;
-//  * whole-run equality: the fast provider's SimMetrics after thousands of
-//    frames on the shrunk E5 and hotspot-center scenarios, compared field by
-//    field across every level the host supports.
+//  * whole-run equality: SimMetrics and the final snapshot after hundreds of
+//    frames -- the fast provider on the shrunk E5 and hotspot-center
+//    scenarios, the exhaustive and culled providers on hotspot-center --
+//    compared across every level the host supports.
 //
 // Levels the host cannot execute are skipped (recorded via GTEST_SKIP on
 // the dispatch test so a scalar-only host is visible in the test log).
@@ -230,6 +233,90 @@ TEST(KernelAgreement, ShadowGainLaneBitwiseAcrossLevels) {
   }
 }
 
+/// Runs hypot_lane on (x, y) at every supported level and asserts each
+/// output is std::hypot's, bit for bit, with nothing written past n.
+void expect_hypot_lane_is_std_hypot(const std::vector<double>& x,
+                                    const std::vector<double>& y, const char* what) {
+  SimdLevelGuard guard;
+  const std::size_t n = x.size();
+  for (common::SimdLevel level : supported_levels()) {
+    ASSERT_TRUE(common::set_simd_level(level));
+    std::vector<double> out(n + 1, -7.0);
+    sim::kernels::hypot_lane(x.data(), y.data(), out.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(bits_of(out[i]), bits_of(std::hypot(x[i], y[i])))
+          << what << " @ " << common::simd_level_name(level) << " lane " << i
+          << ": hypot(" << x[i] << ", " << y[i] << ") = " << std::hypot(x[i], y[i])
+          << ", lane gave " << out[i];
+    }
+    ASSERT_EQ(out[n], -7.0) << what << ": wrote past the end";
+  }
+}
+
+TEST(KernelAgreement, HypotLaneMatchesStdHypotBitForBit) {
+  common::Rng rng(0x4907);
+  // Link offsets: metre-scale pairs of mixed signs, as the geometry scan
+  // produces them, 10^6 of them.
+  std::vector<double> x, y;
+  for (int i = 0; i < 1000000; ++i) {
+    x.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
+    y.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
+  }
+  expect_hypot_lane_is_std_hypot(x, y, "metre-scale");
+
+  // Every ordered pair of edge inputs, with both signs, so each special
+  // lands in every block position next to ordinary lanes.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double dmax = std::numeric_limits<double>::max();
+  const std::vector<double> edges = {0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                     0x1p-511, std::nextafter(0x1p-511, 0.0),
+                                     std::nextafter(0x1p-511, 1.0), 0x1p+511,
+                                     std::nextafter(0x1p+511, 0.0),
+                                     std::nextafter(0x1p+511, inf), dmax, inf,
+                                     std::numeric_limits<double>::quiet_NaN(), 1.0,
+                                     3.0, 1234.5678};
+  x.clear();
+  y.clear();
+  for (const double a : edges) {
+    for (const double b : edges) {
+      for (const double sa : {1.0, -1.0}) {
+        for (const double sb : {1.0, -1.0}) {
+          x.push_back(sa * a);
+          y.push_back(sb * b);
+        }
+      }
+    }
+  }
+  expect_hypot_lane_is_std_hypot(x, y, "edges");
+
+  // Equal magnitudes, and the smaller leg on either side of 2^-54 of the
+  // larger (glibc's "widely varying" exit).
+  x.clear();
+  y.clear();
+  for (int i = 0; i < 4096; ++i) {
+    const double a =
+        std::ldexp(1.0 + rng.uniform(), static_cast<int>(rng.uniform_int(400)) - 200);
+    const double cut = a * 0x1p-54;
+    for (const double b : {a, -a, cut, std::nextafter(cut, 0.0),
+                           std::nextafter(cut, inf), cut * (1.0 + 1e-9),
+                           cut * (1.0 - 1e-9), cut * 4.0}) {
+      x.push_back(rng.uniform() < 0.5 ? a : -a);
+      y.push_back(b);
+    }
+  }
+  expect_hypot_lane_is_std_hypot(x, y, "ratios");
+
+  // Lengths 0-9: the packed blocks and every scalar tail.
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::vector<double> tx, ty;
+    for (std::size_t i = 0; i < n; ++i) {
+      tx.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
+      ty.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
+    }
+    expect_hypot_lane_is_std_hypot(tx, ty, "tail");
+  }
+}
+
 // --- ziggurat fill: stream contract across levels ---------------------------
 
 TEST(ZigguratSimd, FillMatchesScalarSamplesWordsAndStreamPosition) {
@@ -286,13 +373,19 @@ TEST(ZigguratSimd, FillEqualsSuccessiveDrawsAtEveryLevel) {
 
 // --- whole-run equality: the fast provider across dispatch levels -----------
 
-/// Runs the fast provider on `cfg` to completion and returns its metrics.
-sim::SimMetrics run_fast(sim::SystemConfig cfg) {
-  cfg.csi.provider = "fast";
+/// A whole run's metrics and final state.
+struct RunResult {
+  sim::SimMetrics metrics;
+  std::vector<std::uint8_t> snapshot;
+};
+
+/// Runs `provider` on `cfg` to completion.
+RunResult run_provider(sim::SystemConfig cfg, const char* provider) {
+  cfg.csi.provider = provider;
   sim::Simulator simulator(cfg);
   const int frames = static_cast<int>(cfg.sim_duration_s / cfg.frame_s);
   for (int f = 0; f < frames; ++f) simulator.step_frame();
-  return simulator.metrics();
+  return {simulator.metrics(), simulator.snapshot()};
 }
 
 void expect_moments_equal(const common::StreamingMoments& a,
@@ -330,17 +423,30 @@ void expect_metrics_identical(const sim::SimMetrics& a, const sim::SimMetrics& b
   EXPECT_EQ(a.mobile_power_saturations, b.mobile_power_saturations);
 }
 
-void expect_fast_run_identical_across_levels(const sim::SystemConfig& cfg) {
+void expect_run_identical_across_levels(const sim::SystemConfig& cfg,
+                                        const char* provider) {
   SimdLevelGuard guard;
   ASSERT_TRUE(common::set_simd_level(common::SimdLevel::kScalar));
-  const sim::SimMetrics reference = run_fast(cfg);
-  EXPECT_GT(reference.requests_seen, 0);  // the run must exercise the system
+  const RunResult reference = run_provider(cfg, provider);
+  EXPECT_GT(reference.metrics.requests_seen, 0);  // the run must exercise the system
   for (common::SimdLevel level : supported_levels()) {
     if (level == common::SimdLevel::kScalar) continue;
     ASSERT_TRUE(common::set_simd_level(level));
-    expect_metrics_identical(run_fast(cfg), reference,
+    const RunResult run = run_provider(cfg, provider);
+    expect_metrics_identical(run.metrics, reference.metrics,
                              common::simd_level_name(level));
+    EXPECT_TRUE(run.snapshot == reference.snapshot)
+        << provider << " @ " << common::simd_level_name(level)
+        << ": final state differs from scalar";
   }
+}
+
+sim::SystemConfig small_hotspot_center() {
+  scenario::ScenarioLayout layout = scenario::hotspot_center();
+  layout.data_users = 32;
+  layout.sim_duration_s = 10.0;
+  layout.warmup_s = 2.0;
+  return layout.to_config();
 }
 
 TEST(FastTrajectorySimd, ByteIdenticalAcrossLevelsOnShrunkE5) {
@@ -349,15 +455,21 @@ TEST(FastTrajectorySimd, ByteIdenticalAcrossLevelsOnShrunkE5) {
   spec.base.data.users = 12;
   spec.base.sim_duration_s = 12.0;
   spec.base.warmup_s = 2.0;
-  expect_fast_run_identical_across_levels(spec.base);
+  expect_run_identical_across_levels(spec.base, "fast");
 }
 
 TEST(FastTrajectorySimd, ByteIdenticalAcrossLevelsOnHotspotCenter) {
-  scenario::ScenarioLayout layout = scenario::hotspot_center();
-  layout.data_users = 32;
-  layout.sim_duration_s = 10.0;
-  layout.warmup_s = 2.0;
-  expect_fast_run_identical_across_levels(layout.to_config());
+  expect_run_identical_across_levels(small_hotspot_center(), "fast");
+}
+
+// The reference providers reach exactly one kernel, hypot_lane, whose every
+// level is std::hypot; their whole runs must not see the level at all.
+TEST(ReferenceTrajectorySimd, ExhaustiveByteIdenticalAcrossLevels) {
+  expect_run_identical_across_levels(small_hotspot_center(), "exhaustive");
+}
+
+TEST(ReferenceTrajectorySimd, CulledByteIdenticalAcrossLevels) {
+  expect_run_identical_across_levels(small_hotspot_center(), "culled");
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/serialize.hpp"
 #include "src/scenario/experiments.hpp"
 #include "src/service/events.hpp"
 #include "src/service/service.hpp"
@@ -474,6 +475,180 @@ TEST(CheckpointRestore, TruncationAtEvery64ByteBoundaryLeavesStateUntouched) {
   std::string why;
   EXPECT_TRUE(victim.check_invariants(&why)) << why;
   EXPECT_TRUE(victim.snapshot() == archive);
+}
+
+// --- Forged archives: CRC-valid, structurally wrong ------------------------
+
+std::uint64_t u64_at(const std::vector<std::uint8_t>& a, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) v |= std::uint64_t{a[at + i]} << (8 * i);
+  return v;
+}
+
+void put_u64(std::vector<std::uint8_t>& a, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) a[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Recomputes the crc32 footer over the edited payload, so the checksum
+/// cannot be what refuses a forged archive.
+void reseal(std::vector<std::uint8_t>& a) {
+  const std::size_t payload = a.size() - 4;
+  const std::uint32_t crc = common::crc32(a.data(), payload);
+  for (std::size_t i = 0; i < 4; ++i) {
+    a[payload + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+/// Offsets of every user's active-set member list in a snapshot: the places
+/// where an ActiveSet checkpoint's layout starts -- two f64 lanes of
+/// `cells` entries, a member count of 1 to 3, that many in-range cells,
+/// and a set initialised flag.  Users are serialized in order.
+std::vector<std::size_t> member_list_offsets(const std::vector<std::uint8_t>& a,
+                                             std::size_t cells) {
+  const std::size_t lane = 8 + 8 * cells;
+  std::vector<std::size_t> found;
+  for (std::size_t at = 0; at + 2 * lane + 8 * 5 < a.size(); ++at) {
+    if (u64_at(a, at) != cells || u64_at(a, at + lane) != cells) continue;
+    const std::size_t list = at + 2 * lane;
+    const std::uint64_t n = u64_at(a, list);
+    if (n < 1 || n > 3) continue;
+    bool in_range = true;
+    for (std::size_t j = 0; j < n; ++j) {
+      in_range = in_range && u64_at(a, list + 8 + 8 * j) < cells;
+    }
+    if (in_range && a[list + 8 + 8 * n] == 1) found.push_back(list);
+  }
+  return found;
+}
+
+// A checksum proves an archive arrived intact, not that it is sane: a forged
+// index that would later address past a table must be refused like any
+// structural failure, leaving the victim untouched.
+TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
+  sim::SystemConfig cfg = hotspot_config(13);
+  cfg.placement.carriers = 2;
+  sim::Simulator donor(cfg);
+  for (int f = 0; f < 10; ++f) donor.step_frame();
+  const std::vector<std::uint8_t> archive = donor.snapshot();
+
+  sim::Simulator victim(cfg);
+  for (int f = 0; f < 4; ++f) victim.step_frame();
+  const std::vector<std::uint8_t> before = victim.snapshot();
+  const auto expect_refused = [&](const std::vector<std::uint8_t>& forged,
+                                  const char* what) {
+    EXPECT_FALSE(victim.restore(forged)) << what;
+    EXPECT_TRUE(victim.snapshot() == before) << what << ": refused restore mutated state";
+  };
+
+  // The layout scan must find exactly one member list per user.
+  const std::vector<std::size_t> lists = member_list_offsets(archive, donor.num_cells());
+  ASSERT_EQ(lists.size(), donor.num_users());
+  {
+    std::vector<std::uint8_t> forged = archive;
+    put_u64(forged, lists.front() + 8, 100000);  // user 0's first member
+    reseal(forged);
+    expect_refused(forged, "active-set member 100000");
+  }
+  const auto pair = std::find_if(lists.begin(), lists.end(), [&](std::size_t at) {
+    return u64_at(archive, at) >= 2;
+  });
+  ASSERT_NE(pair, lists.end());
+  {
+    std::vector<std::uint8_t> forged = archive;
+    put_u64(forged, *pair + 16, u64_at(archive, *pair + 8));
+    reseal(forged);
+    expect_refused(forged, "repeated active-set member");
+  }
+
+  // A user's carrier field, found by moving an idle data user's carrier
+  // through the public API and diffing the two snapshots.
+  {
+    sim::Simulator probe(cfg);
+    for (int f = 0; f < 10; ++f) probe.step_frame();
+    std::size_t user = cfg.voice.users;
+    while (probe.user_has_pending(user) || probe.user_burst_active(user)) ++user;
+    ASSERT_LT(user, probe.num_users());
+    const std::vector<std::uint8_t> moved_from = probe.snapshot();
+    probe.set_user_carrier(user, 1 - probe.user_carrier(user));
+    const std::vector<std::uint8_t> moved_to = probe.snapshot();
+    std::vector<std::size_t> diff;
+    for (std::size_t i = 0; i + 4 < moved_from.size(); ++i) {
+      if (moved_from[i] != moved_to[i]) diff.push_back(i);
+    }
+    ASSERT_EQ(diff.size(), 1u) << "the carrier is one i32 whose low byte flips";
+    std::vector<std::uint8_t> forged = archive;
+    forged[diff.front()] = 2;  // carriers are 0 and 1
+    reseal(forged);
+    expect_refused(forged, "user carrier 2 of 2");
+  }
+
+  // The per-user carrier mirror the reverse gather indexes stations by: a
+  // vec_i32 of one carrier per user, followed by the next per-user lane.
+  {
+    const std::size_t users = donor.num_users();
+    std::vector<std::size_t> found;
+    for (std::size_t at = 0; at + 16 + 4 * users < archive.size(); ++at) {
+      if (u64_at(archive, at) != users || u64_at(archive, at + 8 + 4 * users) != users)
+        continue;
+      bool carriers = true;
+      for (std::size_t i = 0; i < users; ++i) {
+        const std::size_t c = at + 8 + 4 * i;
+        carriers = carriers && archive[c] <= 1 && archive[c + 1] == 0 &&
+                   archive[c + 2] == 0 && archive[c + 3] == 0;
+      }
+      if (carriers) found.push_back(at);
+    }
+    ASSERT_EQ(found.size(), 1u);
+    std::vector<std::uint8_t> forged = archive;
+    forged[found.front() + 8] = 0xff;  // user 0's mirrored carrier: -1 as i32
+    forged[found.front() + 9] = 0xff;
+    forged[found.front() + 10] = 0xff;
+    forged[found.front() + 11] = 0xff;
+    reseal(forged);
+    expect_refused(forged, "mirrored carrier -1");
+  }
+
+  // The CSR candidate index and its cell -> users transpose: vec_u32 lanes
+  // of one entry per link.  On the exhaustive provider every user lists
+  // cells 0, 1, ..., and every cell lists users 0, 1, ... in order.
+  {
+    const std::size_t users = donor.num_users(), cells = donor.num_cells();
+    const auto u32_at = [&](std::size_t at) {
+      return static_cast<std::uint32_t>(u64_at(archive, at) & 0xffffffffu);
+    };
+    const auto find_lane = [&](std::size_t prefix, auto value_at) {
+      std::vector<std::size_t> found;
+      for (std::size_t at = 0; at + 8 + 4 * prefix + 8 < archive.size(); ++at) {
+        if (u64_at(archive, at) != users * cells) continue;
+        bool match = true;
+        for (std::size_t i = 0; i < prefix && match; ++i) {
+          match = u32_at(at + 8 + 4 * i) == value_at(i);
+        }
+        if (match) found.push_back(at + 8);
+      }
+      return found;
+    };
+    const std::vector<std::size_t> csr_cells =
+        find_lane(2 * cells, [&](std::size_t i) { return i % cells; });
+    const std::vector<std::size_t> transpose_users =
+        find_lane(users, [](std::size_t i) { return i; });
+    ASSERT_EQ(csr_cells.size(), 1u);
+    ASSERT_EQ(transpose_users.size(), 1u);
+    std::vector<std::uint8_t> forged = archive;
+    forged[csr_cells.front()] = static_cast<std::uint8_t>(cells);  // user 0's first cell
+    reseal(forged);
+    expect_refused(forged, "candidate cell one past the last");
+    forged = archive;
+    forged[transpose_users.front() + 2] = 0x01;  // cell 0's first user: 65536
+    reseal(forged);
+    expect_refused(forged, "transpose user 65536");
+  }
+
+  // The intact archive restores, and the restored world steps.
+  ASSERT_TRUE(victim.restore(archive));
+  victim.step_frame();
+  std::string why;
+  EXPECT_TRUE(victim.check_invariants(&why)) << why;
 }
 
 TEST(CheckpointRestore, ServiceCheckpointCarriesBufferedInjections) {

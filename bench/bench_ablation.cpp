@@ -1,13 +1,16 @@
 // E12 — design-choice ablations called out in DESIGN.md:
-//   (a) CSI feedback delay (D1/Fig. 1a low-capacity feedback channel),
+//   (a) CSI feedback delay (D1/Fig. 1a low-capacity feedback channel), on
+//       the fixed mode-3 PHY: the adaptive VTAOC path adapts symbol by
+//       symbol on the true CSI and reads no feedback,
 //   (b) neighbour-projection shadowing margin kappa (D6, Eq. 15),
 //   (c) SCRM retry interval (request/persistence cycle),
 //   (d) reduced-active-set size (footnote 4).
 //
-// Expected shapes: stale feedback raises BER violations and softens
-// throughput; larger kappa is more conservative on the reverse link
-// (smaller grants, better protection); longer retries lengthen queue
-// delays; a larger reduced active set burns forward power per grant.
+// Expected shapes: stale feedback raises BER violations and cuts the
+// fixed-rate PHY's throughput; larger kappa is more conservative on the
+// reverse link (smaller grants, better protection); longer retries
+// lengthen queue delays; a larger reduced active set burns forward power
+// per grant.
 //
 // Each ablation group is one 1-D sweep on the engine; CRN seeding gives
 // every value in a group the same user drop and channel realisation, so the

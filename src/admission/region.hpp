@@ -15,8 +15,6 @@ struct Region {
   common::Matrix a;  // K x Nd, nonnegative coefficients
   common::Vector b;  // K, clamped >= 0 so m = 0 (reject all) stays feasible
 
-  std::size_t num_constraints() const { return a.rows(); }
-  std::size_t num_requests() const { return a.cols(); }
   bool empty() const { return a.rows() == 0; }
 
   /// True iff the integer assignment m satisfies A m <= b (+tol).

@@ -42,7 +42,6 @@ class HexLayout {
 
   std::size_t num_cells() const { return centers_.size(); }
   Point center(std::size_t k) const;
-  const std::vector<Point>& centers() const { return centers_; }
   double cell_radius_m() const { return config_.cell_radius_m; }
 
   /// Offset (dx, dy) from the nearest wrap image of cell `k`'s centre to

@@ -9,11 +9,11 @@ namespace wcdma::cell {
 
 namespace {
 
-// Model tags for the checkpoint archives; stable, never reordered.
+// Model tags for the checkpoint archives; stable, never reordered.  Tags 2
+// (random walk) and 4 (fixed position) belonged to deleted models and stay
+// retired, never reused.
 constexpr std::uint8_t kTagWaypoint = 1;
-constexpr std::uint8_t kTagWalk = 2;
 constexpr std::uint8_t kTagCorridor = 3;
-constexpr std::uint8_t kTagFixed = 4;
 
 void save_point(common::BinaryWriter& w, const Point& p) {
   w.f64(p.x);
@@ -31,17 +31,6 @@ Point random_in_disc(common::Rng& rng, const MobilityConfig& config) {
   const double r = config.region_radius_m * std::sqrt(rng.uniform());
   const double th = rng.uniform(0.0, 2.0 * M_PI);
   return config.region_center + Point{r * std::cos(th), r * std::sin(th)};
-}
-
-// Reflect p back into the service disc of the given config.
-Point reflect_into_disc(Point p, const MobilityConfig& config) {
-  const Point rel = p - config.region_center;
-  const double n = norm(rel);
-  // lint-allow(DET-FLOAT-EQ): exact-zero guard before dividing by n
-  if (n <= config.region_radius_m || n == 0.0) return p;
-  const double over = n - config.region_radius_m;
-  const double scale = (config.region_radius_m - over) / n;  // fold overshoot back
-  return config.region_center + std::max(scale, 0.0) * rel;
 }
 
 }  // namespace
@@ -83,38 +72,6 @@ double RandomWaypoint::step(double dt) {
       pos_ = pos_ + f * delta;
       moved += reach;
       remaining = 0.0;
-    }
-  }
-  return moved;
-}
-
-RandomWalk::RandomWalk(const MobilityConfig& config, common::Rng rng)
-    : config_(config), rng_(rng) {
-  pos_ = random_in_disc(rng_, config_);
-  heading_ = rng_.uniform(0.0, 2.0 * M_PI);
-  speed_ = rng_.uniform(config_.min_speed_mps, config_.max_speed_mps);
-  hold_left_ = rng_.exponential(config_.direction_hold_s);
-}
-
-double RandomWalk::step(double dt) {
-  double moved = 0.0;
-  double remaining = dt;
-  while (remaining > 0.0) {
-    const double leg = std::min(remaining, hold_left_);
-    pos_ = pos_ + Point{leg * speed_ * std::cos(heading_), leg * speed_ * std::sin(heading_)};
-    const double before = norm(pos_ - config_.region_center);
-    pos_ = reflect_into_disc(pos_, config_);
-    if (norm(pos_ - config_.region_center) < before) {
-      // Bounced off the boundary: turn around with some scatter.
-      heading_ += M_PI + rng_.uniform(-0.5, 0.5);
-    }
-    moved += leg * speed_;
-    remaining -= leg;
-    hold_left_ -= leg;
-    if (hold_left_ <= 0.0) {
-      heading_ = rng_.uniform(0.0, 2.0 * M_PI);
-      speed_ = rng_.uniform(config_.min_speed_mps, config_.max_speed_mps);
-      hold_left_ = rng_.exponential(config_.direction_hold_s);
     }
   }
   return moved;
@@ -168,25 +125,6 @@ bool RandomWaypoint::load(common::BinaryReader& r) {
   return r.ok();
 }
 
-void RandomWalk::save(common::BinaryWriter& w) const {
-  w.u8(kTagWalk);
-  rng_.save(w);
-  save_point(w, pos_);
-  w.f64(heading_);
-  w.f64(speed_);
-  w.f64(hold_left_);
-}
-
-bool RandomWalk::load(common::BinaryReader& r) {
-  if (r.u8() != kTagWalk) return false;
-  rng_.load(r);
-  pos_ = load_point(r);
-  heading_ = r.f64();
-  speed_ = r.f64();
-  hold_left_ = r.f64();
-  return r.ok();
-}
-
 void CorridorMobility::save(common::BinaryWriter& w) const {
   w.u8(kTagCorridor);
   rng_.save(w);
@@ -201,17 +139,6 @@ bool CorridorMobility::load(common::BinaryReader& r) {
   pos_ = load_point(r);
   dir_ = r.i32();
   speed_ = r.f64();
-  return r.ok();
-}
-
-void FixedPosition::save(common::BinaryWriter& w) const {
-  w.u8(kTagFixed);
-  save_point(w, pos_);
-}
-
-bool FixedPosition::load(common::BinaryReader& r) {
-  if (r.u8() != kTagFixed) return false;
-  pos_ = load_point(r);
   return r.ok();
 }
 

@@ -1,9 +1,8 @@
 // User mobility models (the paper's dynamic simulation "takes into account
-// of the user mobility").  Random-waypoint is the primary model; a simple
-// direction-persistence random walk is provided for ablations; corridor
+// of the user mobility").  Random-waypoint is the primary model: users roam
+// a circular service region by picking waypoints inside it.  Corridor
 // mobility drives users along a road segment (directional motion with
-// wrap-around at the ends).  Disc-bounded models stay inside a circular
-// service region by reflecting at the boundary.
+// wrap-around at the ends).
 #pragma once
 
 #include <memory>
@@ -30,8 +29,6 @@ struct MobilityConfig {
   /// Centre of the circular service region.  Per-cell load scaling places
   /// each user in a disc around its home cell, not around the origin.
   Point region_center{};
-  // Random-walk only: mean time between direction changes.
-  double direction_hold_s = 10.0;
   // Corridor only: the road is the segment |x| <= half_length on the x-axis
   // (the row of cells through the origin), with lanes spread over
   // |y| <= half_width.  half_length <= 0 derives from region_radius_m.
@@ -77,25 +74,6 @@ class RandomWaypoint final : public MobilityModel {
   double pause_left_ = 0.0;
 };
 
-class RandomWalk final : public MobilityModel {
- public:
-  RandomWalk(const MobilityConfig& config, common::Rng rng);
-
-  double step(double dt) override;
-  Point position() const override { return pos_; }
-  double speed_mps() const override { return speed_; }
-  void save(common::BinaryWriter& w) const override;
-  bool load(common::BinaryReader& r) override;
-
- private:
-  MobilityConfig config_;
-  common::Rng rng_;
-  Point pos_;
-  double heading_ = 0.0;
-  double speed_ = 0.0;
-  double hold_left_ = 0.0;
-};
-
 /// Directional line-segment motion for highway corridors: each user draws a
 /// lane offset, a travel direction (+x or -x), and a cruise speed, then
 /// drives along the road and wraps around at the segment ends (matching the
@@ -119,20 +97,6 @@ class CorridorMobility final : public MobilityModel {
   double half_length_m_ = 0.0;
   int dir_ = 1;  // +1 = towards +x, -1 = towards -x
   double speed_ = 0.0;
-};
-
-/// Stationary user (for coverage sweeps that pin users at given radii).
-class FixedPosition final : public MobilityModel {
- public:
-  explicit FixedPosition(Point p) : pos_(p) {}
-  double step(double) override { return 0.0; }
-  Point position() const override { return pos_; }
-  double speed_mps() const override { return 0.0; }
-  void save(common::BinaryWriter& w) const override;
-  bool load(common::BinaryReader& r) override;
-
- private:
-  Point pos_;
 };
 
 /// Builds the model selected by `config.kind` (the simulator's factory).

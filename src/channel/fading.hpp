@@ -75,11 +75,4 @@ class Ar1Fading {
   std::complex<double> h_;
 };
 
-/// E[exp] moments helper: mean power of a unit-mean Rayleigh *power* process
-/// is 1 and its variance is 1 (exponential distribution); exposed for tests.
-struct RayleighTheory {
-  static constexpr double kMeanPower = 1.0;
-  static constexpr double kPowerVariance = 1.0;
-};
-
 }  // namespace wcdma::channel

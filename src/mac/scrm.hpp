@@ -1,68 +1,19 @@
-// Supplemental Channel Request Message (SCRM) and the pending-request queue.
+// Supplemental Channel Request Message (SCRM) constants.
 //
 // Section 3.1: "When there is a reverse burst request, the mobile user will
 // send a supplemental channel request message (SCRM) to the base station.
 // The SCRM message contains the forward link pilot strength measurements
 // ... for a number of neighbor cells" (at most 8 in cdma2000, footnote 6).
-// Forward-link requests carry the same bookkeeping minus the pilot report.
+// The simulator ranks those pilots in Simulator::build_frame_context and
+// keeps the pending requests in sim::RequestQueues.
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <vector>
-
-#include "src/common/assert.hpp"
 
 namespace wcdma::mac {
 
 inline constexpr std::size_t kMaxScrmPilots = 8;
 
 enum class LinkDirection { kForward, kReverse };
-
-struct PilotReport {
-  std::size_t cell = 0;
-  double ec_io_db = -99.0;
-};
-
-struct BurstRequest {
-  int user = -1;
-  LinkDirection direction = LinkDirection::kForward;
-  double burst_bytes = 0.0;     // Q_j
-  double arrival_s = 0.0;       // when the burst entered the queue
-  double priority = 0.0;        // Delta_j, traffic-type priority
-  // Forward pilot Ec/Io reports (<= kMaxScrmPilots, strongest first); used
-  // by the reverse-link neighbour-cell projection (Eq. 13-15).
-  std::vector<PilotReport> pilot_reports;
-};
-
-/// Builds the pilot report list: strongest `kMaxScrmPilots` cells.
-std::vector<PilotReport> make_pilot_report(const std::vector<double>& pilot_ec_io_db);
-
-/// FIFO of pending burst requests, one direction per queue; at most one
-/// outstanding request per user (a re-request replaces the old entry).
-class RequestQueue {
- public:
-  /// Adds or replaces the user's pending request.
-  void push(const BurstRequest& request);
-
-  /// Removes the request of `user` (granted or abandoned).
-  void remove(int user);
-
-  /// Pending requests in FIFO (arrival) order.
-  const std::vector<BurstRequest>& pending() const { return queue_; }
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
-
-  std::optional<BurstRequest> find(int user) const;
-
-  /// Waiting time of request `r` at time `now`.
-  static double waiting_s(const BurstRequest& r, double now) {
-    WCDMA_DEBUG_ASSERT(now >= r.arrival_s);
-    return now - r.arrival_s;
-  }
-
- private:
-  std::vector<BurstRequest> queue_;
-};
 
 }  // namespace wcdma::mac

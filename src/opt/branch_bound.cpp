@@ -140,6 +140,7 @@ IpResult BranchBoundSolver::solve(const IntegerProgram& p) const {
   stack.push_back(root);
   bool hit_limit = false;
   bool root_done = false;
+  std::vector<double> x(n);  // the node's LP primal, clamped into its box
 
   while (!stack.empty()) {
     if (result.nodes >= options_.max_nodes) {
@@ -158,11 +159,21 @@ IpResult BranchBoundSolver::solve(const IntegerProgram& p) const {
     if (lp.status != LpStatus::kOptimal) continue;  // infeasible subtree
     if (lp.objective <= incumbent_obj + options_.bound_tol) continue;  // pruned
 
+    // The simplex can return a primal a hair outside the node's box on
+    // badly scaled rows.  Branching on such a value yields a child equal
+    // to its parent, which depth-first search would re-push until the node
+    // limit; clamped into [lo, hi], every fractional value lies strictly
+    // inside the box, so both children below are strictly smaller.
+    for (std::size_t j = 0; j < n; ++j) {
+      x[j] = std::clamp(lp.x[j], static_cast<double>(node.lo[j]),
+                        static_cast<double>(node.hi[j]));
+    }
+
     // Find the most fractional variable.
     std::size_t frac_j = n;
     double frac_dist = options_.integrality_tol;
     for (std::size_t j = 0; j < n; ++j) {
-      const double v = lp.x[j];
+      const double v = x[j];
       const double d = std::fabs(v - std::round(v));
       if (d > frac_dist) {
         frac_dist = d;
@@ -173,8 +184,8 @@ IpResult BranchBoundSolver::solve(const IntegerProgram& p) const {
     if (frac_j == n) {
       // Integral LP optimum: new incumbent.
       std::vector<int> cand(n);
-      for (std::size_t j = 0; j < n; ++j) cand[j] = static_cast<int>(std::lround(lp.x[j]));
-      if (ip_feasible(p, cand) ) {
+      for (std::size_t j = 0; j < n; ++j) cand[j] = static_cast<int>(std::lround(x[j]));
+      if (ip_feasible(p, cand)) {
         const double obj = ip_objective(p, cand);
         if (obj > incumbent_obj) {
           incumbent = std::move(cand);
@@ -187,13 +198,15 @@ IpResult BranchBoundSolver::solve(const IntegerProgram& p) const {
     // Branch: x_j <= floor(v)  |  x_j >= ceil(v).  Push the "down" child
     // last so DFS explores it first (tends to find incumbents early in
     // packing problems... the up child often infeasible).
-    const int fl = static_cast<int>(std::floor(lp.x[frac_j]));
+    const int fl = static_cast<int>(std::floor(x[frac_j]));
+    WCDMA_ASSERT(node.lo[frac_j] <= fl && fl < node.hi[frac_j] &&
+                 "a branch must shrink its node's box");
     Node up = node;
     up.lo[frac_j] = fl + 1;
-    if (up.lo[frac_j] <= up.hi[frac_j]) stack.push_back(std::move(up));
+    stack.push_back(std::move(up));
     Node down = std::move(node);
     down.hi[frac_j] = fl;
-    if (down.lo[frac_j] <= down.hi[frac_j]) stack.push_back(std::move(down));
+    stack.push_back(std::move(down));
   }
 
   result.x = incumbent;

@@ -6,8 +6,8 @@
 
 namespace wcdma::phy {
 
-AdaptationPolicy::AdaptationPolicy(ModeSet modes, double target_ber, FloorPolicy floor)
-    : modes_(std::move(modes)), target_ber_(target_ber), floor_(floor) {
+AdaptationPolicy::AdaptationPolicy(ModeSet modes, double target_ber)
+    : modes_(std::move(modes)), target_ber_(target_ber) {
   WCDMA_ASSERT(target_ber_ > 0.0 && target_ber_ < 0.5);
   thresholds_.reserve(modes_.size());
   for (const auto& m : modes_.all()) {
@@ -20,20 +20,14 @@ AdaptationPolicy::AdaptationPolicy(ModeSet modes, double target_ber, FloorPolicy
 
 ModeDecision AdaptationPolicy::select(double gamma) const {
   WCDMA_DEBUG_ASSERT(gamma >= 0.0);
-  // Highest mode whose threshold is met.
-  int chosen = 0;
+  // Highest mode whose threshold is met; none is an outage.
   for (std::size_t i = thresholds_.size(); i-- > 0;) {
     if (gamma >= thresholds_[i]) {
-      chosen = static_cast<int>(i) + 1;
-      break;
+      const int chosen = static_cast<int>(i) + 1;
+      return {chosen, modes_.mode(chosen).throughput};
     }
   }
-  if (chosen == 0) {
-    if (floor_ == FloorPolicy::kOutage) return {0, 0.0, true};
-    const auto& m = modes_.mode(1);
-    return {1, m.throughput, m.ber(gamma) <= target_ber_};
-  }
-  return {chosen, modes_.mode(chosen).throughput, true};
+  return {0, 0.0};
 }
 
 double AdaptationPolicy::avg_throughput_rayleigh(double mean_csi) const {
@@ -48,16 +42,11 @@ double AdaptationPolicy::avg_throughput_rayleigh(double mean_csi) const {
     const double p = std::exp(-lo / mean_csi) - hi_p;
     acc += modes_.all()[i].throughput * p;
   }
-  if (floor_ == FloorPolicy::kLowestMode) {
-    // Below t_1 we still run mode 1.
-    acc += modes_.min_throughput() * (1.0 - std::exp(-thresholds_[0] / mean_csi));
-  }
   return acc;
 }
 
 double AdaptationPolicy::outage_probability_rayleigh(double mean_csi) const {
   WCDMA_ASSERT(mean_csi > 0.0);
-  if (floor_ == FloorPolicy::kLowestMode) return 0.0;
   return 1.0 - std::exp(-thresholds_[0] / mean_csi);
 }
 
@@ -65,7 +54,7 @@ double AdaptationPolicy::mode_probability_rayleigh(double mean_csi, int q) const
   WCDMA_ASSERT(mean_csi > 0.0);
   WCDMA_ASSERT(q >= 1 && static_cast<std::size_t>(q) <= modes_.size());
   const std::size_t i = static_cast<std::size_t>(q - 1);
-  const double lo = (q == 1 && floor_ == FloorPolicy::kLowestMode) ? 0.0 : thresholds_[i];
+  const double lo = thresholds_[i];
   const double hi_p =
       (i + 1 < modes_.size()) ? std::exp(-thresholds_[i + 1] / mean_csi) : 0.0;
   return std::exp(-lo / mean_csi) - hi_p;
@@ -82,8 +71,7 @@ double AdaptationPolicy::avg_ber_rayleigh(double mean_csi) const {
   const std::size_t q_count = modes_.size();
   for (std::size_t i = 0; i < q_count; ++i) {
     const auto& m = modes_.all()[i];
-    double lo = thresholds_[i];
-    if (i == 0 && floor_ == FloorPolicy::kLowestMode) lo = 0.0;
+    const double lo = thresholds_[i];
     const double hi = (i + 1 < q_count) ? thresholds_[i + 1] : INFINITY;
     const double s = m.ber_b + 1.0 / eps;
     const double hi_term = std::isinf(hi) ? 0.0 : std::exp(-s * hi);

@@ -8,7 +8,8 @@
 // With the exponential BER abstraction the optimal constant-BER thresholds
 // have the closed form t_q = ln(a_q / Pb) / b_q: mode q is admissible
 // exactly when gamma >= t_q, and picking the *highest* admissible mode
-// maximises instantaneous throughput subject to BER <= Pb.
+// maximises instantaneous throughput subject to BER <= Pb.  Below mode-1's
+// threshold nothing is sent (outage), so the BER target always holds.
 #pragma once
 
 #include <vector>
@@ -18,22 +19,14 @@
 
 namespace wcdma::phy {
 
-/// What to do when the CSI is below even mode-1's threshold.
-enum class FloorPolicy {
-  kOutage,      // send nothing this symbol/frame (throughput 0, BER held)
-  kLowestMode,  // transmit mode 1 anyway (BER target violated; counted)
-};
-
 struct ModeDecision {
-  int mode = 0;             // 0 = no transmission
+  int mode = 0;             // 0 = no transmission (outage)
   double throughput = 0.0;  // beta of the chosen mode (0 if outage)
-  bool meets_ber = true;    // false iff transmitting above target BER
 };
 
 class AdaptationPolicy {
  public:
-  AdaptationPolicy(ModeSet modes, double target_ber,
-                   FloorPolicy floor = FloorPolicy::kOutage);
+  AdaptationPolicy(ModeSet modes, double target_ber);
 
   /// Adaptation thresholds {t_1..t_Q} (linear CSI), ascending.
   const std::vector<double>& thresholds() const { return thresholds_; }
@@ -50,12 +43,11 @@ class AdaptationPolicy {
   /// Long-run average throughput (bits/symbol) at local-mean CSI `mean_csi`.
   double avg_throughput_rayleigh(double mean_csi) const;
 
-  /// Probability that no transmission happens (kOutage floor policy).
+  /// Probability that no transmission happens (CSI below mode-1's threshold).
   double outage_probability_rayleigh(double mean_csi) const;
 
-  /// Bit-weighted average BER over transmitted bits at `mean_csi`.
-  /// With kOutage this stays <= target for all mean_csi (the constant-BER
-  /// property); with kLowestMode it degrades at low mean CSI.
+  /// Bit-weighted average BER over transmitted bits at `mean_csi`; it stays
+  /// <= target for all mean_csi (the constant-BER property).
   double avg_ber_rayleigh(double mean_csi) const;
 
   /// Probability of occupying mode q (1-based) under Rayleigh fading.
@@ -69,7 +61,6 @@ class AdaptationPolicy {
  private:
   ModeSet modes_;
   double target_ber_;
-  FloorPolicy floor_;
   std::vector<double> thresholds_;
 };
 

@@ -26,13 +26,6 @@ FrameOutcome LinkAdapter::on_frame(double true_csi) {
   return out;
 }
 
-double LinkAdapter::expected_throughput(double mean_csi) const {
-  return policy_->avg_throughput_rayleigh(mean_csi);
-}
-
-void LinkAdapter::save(common::BinaryWriter& w) const { feedback_.save(w); }
-void LinkAdapter::load(common::BinaryReader& r) { feedback_.load(r); }
-
 FixedRateAdapter::FixedRateAdapter(const AdaptationPolicy* policy, int fixed_mode,
                                    std::size_t feedback_delay_frames,
                                    double feedback_error_db, common::Rng rng)
@@ -58,10 +51,6 @@ FrameOutcome FixedRateAdapter::on_frame(double true_csi) {
     out.ber_violation = out.realized_ber > policy_->target_ber() * (1.0 + 1e-12);
   }
   return out;
-}
-
-double FixedRateAdapter::expected_throughput(double mean_csi) const {
-  return policy_->fixed_mode_avg_throughput_rayleigh(mean_csi, fixed_mode_);
 }
 
 void FixedRateAdapter::save(common::BinaryWriter& w) const { feedback_.save(w); }

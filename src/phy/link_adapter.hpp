@@ -2,9 +2,15 @@
 // feed it back with delay/noise, pick a VTAOC mode, and account for what the
 // channel actually did to the frame.
 //
+// The LinkAdapter adapts per frame on the fed-back CSI; the E2 BER bench
+// drives it.  The simulator's adaptive users adapt symbol by symbol instead
+// (Simulator::step_transmission reads the AdaptationPolicy directly), so
+// feedback delay and error never reach them.
+//
 // The FixedRateAdapter is the non-adaptive physical layer the paper argues
 // against ("traditional physical layer delivers a constant throughput");
-// it anchors the E1/E8 synergy comparisons.
+// it anchors the E1/E8 synergy comparisons and is the PHY on which the
+// feedback delay/error knobs act in the simulator.
 #pragma once
 
 #include "src/channel/channel.hpp"
@@ -37,16 +43,6 @@ class LinkAdapter {
   /// transmitter adapts on the delayed feedback value.
   FrameOutcome on_frame(double true_csi);
 
-  /// Average throughput the adapter would deliver at local-mean CSI
-  /// `mean_csi` (closed form; delegates to the policy).
-  double expected_throughput(double mean_csi) const;
-
-  const AdaptationPolicy& policy() const { return *policy_; }
-
-  /// Checkpoint support: only the feedback pipe evolves.
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
-
  private:
   const AdaptationPolicy* policy_;  // not owned
   channel::CsiFeedback feedback_;
@@ -64,10 +60,9 @@ class FixedRateAdapter {
 
   FrameOutcome on_frame(double true_csi);
 
-  double expected_throughput(double mean_csi) const;
-
   int fixed_mode() const { return fixed_mode_; }
 
+  /// Checkpoint support: only the feedback pipe evolves.
   void save(common::BinaryWriter& w) const;
   void load(common::BinaryReader& r);
 

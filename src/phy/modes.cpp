@@ -1,7 +1,6 @@
 #include "src/phy/modes.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/assert.hpp"
 
@@ -30,17 +29,6 @@ ModeSet::ModeSet(std::vector<TransmissionMode> modes) : modes_(std::move(modes))
 const TransmissionMode& ModeSet::mode(int q) const {
   WCDMA_ASSERT(q >= 1 && static_cast<std::size_t>(q) <= modes_.size());
   return modes_[static_cast<std::size_t>(q - 1)];
-}
-
-std::string ModeSet::describe() const {
-  std::string out;
-  char buf[128];
-  for (const auto& m : modes_) {
-    std::snprintf(buf, sizeof(buf), "mode-%d: beta=%.5g a=%.3g b=%.5g\n", m.index,
-                  m.throughput, m.ber_a, m.ber_b);
-    out += buf;
-  }
-  return out;
 }
 
 ModeSet make_vtaoc_modes(const VtaocParams& params) {

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace wcdma::phy {
@@ -43,11 +42,6 @@ class ModeSet {
   /// 1-based access mirroring the paper's mode-q numbering.
   const TransmissionMode& mode(int q) const;
   const std::vector<TransmissionMode>& all() const { return modes_; }
-
-  double min_throughput() const { return modes_.front().throughput; }
-  double max_throughput() const { return modes_.back().throughput; }
-
-  std::string describe() const;
 
  private:
   std::vector<TransmissionMode> modes_;

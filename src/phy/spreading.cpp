@@ -15,15 +15,6 @@ double Spreading::total_processing_gain(double bit_rate) const {
   return config_.chip_rate_hz / bit_rate;
 }
 
-double Spreading::spreading_gain(double bit_rate, double throughput) const {
-  WCDMA_ASSERT(throughput > 0.0);
-  return throughput * total_processing_gain(bit_rate);
-}
-
-double Spreading::fch_spreading_gain() const {
-  return spreading_gain(config_.fch_bit_rate, config_.fch_throughput);
-}
-
 double Spreading::sch_bit_rate(int m, double sch_throughput) const {
   WCDMA_ASSERT(m >= 0 && m <= config_.max_sgr);
   if (m == 0) return 0.0;

@@ -30,22 +30,9 @@ class Spreading {
   /// Overall processing gain W/Rb for a channel at `bit_rate` (Eq. 2).
   double total_processing_gain(double bit_rate) const;
 
-  /// Spreading-stage gain g (chips per orthogonal symbol) for a channel at
-  /// `bit_rate` carrying `throughput` bits/symbol: g = beta * W / Rb.
-  double spreading_gain(double bit_rate, double throughput) const;
-
-  /// FCH spreading gain g_f.
-  double fch_spreading_gain() const;
-
   /// Instantaneous SCH bit rate for spreading-gain ratio m and SCH
   /// throughput beta_s (Eq. 4): Rs = Rf * m * beta_s / beta_f.
   double sch_bit_rate(int m, double sch_throughput) const;
-
-  /// Short-term-average SCH bit rate given the VTAOC average throughput
-  /// at the current local-mean CSI.
-  double sch_avg_bit_rate(int m, double avg_throughput) const {
-    return sch_bit_rate(m, avg_throughput);
-  }
 
   /// SCH-to-FCH transmit power ratio for spreading-gain ratio m (Eq. 5):
   /// Xs / Xf = gamma_s * m.

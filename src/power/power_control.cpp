@@ -12,8 +12,8 @@ namespace {
 /// Shared inner-loop step: returns the clamped new power for one frame of
 /// aggregated +/-step commands.
 inline double stepped_power_dbm(const PowerControlConfig& config, double power_dbm,
-                                double target_sir_db, double measured_sir_db) {
-  const double error = target_sir_db - measured_sir_db;
+                                double measured_sir_db) {
+  const double error = config.target_sir_db - measured_sir_db;
   const double max_swing = config.step_db * static_cast<double>(config.commands_per_frame);
   const double correction = std::clamp(error, -max_swing, max_swing);
   return std::clamp(power_dbm + correction, config.min_power_dbm,
@@ -26,22 +26,21 @@ ClosedLoopPowerControl::ClosedLoopPowerControl(const PowerControlConfig& config,
                                                double initial_power_dbm)
     : config_(config),
       power_dbm_(initial_power_dbm),
-      power_watt_(to_watt(initial_power_dbm)),
-      target_sir_db_(config.target_sir_db) {
+      power_watt_(to_watt(initial_power_dbm)) {
   WCDMA_ASSERT(config_.step_db > 0.0);
   WCDMA_ASSERT(config_.commands_per_frame >= 1);
   WCDMA_ASSERT(config_.max_power_dbm > config_.min_power_dbm);
 }
 
 double ClosedLoopPowerControl::update(double measured_sir_db) {
-  power_dbm_ = stepped_power_dbm(config_, power_dbm_, target_sir_db_, measured_sir_db);
+  power_dbm_ = stepped_power_dbm(config_, power_dbm_, measured_sir_db);
   power_watt_ = to_watt(power_dbm_);
   saturated_ = power_dbm_ >= config_.max_power_dbm - 1e-12;
   return power_dbm_;
 }
 
 double ClosedLoopPowerControl::update_db(double measured_sir_db) {
-  power_dbm_ = stepped_power_dbm(config_, power_dbm_, target_sir_db_, measured_sir_db);
+  power_dbm_ = stepped_power_dbm(config_, power_dbm_, measured_sir_db);
   saturated_ = power_dbm_ >= config_.max_power_dbm - 1e-12;
   return power_dbm_;  // wattage stale until set_power_watt() commits it
 }
@@ -50,37 +49,16 @@ double ClosedLoopPowerControl::to_watt(double dbm) {
   return std::pow(10.0, (dbm - 30.0) / 10.0);
 }
 
-OuterLoopPowerControl::OuterLoopPowerControl(double initial_target_db, double fer_target,
-                                             double step_up_db, double min_db, double max_db)
-    : target_db_(initial_target_db),
-      fer_target_(fer_target),
-      step_up_db_(step_up_db),
-      step_down_db_(step_up_db * fer_target / (1.0 - fer_target)),
-      min_db_(min_db),
-      max_db_(max_db) {
-  WCDMA_ASSERT(fer_target > 0.0 && fer_target < 1.0);
-}
-
 void ClosedLoopPowerControl::save(common::BinaryWriter& w) const {
   w.f64(power_dbm_);
   w.f64(power_watt_);
-  w.f64(target_sir_db_);
   w.boolean(saturated_);
 }
 
 void ClosedLoopPowerControl::load(common::BinaryReader& r) {
   power_dbm_ = r.f64();
   power_watt_ = r.f64();
-  target_sir_db_ = r.f64();
   saturated_ = r.boolean();
-}
-
-double OuterLoopPowerControl::on_frame(bool frame_error) {
-  // Sawtooth: jump up on error, creep down otherwise; equilibrium FER is
-  // step_down / (step_up + step_down) == fer_target.
-  target_db_ += frame_error ? step_up_db_ : -step_down_db_;
-  target_db_ = std::clamp(target_db_, min_db_, max_db_);
-  return target_db_;
 }
 
 }  // namespace wcdma::power

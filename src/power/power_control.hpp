@@ -6,8 +6,7 @@
 // ClosedLoopPowerControl models that aggregate: the per-frame correction is
 // the SIR error clamped to +/- (16 * step) dB, which reproduces both the
 // tracking behaviour at pedestrian speeds and the lag at vehicular speeds.
-// An outer loop (frame-error driven target adjustment) is included for
-// completeness.
+// The SIR target is the configured one; no outer loop moves it.
 #pragma once
 
 #include "src/common/assert.hpp"
@@ -20,7 +19,7 @@ class BinaryReader;
 namespace wcdma::power {
 
 struct PowerControlConfig {
-  double target_sir_db = 7.0;     // initial Eb/I0 target
+  double target_sir_db = 7.0;     // Eb/I0 target
   double step_db = 1.0;           // inner-loop step per command
   int commands_per_frame = 16;    // 800 Hz loop, 20 ms frame
   double min_power_dbm = -50.0;
@@ -53,8 +52,6 @@ class ClosedLoopPowerControl {
   /// Cached dBm -> W conversion; refreshed whenever power_dbm_ moves, so the
   /// hot loops that read it several times per frame pay the pow() once.
   double power_watt() const { return power_watt_; }
-  double target_sir_db() const { return target_sir_db_; }
-  void set_target_sir_db(double v) { target_sir_db_ = v; }
 
   /// True when the last update hit the max-power rail (coverage-limited).
   bool saturated() const { return saturated_; }
@@ -70,28 +67,7 @@ class ClosedLoopPowerControl {
   PowerControlConfig config_;
   double power_dbm_;
   double power_watt_;
-  double target_sir_db_;
   bool saturated_ = false;
-};
-
-/// Outer loop: walks the SIR target to hold a frame-error-rate target
-/// (sawtooth/jump algorithm).
-class OuterLoopPowerControl {
- public:
-  OuterLoopPowerControl(double initial_target_db, double fer_target,
-                        double step_up_db = 0.5, double min_db = 3.0, double max_db = 12.0);
-
-  /// Reports one frame outcome; returns the updated SIR target (dB).
-  double on_frame(bool frame_error);
-
-  double target_db() const { return target_db_; }
-
- private:
-  double target_db_;
-  double fer_target_;
-  double step_up_db_;
-  double step_down_db_;
-  double min_db_, max_db_;
 };
 
 }  // namespace wcdma::power

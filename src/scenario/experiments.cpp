@@ -148,6 +148,10 @@ std::vector<sweep::SweepSpec> e12_ablations() {
     spec.name = "feedback-delay";
     spec.base = hotspot_cell_config(4012);
     spec.base.data.users = 16;
+    // Only the fixed-rate PHY decides on fed-back CSI (the adaptive VTAOC
+    // path adapts symbol by symbol on the true CSI), so the ablation runs
+    // E8's non-adaptive arm, mode 3.
+    spec.base.phy.fixed_mode = 3;
     spec.axes = {sweep::axis_feedback_delay_frames({0, 1, 4, 8})};
     spec.replications = 1;
     spec.common_random_numbers = true;

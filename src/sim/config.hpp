@@ -59,6 +59,9 @@ struct DataScenario {
 struct PhyScenario {
   phy::VtaocParams vtaoc{};           // 6-mode ladder
   double target_ber = 1e-3;           // SCH constant-BER operating point
+  /// CSI feedback channel of Fig. 1(a).  Only the fixed-rate PHY reads
+  /// feedback; the adaptive VTAOC path adapts symbol by symbol on the true
+  /// CSI, so these act only when fixed_mode > 0.
   std::size_t feedback_delay_frames = 1;
   double feedback_error_db = 0.5;
   /// Non-adaptive ablation: run the SCH at this fixed mode instead of

@@ -50,7 +50,7 @@ Simulator::Simulator(const SystemConfig& config)
                                         config_.radio.noise_figure_db);
   l_max_w_ = noise_w_ * common::db_to_linear(config_.radio.rise_over_thermal_db);
   mobile_max_w_ = common::dbm_to_watt(config_.radio.mobile_max_power_dbm);
-  fch_pg_ = config_.spreading.chip_rate_hz / config_.spreading.fch_bit_rate;
+  fch_pg_ = spreading_.total_processing_gain(config_.spreading.fch_bit_rate);
   fch_sir_target_ = common::db_to_linear(config_.radio.fch_ebio_target_db);
 
   stations_.resize(layout_.num_cells() *
@@ -155,10 +155,6 @@ Simulator::Simulator(const SystemConfig& config)
         u.fixed = std::make_unique<phy::FixedRateAdapter>(
             &policy_, config_.phy.fixed_mode, config_.phy.feedback_delay_frames,
             config_.phy.feedback_error_db, user_rng.fork(4));
-      } else {
-        u.adapter = std::make_unique<phy::LinkAdapter>(
-            &policy_, config_.phy.feedback_delay_frames, config_.phy.feedback_error_db,
-            user_rng.fork(4));
       }
     } else {
       traffic::VoiceConfig vc;
@@ -632,8 +628,8 @@ void Simulator::build_frame_context() {
         if (u.forward_dir) {
           r.tx_cap = config_.spreading.max_sgr;
         } else {
-          // SCRM: up to 8 strongest forward pilots (footnote 6), plus the
-          // reverse SGR cap from the mobile's power budget.
+          // SCRM: the kMaxScrmPilots strongest forward pilots (footnote 6),
+          // plus the reverse SGR cap from the mobile's power budget.
           std::vector<std::pair<double, std::size_t>> ranked;
           const std::uint32_t* cand = state_.candidates_begin(i);
           const std::size_t n_cand = state_.candidate_count(i);
@@ -642,7 +638,7 @@ void Simulator::build_frame_context() {
           }
           std::sort(ranked.begin(), ranked.end(),
                     [](const auto& a, const auto& b) { return a.first > b.first; });
-          const std::size_t n_report = std::min<std::size_t>(ranked.size(), 8);
+          const std::size_t n_report = std::min(ranked.size(), mac::kMaxScrmPilots);
           for (std::size_t n = 0; n < n_report; ++n) {
             r.scrm_pilots.push_back({ranked[n].second, ranked[n].first});
           }
@@ -769,9 +765,8 @@ void Simulator::step_transmission() {
     const bool delivers = u.fixed ? (out.mode > 0 && !frame_erased) : true;
     if (delivers) {
       // Eq. 4: Rs = Rf * m * beta_s / beta_f, integrated over the frame.
-      const double rate = config_.spreading.fch_bit_rate * u.burst.m * out.throughput /
-                          config_.spreading.fch_throughput;
-      const double bits = rate * config_.frame_s;
+      const double bits =
+          spreading_.sch_bit_rate(u.burst.m, out.throughput) * config_.frame_s;
       u.burst.remaining_bits -= bits;
       if (!in_warmup()) metrics_.data_bits_delivered += std::min(bits, bits + u.burst.remaining_bits);
     }
@@ -813,8 +808,7 @@ void Simulator::update_transmit_powers() {
       for (std::size_t k : members)
         stations_[station_index(k, u.carrier)].forward_w += fch_w;
       if (bursting && u.is_data) {
-        const double sch_w =
-            config_.spreading.gamma_s * u.burst.m * u.fl_pc.power_watt();
+        const double sch_w = spreading_.sch_power_ratio(u.burst.m) * u.fl_pc.power_watt();
         const std::size_t reduced_n = u.active_set.reduced_count();
         for (std::size_t j = 0; j < reduced_n; ++j)
           stations_[station_index(members[j], u.carrier)].forward_w += sch_w;
@@ -911,7 +905,10 @@ constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 // bit-flipped checkpoint is refused by checksum instead of parse luck.
 // v3: FrameState no longer writes the (always empty) Jakes clock and frame
 // lanes; every link's fading is the AR(1) lane.
-constexpr std::uint32_t kSnapshotVersion = 3;
+// v4: adaptive data users no longer write a feedback pipe (it was never
+// stepped), and the power-control loops no longer write their SIR target
+// (it never moves from the config's).
+constexpr std::uint32_t kSnapshotVersion = 4;
 constexpr std::size_t kSnapshotFooterBytes = 4;
 }  // namespace
 
@@ -957,7 +954,6 @@ std::vector<std::uint8_t> Simulator::snapshot() const {
     if (u.voice) u.voice->save(w);
     if (u.data) u.data->save(w);
     u.mac.save(w);
-    if (u.adapter) u.adapter->save(w);
     if (u.fixed) u.fixed->save(w);
     w.boolean(u.voice_active);
     w.boolean(u.fch_on);
@@ -1076,7 +1072,6 @@ bool Simulator::restore_body(common::BinaryReader& r) {
     if (u.voice) u.voice->load(r);
     if (u.data) u.data->load(r);
     u.mac.load(r);
-    if (u.adapter) u.adapter->load(r);
     if (u.fixed) u.fixed->load(r);
     u.voice_active = r.boolean();
     u.fch_on = r.boolean();
@@ -1211,12 +1206,6 @@ int Simulator::user_carrier(std::size_t user) const {
 std::size_t Simulator::user_home_cell(std::size_t user) const {
   WCDMA_ASSERT(user < users_.size());
   return users_[user].home_cell;
-}
-
-int Simulator::active_bursts() const {
-  int n = 0;
-  for (const auto& u : users_) n += u.burst.active ? 1 : 0;
-  return n;
 }
 
 int Simulator::pending_requests() const {

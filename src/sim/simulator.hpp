@@ -91,7 +91,6 @@ class Simulator {
   /// otherwise.
   std::size_t user_home_cell(std::size_t user) const;
   double thermal_noise_w() const { return noise_w_; }
-  int active_bursts() const;
   /// Pending-request count by O(users) scan -- the reference the indexed
   /// RequestQueues are tested against.
   int pending_requests() const;
@@ -234,16 +233,18 @@ class Simulator {
     std::optional<traffic::VoiceSource> voice;
     std::optional<traffic::DataSource> data;
     mac::MacStateMachine mac;
-    std::unique_ptr<phy::LinkAdapter> adapter;     // adaptive VTAOC
-    std::unique_ptr<phy::FixedRateAdapter> fixed;  // ablation PHY
+    // Fixed-rate ablation PHY (phy.fixed_mode > 0) and its delayed, noisy
+    // CSI feedback pipe.  The adaptive VTAOC path needs no per-user state:
+    // step_transmission() reads the shared policy_ directly.
+    std::unique_ptr<phy::FixedRateAdapter> fixed;
 
     bool voice_active = false;
     bool fch_on = false;
     // (last frame's mobile TX power lives in Simulator::prev_tx_w_, the
     // SoA mirror the reverse-rise gather reads)
 
-    // Pending burst request (at most one; mirrors mac::RequestQueue
-    // semantics but kept inline for the hot loop).
+    // Pending burst request (at most one per user; RequestQueues indexes
+    // the pending users by (carrier, direction)).
     bool has_pending = false;
     double pending_bits = 0.0;
     double pending_arrival_s = 0.0;

@@ -48,17 +48,6 @@ Axis axis_max_speed_kmh(const std::vector<double>& kmh) {
   return axis;
 }
 
-Axis axis_path_loss_exponent(const std::vector<double>& exponents) {
-  Axis axis{"path_loss_exp", {}};
-  for (double v : exponents) {
-    axis.values.push_back({common::format_double(v, 4), [v](sim::SystemConfig& cfg) {
-                             cfg.path_loss.kind = channel::PathLossModelKind::kLogDistance;
-                             cfg.path_loss.exponent = v;
-                           }});
-  }
-  return axis;
-}
-
 Axis axis_shadowing_sigma_db(const std::vector<double>& sigmas) {
   Axis axis{"shadow_sigma_db", {}};
   for (double v : sigmas) {

@@ -40,8 +40,6 @@ Axis axis_data_users(const std::vector<int>& counts);
 Axis axis_voice_users(const std::vector<int>& counts);
 /// Sets mobility.max_speed_mps (min stays at the config default).
 Axis axis_max_speed_kmh(const std::vector<double>& kmh);
-/// Switches to the log-distance model with the given exponents.
-Axis axis_path_loss_exponent(const std::vector<double>& exponents);
 Axis axis_shadowing_sigma_db(const std::vector<double>& sigmas);
 Axis axis_scheduler(const std::vector<admission::SchedulerKind>& kinds);
 /// Admission policy by registry name (admission::policy_names()); reaches
@@ -56,7 +54,8 @@ Axis axis_fixed_mode(const std::vector<int>& modes);
 Axis axis_load_scale(const std::vector<double>& scales);
 /// Independent WCDMA carriers per cell (placement.carriers).
 Axis axis_carriers(const std::vector<int>& counts);
-/// CSI feedback delay of the adaptive PHY, in frames.
+/// CSI feedback delay in frames.  Only the fixed-rate PHY (phy.fixed_mode
+/// > 0) reads feedback; the adaptive PHY adapts on the true CSI.
 Axis axis_feedback_delay_frames(const std::vector<std::size_t>& frames);
 /// Reverse-link neighbour-projection shadowing margin kappa (Eq. 15).
 Axis axis_kappa_margin_db(const std::vector<double>& margins);

@@ -198,17 +198,6 @@ TEST(RandomWaypoint, StaysInOffCentreRegion) {
   }
 }
 
-TEST(RandomWalk, StaysInOffCentreRegion) {
-  MobilityConfig cfg;
-  cfg.region_radius_m = 300.0;
-  cfg.region_center = {-1500.0, 900.0};
-  RandomWalk walk(cfg, Rng(31));
-  for (int i = 0; i < 5000; ++i) {
-    walk.step(0.5);
-    EXPECT_LE(norm(walk.position() - cfg.region_center), cfg.region_radius_m + 1e-6);
-  }
-}
-
 TEST(HexLayout, CellCountFormula) {
   EXPECT_EQ(hex_cell_count(0), 1u);
   EXPECT_EQ(hex_cell_count(1), 7u);
@@ -217,23 +206,6 @@ TEST(HexLayout, CellCountFormula) {
     EXPECT_EQ(HexLayout(HexLayoutConfig{rings, 1000.0, true}).num_cells(),
               hex_cell_count(rings));
   }
-}
-
-TEST(RandomWalk, StaysInRegion) {
-  MobilityConfig cfg;
-  cfg.region_radius_m = 800.0;
-  RandomWalk walk(cfg, Rng(23));
-  for (int i = 0; i < 5000; ++i) {
-    walk.step(0.5);
-    EXPECT_LE(norm(walk.position()), cfg.region_radius_m + 1e-6);
-  }
-}
-
-TEST(FixedPosition, NeverMoves) {
-  FixedPosition fixed({3.0, 4.0});
-  EXPECT_DOUBLE_EQ(fixed.step(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(fixed.position().x, 3.0);
-  EXPECT_DOUBLE_EQ(fixed.speed_mps(), 0.0);
 }
 
 MobilityConfig corridor_config() {

@@ -1,9 +1,8 @@
-// MAC tests: the cdma2000 packet-data state machine of Fig. 3, the set-up
-// delay penalty of Eq. (22)-(23), and SCRM request-queue semantics.
+// MAC tests: the cdma2000 packet-data state machine of Fig. 3 and the set-up
+// delay penalty of Eq. (22)-(23).
 #include <gtest/gtest.h>
 
 #include "src/mac/mac_state.hpp"
-#include "src/mac/scrm.hpp"
 
 namespace wcdma::mac {
 namespace {
@@ -84,66 +83,6 @@ TEST(MacState, ToStringNames) {
   EXPECT_STREQ(to_string(MacState::kControlHold), "ControlHold");
   EXPECT_STREQ(to_string(MacState::kSuspended), "Suspended");
   EXPECT_STREQ(to_string(MacState::kDormant), "Dormant");
-}
-
-// ---------------------------------------------------------------- SCRM
-
-TEST(PilotReport, CapsAtEightStrongest) {
-  std::vector<double> pilots(12);
-  for (std::size_t k = 0; k < pilots.size(); ++k) {
-    pilots[k] = -20.0 + static_cast<double>(k);  // cell 11 strongest
-  }
-  const auto report = make_pilot_report(pilots);
-  ASSERT_EQ(report.size(), kMaxScrmPilots);
-  EXPECT_EQ(report.front().cell, 11u);
-  for (std::size_t i = 1; i < report.size(); ++i) {
-    EXPECT_GE(report[i - 1].ec_io_db, report[i].ec_io_db);
-  }
-  // The four weakest cells (0..3) must be absent.
-  for (const auto& pr : report) EXPECT_GE(pr.cell, 4u);
-}
-
-TEST(PilotReport, FewerCellsThanCap) {
-  const auto report = make_pilot_report({-10.0, -12.0});
-  EXPECT_EQ(report.size(), 2u);
-}
-
-TEST(RequestQueue, FifoByArrival) {
-  RequestQueue q;
-  q.push({.user = 1, .direction = LinkDirection::kForward, .burst_bytes = 100,
-          .arrival_s = 2.0, .priority = 0, .pilot_reports = {}});
-  q.push({.user = 2, .direction = LinkDirection::kForward, .burst_bytes = 100,
-          .arrival_s = 1.0, .priority = 0, .pilot_reports = {}});
-  ASSERT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pending()[0].user, 2);  // earlier arrival first
-  EXPECT_EQ(q.pending()[1].user, 1);
-}
-
-TEST(RequestQueue, PushReplacesExistingUser) {
-  RequestQueue q;
-  q.push({.user = 7, .direction = LinkDirection::kReverse, .burst_bytes = 100,
-          .arrival_s = 1.0, .priority = 0, .pilot_reports = {}});
-  q.push({.user = 7, .direction = LinkDirection::kReverse, .burst_bytes = 999,
-          .arrival_s = 3.0, .priority = 0, .pilot_reports = {}});
-  ASSERT_EQ(q.size(), 1u);
-  EXPECT_DOUBLE_EQ(q.pending()[0].burst_bytes, 999);
-}
-
-TEST(RequestQueue, RemoveAndFind) {
-  RequestQueue q;
-  q.push({.user = 3, .direction = LinkDirection::kForward, .burst_bytes = 50,
-          .arrival_s = 0.5, .priority = 0, .pilot_reports = {}});
-  EXPECT_TRUE(q.find(3).has_value());
-  EXPECT_FALSE(q.find(4).has_value());
-  q.remove(3);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(RequestQueue, WaitingTime) {
-  BurstRequest r;
-  r.user = 1;
-  r.arrival_s = 2.0;
-  EXPECT_DOUBLE_EQ(RequestQueue::waiting_s(r, 5.5), 3.5);
 }
 
 }  // namespace

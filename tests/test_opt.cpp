@@ -160,13 +160,13 @@ IntegerProgram random_ip(Rng& rng, std::size_t n, std::size_t k, int max_u) {
   return p;
 }
 
-double brute_force(const IntegerProgram& p) {
+double brute_force(const IntegerProgram& p, double tol = 1e-9) {
   const std::size_t n = p.c.size();
   std::vector<int> x(n, 0);
   double best = 0.0;
   std::function<void(std::size_t)> rec = [&](std::size_t j) {
     if (j == n) {
-      if (ip_feasible(p, x)) best = std::max(best, ip_objective(p, x));
+      if (ip_feasible(p, x, tol)) best = std::max(best, ip_objective(p, x));
       return;
     }
     for (int v = 0; v <= p.upper[j]; ++v) {
@@ -246,6 +246,94 @@ TEST(BranchBound, ZeroValueVariablesStayZeroCostless) {
   p.upper = {5, 5};
   const IpResult r = BranchBoundSolver().solve(p);
   EXPECT_NEAR(r.objective, 5.0, 1e-9);
+}
+
+// Two real JABA-SD rounds (the stock hotspot-center preset, 2 requests on
+// 19 cells) on which the solver used to spin: a node LP returned a primal a
+// hair outside the node's box, branching produced a child equal to its
+// parent, and depth-first search re-pushed it until the node limit, then
+// returned an unproven answer.  Literal bits, in hex, as the round built
+// them.
+std::vector<IntegerProgram> spinning_rounds() {
+  IntegerProgram round1;
+  round1.a = Matrix{
+      {0x1.3dbb5db79e956p-31, 0x1.6efcdedcee205p-17},
+      {0x1.5624d1444587ap-5, 0.0},
+      {0x1.e85402c15310fp-26, 0x1.4ef22df0c4eb2p-14},
+      {0x1.c3c24facd5bbfp-32, 0.0},
+      {0.0, 0x1.4fa7c90d7df9ap-8},
+      {0.0, 0x1.5624d1444586ap-5},
+      {0.0, 0.0},
+      {0x1.a2efd74de7ab8p-23, 0.0},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0.0, 0x1.eecb4ac43fb93p-14},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0.0, 0x1.6555b60e77dffp-11},
+      {0x1.10beb9724f46dp-26, 0x1.5e50e34d14cp-10},
+      {0x1.b52242cd483dbp-24, 0x1.4b3fabdea38ffp-7},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0x1.af04d921867dcp-22, 0.0},
+  };
+  round1.b = {0.0, 0x1.3c7dd4918e048p-1, 0x1.b9091973550bp-4,
+              0.0, 0x1.326826b23ba9cp-2, 0x1.51919857d827cp+0,
+              0x1.6eb67b751bd9cp-1, 0x1.51d12c7e75896p-1, 0x1.bd4f8ca21340cp+0,
+              0x1.9f889e45f1e58p+0, 0x1.2d188593a992p+0, 0x1.702c537da9fa6p-1,
+              0x1.512dd9486eabcp+0, 0x1.f249c07ebd36ap+0, 0x1.15ef8c6c2ec2dp+1,
+              0x1.a8f42a512c7eap+0, 0.0, 0x1.0a7b1af8d9fep+0,
+              0x1.f19ff77067e5cp+0};
+  round1.c = {0x1.89d3d005abf4p-1, 0x1.0dba2d6665954p-1};
+  round1.upper = {16, 16};
+
+  IntegerProgram round2;
+  round2.a = Matrix{
+      {0x1.4f1a96b4364bdp-31, 0x1.bc8ee7e397468p-17},
+      {0x1.5624d14445871p-5, 0.0},
+      {0x1.721d895c3f17cp-26, 0.0},
+      {0x1.411844cf43216p-31, 0x1.0854ee8053ff9p-17},
+      {0.0, 0x1.60b848db3ccbdp-7},
+      {0.0, 0x1.5624d1444586fp-5},
+      {0.0, 0.0},
+      {0x1.55c81861c13dbp-23, 0x1.b15467933e412p-13},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0.0, 0x1.28174164806bap-10},
+      {0x1.5c81fb78023dp-26, 0x1.cbac2509b294fp-9},
+      {0x1.34df1d971d955p-23, 0x1.0eb978d58b2dfp-7},
+      {0.0, 0.0},
+      {0.0, 0.0},
+      {0x1.79c6d79a83e1bp-21, 0.0},
+  };
+  round2.b = {0.0, 0x1.74a39ed8b0c54p+0, 0x1.9bfff630b63a4p-2,
+              0.0, 0x1.1cadc4c32e62p-1, 0x1.0b84e94750d52p-1,
+              0x1.ff752349da4a8p-1, 0x1.aad1203c9d586p+0, 0x1.fe156b97a27f8p+0,
+              0x1.f8e852b35a8fcp+0, 0x1.f90d77e179a14p+0, 0x1.e731dcc802116p-1,
+              0x1.18c867aa54e5ap+0, 0x1.f16d99fc511bcp+0, 0x1.4128fcf0ad001p+1,
+              0x1.17e453c337bc4p+0, 0.0, 0x1.85363720d2cb2p+0,
+              0x1.b456aa4b51138p+0};
+  round2.c = {0x1.46930ccdb1f48p-1, 0x1.03d5845113675p-1};
+  round2.upper = {16, 16};
+  return {round1, round2};
+}
+
+TEST(BranchBound, RealSpinningRoundsProveTheirOptimum) {
+  for (const IntegerProgram& p : spinning_rounds()) {
+    const IpResult r = BranchBoundSolver().solve(p);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_TRUE(r.proven_optimal);
+    EXPECT_LE(r.nodes, 200);
+    // Rows with b = 0 (a cell already at its budget) forbid every grant.
+    // The enumeration checks A x <= b exactly: coefficients near 1e-10 sit
+    // below the absolute 1e-9 tolerance, which would admit a grant there.
+    EXPECT_TRUE(ip_feasible(p, r.x, 0.0));
+    EXPECT_EQ(r.objective, brute_force(p, 0.0));
+    EXPECT_GT(r.lp_bound, 10.0);  // the relaxation is far from integral
+  }
 }
 
 TEST(Greedy, AlwaysFeasible) {

@@ -1,5 +1,5 @@
 // Power-control tests: closed-loop convergence, rail behaviour, the split
-// update the simulator's lanes rely on, and the outer-loop FER equilibrium.
+// update the simulator's lanes rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -112,38 +112,6 @@ TEST(ClosedLoop, SplitUpdateMatchesUpdateBitForBit) {
     EXPECT_GT(at_max, 0) << "seed " << seed;
     EXPECT_GT(at_min, 0) << "seed " << seed;
   }
-}
-
-TEST(OuterLoop, EquilibriumFerMatchesTarget) {
-  const double fer_target = 0.02;
-  OuterLoopPowerControl outer(7.0, fer_target, 0.5, 3.0, 12.0);
-  common::Rng rng(3);
-  // Toy link: frame errors happen when target is below 7 dB + noise margin.
-  int errors = 0;
-  const int frames = 200000;
-  for (int i = 0; i < frames; ++i) {
-    // Error probability falls steeply with target: sigmoid around 5.5 dB.
-    const double p_err = 1.0 / (1.0 + std::exp(4.0 * (outer.target_db() - 5.5)));
-    const bool err = rng.uniform() < p_err;
-    errors += err ? 1 : 0;
-    outer.on_frame(err);
-  }
-  EXPECT_NEAR(static_cast<double>(errors) / frames, fer_target, 0.005);
-}
-
-TEST(OuterLoop, JumpsUpOnError) {
-  OuterLoopPowerControl outer(7.0, 0.01, 0.5, 3.0, 12.0);
-  const double before = outer.target_db();
-  outer.on_frame(true);
-  EXPECT_NEAR(outer.target_db(), before + 0.5, 1e-12);
-}
-
-TEST(OuterLoop, StaysWithinBounds) {
-  OuterLoopPowerControl outer(7.0, 0.01, 0.5, 3.0, 12.0);
-  for (int i = 0; i < 100; ++i) outer.on_frame(true);
-  EXPECT_DOUBLE_EQ(outer.target_db(), 12.0);
-  for (int i = 0; i < 100000; ++i) outer.on_frame(false);
-  EXPECT_DOUBLE_EQ(outer.target_db(), 3.0);
 }
 
 }  // namespace

@@ -203,6 +203,25 @@ TEST(MigratedBenches, SpecsAreWellFormed) {
   }
 }
 
+// E12a sweeps the CSI feedback delay; the PHY it runs must read feedback,
+// or every row comes out the same.  Stale feedback commits a frame to a mode
+// the channel no longer supports, so the 8-frame row delivers less and
+// violates the BER target more often than the 0-frame row.
+TEST(MigratedBenches, E12FeedbackDelayAxisMovesTheMetrics) {
+  sweep::SweepSpec spec = e12_ablations().front();
+  ASSERT_EQ(spec.name, "feedback-delay");
+  spec.base.sim_duration_s = 8.0;
+  spec.base.warmup_s = 2.0;
+  spec.axes = {sweep::axis_feedback_delay_frames({0, 8})};
+  const sweep::SweepResult result = sweep::run_sweep(spec, 0);
+  ASSERT_EQ(result.scenarios.size(), 2u);
+  const sim::SimMetrics& fresh = result.scenarios[0].merged;
+  const sim::SimMetrics& stale = result.scenarios[1].merged;
+  ASSERT_GT(fresh.sch_frames, 0);
+  EXPECT_LT(stale.data_bits_delivered, fresh.data_bits_delivered);
+  EXPECT_GT(stale.ber_violation_frames, fresh.ber_violation_frames);
+}
+
 TEST(MigratedBenches, E5MergedMetricsAreThreadCountInvariant) {
   // The migrated reverse-link bench, shrunk to test size: same base config
   // and axis kinds, fewer values and a short horizon.

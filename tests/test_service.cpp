@@ -499,6 +499,42 @@ void reseal(std::vector<std::uint8_t>& a) {
   }
 }
 
+// restore() reads only its own layout version.  An archive whose version
+// word names an older or newer layout is refused even with a valid
+// checksum, and the victim keeps its state.
+TEST(CheckpointRestore, RefusesOtherSnapshotVersions) {
+  const sim::SystemConfig cfg = hotspot_config(15);
+  sim::Simulator donor(cfg);
+  for (int f = 0; f < 10; ++f) donor.step_frame();
+  const std::vector<std::uint8_t> archive = donor.snapshot();
+
+  sim::Simulator victim(cfg);
+  for (int f = 0; f < 3; ++f) victim.step_frame();
+  const std::vector<std::uint8_t> before = victim.snapshot();
+
+  constexpr std::size_t kVersionAt = 4;  // the u32 after the magic
+  std::uint32_t version = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    version |= std::uint32_t{archive[kVersionAt + i]} << (8 * i);
+  }
+  ASSERT_EQ(version, 4u);
+  for (const std::uint32_t other : {version - 1, version + 1}) {
+    std::vector<std::uint8_t> forged = archive;
+    for (std::size_t i = 0; i < 4; ++i) {
+      forged[kVersionAt + i] = static_cast<std::uint8_t>(other >> (8 * i));
+    }
+    reseal(forged);
+    EXPECT_FALSE(victim.restore(forged)) << "version " << other;
+    EXPECT_TRUE(victim.snapshot() == before)
+        << "refused restore mutated state (version " << other << ")";
+  }
+  // Resealing alone does not spoil an archive: the real version restores.
+  std::vector<std::uint8_t> resealed = archive;
+  reseal(resealed);
+  ASSERT_TRUE(victim.restore(resealed));
+  EXPECT_TRUE(victim.snapshot() == archive);
+}
+
 /// Offsets of every user's active-set member list in a snapshot: the places
 /// where an ActiveSet checkpoint's layout starts -- two f64 lanes of
 /// `cells` entries, a member count of 1 to 3, that many in-range cells,

@@ -57,16 +57,13 @@ TEST(SweepSpec, AxesApplyTheirKnobs) {
   spec.base = sim::default_config();
   spec.axes = {axis_scheduler({admission::SchedulerKind::kEqualShare}),
                axis_objective({admission::ObjectiveKind::kJ1MaxRate}),
-               axis_max_speed_kmh({90.0}), axis_path_loss_exponent({4.5}),
-               axis_fixed_mode({3})};
+               axis_max_speed_kmh({90.0}), axis_fixed_mode({3})};
   const Scenario s = spec.scenario(0);
   EXPECT_EQ(s.config.admission.policy, "equal-share");
   EXPECT_EQ(s.config.admission.objective, admission::ObjectiveKind::kJ1MaxRate);
   EXPECT_NEAR(s.config.mobility.max_speed_mps, 25.0, 1e-9);
-  EXPECT_EQ(s.config.path_loss.kind, channel::PathLossModelKind::kLogDistance);
-  EXPECT_DOUBLE_EQ(s.config.path_loss.exponent, 4.5);
   EXPECT_EQ(s.config.phy.fixed_mode, 3);
-  EXPECT_EQ(s.labels[4], "m3");
+  EXPECT_EQ(s.labels[3], "m3");
 }
 
 TEST(SweepSpec, ScenarioAndAblationAxesApply) {

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Docs consistency checker, run by the CI docs job and usable locally:
+# Docs consistency checker, run by the CI docs job and by ctest (label
+# selftest), and usable locally:
 #
 #   tools/check_docs.sh [path/to/sweep_main]
 #
 # 1. Every relative markdown link in README.md and docs/*.md must resolve
-#    to a file in the repository.
+#    to a file in the repository, and every backticked path they cite under
+#    src/, tests/, tools/, bench/, examples/ or docs/ must match one (globs
+#    such as `src/mac/scrm.*` included; a command line cites its first word).
 # 2. Every preset registered in the sweep CLI must appear in the README
 #    preset table (pass the sweep_main binary as $1; skipped otherwise).
 # 3. Every registered channel-state provider must appear in both the README
@@ -38,6 +41,15 @@ for doc in README.md docs/*.md; do
       fail=1
     fi
   done < <(grep -oE '\]\(([^)]+)\)' "$doc" | sed -E 's/^\]\((.*)\)$/\1/')
+
+  # Cited paths resolve against the repository root.
+  while IFS= read -r token; do
+    cited="${token%% *}"
+    if ! compgen -G "$cited" >/dev/null; then
+      echo "MISSING PATH: $doc cites \`$cited\`"
+      fail=1
+    fi
+  done < <(grep -oE '`(src|tests|tools|bench|examples|docs)/[^`]*`' "$doc" | tr -d '`')
 done
 
 # --- 2. every registered preset is documented in the README --------------

@@ -60,7 +60,7 @@ class PathLoss {
   /// loss_db(d) = a + b * log10(max(d, min_distance_m)).  Exposed so the
   /// relaxed-precision CSI path can fold the model into two constants at
   /// init while this class stays the single source of the per-model
-  /// parameters (sim::FrameState::set_fast_math consumes it).
+  /// parameters (sim::FrameState::init consumes it for the `fast` provider).
   struct AffineLog10 {
     double a_db = 0.0;
     double b_db = 0.0;

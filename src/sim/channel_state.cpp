@@ -1,230 +1,46 @@
 #include "src/sim/channel_state.hpp"
 
-#include <algorithm>
-#include <atomic>
-
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
-#include "src/sim/frame_state.hpp"
 
 namespace wcdma::sim {
 
 namespace {
 
-/// Reference provider: every cell's link advances every frame.  This is the
-/// legacy frame loop verbatim, so the default configuration stays
-/// bit-identical across the seam.
-class ExhaustiveChannelProvider final : public ChannelStateProvider {
- public:
-  void init(const cell::HexLayout* layout, std::size_t num_users,
-            FrameState* state) override {
-    (void)num_users;
-    WCDMA_ASSERT(layout != nullptr && state != nullptr);
-    state_ = state;
-    all_cells_.resize(layout->num_cells());
-    for (std::size_t k = 0; k < all_cells_.size(); ++k) all_cells_[k] = k;
-  }
-
-  void step_user(std::size_t user, const ChannelUserView& view,
-                 double frame_s) override {
-    const double moved = view.mobility->step(frame_s);
-    state_->step_user_links(user, view.mobility->position(), moved,
-                            all_cells_.data(), all_cells_.size());
-  }
-
-  const std::vector<std::size_t>& cells_for(std::size_t) const override {
-    return all_cells_;
-  }
-
-  std::uint64_t candidate_epoch() const override { return 0; }
-
-  std::string name() const override { return "exhaustive"; }
-
- private:
-  FrameState* state_ = nullptr;
-  std::vector<std::size_t> all_cells_;
-};
-
-/// Neighbour-culling provider: each user maintains a candidate-cell set
-/// (active-set members plus cells within the pilot-floor radius), refreshed
-/// on a slow timer; only candidate links advance each frame.  With
-/// `fast_math` the same candidate/epoch machinery drives the FrameState's
-/// relaxed-precision link kernels instead of the bit-identical ones -- the
-/// registry exposes that composition as the "fast" provider.
-class CulledChannelProvider final : public ChannelStateProvider {
- public:
-  CulledChannelProvider(const CsiConfig& csi, bool fast_math)
-      : csi_(csi), fast_math_(fast_math) {}
-
-  void init(const cell::HexLayout* layout, std::size_t num_users,
-            FrameState* state) override {
-    WCDMA_ASSERT(layout != nullptr && state != nullptr);
-    layout_ = layout;
-    state_ = state;
-    state_->set_fast_math(fast_math_);
-    radius_m_ = csi_.cull_radius_scale * layout_->cell_radius_m();
-    radius_sq_m_ = radius_m_ * radius_m_;
-    candidates_.assign(num_users, {});
-    refresh_left_s_.assign(num_users, 0.0);
-    epoch_.store(1, std::memory_order_relaxed);
-  }
-
-  void step_user(std::size_t user, const ChannelUserView& view,
-                 double frame_s) override {
-    const double moved = view.mobility->step(frame_s);
-    const cell::Point pos = view.mobility->position();
-    refresh_left_s_[user] -= frame_s;
-    if (candidates_[user].empty() || refresh_left_s_[user] <= 0.0) {
-      refresh(user, pos, view);
-    }
-    state_->step_user_links(user, pos, moved, candidates_[user].data(),
-                            candidates_[user].size());
-  }
-
-  const std::vector<std::size_t>& cells_for(std::size_t user) const override {
-    return candidates_[user];
-  }
-
-  std::uint64_t candidate_epoch() const override {
-    return epoch_.load(std::memory_order_relaxed);
-  }
-
-  bool culls() const override { return true; }
-
-  std::string name() const override { return fast_math_ ? "fast" : "culled"; }
-
-  void save_state(common::BinaryWriter& w) const override {
-    w.u64(epoch_.load(std::memory_order_relaxed));
-    w.vec_f64(refresh_left_s_);
-    w.u64(candidates_.size());
-    for (const std::vector<std::size_t>& c : candidates_) {
-      w.u64(c.size());
-      for (std::size_t k : c) w.u32(static_cast<std::uint32_t>(k));
-    }
-  }
-
-  bool load_state(common::BinaryReader& r) override {
-    const std::uint64_t epoch = r.u64();
-    std::vector<double> timers;
-    r.vec_f64(timers);
-    if (!r.ok() || timers.size() != refresh_left_s_.size()) return false;
-    if (r.seq(8) != candidates_.size()) return false;
-    std::vector<std::vector<std::size_t>> cand(candidates_.size());
-    for (std::vector<std::size_t>& c : cand) {
-      const std::size_t n = r.seq(4);
-      c.reserve(n);
-      for (std::size_t i = 0; i < n && r.ok(); ++i) c.push_back(r.u32());
-    }
-    if (!r.ok()) return false;
-    epoch_.store(epoch, std::memory_order_relaxed);
-    refresh_left_s_ = std::move(timers);
-    candidates_ = std::move(cand);
-    return true;
-  }
-
- private:
-  void refresh(std::size_t user, cell::Point pos, const ChannelUserView& view) {
-    refresh_left_s_[user] = csi_.refresh_interval_s;
-    std::vector<std::size_t> next;
-    if (fast_math_) {
-      // Same radius test in the squared domain: no hypot per (user, cell).
-      // (Kept off the reference `culled` path only to preserve its pinned
-      // bit-exact trajectories; the comparison is mathematically the same.)
-      for (std::size_t k = 0; k < layout_->num_cells(); ++k) {
-        if (layout_->distance_sq_to_cell(pos, k) <= radius_sq_m_) next.push_back(k);
-      }
-    } else {
-      for (std::size_t k = 0; k < layout_->num_cells(); ++k) {
-        if (layout_->distance_to_cell(pos, k) <= radius_m_) next.push_back(k);
-      }
-    }
-    // Active-set members stay candidates until hand-off drops them, even
-    // when the user has moved past the radius (hysteresis consistency).
-    for (std::size_t k : view.active_set->members()) {
-      const auto it = std::lower_bound(next.begin(), next.end(), k);
-      if (it == next.end() || *it != k) next.insert(it, k);
-    }
-    if (next.empty()) next.push_back(layout_->nearest_cell(pos));
-    // Cells leaving the set must stop contributing to interference sums.
-    for (std::size_t k : candidates_[user]) {
-      if (!std::binary_search(next.begin(), next.end(), k)) {
-        state_->clear_gain(user, k);
-      }
-    }
-    if (next != candidates_[user]) epoch_.fetch_add(1, std::memory_order_relaxed);
-    candidates_[user] = std::move(next);
-  }
-
-  CsiConfig csi_;
-  bool fast_math_ = false;
-  const cell::HexLayout* layout_ = nullptr;
-  FrameState* state_ = nullptr;
-  double radius_m_ = 0.0;
-  double radius_sq_m_ = 0.0;
-  std::vector<std::vector<std::size_t>> candidates_;
-  std::vector<double> refresh_left_s_;
-  std::atomic<std::uint64_t> epoch_{1};
-};
-
-struct ProviderEntry {
-  const char* name;
-  const char* description;
-  std::unique_ptr<ChannelStateProvider> (*build)(const CsiConfig& csi);
-};
-
-std::unique_ptr<ChannelStateProvider> build_exhaustive(const CsiConfig&) {
-  return std::make_unique<ExhaustiveChannelProvider>();
-}
-
-std::unique_ptr<ChannelStateProvider> build_culled(const CsiConfig& csi) {
-  return std::make_unique<CulledChannelProvider>(csi, /*fast_math=*/false);
-}
-
-std::unique_ptr<ChannelStateProvider> build_fast(const CsiConfig& csi) {
-  return std::make_unique<CulledChannelProvider>(csi, /*fast_math=*/true);
-}
-
-const ProviderEntry kProviders[] = {
+const ChannelProvider kProviders[] = {
     {"exhaustive", "every cell every frame (reference, bit-identical legacy path)",
-     build_exhaustive},
+     /*culls=*/false, /*fast_math=*/false},
     {"culled",
      "active set + pilot-floor radius candidates on a slow refresh timer; "
      "far cells folded back in as ring aggregates",
-     build_culled},
+     /*culls=*/true, /*fast_math=*/false},
     {"fast",
      "culled candidates + far-field aggregates + relaxed-precision link math "
      "(fused exp2 gains, ziggurat draws); statistically equivalent, not "
      "bit-identical",
-     build_fast},
+     /*culls=*/true, /*fast_math=*/true},
 };
 
-const ProviderEntry* find_provider(const std::string& name) {
-  for (const ProviderEntry& entry : kProviders) {
+}  // namespace
+
+const ChannelProvider* find_channel_provider(const std::string& name) {
+  for (const ChannelProvider& entry : kProviders) {
     if (name == entry.name) return &entry;
   }
   return nullptr;
 }
 
-}  // namespace
-
 std::vector<std::string> channel_provider_names() {
   std::vector<std::string> names;
-  for (const ProviderEntry& entry : kProviders) names.push_back(entry.name);
+  for (const ChannelProvider& entry : kProviders) names.push_back(entry.name);
   return names;
 }
 
 bool has_channel_provider(const std::string& name) {
-  return find_provider(name) != nullptr;
-}
-
-std::unique_ptr<ChannelStateProvider> make_channel_provider(const CsiConfig& csi) {
-  const ProviderEntry* entry = find_provider(csi.provider);
-  WCDMA_ASSERT(entry != nullptr && "unknown channel-state provider");
-  return entry->build(csi);
+  return find_channel_provider(name) != nullptr;
 }
 
 std::string channel_provider_description(const std::string& name) {
-  const ProviderEntry* entry = find_provider(name);
+  const ChannelProvider* entry = find_channel_provider(name);
   WCDMA_ASSERT(entry != nullptr && "unknown channel-state provider");
   return entry->description;
 }

@@ -118,10 +118,8 @@ void FarFieldAggregator::refresh(FrameState& state, const std::uint32_t* anchor,
     const std::size_t a = applied_anchor_[i];
     const std::size_t c = static_cast<std::size_t>(applied_carrier_[i]);
     double far = fwd_agg_w_[a * carriers + c];
-    const std::uint32_t* cand = state.candidates_begin(i);
-    const std::size_t n = state.candidate_count(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      far -= gain_of(a, cand[j]) * station_forward_w[cand[j] * carriers + c];
+    for (const std::size_t k : state.cells_for(i)) {
+      far -= gain_of(a, k) * station_forward_w[k * carriers + c];
     }
     state.set_far_fl_w(i, far > 0.0 ? far : 0.0);
   }
@@ -143,10 +141,8 @@ void FarFieldAggregator::refresh(FrameState& state, const std::uint32_t* anchor,
     if (tx <= 0.0) continue;
     const std::size_t a = applied_anchor_[i];
     const std::size_t c = static_cast<std::size_t>(applied_carrier_[i]);
-    const std::uint32_t* cand = state.candidates_begin(i);
-    const std::size_t n = state.candidate_count(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      reverse_far_w_[cand[j] * carriers + c] -= gain_of(a, cand[j]) * tx;
+    for (const std::size_t k : state.cells_for(i)) {
+      reverse_far_w_[k * carriers + c] -= gain_of(a, k) * tx;
     }
   }
   for (double& w : reverse_far_w_) w = w > 0.0 ? w : 0.0;
@@ -181,6 +177,14 @@ bool FarFieldAggregator::load(common::BinaryReader& r) {
       anchor.size() != applied_anchor_.size() ||
       rev.size() != reverse_far_w_.size()) {
     return false;
+  }
+  // The anchors and carriers index the TX buckets on the next frame (and
+  // in tx_buckets_match_rebuild), so they are range-checked here.
+  for (const std::uint32_t a : anchor) {
+    if (a >= num_cells_) return false;
+  }
+  for (const int c : carrier) {
+    if (c < 0 || c >= carriers_) return false;
   }
   tx_sum_ = std::move(tx);
   applied_tx_w_ = std::move(applied_tx);

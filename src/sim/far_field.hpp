@@ -68,9 +68,9 @@ class FrameState;
 class FarFieldAggregator {
  public:
   /// Precomputes the ring geometry and mean-gain tables.  `provider_culls`
-  /// comes from ChannelStateProvider::culls(): an exhaustive world has no
-  /// far field, so the aggregator stays inactive (all terms zero) there
-  /// regardless of the config knob.
+  /// comes from FrameState::culls(): an exhaustive world has no far field,
+  /// so the aggregator stays inactive (all terms zero) there regardless of
+  /// the config knob.
   void init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
             const channel::ShadowingConfig& shadowing, const CsiConfig& csi,
             std::size_t num_users, int carriers, bool provider_culls);
@@ -85,7 +85,7 @@ class FarFieldAggregator {
   /// Slow-timer refresh: re-anchors every user at `anchor[user]` (its
   /// active-set primary), recomputes the forward aggregates from
   /// `station_forward_w` ([cell * carriers + c], last frame's TX powers),
-  /// subtracts each user's candidate cells (FrameState CSR index), and
+  /// subtracts each user's candidate cells (FrameState::cells_for), and
   /// writes the per-user forward lane into `state` plus the per-station
   /// reverse terms.  Sequential; call from the frame thread only.
   void refresh(FrameState& state, const std::uint32_t* anchor,
@@ -112,7 +112,8 @@ class FarFieldAggregator {
 
   /// Serializes the evolved state (TX buckets, applied per-user deltas,
   /// refresh outputs); ring geometry is reproduced by init() on the same
-  /// config.  Inactive aggregators round-trip as a single flag.
+  /// config.  Inactive aggregators round-trip as a single flag.  load()
+  /// refuses anchors outside the world and carriers outside [0, carriers).
   void save(common::BinaryWriter& w) const;
   bool load(common::BinaryReader& r);
 

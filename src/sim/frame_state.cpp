@@ -14,31 +14,14 @@ namespace {
 
 using common::kExp2PerDb;  // one exp2 unit per dB, shared with fastmath
 
-/// The cell -> users transpose of a CSR candidate index, by counting sort:
-/// per-cell user lists come out ascending because the forward pass visits
-/// users in ascending order.
-void transpose_csr(const std::vector<std::uint32_t>& offsets,
-                   const std::vector<std::uint32_t>& cells, std::size_t num_cells,
-                   std::vector<std::uint32_t>& t_offsets,
-                   std::vector<std::uint32_t>& t_users) {
-  t_offsets.assign(num_cells + 2, 0);
-  for (std::uint32_t k : cells) ++t_offsets[k + 2];
-  for (std::size_t k = 2; k < t_offsets.size(); ++k) t_offsets[k] += t_offsets[k - 1];
-  t_users.resize(cells.size());
-  for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
-    for (std::uint32_t o = offsets[u]; o < offsets[u + 1]; ++o) {
-      t_users[t_offsets[cells[o] + 1]++] = static_cast<std::uint32_t>(u);
-    }
-  }
-  t_offsets.pop_back();
-}
-
 }  // namespace
 
 void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
-                      const channel::ShadowingConfig& shadowing, double frame_s,
-                      std::size_t num_users) {
+                      const channel::ShadowingConfig& shadowing, const CsiConfig& csi,
+                      double frame_s, std::size_t num_users) {
   WCDMA_ASSERT(layout != nullptr && path_loss != nullptr);
+  const ChannelProvider* provider = find_channel_provider(csi.provider);
+  WCDMA_ASSERT(provider != nullptr && "unknown channel-state provider");
   layout_ = layout;
   path_loss_ = path_loss;
   shadowing_ = shadowing;
@@ -60,7 +43,32 @@ void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* pa
   fade_frame_.assign(links, 0);
   fade_rho_.assign(num_users_, 0.0);
   fade_innovation_.assign(num_users_, 0.0);
-  candidate_epoch_ = ~std::uint64_t{0};
+
+  fast_math_ = provider->fast_math;
+  if (fast_math_) {
+    // Every registered path-loss model is affine in log10(d) (after the
+    // near-field clamp): loss_db(d) = A + B log10(d), with (A, B) owned by
+    // PathLoss itself.  Fold them once so the per-link evaluation is a
+    // single fused exp2.
+    const channel::PathLoss::AffineLog10 loss = path_loss_->affine_log10();
+    fast_gain_bias_ = -kExp2PerDb * loss.a_db;
+    fast_log2_slope_ = loss.b_db / 10.0;  // kExp2PerDb * B * log10(2) == B / 10
+    fast_half_log2_slope_ = fast_log2_slope_ * 0.5;
+    const double min_d = path_loss_->config().min_distance_m;
+    fast_min_distance_sq_m_ = min_d * min_d;
+    fast_inv_decorr_m_ = 1.0 / shadowing_.decorrelation_m;
+  }
+
+  culls_ = provider->culls;
+  cull_radius_m_ = csi.cull_radius_scale * layout->cell_radius_m();
+  cull_radius_sq_m_ = cull_radius_m_ * cull_radius_m_;
+  refresh_interval_s_ = csi.refresh_interval_s;
+  candidates_.assign(culls_ ? num_users_ : 0, {});
+  refresh_left_s_.assign(culls_ ? num_users_ : 0, 0.0);
+  all_cells_.resize(culls_ ? 0 : num_cells_);
+  for (std::size_t k = 0; k < all_cells_.size(); ++k) all_cells_[k] = k;
+  epoch_.store(culls_ ? 1 : 0, std::memory_order_relaxed);
+  rebuild_transpose();
 }
 
 void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
@@ -89,34 +97,63 @@ void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
   }
 }
 
-void FrameState::set_fast_math(bool on) {
-  fast_math_ = on;
-  if (!on) return;
-  WCDMA_ASSERT(path_loss_ != nullptr && "set_fast_math requires init()");
-  // Every registered path-loss model is affine in log10(d) (after the
-  // near-field clamp): loss_db(d) = A + B log10(d), with (A, B) owned by
-  // PathLoss itself.  Fold them once so the per-link evaluation is a
-  // single fused exp2.
-  const channel::PathLoss::AffineLog10 loss = path_loss_->affine_log10();
-  fast_gain_bias_ = -kExp2PerDb * loss.a_db;
-  fast_log2_slope_ = loss.b_db / 10.0;  // kExp2PerDb * B * log10(2) == B / 10
-  fast_half_log2_slope_ = fast_log2_slope_ * 0.5;
-  const double min_d = path_loss_->config().min_distance_m;
-  fast_min_distance_sq_m_ = min_d * min_d;
-  fast_inv_decorr_m_ = 1.0 / shadowing_.decorrelation_m;
+void FrameState::step_user(std::size_t user, cell::Point pos, double moved_m,
+                           const std::vector<std::size_t>& active_members) {
+  if (culls_) {
+    refresh_left_s_[user] -= frame_s_;
+    if (candidates_[user].empty() || refresh_left_s_[user] <= 0.0) {
+      refresh_candidates(user, pos, active_members);
+    }
+  }
+  if (fast_math_) {
+    step_user_links_fast(user, pos, moved_m, cells_for(user));
+  } else {
+    step_user_links(user, pos, moved_m, cells_for(user));
+  }
+}
+
+void FrameState::refresh_candidates(std::size_t user, cell::Point pos,
+                                    const std::vector<std::size_t>& active_members) {
+  refresh_left_s_[user] = refresh_interval_s_;
+  std::vector<std::size_t> next;
+  if (fast_math_) {
+    // Same radius test in the squared domain: no hypot per (user, cell).
+    // (Kept off the reference `culled` path only to preserve its pinned
+    // bit-exact trajectories; the comparison is mathematically the same.)
+    for (std::size_t k = 0; k < num_cells_; ++k) {
+      if (layout_->distance_sq_to_cell(pos, k) <= cull_radius_sq_m_) next.push_back(k);
+    }
+  } else {
+    for (std::size_t k = 0; k < num_cells_; ++k) {
+      if (layout_->distance_to_cell(pos, k) <= cull_radius_m_) next.push_back(k);
+    }
+  }
+  // Active-set members stay candidates until hand-off drops them, even
+  // when the user has moved past the radius (hysteresis consistency).
+  for (std::size_t k : active_members) {
+    const auto it = std::lower_bound(next.begin(), next.end(), k);
+    if (it == next.end() || *it != k) next.insert(it, k);
+  }
+  if (next.empty()) next.push_back(layout_->nearest_cell(pos));
+  // Cells leaving the set must stop contributing to interference sums.
+  std::vector<std::size_t>& current = candidates_[user];
+  for (std::size_t k : current) {
+    if (!std::binary_search(next.begin(), next.end(), k)) {
+      gain_mean_[link_index(user, k)] = 0.0;
+    }
+  }
+  if (next != current) epoch_.fetch_add(1, std::memory_order_relaxed);
+  current = std::move(next);
 }
 
 void FrameState::step_user_links(std::size_t user, cell::Point pos, double moved_m,
-                                 const std::size_t* cells, std::size_t count) {
-  if (fast_math_) {
-    step_user_links_fast(user, pos, moved_m, cells, count);
-    return;
-  }
+                                 const std::vector<std::size_t>& cells) {
   // One exp/sqrt pair per user: every link of a mobile travels the same
   // distance this frame (bit-identical to the per-link evaluation).
   const double rho = channel::Shadowing::correlation(shadowing_, moved_m);
   const double innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
   const std::size_t row = user * num_cells_;
+  const std::size_t count = cells.size();
   constexpr std::size_t kLane = 32;
   double dx[kLane], dy[kLane], d[kLane];
   for (std::size_t base = 0; base < count; base += kLane) {
@@ -142,8 +179,8 @@ void FrameState::step_user_links(std::size_t user, cell::Point pos, double moved
 }
 
 void FrameState::step_user_links_fast(std::size_t user, cell::Point pos,
-                                      double moved_m, const std::size_t* cells,
-                                      std::size_t count) {
+                                      double moved_m,
+                                      const std::vector<std::size_t>& cells) {
   // Same AR(1) recursion and per-link streams as the reference path; the
   // innovations come from the ziggurat and the composite gain from one
   // fused fast_exp2 per link instead of the pow/log10 pair.
@@ -152,6 +189,7 @@ void FrameState::step_user_links_fast(std::size_t user, cell::Point pos,
       shadowing_.sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho));
   const std::size_t row = user * num_cells_;
   common::Rng& batch_rng = fast_shadow_rng_[user];
+  const std::size_t count = cells.size();
   constexpr std::size_t kLane = 32;
   double z[kLane], d_sq[kLane], shadow[kLane], gain[kLane];
   for (std::size_t base = 0; base < count; base += kLane) {
@@ -205,37 +243,53 @@ double FrameState::fading_factor(std::size_t user, std::size_t cell) {
   return re * re + im * im;
 }
 
-void FrameState::refresh_candidate_index(const ChannelStateProvider& provider) {
-  if (provider.candidate_epoch() == candidate_epoch_) return;
-  candidate_epoch_ = provider.candidate_epoch();
-
-  csr_offsets_.assign(num_users_ + 1, 0);
-  csr_cells_.clear();
+void FrameState::build_transpose(std::vector<std::uint32_t>& offsets,
+                                 std::vector<std::uint32_t>& users) const {
+  // Counting sort: per-cell user lists come out ascending because the
+  // scatter visits users in ascending order.
+  offsets.assign(num_cells_ + 2, 0);
   for (std::size_t u = 0; u < num_users_; ++u) {
-    for (std::size_t k : provider.cells_for(u)) {
-      csr_cells_.push_back(static_cast<std::uint32_t>(k));
-    }
-    csr_offsets_[u + 1] = static_cast<std::uint32_t>(csr_cells_.size());
+    for (std::size_t k : cells_for(u)) ++offsets[k + 2];
   }
-
-  transpose_csr(csr_offsets_, csr_cells_, num_cells_, transpose_offsets_,
-                transpose_users_);
+  for (std::size_t k = 2; k < offsets.size(); ++k) offsets[k] += offsets[k - 1];
+  users.resize(offsets.back());
+  for (std::size_t u = 0; u < num_users_; ++u) {
+    for (std::size_t k : cells_for(u)) {
+      users[offsets[k + 1]++] = static_cast<std::uint32_t>(u);
+    }
+  }
+  offsets.pop_back();
 }
 
-bool FrameState::candidate_index_well_formed() const {
-  if (csr_offsets_.size() != num_users_ + 1 || csr_offsets_.front() != 0 ||
-      csr_offsets_.back() != csr_cells_.size()) {
-    return false;
+void FrameState::rebuild_transpose() {
+  build_transpose(transpose_offsets_, transpose_users_);
+  transpose_epoch_ = candidate_epoch();
+}
+
+bool FrameState::set_well_formed(const std::vector<std::size_t>& cells) const {
+  // A culling provider fills every set on the first frame's step and never
+  // empties one again.
+  if (culls_ && cells.empty() != (frame_ == 0)) return false;
+  for (std::size_t j = 0; j < cells.size(); ++j) {
+    if (cells[j] >= num_cells_ || (j > 0 && cells[j] <= cells[j - 1])) return false;
   }
+  return true;
+}
+
+bool FrameState::candidate_index_consistent() const {
   for (std::size_t u = 0; u < num_users_; ++u) {
-    if (csr_offsets_[u] > csr_offsets_[u + 1]) return false;
-  }
-  for (std::uint32_t k : csr_cells_) {
-    if (k >= num_cells_) return false;
+    if (!set_well_formed(cells_for(u))) return false;
   }
   std::vector<std::uint32_t> offsets, users;
-  transpose_csr(csr_offsets_, csr_cells_, num_cells_, offsets, users);
+  build_transpose(offsets, users);
   return offsets == transpose_offsets_ && users == transpose_users_;
+}
+
+bool FrameState::fading_clocks_valid() const {
+  for (const std::int64_t f : fade_frame_) {
+    if (f < 0 || f > frame_) return false;
+  }
+  return true;
 }
 
 namespace {
@@ -283,11 +337,13 @@ void FrameState::save(common::BinaryWriter& w) const {
   w.vec_f64(gain_mean_);
   w.vec_f64(pilot_fl_);
   w.vec_f64(far_fl_w_);
-  w.vec_u32(csr_offsets_);
-  w.vec_u32(csr_cells_);
-  w.vec_u32(transpose_offsets_);
-  w.vec_u32(transpose_users_);
-  w.u64(candidate_epoch_);
+  if (!culls_) return;
+  w.u64(candidate_epoch());
+  w.vec_f64(refresh_left_s_);
+  for (const std::vector<std::size_t>& cells : candidates_) {
+    w.u64(cells.size());  // vec_u32's layout, which load() reads back
+    for (std::size_t k : cells) w.u32(static_cast<std::uint32_t>(k));
+  }
 }
 
 bool FrameState::load(common::BinaryReader& r) {
@@ -302,31 +358,23 @@ bool FrameState::load(common::BinaryReader& r) {
   if (!load_sized_f64(r, gain_mean_)) return false;
   if (!load_sized_f64(r, pilot_fl_)) return false;
   if (!load_sized_f64(r, far_fl_w_)) return false;
-  // The CSR index is variable-sized (it tracks candidate sets); it is
-  // restored wholesale together with the epoch it was built for.  Its
-  // entries index the gain rows and the per-user lanes, so an archive must
-  // hold either no index (never built) or a well-formed one.
-  r.vec_u32(csr_offsets_);
-  r.vec_u32(csr_cells_);
-  r.vec_u32(transpose_offsets_);
-  r.vec_u32(transpose_users_);
-  candidate_epoch_ = r.u64();
-  const bool never_built = csr_offsets_.empty() && csr_cells_.empty() &&
-                           transpose_offsets_.empty() && transpose_users_.empty();
-  return r.ok() && (never_built || candidate_index_well_formed());
-}
-
-bool FrameState::candidate_index_matches(const ChannelStateProvider& provider) const {
-  if (!candidate_index_well_formed()) return false;
-  for (std::size_t u = 0; u < num_users_; ++u) {
-    const std::vector<std::size_t>& live = provider.cells_for(u);
-    if (candidate_count(u) != live.size()) return false;
-    const std::uint32_t* cand = candidates_begin(u);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (cand[i] != live[i]) return false;
+  if (culls_) {
+    // Every set is checked before the transpose's counting sort indexes
+    // with it: a CRC-valid archive is not a trusted one.
+    const std::uint64_t epoch = r.u64();
+    if (!load_sized_f64(r, refresh_left_s_)) return false;
+    std::vector<std::vector<std::size_t>> sets(num_users_);
+    std::vector<std::uint32_t> cells;
+    for (std::vector<std::size_t>& set : sets) {
+      r.vec_u32(cells);
+      set.assign(cells.begin(), cells.end());
+      if (!r.ok() || !set_well_formed(set)) return false;
     }
+    epoch_.store(epoch, std::memory_order_relaxed);
+    candidates_ = std::move(sets);
   }
-  return true;
+  rebuild_transpose();
+  return r.ok();
 }
 
 }  // namespace wcdma::sim

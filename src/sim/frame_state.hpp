@@ -17,18 +17,24 @@
 //  * local-mean gains and forward pilots: flat double buffers shared by the
 //    interference, pilot, and rise loops.
 //
-// Candidate sets come from the ChannelStateProvider as per-user cell lists;
-// FrameState folds them into a CSR-style (offsets, cells) index plus its
-// transpose (cell -> users), rebuilt only when the provider's candidate
-// epoch moves.  The transpose is what turns the reverse-link rise update
-// from a scatter (racy under sharding) into a deterministic per-station
-// gather in ascending user order.
+// FrameState also owns each user's candidate set -- the cells whose links
+// it steps -- as the `csi.provider` row (src/sim/channel_state.hpp) says:
+// every cell on `exhaustive`; on `culled` and `fast`, the active-set
+// members plus the cells within csi.cull_radius_scale cell radii, chosen
+// again whenever the user's csi.refresh_interval_s timer runs out.  A link
+// leaving a set has its gain zeroed, and a monotone epoch moves whenever
+// any set changes.  The cell -> users transpose of the sets is derived
+// state, rebuilt only when the epoch moves (and on load) and never
+// checkpointed.  It is what turns the reverse-link rise update from a
+// scatter (racy under sharding) into a deterministic per-station gather in
+// ascending user order.
 //
 // RNG stream discipline: link (user, cell) forks user_rng.fork(100 + cell),
 // shadowing consumes fork(1), fading fork(2).  Golden tests pin the
 // resulting trajectories.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -39,44 +45,74 @@
 #include "src/common/assert.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/ziggurat.hpp"
+#include "src/sim/config.hpp"
 
 namespace wcdma::sim {
 
-class ChannelStateProvider;
-
 class FrameState {
  public:
+  /// Binds the world and fixes, from the `csi.provider` row, whether the
+  /// candidate sets cull and whether the links run on the relaxed-
+  /// precision kernels (common/fastmath.hpp + ziggurat draws: the fused
+  /// dB->linear composite gain replaces the per-link pow/log10 pair, and
+  /// shadowing/fading innovations come from the ziggurat instead of polar
+  /// Box-Muller -- same per-link RNG streams and lazy-replay contract, but
+  /// NOT bit-identical to the default path, so only `fast` arms them).
   void init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
-            const channel::ShadowingConfig& shadowing, double frame_s,
-            std::size_t num_users);
+            const channel::ShadowingConfig& shadowing, const CsiConfig& csi,
+            double frame_s, std::size_t num_users);
 
   /// Builds one user's per-cell link state from the `user_rng` streams
   /// (see the stream discipline above).
   void init_user(std::size_t user, const common::Rng& user_rng, double doppler_hz);
 
-  /// Switches link stepping and AR(1) fading replay onto the relaxed-
-  /// precision kernels (common/fastmath.hpp + ziggurat draws): the fused
-  /// dB->linear composite gain replaces the per-link pow/log10 pair, and
-  /// shadowing/fading innovations come from the ziggurat instead of polar
-  /// Box-Muller.  Same per-link RNG streams, same lazy-replay contract,
-  /// same candidate semantics -- but NOT bit-identical to the default path,
-  /// so only the `fast` channel-state provider may flip this.  Must be
-  /// called after init() (it folds the path-loss model into affine
-  /// log-domain constants).
-  void set_fast_math(bool on);
+  bool culls() const { return culls_; }
   bool fast_math() const { return fast_math_; }
 
   /// Starts a new frame (advances the lazy-fading clock).  Call once per
   /// simulator frame before stepping any user.
   void advance_frame() { ++frame_; }
+  /// Frames started since init (the lazy-fading clock).
+  std::int64_t frame() const { return frame_; }
 
-  /// Steps shadowing and refreshes local-mean gains for the user's
-  /// candidate `cells` after the mobile moved `moved_m` to `pos`.  On the
-  /// reference path the link distances are taken in 32-link blocks through
+  /// One user's channel step after the mobile moved `moved_m` to `pos`: on
+  /// a culling provider, counts down the user's refresh timer and, when it
+  /// runs out (or before the user's first step), chooses the candidate set
+  /// again around `active_members`; then steps shadowing and refreshes the
+  /// local-mean gains of every cell in cells_for(user).  On the reference
+  /// path the link distances are taken in 32-link blocks through
   /// kernels::hypot_lane, which equals std::hypot bit for bit at every
   /// dispatch level.  Safe to call concurrently for distinct users.
-  void step_user_links(std::size_t user, cell::Point pos, double moved_m,
-                       const std::size_t* cells, std::size_t count);
+  void step_user(std::size_t user, cell::Point pos, double moved_m,
+                 const std::vector<std::size_t>& active_members);
+
+  /// Cells with live link state for `user`, ascending: every cell on
+  /// `exhaustive`, the candidate set otherwise (empty before the user's
+  /// first step).  The measurement loops iterate exactly this set; gains
+  /// outside it are zero.
+  const std::vector<std::size_t>& cells_for(std::size_t user) const {
+    return culls_ ? candidates_[user] : all_cells_;
+  }
+
+  /// Moves whenever any user's candidate set changes: 0 forever on
+  /// `exhaustive`, from 1 on the culling providers.
+  std::uint64_t candidate_epoch() const {
+    return epoch_.load(std::memory_order_relaxed);
+  }
+
+  /// Rebuilds the cell -> users transpose if the epoch moved since the last
+  /// build.  Sequential; call between the channel and measurement phases.
+  void refresh_transpose() {
+    if (candidate_epoch() != transpose_epoch_) rebuild_transpose();
+  }
+
+  /// Users holding `cell` as a candidate, ascending (transpose index).
+  const std::uint32_t* users_of_cell_begin(std::size_t cell) const {
+    return &transpose_users_[transpose_offsets_[cell]];
+  }
+  std::size_t users_of_cell_count(std::size_t cell) const {
+    return transpose_offsets_[cell + 1] - transpose_offsets_[cell];
+  }
 
   /// Fast-fading power factor of link (user, cell) at the current frame;
   /// replays the link's fading stream up to the frame clock on demand.
@@ -101,66 +137,45 @@ class FrameState {
   double far_fl_w(std::size_t user) const { return far_fl_w_[user]; }
   void set_far_fl_w(std::size_t user, double w) { far_fl_w_[user] = w; }
 
-  /// Zeroes the cached gain of a link leaving a candidate set, so dropped
-  /// cells stop contributing to interference sums.
-  void clear_gain(std::size_t user, std::size_t cell) {
-    gain_mean_[user * num_cells_ + cell] = 0.0;
-  }
-
   std::size_t num_cells() const { return num_cells_; }
   std::size_t num_users() const { return num_users_; }
 
-  // --- CSR candidate index (built from the provider's per-user lists) -----
-  /// Rebuilds the CSR candidate index and its transpose if the provider's
-  /// candidate epoch moved since the last build.  Sequential; call between
-  /// the channel and measurement phases.
-  void refresh_candidate_index(const ChannelStateProvider& provider);
-
-  /// True once refresh_candidate_index() has built the CSR index at least
-  /// once (the far-field refresh must wait for it on the first frame).
-  bool has_candidate_index() const {
-    return csr_offsets_.size() == num_users_ + 1;
-  }
-
-  /// Candidate cells of `user` as a contiguous [begin, end) range.
-  const std::uint32_t* candidates_begin(std::size_t user) const {
-    return &csr_cells_[csr_offsets_[user]];
-  }
-  std::size_t candidate_count(std::size_t user) const {
-    return csr_offsets_[user + 1] - csr_offsets_[user];
-  }
-
-  /// Users holding `cell` as a candidate, ascending (transpose index).
-  const std::uint32_t* users_of_cell_begin(std::size_t cell) const {
-    return &transpose_users_[transpose_offsets_[cell]];
-  }
-  std::size_t users_of_cell_count(std::size_t cell) const {
-    return transpose_offsets_[cell + 1] - transpose_offsets_[cell];
-  }
-
-  /// Cross-checks the CSR candidate index against the provider's live
-  /// per-user candidate sets, and its transpose against a rebuild: the
-  /// candidate-epoch contract says they may only disagree if the provider
-  /// changed a set without moving its epoch.  Test/debug hook for the
-  /// epoch regression suite; O(users x candidates).
-  bool candidate_index_matches(const ChannelStateProvider& provider) const;
+  // --- Invariant checks (Simulator::check_invariants) ----------------------
+  /// Every candidate set is well formed (set_well_formed()), and the
+  /// transpose equals a rebuild from the sets: the epoch contract says they
+  /// may only disagree if a set changed without moving the epoch.  O(links).
+  bool candidate_index_consistent() const;
+  /// Every link's lazy-fading clock lies in [0, frame()].
+  bool fading_clocks_valid() const;
 
   /// Serializes the evolved state only: frame clock, shadowing/fading RNG
-  /// streams and lanes, cached gains/pilots, far-field lane, and the CSR
-  /// candidate index.  Init-time state (geometry tables, per-user fading
-  /// coefficients, fast-math fold constants) is reproduced by re-running
-  /// init()/init_user() on the same config, so load() overwrites only what
-  /// evolves, size-checks every lane against the initialised layout, and
-  /// refuses a CSR index that is not well formed over this world.
+  /// streams and lanes, cached gains/pilots, far-field lane, and on a
+  /// culling provider the epoch, refresh timers and candidate sets.
+  /// Init-time state (geometry tables, per-user fading coefficients,
+  /// fast-math fold constants) is reproduced by re-running
+  /// init()/init_user() on the same config, and the transpose by a rebuild,
+  /// so load() overwrites only what evolves, size-checks every lane against
+  /// the initialised layout, and refuses any candidate set that
+  /// set_well_formed() rejects before the rebuild indexes with it.
   void save(common::BinaryWriter& w) const;
   bool load(common::BinaryReader& r);
 
  private:
+  /// Chooses `user`'s candidate set again around `active_members`, zeroes
+  /// the gains of cells leaving it, and moves the epoch if it changed.
+  void refresh_candidates(std::size_t user, cell::Point pos,
+                          const std::vector<std::size_t>& active_members);
+  void step_user_links(std::size_t user, cell::Point pos, double moved_m,
+                       const std::vector<std::size_t>& cells);
   void step_user_links_fast(std::size_t user, cell::Point pos, double moved_m,
-                            const std::size_t* cells, std::size_t count);
-  /// The CSR index covers every user with ascending offsets and in-range
-  /// cells, and the stored transpose is its rebuild.
-  bool candidate_index_well_formed() const;
+                            const std::vector<std::size_t>& cells);
+  /// The cell -> users transpose of the candidate sets, by counting sort.
+  void build_transpose(std::vector<std::uint32_t>& offsets,
+                       std::vector<std::uint32_t>& users) const;
+  void rebuild_transpose();
+  /// Ascending, unique, in range, and (culling providers) empty exactly
+  /// while the frame clock reads 0.
+  bool set_well_formed(const std::vector<std::size_t>& cells) const;
   std::size_t link_index(std::size_t user, std::size_t cell) const {
     WCDMA_DEBUG_ASSERT(user < num_users_ && cell < num_cells_);
     return user * num_cells_ + cell;
@@ -212,10 +227,21 @@ class FrameState {
   double fast_inv_decorr_m_ = 0.0;   // 1 / shadowing decorrelation distance
   common::ZigguratNormal zig_;
 
-  // CSR candidate index + transpose, valid for candidate_epoch_.
-  std::vector<std::uint32_t> csr_offsets_, csr_cells_;
+  // Candidate sets.  `exhaustive` lists every cell once in all_cells_; the
+  // culling providers keep one ascending set and one refresh countdown per
+  // user, and step_user() writes both from the shard pool, one user each.
+  bool culls_ = false;
+  double cull_radius_m_ = 0.0;
+  double cull_radius_sq_m_ = 0.0;
+  double refresh_interval_s_ = 0.0;
+  std::vector<std::size_t> all_cells_;
+  std::vector<std::vector<std::size_t>> candidates_;
+  std::vector<double> refresh_left_s_;
+  std::atomic<std::uint64_t> epoch_{0};
+
+  // Cell -> users transpose of the sets, valid for transpose_epoch_.
   std::vector<std::uint32_t> transpose_offsets_, transpose_users_;
-  std::uint64_t candidate_epoch_ = ~std::uint64_t{0};
+  std::uint64_t transpose_epoch_ = 0;
 };
 
 }  // namespace wcdma::sim

@@ -42,7 +42,6 @@ Simulator::Simulator(const SystemConfig& config)
       policy_(phy::make_vtaoc_modes(config.phy.vtaoc), config.phy.target_ber),
       admission_policy_(
           admission::make_policy(config.admission.policy, config.seed ^ 0x5cedu)),
-      csi_(make_channel_provider(config.csi)),
       rng_(config.seed) {
   config_.validate();
 
@@ -77,7 +76,7 @@ Simulator::Simulator(const SystemConfig& config)
   }
 
   const int total_users = config_.voice.users + config_.data.users;
-  state_.init(&layout_, &path_loss_, config_.shadowing, config_.frame_s,
+  state_.init(&layout_, &path_loss_, config_.shadowing, config_.csi, config_.frame_s,
               static_cast<std::size_t>(total_users));
   queues_.init(config_.placement.carriers);
   round_ranges_.assign(static_cast<std::size_t>(config_.placement.carriers) * 2,
@@ -164,10 +163,8 @@ Simulator::Simulator(const SystemConfig& config)
     }
   }
 
-  csi_->init(&layout_, users_.size(), &state_);
-
   far_field_.init(&layout_, &path_loss_, config_.shadowing, config_.csi,
-                  users_.size(), config_.placement.carriers, csi_->culls());
+                  users_.size(), config_.placement.carriers, state_.culls());
   if (far_field_.active()) {
     far_anchor_.resize(users_.size());
     far_station_w_.resize(stations_.size());
@@ -194,9 +191,9 @@ void Simulator::step_frame() {
   // pass: measurement of user i depends only on i's own fresh link state
   // plus last frame's (frozen) station powers, never on other users.
   step_mobility_and_channel();
-  // The CSR/transpose rebuild (reverse gather, SCRM reports) must see the
-  // post-refresh candidate sets, so it runs after the fused pass.
-  state_.refresh_candidate_index(*csi_);
+  // The reverse gather reads the transpose of the post-refresh candidate
+  // sets, so its rebuild runs after the fused pass.
+  state_.refresh_transpose();
   step_reverse_measurements();
   step_power_control();
   step_traffic();
@@ -247,11 +244,12 @@ void Simulator::maybe_refresh_far_field() {
   if (!far_field_.active()) return;
   far_refresh_left_s_ -= config_.frame_s;
   if (far_refresh_left_s_ > 0.0) return;
-  // The first frame has no CSR candidate index yet (it is built after the
-  // channel pass); leave the timer expired and retry next frame, so the
+  // The first frame's candidate sets are filled by the fused pass after
+  // this refresh; leave the timer expired and retry next frame, so the
   // aggregates stay zero for exactly one frame -- the culled providers'
-  // pre-far-field behaviour.
-  if (!state_.has_candidate_index()) return;
+  // pre-far-field behaviour.  frame_count_ counts completed frames, so the
+  // gate also holds for a world restored at frame 0 or 1.
+  if (frame_count_ == 0) return;
   far_refresh_left_s_ = config_.csi.refresh_interval_s;
   // Anchors are the active-set primaries, sampled now and frozen until the
   // next refresh; station powers are last frame's (the same lagged
@@ -273,8 +271,9 @@ void Simulator::step_mobility_and_channel() {
              [this](std::size_t shard, std::size_t begin, std::size_t end) {
                for (std::size_t i = begin; i < end; ++i) {
                  User& u = users_[i];
-                 const ChannelUserView view{u.mobility.get(), &u.active_set};
-                 csi_->step_user(i, view, config_.frame_s);
+                 const double moved = u.mobility->step(config_.frame_s);
+                 state_.step_user(i, u.mobility->position(), moved,
+                                  u.active_set.members());
                  forward_measure_user(shard, i);
                }
              });
@@ -288,7 +287,7 @@ void Simulator::forward_measure_user(std::size_t shard, std::size_t i) {
     // Only the user's own carrier contributes interference: other carriers
     // are separate frequencies.  Only candidate cells carry live gain state;
     // the rest contribute zero by construction.
-    const std::vector<std::size_t>& candidates = csi_->cells_for(i);
+    const std::vector<std::size_t>& candidates = state_.cells_for(i);
     const std::size_t* cand = candidates.data();
     const std::size_t n_cand = candidates.size();
     const double* gain = state_.gain_mean_row(i);
@@ -631,10 +630,8 @@ void Simulator::build_frame_context() {
           // SCRM: the kMaxScrmPilots strongest forward pilots (footnote 6),
           // plus the reverse SGR cap from the mobile's power budget.
           std::vector<std::pair<double, std::size_t>> ranked;
-          const std::uint32_t* cand = state_.candidates_begin(i);
-          const std::size_t n_cand = state_.candidate_count(i);
-          for (std::size_t n = 0; n < n_cand; ++n) {
-            ranked.push_back({state_.pilot_fl(i, cand[n]), cand[n]});
+          for (const std::size_t k : state_.cells_for(i)) {
+            ranked.push_back({state_.pilot_fl(i, k), k});
           }
           std::sort(ranked.begin(), ranked.end(),
                     [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -908,7 +905,10 @@ constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 // v4: adaptive data users no longer write a feedback pipe (it was never
 // stepped), and the power-control loops no longer write their SIR target
 // (it never moves from the config's).
-constexpr std::uint32_t kSnapshotVersion = 4;
+// v5: FrameState writes the culling providers' candidate sets; the CSR copy
+// of the sets and its cell -> users transpose are no longer written (the
+// transpose is rebuilt on load).
+constexpr std::uint32_t kSnapshotVersion = 5;
 constexpr std::size_t kSnapshotFooterBytes = 4;
 }  // namespace
 
@@ -926,7 +926,7 @@ std::vector<std::uint8_t> Simulator::snapshot() const {
   w.i32(config_.placement.carriers);
   w.f64(config_.frame_s);
   w.str(config_.admission.policy);
-  w.str(csi_->name());
+  w.str(config_.csi.provider);
 
   w.f64(now_s_);
   w.i64(frame_count_);
@@ -974,7 +974,6 @@ std::vector<std::uint8_t> Simulator::snapshot() const {
 
   state_.save(w);
   far_field_.save(w);
-  csi_->save_state(w);
   admission_policy_->save_state(w);
   metrics_.save(w);
   const std::uint32_t crc = common::crc32(w.bytes());
@@ -991,7 +990,7 @@ bool Simulator::check_snapshot_header(common::BinaryReader& r) const {
   // lint-allow(DET-FLOAT-EQ): config fingerprint; any bit difference must refuse
   if (r.f64() != config_.frame_s) return false;
   if (r.str() != config_.admission.policy) return false;
-  if (r.str() != csi_->name()) return false;
+  if (r.str() != config_.csi.provider) return false;
   return r.ok();
 }
 
@@ -1001,9 +1000,9 @@ bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
   // is refused by checksum before a single field is parsed.  The CRC check,
   // like header rejection, is mutation-free; the body is then restored
   // transactionally against a rollback snapshot, so even an archive that
-  // passes the checksum but fails structurally (tests truncate at every
-  // 64-byte boundary and bit-flip every stride) leaves the simulator
-  // exactly as it was.
+  // passes the checksum but fails structurally or fails check_invariants()
+  // (tests truncate at every 64-byte boundary, bit-flip every stride, and
+  // forge out-of-range fields) leaves the simulator exactly as it was.
   if (bytes.size() <= kSnapshotFooterBytes) return false;
   const std::size_t payload = bytes.size() - kSnapshotFooterBytes;
   std::uint32_t stored = 0;
@@ -1014,10 +1013,7 @@ bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
   common::BinaryReader r(bytes.data(), payload);
   if (!check_snapshot_header(r)) return false;
   const std::vector<std::uint8_t> backup = snapshot();
-  if (restore_body(r)) {
-    validate_invariants();
-    return true;
-  }
+  if (restore_body(r)) return true;
   common::BinaryReader back(backup.data(), backup.size() - kSnapshotFooterBytes);
   const bool rolled_back = check_snapshot_header(back) && restore_body(back);
   WCDMA_ASSERT(rolled_back && "rollback of a just-taken snapshot must succeed");
@@ -1025,8 +1021,10 @@ bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
 }
 
 bool Simulator::restore_body(common::BinaryReader& r) {
-  // Every index field is range-checked before anything can use it: a
-  // CRC-valid archive is not a trusted one.
+  // A CRC-valid archive is not a trusted one.  The loads size-check every
+  // lane before writing it and range-check what they index with on the
+  // spot (candidate sets, far-field anchors and carriers); everything else
+  // is checked once, by check_invariants() at the end.
   now_s_ = r.f64();
   frame_count_ = r.i64();
   far_refresh_left_s_ = r.f64();
@@ -1048,9 +1046,6 @@ bool Simulator::restore_body(common::BinaryReader& r) {
     std::vector<int> carriers;
     r.vec_i32(carriers);
     if (!r.ok() || carriers.size() != user_carrier_.size()) return false;
-    for (const int c : carriers) {
-      if (!carrier_in_range(c)) return false;
-    }
     user_carrier_ = std::move(carriers);
   }
   {
@@ -1064,7 +1059,6 @@ bool Simulator::restore_body(common::BinaryReader& r) {
   if (r.seq(1) != users_.size()) return false;
   for (User& u : users_) {
     u.carrier = r.i32();
-    if (!carrier_in_range(u.carrier)) return false;
     if (!u.mobility->load(r)) return false;
     if (!u.active_set.load(r)) return false;
     u.fl_pc.load(r);
@@ -1084,9 +1078,7 @@ bool Simulator::restore_body(common::BinaryReader& r) {
     u.burst.remaining_bits = r.f64();
     u.burst.arrival_s = r.f64();
     u.burst.setup_left_s = r.f64();
-    const std::uint64_t bin = r.u64();
-    if (bin >= kCoverageBins) return false;
-    u.burst.distance_bin = static_cast<std::size_t>(bin);
+    u.burst.distance_bin = static_cast<std::size_t>(r.u64());
     u.fwd_interference_w = r.f64();
     u.fwd_interference_eff_w = r.f64();
     u.fch_sir_linear = r.f64();
@@ -1095,10 +1087,9 @@ bool Simulator::restore_body(common::BinaryReader& r) {
 
   if (!state_.load(r)) return false;
   if (!far_field_.load(r)) return false;
-  if (!csi_->load_state(r)) return false;
   if (!admission_policy_->load_state(r)) return false;
   if (!metrics_.load(r)) return false;
-  return r.ok() && r.at_end();
+  return r.ok() && r.at_end() && check_invariants();
 }
 
 bool Simulator::check_invariants(std::string* why) const {
@@ -1118,6 +1109,12 @@ bool Simulator::check_invariants(std::string* why) const {
     return fail("per-user SoA mirrors diverged from the population size");
   if (stations_.size() != n_cells * n_carriers)
     return fail("station table size diverged from cells x carriers");
+
+  // Clocks: the lazy fading replay runs each link up to FrameState's clock.
+  if (frame_count_ < 0 || state_.frame() != frame_count_)
+    return fail("the frame count is negative or FrameState's clock disagrees");
+  if (!state_.fading_clocks_valid())
+    return fail("a link's fading clock lies outside [0, the frame clock]");
 
   // Index fields vs the tables they index.
   for (std::size_t i = 0; i < n_users; ++i) {
@@ -1162,9 +1159,9 @@ bool Simulator::check_invariants(std::string* why) const {
   if (static_cast<int>(queued) != pending_requests())
     return fail("queue bucket total diverged from the O(users) pending scan");
 
-  // CSR candidate index vs the provider's live candidate sets + epoch.
-  if (state_.has_candidate_index() && !state_.candidate_index_matches(*csi_))
-    return fail("CSR candidate index is stale vs the provider's sets/epoch");
+  // Candidate sets well formed, and the transpose vs a rebuild from them.
+  if (!state_.candidate_index_consistent())
+    return fail("candidate sets are malformed or their transpose is stale");
 
   // Far-field TX buckets vs a from-scratch aggregation.
   if (far_field_.active() && !far_field_.tx_buckets_match_rebuild(1e-9))

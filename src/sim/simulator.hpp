@@ -48,7 +48,6 @@
 #include "src/phy/link_adapter.hpp"
 #include "src/phy/spreading.hpp"
 #include "src/power/power_control.hpp"
-#include "src/sim/channel_state.hpp"
 #include "src/sim/config.hpp"
 #include "src/sim/far_field.hpp"
 #include "src/sim/frame_state.hpp"
@@ -100,14 +99,15 @@ class Simulator {
   /// config.sim_threads; 0 resolves to hardware concurrency).
   std::size_t sim_threads() const { return sim_threads_; }
   /// Admission-policy and channel-state-provider registry names
-  /// (round-trippable through admission::make_policy / make_channel_provider).
+  /// (round-trippable through admission::make_policy / has_channel_provider).
   std::string policy_name() const { return config_.admission.policy; }
-  std::string channel_provider_name() const { return csi_->name(); }
+  std::string channel_provider_name() const { return config_.csi.provider; }
   /// Epoch-contract cross-checks for the candidate-index regression tests:
-  /// the CSR index must mirror the provider's live candidate sets after
-  /// every frame, and the epoch must move whenever any set changed.
-  bool csi_index_consistent() const { return state_.candidate_index_matches(*csi_); }
-  std::uint64_t csi_candidate_epoch() const { return csi_->candidate_epoch(); }
+  /// the cell -> users transpose must equal a rebuild from the live
+  /// candidate sets after every frame, and the epoch must move whenever any
+  /// set changed.
+  bool csi_index_consistent() const { return state_.candidate_index_consistent(); }
+  std::uint64_t csi_candidate_epoch() const { return state_.candidate_epoch(); }
   /// True when the far-field aggregator is live (culling provider with
   /// csi.far_field.enabled); the default exhaustive path keeps it off.
   bool far_field_active() const { return far_field_.active(); }
@@ -171,20 +171,23 @@ class Simulator {
   /// constructed from the SAME config resumes bit-identically to an
   /// uninterrupted run.  Snapshots are valid between frames only.
   std::vector<std::uint8_t> snapshot() const;
-  /// Restores a snapshot() archive; false (state untouched or safely
-  /// partial) on magic/version/fingerprint mismatch or truncation.
+  /// Restores a snapshot() archive; false (state untouched) on
+  /// magic/version/fingerprint mismatch, truncation, or a restored state
+  /// that fails check_invariants().
   bool restore(const std::vector<std::uint8_t>& bytes);
 
   /// Cross-checks every incrementally-maintained structure against its
   /// from-scratch rebuild: request-queue buckets vs per-user pending state,
-  /// CSR candidate index vs the provider's live sets, far-field TX buckets
-  /// vs a fresh aggregation, SoA lane sizes vs user/cell counts.  Always
-  /// compiled (Release tests call it directly); returns false and names the
-  /// first broken invariant in *why (when non-null) instead of aborting.
+  /// the candidate transpose vs a rebuild from the sets, far-field TX
+  /// buckets vs a fresh aggregation, SoA lane sizes vs user/cell counts,
+  /// and the frame clocks against each other.  Always compiled: restore()
+  /// refuses any archive that fails it, and Release tests call it
+  /// directly.  Returns false and names the first broken invariant in *why
+  /// (when non-null) instead of aborting.
   bool check_invariants(std::string* why = nullptr) const;
   /// Debug/sanitizer builds: aborts via WCDMA_DCHECK when check_invariants
-  /// fails.  Compiled out in Release.  Called at snapshot(), restore(), and
-  /// every kInvariantCheckPeriod-th frame of step_frame().
+  /// fails.  Compiled out in Release.  Called at snapshot() and every
+  /// kInvariantCheckPeriod-th frame of step_frame().
   void validate_invariants() const;
   static constexpr std::int64_t kInvariantCheckPeriod = 64;
 
@@ -268,11 +271,12 @@ class Simulator {
     std::vector<std::pair<std::size_t, double>> pilot_pairs;
   };
 
+  /// Refreshes the far-field aggregates on the slow candidate cadence
+  /// (no-op while the aggregator is inactive or before the first fused
+  /// pass has filled the candidate sets).
+  void maybe_refresh_far_field();
   /// One sharded pass: mobility + candidate refresh + link stepping + this
   /// user's forward measurements (fused; see step_frame).
-  /// Refreshes the far-field aggregates on the slow candidate cadence
-  /// (no-op while the aggregator is inactive or before the first CSR build).
-  void maybe_refresh_far_field();
   void step_mobility_and_channel();
   void forward_measure_user(std::size_t shard, std::size_t user);
   void step_reverse_measurements();
@@ -321,9 +325,10 @@ class Simulator {
   /// Archive fingerprint check (magic/version/config); reads from `r` but
   /// mutates no simulator state, leaving `r` positioned at the body.
   bool check_snapshot_header(common::BinaryReader& r) const;
-  /// Body restore: mutates state and may partially apply on a truncated or
-  /// corrupt archive -- restore() wraps it transactionally with a rollback
-  /// snapshot so callers never observe the partial state.
+  /// Body restore, ending in check_invariants(): mutates state and may
+  /// partially apply on a truncated, corrupt or forged archive -- restore()
+  /// wraps it transactionally with a rollback snapshot so callers never
+  /// observe the partial state.
   bool restore_body(common::BinaryReader& r);
   bool carrier_in_range(int carrier) const {
     return carrier >= 0 && carrier < config_.placement.carriers;
@@ -341,12 +346,11 @@ class Simulator {
   phy::Spreading spreading_;
   phy::AdaptationPolicy policy_;
   std::unique_ptr<admission::AdmissionPolicy> admission_policy_;
-  std::unique_ptr<ChannelStateProvider> csi_;
   common::Rng rng_;
 
   std::vector<BaseStation> stations_;
   std::vector<User> users_;
-  FrameState state_;  // SoA per-link channel state
+  FrameState state_;  // SoA per-link channel state and candidate sets
   /// Last frame's mobile TX power and carrier per user, written by
   /// update_transmit_powers() as compact arrays (not User fields): the
   /// reverse-rise gather walks users in cell-major order, and pulling

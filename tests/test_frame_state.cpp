@@ -115,7 +115,7 @@ TEST(FrameStateFading, LazyReplayMatchesEagerAr1OnTheSameStream) {
   const double doppler = 24.0;
 
   sim::FrameState state;
-  state.init(&layout, &path_loss, shadowing, frame_s, 1);
+  state.init(&layout, &path_loss, shadowing, sim::CsiConfig{}, frame_s, 1);
   const common::Rng user_rng(0xfade);
   state.init_user(0, user_rng, doppler);
 

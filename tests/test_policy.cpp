@@ -44,18 +44,20 @@ TEST(PolicyRegistry, LegacySchedulerKindsMapToRegisteredNames) {
 
 TEST(ChannelProviderRegistry, RoundTripsEveryRegisteredName) {
   const std::vector<std::string> names = sim::channel_provider_names();
-  ASSERT_GE(names.size(), 2u);
+  ASSERT_EQ(names, (std::vector<std::string>{"exhaustive", "culled", "fast"}));
   for (const std::string& name : names) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(sim::has_channel_provider(name));
     EXPECT_FALSE(sim::channel_provider_description(name).empty());
-    sim::CsiConfig csi;
-    csi.provider = name;
-    const auto provider = sim::make_channel_provider(csi);
-    ASSERT_NE(provider, nullptr);
-    EXPECT_EQ(provider->name(), name);
+    const sim::ChannelProvider* row = sim::find_channel_provider(name);
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->name, name);
+    // Only the reference steps every cell; only `fast` leaves bit-identity.
+    EXPECT_EQ(row->culls, name != "exhaustive");
+    EXPECT_EQ(row->fast_math, name == "fast");
   }
   EXPECT_FALSE(sim::has_channel_provider("no-such-provider"));
+  EXPECT_EQ(sim::find_channel_provider("no-such-provider"), nullptr);
 }
 
 TEST(PolicyRegistry, SimulatorReportsItsConfiguredPolicy) {

@@ -346,35 +346,50 @@ TEST(Replay, RefusesAForeignHeader) {
 
 // --- Checkpoint / restore ---------------------------------------------------
 
-// Property: for several master seeds, snapshot at frame k + restore into a
-// freshly constructed simulator + run the remaining frames == the
-// uninterrupted run, bit for bit (metrics and forward powers).
+// Property: for several master seeds and every provider (the culling ones
+// with the far field live and churning candidate sets), snapshot at frame k
+// + restore onto a simulator that has already stepped + run the remaining
+// frames == the uninterrupted run, bit for bit (metrics, station powers and
+// the final snapshot).  k = 0 and 1 pin the far field's first-frame gate:
+// the aggregates must first refresh on the frame after the one that filled
+// the candidate sets, whether or not a restore came in between.
 TEST(CheckpointRestore, ResumedRunEqualsUninterruptedAcrossSeeds) {
-  for (const std::uint64_t seed : {3ull, 17ull, 90001ull}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const sim::SystemConfig cfg = hotspot_config(seed);
-    const std::int64_t frames = frame_count(cfg);
-    const std::int64_t k = frames / 3;
+  for (const std::string provider : {"exhaustive", "culled", "fast"}) {
+    for (const std::uint64_t seed : {3ull, 17ull, 90001ull}) {
+      sim::SystemConfig cfg = hotspot_config(seed);
+      cfg.csi.provider = provider;
+      cfg.csi.refresh_interval_s = 0.2;
+      cfg.csi.cull_radius_scale = 2.0;
+      const std::int64_t frames = frame_count(cfg);
 
-    sim::Simulator uninterrupted(cfg);
-    for (std::int64_t f = 0; f < frames; ++f) uninterrupted.step_frame();
+      sim::Simulator uninterrupted(cfg);
+      for (std::int64_t f = 0; f < frames; ++f) uninterrupted.step_frame();
+      ASSERT_EQ(uninterrupted.far_field_active(), provider != "exhaustive");
 
-    std::vector<std::uint8_t> archive;
-    {
-      sim::Simulator first(cfg);
-      for (std::int64_t f = 0; f < k; ++f) first.step_frame();
-      archive = first.snapshot();
-    }
-    sim::Simulator resumed(cfg);
-    ASSERT_TRUE(resumed.restore(archive));
-    EXPECT_EQ(resumed.frame_index(), k);
-    for (std::int64_t f = k; f < frames; ++f) resumed.step_frame();
+      for (const std::int64_t k : {std::int64_t{0}, std::int64_t{1}, std::int64_t{2},
+                                   std::int64_t{11}, frames / 3}) {
+        SCOPED_TRACE(provider + ", seed " + std::to_string(seed) + ", k " +
+                     std::to_string(k));
+        std::vector<std::uint8_t> archive;
+        {
+          sim::Simulator first(cfg);
+          for (std::int64_t f = 0; f < k; ++f) first.step_frame();
+          archive = first.snapshot();
+        }
+        sim::Simulator resumed(cfg);
+        for (int f = 0; f < 3; ++f) resumed.step_frame();
+        ASSERT_TRUE(resumed.restore(archive));
+        EXPECT_EQ(resumed.frame_index(), k);
+        for (std::int64_t f = k; f < frames; ++f) resumed.step_frame();
 
-    expect_metrics_identical(uninterrupted.metrics(), resumed.metrics());
-    for (std::size_t cell = 0; cell < uninterrupted.num_cells(); ++cell) {
-      EXPECT_EQ(uninterrupted.forward_power_w(cell), resumed.forward_power_w(cell));
-      EXPECT_EQ(uninterrupted.reverse_interference_w(cell),
-                resumed.reverse_interference_w(cell));
+        expect_metrics_identical(uninterrupted.metrics(), resumed.metrics());
+        for (std::size_t cell = 0; cell < uninterrupted.num_cells(); ++cell) {
+          EXPECT_EQ(uninterrupted.forward_power_w(cell), resumed.forward_power_w(cell));
+          EXPECT_EQ(uninterrupted.reverse_interference_w(cell),
+                    resumed.reverse_interference_w(cell));
+        }
+        EXPECT_TRUE(uninterrupted.snapshot() == resumed.snapshot());
+      }
     }
   }
 }
@@ -517,7 +532,7 @@ TEST(CheckpointRestore, RefusesOtherSnapshotVersions) {
   for (std::size_t i = 0; i < 4; ++i) {
     version |= std::uint32_t{archive[kVersionAt + i]} << (8 * i);
   }
-  ASSERT_EQ(version, 4u);
+  ASSERT_EQ(version, 5u);
   for (const std::uint32_t other : {version - 1, version + 1}) {
     std::vector<std::uint8_t> forged = archive;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -557,33 +572,165 @@ std::vector<std::size_t> member_list_offsets(const std::vector<std::uint8_t>& a,
   return found;
 }
 
-// A checksum proves an archive arrived intact, not that it is sane: a forged
-// index that would later address past a table must be refused like any
-// structural failure, leaving the victim untouched.
-TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
+std::uint32_t u32_at(const std::vector<std::uint8_t>& a, std::size_t at) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) v |= std::uint32_t{a[at + i]} << (8 * i);
+  return v;
+}
+
+void put_u32(std::vector<std::uint8_t>& a, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) a[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Restores `forged` onto `victim` and expects a refusal that leaves the
+/// victim's own snapshot unchanged.
+void expect_refused(sim::Simulator& victim, const std::vector<std::uint8_t>& forged,
+                    const std::string& what) {
+  const std::vector<std::uint8_t> before = victim.snapshot();
+  EXPECT_FALSE(victim.restore(forged)) << what;
+  EXPECT_TRUE(victim.snapshot() == before) << what << ": refused restore mutated state";
+}
+
+/// Offset of the request-queue section: it follows the injection lane, a
+/// vec_f64 of one -1.0 ("nothing buffered") per user, and opens with the
+/// bucket count, two per carrier.
+std::vector<std::size_t> queue_section_offsets(const std::vector<std::uint8_t>& a,
+                                               std::size_t users, int carriers) {
+  constexpr std::uint64_t kMinusOne = 0xBFF0000000000000ull;
+  std::vector<std::size_t> found;
+  for (std::size_t at = 0; at + 16 + 8 * users < a.size(); ++at) {
+    if (u64_at(a, at) != users) continue;
+    bool none_buffered = true;
+    for (std::size_t i = 0; i < users && none_buffered; ++i) {
+      none_buffered = u64_at(a, at + 8 + 8 * i) == kMinusOne;
+    }
+    const std::size_t queues = at + 8 + 8 * users;
+    if (none_buffered && u64_at(a, queues) == 2 * static_cast<std::uint64_t>(carriers)) {
+      found.push_back(queues);
+    }
+  }
+  return found;
+}
+
+/// Offset of user 0's candidate set in a culling provider's snapshot: the
+/// refresh-timer lane (a vec_f64 of one entry per user) followed by one
+/// set per user -- a count of 1 to `cells`, then that many ascending
+/// in-range u32 cells.
+std::vector<std::size_t> candidate_set_offsets(const std::vector<std::uint8_t>& a,
+                                               std::size_t users, std::size_t cells) {
+  std::vector<std::size_t> found;
+  for (std::size_t at = 0; at + 8 + 8 * users < a.size(); ++at) {
+    if (u64_at(a, at) != users) continue;
+    std::size_t p = at + 8 + 8 * users;
+    bool sets = true;
+    for (std::size_t u = 0; u < users && sets; ++u) {
+      const std::uint64_t n = p + 8 <= a.size() ? u64_at(a, p) : 0;
+      sets = n >= 1 && n <= cells && p + 8 + 4 * n <= a.size();
+      for (std::size_t j = 0; sets && j < n; ++j) {
+        const std::uint32_t k = u32_at(a, p + 8 + 4 * j);
+        sets = k < cells && (j == 0 || k > u32_at(a, p + 4 + 4 * j));
+      }
+      p += 8 + 4 * n;
+    }
+    if (sets) found.push_back(at + 8 + 8 * users);
+  }
+  return found;
+}
+
+/// Offset of the far-field aggregator's applied-carrier lane: a vec_i32 of
+/// one in-range carrier per user, directly followed by the applied-anchor
+/// lane, a vec_u32 of one in-range cell per user.
+std::vector<std::size_t> far_field_carrier_offsets(const std::vector<std::uint8_t>& a,
+                                                   std::size_t users, std::size_t cells,
+                                                   int carriers) {
+  std::vector<std::size_t> found;
+  for (std::size_t at = 0; at + 16 + 8 * users < a.size(); ++at) {
+    const std::size_t anchors = at + 8 + 4 * users;
+    if (u64_at(a, at) != users || u64_at(a, anchors) != users) continue;
+    bool lanes = true;
+    for (std::size_t i = 0; i < users && lanes; ++i) {
+      lanes = u32_at(a, at + 8 + 4 * i) < static_cast<std::uint32_t>(carriers) &&
+              u32_at(a, anchors + 8 + 4 * i) < cells;
+    }
+    if (lanes) found.push_back(at);
+  }
+  return found;
+}
+
+/// The culling providers' own lanes: candidate sets, and the far-field
+/// anchors and carriers that index the TX buckets.
+void expect_forged_candidate_state_refused(const std::string& provider) {
   sim::SystemConfig cfg = hotspot_config(13);
-  cfg.placement.carriers = 2;
+  cfg.csi.provider = provider;
+  cfg.csi.refresh_interval_s = 0.2;
+  cfg.csi.cull_radius_scale = 2.0;
   sim::Simulator donor(cfg);
-  for (int f = 0; f < 10; ++f) donor.step_frame();
+  for (int f = 0; f < 30; ++f) donor.step_frame();
+  ASSERT_TRUE(donor.far_field_active());
   const std::vector<std::uint8_t> archive = donor.snapshot();
+  const std::size_t users = donor.num_users(), cells = donor.num_cells();
 
   sim::Simulator victim(cfg);
   for (int f = 0; f < 4; ++f) victim.step_frame();
-  const std::vector<std::uint8_t> before = victim.snapshot();
-  const auto expect_refused = [&](const std::vector<std::uint8_t>& forged,
-                                  const char* what) {
-    EXPECT_FALSE(victim.restore(forged)) << what;
-    EXPECT_TRUE(victim.snapshot() == before) << what << ": refused restore mutated state";
-  };
+
+  // User 0's last candidate cell, so the set stays ascending.
+  {
+    const std::vector<std::size_t> found = candidate_set_offsets(archive, users, cells);
+    ASSERT_EQ(found.size(), 1u);
+    const std::size_t set = found.front();
+    std::vector<std::uint8_t> forged = archive;
+    put_u32(forged, set + 8 + 4 * (u64_at(archive, set) - 1), 100000);
+    reseal(forged);
+    expect_refused(victim, forged, "candidate cell 100000");
+  }
+
+  const std::vector<std::size_t> found =
+      far_field_carrier_offsets(archive, users, cells, cfg.placement.carriers);
+  ASSERT_EQ(found.size(), 1u);
+  {
+    std::vector<std::uint8_t> forged = archive;
+    put_u32(forged, found.front() + 8 + 4 * users + 8, 100000);  // user 0's anchor
+    reseal(forged);
+    expect_refused(victim, forged, "far-field anchor 100000");
+  }
+  {
+    ASSERT_EQ(cfg.placement.carriers, 1);
+    std::vector<std::uint8_t> forged = archive;
+    put_u32(forged, found.front() + 8, 7);  // user 0's carrier
+    reseal(forged);
+    expect_refused(victim, forged, "far-field carrier 7 of 1");
+  }
+
+  ASSERT_TRUE(victim.restore(archive));
+  victim.step_frame();
+  std::string why;
+  EXPECT_TRUE(victim.check_invariants(&why)) << why;
+}
+
+// A checksum proves an archive arrived intact, not that it is sane: a forged
+// index that would later address past a table, or a forged clock that the
+// lazy fading replay would chase, must be refused like any structural
+// failure, leaving the victim untouched.
+TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
+  sim::SystemConfig cfg = hotspot_config(13);
+  cfg.placement.carriers = 2;
+  constexpr int kDonorFrames = 30;
+  sim::Simulator donor(cfg);
+  for (int f = 0; f < kDonorFrames; ++f) donor.step_frame();
+  const std::vector<std::uint8_t> archive = donor.snapshot();
+  const std::size_t users = donor.num_users(), cells = donor.num_cells();
+
+  sim::Simulator victim(cfg);
+  for (int f = 0; f < 4; ++f) victim.step_frame();
 
   // The layout scan must find exactly one member list per user.
-  const std::vector<std::size_t> lists = member_list_offsets(archive, donor.num_cells());
-  ASSERT_EQ(lists.size(), donor.num_users());
+  const std::vector<std::size_t> lists = member_list_offsets(archive, cells);
+  ASSERT_EQ(lists.size(), users);
   {
     std::vector<std::uint8_t> forged = archive;
     put_u64(forged, lists.front() + 8, 100000);  // user 0's first member
     reseal(forged);
-    expect_refused(forged, "active-set member 100000");
+    expect_refused(victim, forged, "active-set member 100000");
   }
   const auto pair = std::find_if(lists.begin(), lists.end(), [&](std::size_t at) {
     return u64_at(archive, at) >= 2;
@@ -593,14 +740,14 @@ TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
     std::vector<std::uint8_t> forged = archive;
     put_u64(forged, *pair + 16, u64_at(archive, *pair + 8));
     reseal(forged);
-    expect_refused(forged, "repeated active-set member");
+    expect_refused(victim, forged, "repeated active-set member");
   }
 
   // A user's carrier field, found by moving an idle data user's carrier
   // through the public API and diffing the two snapshots.
   {
     sim::Simulator probe(cfg);
-    for (int f = 0; f < 10; ++f) probe.step_frame();
+    for (int f = 0; f < kDonorFrames; ++f) probe.step_frame();
     std::size_t user = cfg.voice.users;
     while (probe.user_has_pending(user) || probe.user_burst_active(user)) ++user;
     ASSERT_LT(user, probe.num_users());
@@ -615,13 +762,12 @@ TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
     std::vector<std::uint8_t> forged = archive;
     forged[diff.front()] = 2;  // carriers are 0 and 1
     reseal(forged);
-    expect_refused(forged, "user carrier 2 of 2");
+    expect_refused(victim, forged, "user carrier 2 of 2");
   }
 
   // The per-user carrier mirror the reverse gather indexes stations by: a
   // vec_i32 of one carrier per user, followed by the next per-user lane.
   {
-    const std::size_t users = donor.num_users();
     std::vector<std::size_t> found;
     for (std::size_t at = 0; at + 16 + 4 * users < archive.size(); ++at) {
       if (u64_at(archive, at) != users || u64_at(archive, at + 8 + 4 * users) != users)
@@ -636,48 +782,41 @@ TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
     }
     ASSERT_EQ(found.size(), 1u);
     std::vector<std::uint8_t> forged = archive;
-    forged[found.front() + 8] = 0xff;  // user 0's mirrored carrier: -1 as i32
-    forged[found.front() + 9] = 0xff;
-    forged[found.front() + 10] = 0xff;
-    forged[found.front() + 11] = 0xff;
+    put_u32(forged, found.front() + 8, 0xffffffffu);  // user 0's mirrored carrier: -1
     reseal(forged);
-    expect_refused(forged, "mirrored carrier -1");
+    expect_refused(victim, forged, "mirrored carrier -1");
   }
 
-  // The CSR candidate index and its cell -> users transpose: vec_u32 lanes
-  // of one entry per link.  On the exhaustive provider every user lists
-  // cells 0, 1, ..., and every cell lists users 0, 1, ... in order.
+  // A queued request's user id: the last entry of the first non-empty
+  // bucket, so the bucket stays ascending and only the range is wrong.
   {
-    const std::size_t users = donor.num_users(), cells = donor.num_cells();
-    const auto u32_at = [&](std::size_t at) {
-      return static_cast<std::uint32_t>(u64_at(archive, at) & 0xffffffffu);
-    };
-    const auto find_lane = [&](std::size_t prefix, auto value_at) {
-      std::vector<std::size_t> found;
-      for (std::size_t at = 0; at + 8 + 4 * prefix + 8 < archive.size(); ++at) {
-        if (u64_at(archive, at) != users * cells) continue;
-        bool match = true;
-        for (std::size_t i = 0; i < prefix && match; ++i) {
-          match = u32_at(at + 8 + 4 * i) == value_at(i);
-        }
-        if (match) found.push_back(at + 8);
-      }
-      return found;
-    };
-    const std::vector<std::size_t> csr_cells =
-        find_lane(2 * cells, [&](std::size_t i) { return i % cells; });
-    const std::vector<std::size_t> transpose_users =
-        find_lane(users, [](std::size_t i) { return i; });
-    ASSERT_EQ(csr_cells.size(), 1u);
-    ASSERT_EQ(transpose_users.size(), 1u);
+    ASSERT_GT(donor.queued_requests(), 0);
+    const std::vector<std::size_t> found =
+        queue_section_offsets(archive, users, cfg.placement.carriers);
+    ASSERT_EQ(found.size(), 1u);
+    std::size_t bucket = found.front() + 8;
+    while (u64_at(archive, bucket) == 0) bucket += 8;
+    const std::size_t last = bucket + 8 + 4 * (u64_at(archive, bucket) - 1);
     std::vector<std::uint8_t> forged = archive;
-    forged[csr_cells.front()] = static_cast<std::uint8_t>(cells);  // user 0's first cell
+    put_u32(forged, last, 100000);
     reseal(forged);
-    expect_refused(forged, "candidate cell one past the last");
-    forged = archive;
-    forged[transpose_users.front() + 2] = 0x01;  // cell 0's first user: 65536
+    expect_refused(victim, forged, "request-queue user id 100000");
+  }
+
+  // FrameState's frame clock: an i64 directly followed by the shadowing
+  // stream count, one stream per link.  Restored at 2^50, the next frame's
+  // fading replay would run 2^50 steps.
+  {
+    std::vector<std::size_t> found;
+    for (std::size_t at = 0; at + 16 <= archive.size(); ++at) {
+      if (u64_at(archive, at) == kDonorFrames && u64_at(archive, at + 8) == users * cells)
+        found.push_back(at);
+    }
+    ASSERT_EQ(found.size(), 1u);
+    std::vector<std::uint8_t> forged = archive;
+    put_u64(forged, found.front(), std::uint64_t{1} << 50);
     reseal(forged);
-    expect_refused(forged, "transpose user 65536");
+    expect_refused(victim, forged, "FrameState frame clock 2^50");
   }
 
   // The intact archive restores, and the restored world steps.
@@ -685,6 +824,11 @@ TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
   victim.step_frame();
   std::string why;
   EXPECT_TRUE(victim.check_invariants(&why)) << why;
+
+  for (const char* provider : {"culled", "fast"}) {
+    SCOPED_TRACE(provider);
+    expect_forged_candidate_state_refused(provider);
+  }
 }
 
 TEST(CheckpointRestore, ServiceCheckpointCarriesBufferedInjections) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 
 namespace wcdma::admission {
 
@@ -16,7 +17,7 @@ const char* to_string(ObjectiveKind k) {
 
 double delay_weight(const DelayPenaltyConfig& config, double w_s) {
   WCDMA_DEBUG_ASSERT(w_s >= 0.0);
-  return 1.0 - std::exp(-config.mu * w_s);
+  return 1.0 - common::refmath::exp(-config.mu * w_s);
 }
 
 double delay_penalty(const DelayPenaltyConfig& config, double w_s, double r, double r_max) {

@@ -31,11 +31,13 @@ double reverse_pole_capacity(const ReverseLinkBudget& b) {
 
 double rise_over_thermal_db(double eta) {
   WCDMA_ASSERT(eta >= 0.0 && eta < 1.0);
+  // lint-allow(PORT-LIBM): closed-form analysis, never on a trajectory
   return -10.0 * std::log10(1.0 - eta);
 }
 
 double load_at_rise_db(double rise_db) {
   WCDMA_ASSERT(rise_db >= 0.0);
+  // lint-allow(PORT-LIBM): closed-form analysis, never on a trajectory
   return 1.0 - std::pow(10.0, -rise_db / 10.0);
 }
 

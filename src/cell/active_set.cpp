@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 #include "src/common/serialize.hpp"
 #include "src/common/units.hpp"
 
@@ -11,8 +12,8 @@ namespace wcdma::cell {
 
 ActiveSet::ActiveSet(const ActiveSetConfig& config, std::size_t num_cells)
     : config_(config),
-      t_add_linear_(std::pow(10.0, config.t_add_db / 10.0)),
-      t_drop_linear_(std::pow(10.0, config.t_drop_db / 10.0)),
+      t_add_linear_(common::refmath::pow(10.0, config.t_add_db / 10.0)),
+      t_drop_linear_(common::refmath::pow(10.0, config.t_drop_db / 10.0)),
       t_add_band_lo_(t_add_linear_ * (1.0 - kAddBand)),
       last_pilot_db_(num_cells, -999.0),
       below_drop_s_(num_cells, 0.0) {

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 
 namespace wcdma::cell {
 
@@ -46,7 +47,7 @@ HexLayout::HexLayout(const HexLayoutConfig& config) : config_(config) {
     // Six rotations of u by 60 degrees tile the plane with clusters.
     for (int s = 0; s < 6; ++s) {
       const double ang = s * (M_PI / 3.0);
-      const double c = std::cos(ang), sn = std::sin(ang);
+      const double c = common::refmath::cos(ang), sn = common::refmath::sin(ang);
       translations_.push_back({u.x * c - u.y * sn, u.x * sn + u.y * c});
     }
   }
@@ -97,7 +98,7 @@ Point HexLayout::random_point(double u1, double u2) const {
   WCDMA_DEBUG_ASSERT(u1 >= 0.0 && u1 < 1.0 && u2 >= 0.0 && u2 < 1.0);
   const double radius = service_radius_m() * std::sqrt(u1);
   const double theta = 2.0 * M_PI * u2;
-  return {radius * std::cos(theta), radius * std::sin(theta)};
+  return {radius * common::refmath::cos(theta), radius * common::refmath::sin(theta)};
 }
 
 }  // namespace wcdma::cell

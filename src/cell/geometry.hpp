@@ -24,7 +24,9 @@ inline Point operator+(Point a, Point b) { return {a.x + b.x, a.y + b.y}; }
 inline Point operator-(Point a, Point b) { return {a.x - b.x, a.y - b.y}; }
 inline Point operator*(double s, Point p) { return {s * p.x, s * p.y}; }
 
-inline double norm(Point p) { return std::hypot(p.x, p.y); }
+/// Euclidean length as the correctly rounded root of the squared norm: IEEE
+/// operations only, so the same bits on every host (no libm hypot).
+inline double norm(Point p) { return std::sqrt(p.x * p.x + p.y * p.y); }
 inline double distance(Point a, Point b) { return norm(a - b); }
 
 struct HexLayoutConfig {
@@ -69,20 +71,19 @@ class HexLayout {
     return best;
   }
 
-  /// Distance from `p` to the centre of cell `k`, minimised over the
-  /// wrap-around images when enabled: the hypot of the nearest offset.  The
-  /// reference link path batches the same hypot through
-  /// sim::kernels::hypot_lane.
-  double distance_to_cell(Point p, std::size_t k) const {
-    return norm(nearest_offset(p, k));
-  }
-
   /// Squared distance from `p` to the nearest wrap image of cell `k`.  The
-  /// relaxed-precision CSI path consumes distances only through
-  /// log2(d) = log2(d^2) / 2, so it never needs the metric root.
+  /// link gains consume distances only through log2(d) = log2(d^2) / 2, and
+  /// the culling radius test compares squares, so neither takes a root.
   double distance_sq_to_cell(Point p, std::size_t k) const {
     const Point d = nearest_offset(p, k);
     return d.x * d.x + d.y * d.y;
+  }
+
+  /// Distance from `p` to the centre of cell `k`, minimised over the
+  /// wrap-around images when enabled: the correctly rounded root of
+  /// distance_sq_to_cell.
+  double distance_to_cell(Point p, std::size_t k) const {
+    return std::sqrt(distance_sq_to_cell(p, k));
   }
 
   /// Index of the nearest cell (wrap-aware).

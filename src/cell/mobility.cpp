@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 #include "src/common/serialize.hpp"
 
 namespace wcdma::cell {
@@ -30,7 +31,8 @@ Point load_point(common::BinaryReader& r) {
 Point random_in_disc(common::Rng& rng, const MobilityConfig& config) {
   const double r = config.region_radius_m * std::sqrt(rng.uniform());
   const double th = rng.uniform(0.0, 2.0 * M_PI);
-  return config.region_center + Point{r * std::cos(th), r * std::sin(th)};
+  return config.region_center +
+         Point{r * common::refmath::cos(th), r * common::refmath::sin(th)};
 }
 
 }  // namespace

@@ -1,28 +1,14 @@
 #include "src/channel/fading.hpp"
 
 #include <cmath>
-#include <mutex>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 
 namespace wcdma::channel {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
-
-// libstdc++'s cyl_bessel_j series runs through lgamma(), which writes the
-// process-global `signgam` -- a data race when sweep items construct
-// Simulators on worker threads.  The call sits on cold paths only
-// (AR(1) construction and the rare non-nominal-dt step), so serializing it
-// is free in the frame loop and keeps the result bit-identical to the
-// unsynchronized call (a reimplementation would not be).
-std::mutex bessel_mutex;
-
-double bessel_j0(double x) {
-  const std::lock_guard<std::mutex> lock(bessel_mutex);
-  return std::cyl_bessel_j(0.0, x);
-}
-
 }  // namespace
 
 JakesFading::JakesFading(double doppler_hz, common::Rng rng, int paths)
@@ -34,6 +20,7 @@ JakesFading::JakesFading(double doppler_hz, common::Rng rng, int paths)
   for (int n = 0; n < paths; ++n) {
     // Random arrival angles give a Clarke spectrum in the many-path limit.
     const double alpha = rng.uniform(0.0, kTwoPi);
+    // lint-allow(PORT-LIBM): the Clarke reference only tests and benches sample
     omega_[n] = kTwoPi * doppler_hz_ * std::cos(alpha);
     phase_i_[n] = rng.uniform(0.0, kTwoPi);
     phase_q_[n] = rng.uniform(0.0, kTwoPi);
@@ -44,7 +31,9 @@ JakesFading::JakesFading(double doppler_hz, common::Rng rng, int paths)
 std::complex<double> JakesFading::gain_at(double t) const {
   double re = 0.0, im = 0.0;
   for (std::size_t n = 0; n < omega_.size(); ++n) {
+    // lint-allow(PORT-LIBM): the Clarke reference only tests and benches sample
     re += std::cos(omega_[n] * t + phase_i_[n]);
+    // lint-allow(PORT-LIBM): the Clarke reference only tests and benches sample
     im += std::cos(omega_[n] * t + phase_q_[n]);
   }
   return {re * norm_, im * norm_};
@@ -64,7 +53,7 @@ double Ar1Fading::correlation(double doppler_hz, double dt) {
   const double x = kTwoPi * doppler_hz * dt;
   // j0 of the Clarke autocorrelation; clamp negatives (deep lag) to zero so
   // the AR recursion stays stable and variance-preserving.
-  const double r = bessel_j0(x);
+  const double r = common::refmath::j0(x);
   return r > 0.0 ? r : 0.0;
 }
 

@@ -3,12 +3,13 @@
 // Section 3.1 of the paper relies on path-loss *symmetry* between forward
 // and reverse links (Eq. 13-14) to project neighbour-cell interference from
 // forward pilot measurements; these models are therefore direction-free.
-// Evaluators are header-inline: the simulator calls them once per live link
-// per frame, where the out-of-line call was measurable.
+// The per-frame link gains never evaluate them: sim::FrameState folds
+// affine_log10() into one exp2 per link at init.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
+
+#include "src/common/refmath.hpp"
 
 namespace wcdma::channel {
 
@@ -35,26 +36,30 @@ class PathLoss {
 
   /// Path loss in dB at distance `d_m` metres (clamped to min_distance_m).
   double loss_db(double d_m) const {
+    namespace rm = common::refmath;
     const double d = std::max(d_m, config_.min_distance_m);
     switch (config_.kind) {
       case PathLossModelKind::kLogDistance:
         return config_.reference_db +
-               10.0 * config_.exponent * std::log10(d / config_.reference_distance_m);
+               10.0 * config_.exponent * rm::log10(d / config_.reference_distance_m);
       case PathLossModelKind::k3gppMacro:
-        return 128.1 + 37.6 * std::log10(d / 1000.0);
+        return 128.1 + 37.6 * rm::log10(d / 1000.0);
       case PathLossModelKind::kCost231Hata: {
         // Urban macro at fc = 2000 MHz, hb = 32 m, hm = 1.5 m, large city.
         const double fc = 2000.0, hb = 32.0, hm = 1.5;
-        const double a_hm = 3.2 * std::pow(std::log10(11.75 * hm), 2.0) - 4.97;
-        return 46.3 + 33.9 * std::log10(fc) - 13.82 * std::log10(hb) - a_hm +
-               (44.9 - 6.55 * std::log10(hb)) * std::log10(d / 1000.0) + 3.0;
+        const double l_hm = rm::log10(11.75 * hm);
+        const double a_hm = 3.2 * (l_hm * l_hm) - 4.97;
+        return 46.3 + 33.9 * rm::log10(fc) - 13.82 * rm::log10(hb) - a_hm +
+               (44.9 - 6.55 * rm::log10(hb)) * rm::log10(d / 1000.0) + 3.0;
       }
     }
     return 0.0;  // unreachable
   }
 
   /// Linear channel power *gain* (= 10^(-loss/10)), always in (0, 1].
-  double gain_linear(double d_m) const { return std::pow(10.0, -loss_db(d_m) / 10.0); }
+  double gain_linear(double d_m) const {
+    return common::refmath::pow(10.0, -loss_db(d_m) / 10.0);
+  }
 
   /// Every model above is affine in log10 of the clamped distance:
   /// loss_db(d) = a + b * log10(max(d, min_distance_m)).  Exposed so the
@@ -74,7 +79,7 @@ class PathLoss {
     const double d2 = d1 * 10.0;
     const double l1 = loss_db(d1);
     const double b = loss_db(d2) - l1;  // log10(d2) - log10(d1) == 1
-    return {l1 - b * std::log10(d1), b};
+    return {l1 - b * common::refmath::log10(d1), b};
   }
 
   const PathLossConfig& config() const { return config_; }

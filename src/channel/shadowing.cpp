@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/common/refmath.hpp"
+
 namespace wcdma::channel {
 
 Shadowing::Shadowing(const ShadowingConfig& config, common::Rng rng)
@@ -13,13 +15,15 @@ double Shadowing::step(double moved_m) {
 }
 
 double Shadowing::correlation(const ShadowingConfig& config, double moved_m) {
-  return std::exp(-std::fabs(moved_m) / config.decorrelation_m);
+  return common::refmath::exp(-std::fabs(moved_m) / config.decorrelation_m);
 }
 
 double Shadowing::innovation_sigma(const ShadowingConfig& config, double rho) {
   return config.sigma_db * std::sqrt(1.0 - rho * rho);
 }
 
-double Shadowing::gain_linear() const { return std::pow(10.0, value_db_ / 10.0); }
+double Shadowing::gain_linear() const {
+  return common::refmath::pow(10.0, value_db_ / 10.0);
+}
 
 }  // namespace wcdma::channel

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 #include "src/common/serialize.hpp"
 
 namespace wcdma::common {
@@ -55,20 +56,20 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) {
 double Rng::exponential(double mean) {
   WCDMA_DEBUG_ASSERT(mean > 0.0);
   // -mean * log(1-u); 1-u in (0,1] avoids log(0).
-  return -mean * std::log(1.0 - uniform());
+  return -mean * refmath::log(1.0 - uniform());
 }
 
 double Rng::pareto(double alpha, double xm) {
   WCDMA_DEBUG_ASSERT(alpha > 0.0 && xm > 0.0);
-  return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
+  return xm / refmath::pow(1.0 - uniform(), 1.0 / alpha);
 }
 
 double Rng::pareto_truncated(double alpha, double xm, double cap) {
   WCDMA_DEBUG_ASSERT(cap > xm);
   // Inverse-CDF of the Pareto truncated to [xm, cap].
-  const double f_cap = 1.0 - std::pow(xm / cap, alpha);
+  const double f_cap = 1.0 - refmath::pow(xm / cap, alpha);
   const double u = uniform() * f_cap;
-  return xm / std::pow(1.0 - u, 1.0 / alpha);
+  return xm / refmath::pow(1.0 - u, 1.0 / alpha);
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
@@ -78,7 +79,7 @@ int Rng::poisson(double mean) {
   if (mean <= 0.0) return 0;
   if (mean < 30.0) {
     // Knuth inversion.
-    const double limit = std::exp(-mean);
+    const double limit = refmath::exp(-mean);
     double prod = uniform();
     int n = 0;
     while (prod > limit) {
@@ -94,11 +95,11 @@ int Rng::poisson(double mean) {
 }
 
 double Rng::rayleigh(double sigma) {
-  return sigma * std::sqrt(-2.0 * std::log(1.0 - uniform()));
+  return sigma * std::sqrt(-2.0 * refmath::log(1.0 - uniform()));
 }
 
 double Rng::lognormal_shadow(double sigma_db) {
-  return std::pow(10.0, normal(0.0, sigma_db) / 10.0);
+  return refmath::pow(10.0, normal(0.0, sigma_db) / 10.0);
 }
 
 }  // namespace wcdma::common

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 
 namespace wcdma::common {
 
@@ -130,7 +131,7 @@ inline double Rng::normal() {
     s = u * u + v * v;
   // lint-allow(DET-FLOAT-EQ): Box-Muller rejects the exact-zero draw (log(0))
   } while (s >= 1.0 || s == 0.0);
-  const double f = std::sqrt(-2.0 * std::log(s) / s);
+  const double f = std::sqrt(-2.0 * refmath::log(s) / s);
   spare_normal_ = v * f;
   has_spare_ = true;
   return u * f;

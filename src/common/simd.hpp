@@ -1,20 +1,20 @@
 // Runtime SIMD dispatch for the batch kernels.
 //
 // The SoA lanes from PRs 4-5 (gain rows, ziggurat batch streams, power-
-// control dB lanes) and the exact path's link-distance lane are consumed by
-// vectorized kernels in src/sim/kernels.* and src/common/ziggurat.cpp.
-// This header owns the ONE decision those kernels share: which instruction
-// set to run.  The level is resolved once (CPUID probe + WCDMA_SIMD
-// override) and cached; every kernel entry point switches on
-// active_simd_level().
+// control dB lanes) are consumed by vectorized kernels in src/sim/kernels.*,
+// src/common/refmath.cpp and src/common/ziggurat.cpp.  This header owns the
+// ONE decision those kernels share: which instruction set to run.  The
+// level is resolved once (CPUID probe + WCDMA_SIMD override) and cached;
+// every kernel entry point switches on active_simd_level().
 //
 // Contract (docs/ACCURACY.md "dispatch levels"): every level of every
 // kernel is ELEMENT-WISE IDENTICAL to the scalar implementation -- same IEEE
 // operations in the same order, no FMA contraction, no reassociation -- so
 // the level is a pure throughput knob.  Every provider's trajectory is
 // byte-identical under scalar and AVX2 dispatch (pinned by
-// tests/test_kernels.cpp); the exact path reaches one kernel, hypot_lane,
-// whose every level is libm's std::hypot bit for bit.
+// tests/test_kernels.cpp); the exact path's gain lane runs refmath's exp2
+// and log2 lanes, whose every level is the scalar refmath function
+// (tests/test_refmath.cpp).
 //
 // Resolution order for the startup level:
 //   1. WCDMA_SIMD environment variable  (auto | scalar | avx2)

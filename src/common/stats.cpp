@@ -170,6 +170,7 @@ double kolmogorov_q(double lambda) {
   double sign = 1.0;
   const double a = -2.0 * lambda * lambda;
   for (int k = 1; k <= 100; ++k) {
+    // lint-allow(PORT-LIBM): a test statistic, never on a trajectory
     const double term = sign * std::exp(a * static_cast<double>(k) * k);
     sum += term;
     if (std::fabs(term) < 1e-12 * std::fabs(sum) || std::fabs(term) < 1e-300) break;

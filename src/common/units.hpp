@@ -5,21 +5,21 @@
 // values are decibels.  All functions are pure and constexpr-friendly.
 #pragma once
 
-#include <cmath>
+#include "src/common/refmath.hpp"
 
 namespace wcdma::common {
 
 /// Decibels -> linear power ratio. db_to_linear(3.0103) ~= 2.
-inline double db_to_linear(double db) { return std::pow(10.0, db / 10.0); }
+inline double db_to_linear(double db) { return refmath::pow(10.0, db / 10.0); }
 
 /// Linear power ratio -> decibels. Requires x > 0.
-inline double linear_to_db(double x) { return 10.0 * std::log10(x); }
+inline double linear_to_db(double x) { return 10.0 * refmath::log10(x); }
 
 /// dBm -> watts. 30 dBm == 1 W.
-inline double dbm_to_watt(double dbm) { return std::pow(10.0, (dbm - 30.0) / 10.0); }
+inline double dbm_to_watt(double dbm) { return refmath::pow(10.0, (dbm - 30.0) / 10.0); }
 
 /// Watts -> dBm.
-inline double watt_to_dbm(double w) { return 10.0 * std::log10(w) + 30.0; }
+inline double watt_to_dbm(double w) { return 10.0 * refmath::log10(w) + 30.0; }
 
 /// Thermal noise power (watts) over `bandwidth_hz` at noise figure `nf_db`.
 /// kT = -174 dBm/Hz at 290 K.

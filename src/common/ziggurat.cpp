@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 
+#include "src/common/refmath.hpp"
 #include "src/common/simd.hpp"
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -49,18 +50,18 @@ const ZigguratNormal::Tables& ZigguratNormal::shared_tables() {
     double tn = kTailCut;
     // Layer 0 is the base strip plus the tail, stretched so a uniform
     // 53-bit magnitude below k[0] lands in the strip proper.
-    const double q = kStripArea / std::exp(-0.5 * dn * dn);
+    const double q = kStripArea / refmath::exp(-0.5 * dn * dn);
     t.k[0] = static_cast<std::uint64_t>((dn / q) * kTwo53);
     t.k[1] = 0;
     t.w[0] = q / kTwo53;
     t.w[255] = dn / kTwo53;
     t.f[0] = 1.0;
-    t.f[255] = std::exp(-0.5 * dn * dn);
+    t.f[255] = refmath::exp(-0.5 * dn * dn);
     for (int i = 254; i >= 1; --i) {
-      dn = std::sqrt(-2.0 * std::log(kStripArea / dn + std::exp(-0.5 * dn * dn)));
+      dn = std::sqrt(-2.0 * refmath::log(kStripArea / dn + refmath::exp(-0.5 * dn * dn)));
       t.k[i + 1] = static_cast<std::uint64_t>((dn / tn) * kTwo53);
       tn = dn;
-      t.f[i] = std::exp(-0.5 * dn * dn);
+      t.f[i] = refmath::exp(-0.5 * dn * dn);
       t.w[i] = dn / kTwo53;
     }
     // Every k is below 2^53, so the double mirror is exact and the packed
@@ -84,8 +85,8 @@ double ZigguratNormal::draw_slow_counted(Rng& rng, std::size_t layer, double x,
     // acceptance-loop iteration (the documented tail cost).
     double xx, yy;
     do {
-      xx = -std::log(1.0 - rng.uniform()) / kTailCut;
-      yy = -std::log(1.0 - rng.uniform());
+      xx = -refmath::log(1.0 - rng.uniform()) / kTailCut;
+      yy = -refmath::log(1.0 - rng.uniform());
       *words += 2;
     } while (yy + yy < xx * xx);
     return kTailCut + xx;
@@ -93,7 +94,7 @@ double ZigguratNormal::draw_slow_counted(Rng& rng, std::size_t layer, double x,
   // Wedge between the strip top and the density curve: one word, accept or
   // reject.
   *words += 1;
-  const double fx = std::exp(-0.5 * x * x);
+  const double fx = refmath::exp(-0.5 * x * x);
   if (tables_->f[layer] + rng.uniform() * (tables_->f[layer - 1] - tables_->f[layer]) <
       fx) {
     return x;

@@ -3,8 +3,11 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 
 namespace wcdma::phy {
+
+namespace rm = common::refmath;
 
 AdaptationPolicy::AdaptationPolicy(ModeSet modes, double target_ber)
     : modes_(std::move(modes)), target_ber_(target_ber) {
@@ -38,8 +41,8 @@ double AdaptationPolicy::avg_throughput_rayleigh(double mean_csi) const {
   const std::size_t q_count = modes_.size();
   for (std::size_t i = 0; i < q_count; ++i) {
     const double lo = thresholds_[i];
-    const double hi_p = (i + 1 < q_count) ? std::exp(-thresholds_[i + 1] / mean_csi) : 0.0;
-    const double p = std::exp(-lo / mean_csi) - hi_p;
+    const double hi_p = (i + 1 < q_count) ? rm::exp(-thresholds_[i + 1] / mean_csi) : 0.0;
+    const double p = rm::exp(-lo / mean_csi) - hi_p;
     acc += modes_.all()[i].throughput * p;
   }
   return acc;
@@ -47,7 +50,7 @@ double AdaptationPolicy::avg_throughput_rayleigh(double mean_csi) const {
 
 double AdaptationPolicy::outage_probability_rayleigh(double mean_csi) const {
   WCDMA_ASSERT(mean_csi > 0.0);
-  return 1.0 - std::exp(-thresholds_[0] / mean_csi);
+  return 1.0 - rm::exp(-thresholds_[0] / mean_csi);
 }
 
 double AdaptationPolicy::mode_probability_rayleigh(double mean_csi, int q) const {
@@ -56,8 +59,8 @@ double AdaptationPolicy::mode_probability_rayleigh(double mean_csi, int q) const
   const std::size_t i = static_cast<std::size_t>(q - 1);
   const double lo = thresholds_[i];
   const double hi_p =
-      (i + 1 < modes_.size()) ? std::exp(-thresholds_[i + 1] / mean_csi) : 0.0;
-  return std::exp(-lo / mean_csi) - hi_p;
+      (i + 1 < modes_.size()) ? rm::exp(-thresholds_[i + 1] / mean_csi) : 0.0;
+  return rm::exp(-lo / mean_csi) - hi_p;
 }
 
 double AdaptationPolicy::avg_ber_rayleigh(double mean_csi) const {
@@ -74,9 +77,9 @@ double AdaptationPolicy::avg_ber_rayleigh(double mean_csi) const {
     const double lo = thresholds_[i];
     const double hi = (i + 1 < q_count) ? thresholds_[i + 1] : INFINITY;
     const double s = m.ber_b + 1.0 / eps;
-    const double hi_term = std::isinf(hi) ? 0.0 : std::exp(-s * hi);
-    const double integral = m.ber_a * (std::exp(-s * lo) - hi_term) / (s * eps);
-    const double p = std::exp(-lo / eps) - (std::isinf(hi) ? 0.0 : std::exp(-hi / eps));
+    const double hi_term = std::isinf(hi) ? 0.0 : rm::exp(-s * hi);
+    const double integral = m.ber_a * (rm::exp(-s * lo) - hi_term) / (s * eps);
+    const double p = rm::exp(-lo / eps) - (std::isinf(hi) ? 0.0 : rm::exp(-hi / eps));
     err_bits += m.throughput * integral;
     bits += m.throughput * p;
   }
@@ -89,7 +92,7 @@ double AdaptationPolicy::fixed_mode_avg_throughput_rayleigh(double mean_csi, int
   const double t = thresholds_[static_cast<std::size_t>(q - 1)];
   // Non-adaptive transmitter: always mode q, usable only above its
   // constant-BER threshold.
-  return m.throughput * std::exp(-t / mean_csi);
+  return m.throughput * rm::exp(-t / mean_csi);
 }
 
 }  // namespace wcdma::phy

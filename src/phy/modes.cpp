@@ -3,18 +3,19 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 
 namespace wcdma::phy {
 
 double TransmissionMode::ber(double gamma) const {
   WCDMA_DEBUG_ASSERT(gamma >= 0.0);
-  const double v = ber_a * std::exp(-ber_b * gamma);
+  const double v = ber_a * common::refmath::exp(-ber_b * gamma);
   return v > 0.5 ? 0.5 : v;
 }
 
 double TransmissionMode::gamma_for_ber(double target_ber) const {
   WCDMA_ASSERT(target_ber > 0.0 && target_ber < ber_a);
-  return std::log(ber_a / target_ber) / ber_b;
+  return common::refmath::log(ber_a / target_ber) / ber_b;
 }
 
 ModeSet::ModeSet(std::vector<TransmissionMode> modes) : modes_(std::move(modes)) {
@@ -37,9 +38,9 @@ ModeSet make_vtaoc_modes(const VtaocParams& params) {
   for (int q = 1; q <= params.num_modes; ++q) {
     TransmissionMode& m = modes[static_cast<std::size_t>(q - 1)];
     m.index = q;
-    m.throughput = params.top_throughput / std::pow(2.0, params.num_modes - q);
+    m.throughput = std::ldexp(params.top_throughput, q - params.num_modes);
     m.ber_a = params.a;
-    m.ber_b = params.b1 / std::pow(2.0, q - 1);
+    m.ber_b = std::ldexp(params.b1, 1 - q);
   }
   return ModeSet(std::move(modes));
 }

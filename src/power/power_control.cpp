@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/refmath.hpp"
 #include "src/common/serialize.hpp"
 
 namespace wcdma::power {
@@ -46,7 +47,7 @@ double ClosedLoopPowerControl::update_db(double measured_sir_db) {
 }
 
 double ClosedLoopPowerControl::to_watt(double dbm) {
-  return std::pow(10.0, (dbm - 30.0) / 10.0);
+  return common::refmath::pow(10.0, (dbm - 30.0) / 10.0);
 }
 
 void ClosedLoopPowerControl::save(common::BinaryWriter& w) const {

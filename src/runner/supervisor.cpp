@@ -193,6 +193,7 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
   };
 
   std::size_t done = 0;
+  std::size_t items_done = 0;
   while (done < workers) {
     const double now = monotonic_now_s();
     // Launch every pending shard whose backoff gate has passed.
@@ -232,6 +233,8 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
             decode_shard_result(bytes, expect, &st.items, &why)) {
           st.status = ShardStatus::kDone;
           ++done;
+          items_done += st.items.size();
+          if (options.progress) options.progress(items_done, costs.size());
           continue;
         }
         const std::string reason =

@@ -58,6 +58,9 @@ struct SupervisorOptions {
   FaultPlan fault;
   /// Corrupt checkpoint = hard error instead of discard-and-restart.
   bool strict_checkpoint = false;
+  /// Called with (items done, items total) each time a shard's result
+  /// decodes, so the count only grows and its last call reads total.
+  sweep::ProgressFn progress;
 };
 
 struct SupervisorResult {

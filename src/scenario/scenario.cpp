@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 
 namespace wcdma::scenario {
 
@@ -40,10 +41,10 @@ std::vector<double> hotspot_weights(int rings, double center_boost) {
   weights.reserve(cell::hex_cell_count(rings));
   // Ring r holds 6r cells after the centre; decay the boost geometrically
   // so ring `rings` sits at weight 1.
-  const double decay = std::pow(center_boost, 1.0 / rings);
+  const double decay = common::refmath::pow(center_boost, 1.0 / rings);
   weights.push_back(center_boost);
   for (int ring = 1; ring <= rings; ++ring) {
-    const double w = center_boost / std::pow(decay, ring);
+    const double w = center_boost / common::refmath::pow(decay, ring);
     for (int i = 0; i < 6 * ring; ++i) weights.push_back(w);
   }
   return weights;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 #include "src/common/serialize.hpp"
 #include "src/sim/frame_state.hpp"
 
@@ -46,9 +47,9 @@ void FarFieldAggregator::init(const cell::HexLayout* layout,
   // Mean local-mean gain per (anchor, ring) bucket: path loss at the centre
   // distance times the lognormal shadowing mean E[10^(S/10)], so the
   // aggregate matches the exhaustive far field in expectation.
-  const double sigma_nat = shadowing.sigma_db * std::log(10.0) / 10.0;
-  const double shadow_mean =
-      std::exp(csi.far_field.shadowing_fraction * 0.5 * sigma_nat * sigma_nat);
+  const double sigma_nat = shadowing.sigma_db * common::refmath::log(10.0) / 10.0;
+  const double shadow_mean = common::refmath::exp(csi.far_field.shadowing_fraction *
+                                                  0.5 * sigma_nat * sigma_nat);
   ring_gain_.assign(num_cells_ * num_rings_, 0.0);
   std::vector<std::size_t> ring_count(num_rings_);
   for (std::size_t a = 0; a < num_cells_; ++a) {

@@ -44,24 +44,22 @@ void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* pa
   fade_rho_.assign(num_users_, 0.0);
   fade_innovation_.assign(num_users_, 0.0);
 
+  // Every registered path-loss model is affine in log10(d) (after the
+  // near-field clamp): loss_db(d) = A + B log10(d), with (A, B) owned by
+  // PathLoss itself.  Fold them once so the per-link evaluation is a single
+  // fused exp2.
+  const channel::PathLoss::AffineLog10 loss = path_loss_->affine_log10();
+  gain_bias_ = -kExp2PerDb * loss.a_db;
+  // kExp2PerDb * B * log10(2) == B / 10, halved for the d^2 form.
+  half_log2_slope_ = loss.b_db / 10.0 * 0.5;
+  const double min_d = path_loss_->config().min_distance_m;
+  min_distance_sq_m_ = min_d * min_d;
   fast_math_ = provider->fast_math;
-  if (fast_math_) {
-    // Every registered path-loss model is affine in log10(d) (after the
-    // near-field clamp): loss_db(d) = A + B log10(d), with (A, B) owned by
-    // PathLoss itself.  Fold them once so the per-link evaluation is a
-    // single fused exp2.
-    const channel::PathLoss::AffineLog10 loss = path_loss_->affine_log10();
-    fast_gain_bias_ = -kExp2PerDb * loss.a_db;
-    fast_log2_slope_ = loss.b_db / 10.0;  // kExp2PerDb * B * log10(2) == B / 10
-    fast_half_log2_slope_ = fast_log2_slope_ * 0.5;
-    const double min_d = path_loss_->config().min_distance_m;
-    fast_min_distance_sq_m_ = min_d * min_d;
-    fast_inv_decorr_m_ = 1.0 / shadowing_.decorrelation_m;
-  }
+  fast_inv_decorr_m_ = 1.0 / shadowing_.decorrelation_m;
 
   culls_ = provider->culls;
-  cull_radius_m_ = csi.cull_radius_scale * layout->cell_radius_m();
-  cull_radius_sq_m_ = cull_radius_m_ * cull_radius_m_;
+  const double cull_radius_m = csi.cull_radius_scale * layout->cell_radius_m();
+  cull_radius_sq_m_ = cull_radius_m * cull_radius_m;
   refresh_interval_s_ = csi.refresh_interval_s;
   candidates_.assign(culls_ ? num_users_ : 0, {});
   refresh_left_s_.assign(culls_ ? num_users_ : 0, 0.0);
@@ -105,28 +103,15 @@ void FrameState::step_user(std::size_t user, cell::Point pos, double moved_m,
       refresh_candidates(user, pos, active_members);
     }
   }
-  if (fast_math_) {
-    step_user_links_fast(user, pos, moved_m, cells_for(user));
-  } else {
-    step_user_links(user, pos, moved_m, cells_for(user));
-  }
+  step_user_links(user, pos, moved_m, cells_for(user));
 }
 
 void FrameState::refresh_candidates(std::size_t user, cell::Point pos,
                                     const std::vector<std::size_t>& active_members) {
   refresh_left_s_[user] = refresh_interval_s_;
   std::vector<std::size_t> next;
-  if (fast_math_) {
-    // Same radius test in the squared domain: no hypot per (user, cell).
-    // (Kept off the reference `culled` path only to preserve its pinned
-    // bit-exact trajectories; the comparison is mathematically the same.)
-    for (std::size_t k = 0; k < num_cells_; ++k) {
-      if (layout_->distance_sq_to_cell(pos, k) <= cull_radius_sq_m_) next.push_back(k);
-    }
-  } else {
-    for (std::size_t k = 0; k < num_cells_; ++k) {
-      if (layout_->distance_to_cell(pos, k) <= cull_radius_m_) next.push_back(k);
-    }
+  for (std::size_t k = 0; k < num_cells_; ++k) {
+    if (layout_->distance_sq_to_cell(pos, k) <= cull_radius_sq_m_) next.push_back(k);
   }
   // Active-set members stay candidates until hand-off drops them, even
   // when the user has moved past the radius (hysteresis consistency).
@@ -148,70 +133,45 @@ void FrameState::refresh_candidates(std::size_t user, cell::Point pos,
 
 void FrameState::step_user_links(std::size_t user, cell::Point pos, double moved_m,
                                  const std::vector<std::size_t>& cells) {
-  // One exp/sqrt pair per user: every link of a mobile travels the same
-  // distance this frame (bit-identical to the per-link evaluation).
-  const double rho = channel::Shadowing::correlation(shadowing_, moved_m);
-  const double innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
-  const std::size_t row = user * num_cells_;
-  const std::size_t count = cells.size();
-  constexpr std::size_t kLane = 32;
-  double dx[kLane], dy[kLane], d[kLane];
-  for (std::size_t base = 0; base < count; base += kLane) {
-    const std::size_t n = std::min(kLane, count - base);
-    // The geometry scan gathers each link's nearest-image offset, and the
-    // SIMD-dispatched hypot lane -- std::hypot bit for bit -- takes the
-    // roots as one batch.  The shadowing step and gain stay one fused loop:
-    // the normal draw and the pow/log10 calls are libm's and must run per
-    // link.
-    for (std::size_t i = 0; i < n; ++i) {
-      const cell::Point o = layout_->nearest_offset(pos, cells[base + i]);
-      dx[i] = o.x;
-      dy[i] = o.y;
-    }
-    kernels::hypot_lane(dx, dy, d, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t idx = row + cells[base + i];
-      shadow_db_[idx] = rho * shadow_db_[idx] + shadow_rng_[idx].normal(0.0, innovation);
-      gain_mean_[idx] =
-          path_loss_->gain_linear(d[i]) * std::pow(10.0, shadow_db_[idx] / 10.0);
-    }
+  // One correlation pair per user: every link of a mobile travels the same
+  // distance this frame.
+  double rho, innovation;
+  if (fast_math_) {
+    rho = common::fast_exp(-std::fabs(moved_m) * fast_inv_decorr_m_);
+    innovation = shadowing_.sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho));
+  } else {
+    rho = channel::Shadowing::correlation(shadowing_, moved_m);
+    innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
   }
-}
-
-void FrameState::step_user_links_fast(std::size_t user, cell::Point pos,
-                                      double moved_m,
-                                      const std::vector<std::size_t>& cells) {
-  // Same AR(1) recursion and per-link streams as the reference path; the
-  // innovations come from the ziggurat and the composite gain from one
-  // fused fast_exp2 per link instead of the pow/log10 pair.
-  const double rho = common::fast_exp(-std::fabs(moved_m) * fast_inv_decorr_m_);
-  const double innovation =
-      shadowing_.sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho));
+  const kernels::Family family =
+      fast_math_ ? kernels::Family::kRelaxed : kernels::Family::kReference;
   const std::size_t row = user * num_cells_;
-  common::Rng& batch_rng = fast_shadow_rng_[user];
   const std::size_t count = cells.size();
   constexpr std::size_t kLane = 32;
   double z[kLane], d_sq[kLane], shadow[kLane], gain[kLane];
   for (std::size_t base = 0; base < count; base += kLane) {
     const std::size_t n = std::min(kLane, count - base);
-    // Three passes over each lane block: the whole innovation batch first
-    // (one register-resident stream per user), then a scalar gather of the
-    // squared distances and current shadowing (the geometry scan and the
-    // CSR indirection don't vectorize), then the SIMD-dispatched fused
-    // gain kernel with a contiguous scatter back.
-    zig_.fill(batch_rng, z, n);
+    // A scalar gather of the squared distances and current shadowing (the
+    // geometry scan and the CSR indirection don't vectorize).  Distances
+    // feed the gain only through B log10(d) = (B/2) log10(d^2), so the
+    // squared distance goes straight into the log2 lane: no root per link.
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t k = cells[base + i];
-      const std::size_t idx = row + k;
-      // Distances feed the gain only through B log10(d) = (B/2) log10(d^2),
-      // so the squared distance goes straight into the log2 lane -- no
-      // hypot/sqrt per link.
-      d_sq[i] =
-          std::max(layout_->distance_sq_to_cell(pos, k), fast_min_distance_sq_m_);
-      shadow[i] = shadow_db_[idx];
+      d_sq[i] = std::max(layout_->distance_sq_to_cell(pos, k), min_distance_sq_m_);
+      shadow[i] = shadow_db_[row + k];
     }
-    kernels::shadow_gain_lane(rho, innovation, fast_gain_bias_,
-                              fast_half_log2_slope_, z, d_sq, shadow, gain, n);
+    // The innovations: on `fast` the whole batch from one register-resident
+    // stream per user; on the reference path each link's normal from its
+    // own stream, which is what lets fading replay lazily.
+    if (fast_math_) {
+      zig_.fill(fast_shadow_rng_[user], z, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        z[i] = shadow_rng_[row + cells[base + i]].normal();
+      }
+    }
+    kernels::shadow_gain_lane(family, rho, innovation, gain_bias_, half_log2_slope_, z,
+                              d_sq, shadow, gain, n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t idx = row + cells[base + i];
       shadow_db_[idx] = shadow[i];

@@ -5,9 +5,12 @@
 // indexed [user * num_cells + cell], so the measurement loops stream
 // linearly:
 //
-//  * shadowing: per-link (rng, value_db) pairs stepped once per frame for
-//    every candidate cell, with the AR(1) correlation pair hoisted to one
-//    exp/sqrt per *user* (all links of a mobile move together);
+//  * shadowing and local-mean gain: per-link (rng, value_db) pairs stepped
+//    once per frame for every candidate cell, with the AR(1) correlation
+//    pair hoisted to one exp/sqrt per *user* (all links of a mobile move
+//    together), and each link's gain folded into one exp2 of its shadowing
+//    and log2 of its squared distance, taken in 32-link blocks through
+//    kernels::shadow_gain_lane;
 //  * fast fading: per-link AR(1) state advanced LAZILY -- the stream
 //    is replayed up to the current frame only when a link's fading factor
 //    is observed (the serving leg of an active burst).  Bit-identical to
@@ -51,13 +54,12 @@ namespace wcdma::sim {
 
 class FrameState {
  public:
-  /// Binds the world and fixes, from the `csi.provider` row, whether the
+  /// Binds the world, folds the path-loss model into the gain lane's two
+  /// constants, and fixes, from the `csi.provider` row, whether the
   /// candidate sets cull and whether the links run on the relaxed-
-  /// precision kernels (common/fastmath.hpp + ziggurat draws: the fused
-  /// dB->linear composite gain replaces the per-link pow/log10 pair, and
-  /// shadowing/fading innovations come from the ziggurat instead of polar
-  /// Box-Muller -- same per-link RNG streams and lazy-replay contract, but
-  /// NOT bit-identical to the default path, so only `fast` arms them).
+  /// precision kernels (common/fastmath.hpp + ziggurat draws instead of
+  /// refmath + polar Box-Muller: the lazy-replay contract holds, but NOT
+  /// bit-identical to the reference, so only `fast` arms them).
   void init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
             const channel::ShadowingConfig& shadowing, const CsiConfig& csi,
             double frame_s, std::size_t num_users);
@@ -79,10 +81,8 @@ class FrameState {
   /// a culling provider, counts down the user's refresh timer and, when it
   /// runs out (or before the user's first step), chooses the candidate set
   /// again around `active_members`; then steps shadowing and refreshes the
-  /// local-mean gains of every cell in cells_for(user).  On the reference
-  /// path the link distances are taken in 32-link blocks through
-  /// kernels::hypot_lane, which equals std::hypot bit for bit at every
-  /// dispatch level.  Safe to call concurrently for distinct users.
+  /// local-mean gains of every cell in cells_for(user).  Safe to call
+  /// concurrently for distinct users.
   void step_user(std::size_t user, cell::Point pos, double moved_m,
                  const std::vector<std::size_t>& active_members);
 
@@ -167,8 +167,6 @@ class FrameState {
                           const std::vector<std::size_t>& active_members);
   void step_user_links(std::size_t user, cell::Point pos, double moved_m,
                        const std::vector<std::size_t>& cells);
-  void step_user_links_fast(std::size_t user, cell::Point pos, double moved_m,
-                            const std::vector<std::size_t>& cells);
   /// The cell -> users transpose of the candidate sets, by counting sort.
   void build_transpose(std::vector<std::uint32_t>& offsets,
                        std::vector<std::uint32_t>& users) const;
@@ -213,17 +211,17 @@ class FrameState {
   // Far-field aggregate lane, one forward term per user (stride 1).
   std::vector<double> far_fl_w_;
 
-  // Relaxed-precision mode (the `fast` provider): the path-loss model is
-  // affine in log10(d), so loss_db(d) = A + B log10(d) folds with the
-  // dB->linear conversion into one fast_exp2 per link:
-  //   gain = 2^(K (shadow_db - A) - (B / 10) log2(d)),  K = log2(10) / 10.
+  // The path-loss model is affine in log10(d), so loss_db(d) = A + B log10(d)
+  // folds with the dB->linear conversion into one exp2 per link:
+  //   gain = 2^(K (shadow_db - A) - (B / 20) log2(max(d^2, d_min^2))),
+  // K = log2(10) / 10.
+  double gain_bias_ = 0.0;           // -K * A
+  /// (B / 10) * 0.5: the d^2 form of the loss term (exact: a power-of-two
+  /// scale), matching kernels::shadow_gain_lane's signature.
+  double half_log2_slope_ = 0.0;
+  double min_distance_sq_m_ = 0.0;   // near-field clamp, squared metres
+  // Relaxed-precision mode (the `fast` provider).
   bool fast_math_ = false;
-  double fast_gain_bias_ = 0.0;      // -K * A
-  double fast_log2_slope_ = 0.0;     // B / 10
-  /// (B / 10) * 0.5, folded once for the d^2 form of the loss term (exact:
-  /// a power-of-two scale), matching kernels::shadow_gain_lane's signature.
-  double fast_half_log2_slope_ = 0.0;
-  double fast_min_distance_sq_m_ = 0.0;  // near-field clamp, squared metres
   double fast_inv_decorr_m_ = 0.0;   // 1 / shadowing decorrelation distance
   common::ZigguratNormal zig_;
 
@@ -231,7 +229,6 @@ class FrameState {
   // culling providers keep one ascending set and one refresh countdown per
   // user, and step_user() writes both from the shard pool, one user each.
   bool culls_ = false;
-  double cull_radius_m_ = 0.0;
   double cull_radius_sq_m_ = 0.0;
   double refresh_interval_s_ = 0.0;
   std::vector<std::size_t> all_cells_;

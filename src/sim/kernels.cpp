@@ -1,31 +1,29 @@
 // SIMD implementations of the batch kernels.
 //
-// Every vector body below is a transliteration of its scalar reference --
-// the fastmath sequence (src/common/fastmath.hpp), or glibc's hypot kernel
-// -- into packed IEEE-754 operations: the same adds, multiplies, divides,
-// square roots, and min/max in the same per-element order.  Packed double
-// arithmetic is correctly rounded exactly like scalar, so the
+// Every vector body below is a transliteration of its scalar fastmath
+// reference (src/common/fastmath.hpp) into packed IEEE-754 operations: the
+// same adds, multiplies, divides and min/max in the same per-element order.
+// Packed double arithmetic is correctly rounded exactly like scalar, so the
 // transliteration is element-wise BIT-IDENTICAL -- the contract kernels.hpp
 // documents and tests/test_kernels.cpp enforces.  Three things protect it:
 //
-//  * no FMA anywhere (the AVX2 paths use only mul/add/sub/div/sqrt/min/max,
-//    and this translation unit builds with -ffp-contract=off so the
-//    compiler cannot fuse a mul+add behind our back);
+//  * no FMA anywhere (the AVX2 paths use only mul/add/sub/div/min/max, and
+//    this translation unit builds with -ffp-contract=off so the compiler
+//    cannot fuse a mul+add behind our back);
 //  * floor() is emulated with exact integer conversions (the inputs are
 //    clamped to [-1022, 1022], far inside i32 range);
 //  * NaN lanes are blended back to the ORIGINAL input bits, matching the
-//    scalar early-return that preserves NaN payloads; hypot sends any block
-//    with a special lane to libm whole.
+//    scalar early-return that preserves NaN payloads.
 //
 // The AVX2 bodies are compiled via function-level target attributes, so the
 // file needs no -mavx2 flag and the baseline objects run on any x86-64; the
 // CPUID dispatch in common::active_simd_level() guarantees the AVX2 bodies
-// only run on hosts that have the instructions.
+// only run on hosts that have the instructions.  The reference family's
+// lanes live in src/common/refmath.cpp under the same dispatch.
 #include "src/sim/kernels.hpp"
 
-#include <cmath>
-
 #include "src/common/fastmath.hpp"
+#include "src/common/refmath.hpp"
 #include "src/common/simd.hpp"
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -33,17 +31,6 @@
 #include <immintrin.h>
 #else
 #define WCDMA_KERNELS_X86 0
-#endif
-
-// The packed hypot reproduces one specific libm: glibc's Borges-corrected
-// kernel, built only from correctly rounded operations, which glibc ships
-// from 2.35 on.  Older glibc and other C libraries compute hypot
-// differently, so there the lane stays scalar.
-#if WCDMA_KERNELS_X86 && defined(__GLIBC__) && \
-    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 35))
-#define WCDMA_HYPOT_AVX2 1
-#else
-#define WCDMA_HYPOT_AVX2 0
 #endif
 
 namespace wcdma::sim::kernels {
@@ -68,21 +55,6 @@ void linear_to_db_scalar(const double* x, double* out, std::size_t n) {
 
 void db_to_linear_scalar(const double* db, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = common::fast_db_to_linear(db[i]);
-}
-
-void shadow_gain_scalar(double rho, double innovation_db, double gain_bias,
-                        double half_log2_slope, const double* z, const double* d_sq,
-                        double* shadow_db, double* gain, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double s = rho * shadow_db[i] + innovation_db * z[i];
-    shadow_db[i] = s;
-    gain[i] = common::fast_exp2(common::kExp2PerDb * s + gain_bias -
-                                half_log2_slope * common::fast_log2(d_sq[i]));
-  }
-}
-
-void hypot_scalar(const double* dx, const double* dy, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::hypot(dx[i], dy[i]);
 }
 
 #if WCDMA_KERNELS_X86
@@ -193,94 +165,6 @@ __attribute__((target("avx2"))) void db_to_linear_avx2(const double* db, double*
   db_to_linear_scalar(db + i, out + i, n - i);
 }
 
-__attribute__((target("avx2"))) void shadow_gain_avx2(
-    double rho, double innovation_db, double gain_bias, double half_log2_slope,
-    const double* z, const double* d_sq, double* shadow_db, double* gain,
-    std::size_t n) {
-  const __m256d rho_v = _mm256_set1_pd(rho);
-  const __m256d inn_v = _mm256_set1_pd(innovation_db);
-  const __m256d bias_v = _mm256_set1_pd(gain_bias);
-  const __m256d half_v = _mm256_set1_pd(half_log2_slope);
-  const __m256d k_v = _mm256_set1_pd(common::kExp2PerDb);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d s =
-        _mm256_add_pd(_mm256_mul_pd(rho_v, _mm256_loadu_pd(shadow_db + i)),
-                      _mm256_mul_pd(inn_v, _mm256_loadu_pd(z + i)));
-    _mm256_storeu_pd(shadow_db + i, s);
-    const __m256d loss =
-        _mm256_mul_pd(half_v, log2_pd_avx2(_mm256_loadu_pd(d_sq + i)));
-    const __m256d arg =
-        _mm256_sub_pd(_mm256_add_pd(_mm256_mul_pd(k_v, s), bias_v), loss);
-    _mm256_storeu_pd(gain + i, exp2_pd_avx2(arg));
-  }
-  shadow_gain_scalar(rho, innovation_db, gain_bias, half_log2_slope, z + i,
-                     d_sq + i, shadow_db + i, gain + i, n - i);
-}
-
-#if WCDMA_HYPOT_AVX2
-
-/// glibc's __hypot for x86-64 (no FMA), four lanes at a time.  The scalar
-/// code orders |x|, |y| into ax >= ay, takes early exits for specials,
-/// rescales huge or tiny inputs, and returns ax + ay when ay <= ax 2^-54;
-/// only what is left reaches the kernel below.  A block runs packed when
-/// all four lanes are in that common case, else std::hypot takes it whole.
-/// Both kernel branches are computed and blended on h <= 2 ay, each in the
-/// C source's evaluation order.
-__attribute__((target("avx2"))) void hypot_avx2(const double* dx, const double* dy,
-                                                double* out, std::size_t n) {
-  const __m256d abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d large = _mm256_set1_pd(0x1p+511);
-  const __m256d tiny = _mm256_set1_pd(0x1p-511);
-  const __m256d eps = _mm256_set1_pd(0x1p-54);
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_and_pd(_mm256_loadu_pd(dx + i), abs_mask);
-    const __m256d y = _mm256_and_pd(_mm256_loadu_pd(dy + i), abs_mask);
-    const __m256d ax = _mm256_max_pd(x, y);
-    const __m256d ay = _mm256_min_pd(x, y);
-    // Ordered compares are false on NaN, so the first pair also rejects
-    // non-finite lanes.
-    const __m256d common_case = _mm256_and_pd(
-        _mm256_and_pd(_mm256_cmp_pd(x, large, _CMP_LE_OQ),
-                      _mm256_cmp_pd(y, large, _CMP_LE_OQ)),
-        _mm256_and_pd(_mm256_cmp_pd(ay, tiny, _CMP_GE_OQ),
-                      _mm256_cmp_pd(ay, _mm256_mul_pd(ax, eps), _CMP_GT_OQ)));
-    if (_mm256_movemask_pd(common_case) != 0xF) {
-      hypot_scalar(dx + i, dy + i, out + i, 4);
-      continue;
-    }
-    const __m256d h =
-        _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(ax, ax), _mm256_mul_pd(ay, ay)));
-    // h <= 2 ay: delta = h - ay, t1 = ax (2 delta - ax),
-    //            t2 = (delta - 2 (ax - ay)) delta.
-    const __m256d da = _mm256_sub_pd(h, ay);
-    const __m256d t1a = _mm256_mul_pd(ax, _mm256_sub_pd(_mm256_mul_pd(two, da), ax));
-    const __m256d t2a = _mm256_mul_pd(
-        _mm256_sub_pd(da, _mm256_mul_pd(two, _mm256_sub_pd(ax, ay))), da);
-    // otherwise: delta = h - ax, t1 = 2 delta (ax - 2 ay),
-    //            t2 = (4 delta - ay) ay + delta delta.
-    const __m256d db = _mm256_sub_pd(h, ax);
-    const __m256d t1b = _mm256_mul_pd(_mm256_mul_pd(two, db),
-                                      _mm256_sub_pd(ax, _mm256_mul_pd(two, ay)));
-    const __m256d t2b =
-        _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(_mm256_mul_pd(four, db), ay), ay),
-                      _mm256_mul_pd(db, db));
-    const __m256d near = _mm256_cmp_pd(h, _mm256_mul_pd(two, ay), _CMP_LE_OQ);
-    const __m256d t1 = _mm256_blendv_pd(t1b, t1a, near);
-    const __m256d t2 = _mm256_blendv_pd(t2b, t2a, near);
-    // h -= (t1 + t2) / (2 h)
-    _mm256_storeu_pd(out + i,
-                     _mm256_sub_pd(h, _mm256_div_pd(_mm256_add_pd(t1, t2),
-                                                    _mm256_mul_pd(two, h))));
-  }
-  hypot_scalar(dx + i, dy + i, out + i, n - i);
-}
-
-#endif  // WCDMA_HYPOT_AVX2
-
 #endif  // WCDMA_KERNELS_X86
 
 }  // namespace
@@ -313,24 +197,20 @@ void db_to_linear_lane(const double* db, double* out, std::size_t n) {
   db_to_linear_scalar(db, out, n);
 }
 
-void shadow_gain_lane(double rho, double innovation_db, double gain_bias,
-                      double half_log2_slope, const double* z, const double* d_sq,
-                      double* shadow_db, double* gain, std::size_t n) {
-#if WCDMA_KERNELS_X86
-  if (avx2_active()) {
-    return shadow_gain_avx2(rho, innovation_db, gain_bias, half_log2_slope, z,
-                            d_sq, shadow_db, gain, n);
+void shadow_gain_lane(Family family, double rho, double innovation_db,
+                      double gain_bias, double half_log2_slope, const double* z,
+                      const double* d_sq, double* shadow_db, double* gain,
+                      std::size_t n) {
+  const bool reference = family == Family::kReference;
+  // Three passes over the block, gain doubling as the log2 scratch; each
+  // pass is element-wise, so the split changes no bit.
+  (reference ? common::refmath::log2_lane : log2_lane)(d_sq, gain, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double s = rho * shadow_db[i] + innovation_db * z[i];
+    shadow_db[i] = s;
+    gain[i] = common::kExp2PerDb * s + gain_bias - half_log2_slope * gain[i];
   }
-#endif
-  shadow_gain_scalar(rho, innovation_db, gain_bias, half_log2_slope, z, d_sq,
-                     shadow_db, gain, n);
-}
-
-void hypot_lane(const double* dx, const double* dy, double* out, std::size_t n) {
-#if WCDMA_HYPOT_AVX2
-  if (avx2_active()) return hypot_avx2(dx, dy, out, n);
-#endif
-  hypot_scalar(dx, dy, out, n);
+  (reference ? common::refmath::exp2_lane : exp2_lane)(gain, gain, n);
 }
 
 }  // namespace wcdma::sim::kernels

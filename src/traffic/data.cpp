@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/refmath.hpp"
 #include "src/common/serialize.hpp"
 
 namespace wcdma::traffic {
@@ -14,8 +15,9 @@ double mean_burst_bytes(const DataTrafficConfig& config) {
   // lint-allow(DET-FLOAT-EQ): alpha == 1 exactly is the Pareto-mean singularity
   WCDMA_ASSERT(a > 0.0 && a != 1.0 && cap > xm);
   // E[X] for Pareto truncated at cap.
-  const double f_cap = 1.0 - std::pow(xm / cap, a);
-  const double raw = (a * xm / (a - 1.0)) * (1.0 - std::pow(xm / cap, a - 1.0));
+  const double f_cap = 1.0 - common::refmath::pow(xm / cap, a);
+  const double raw =
+      (a * xm / (a - 1.0)) * (1.0 - common::refmath::pow(xm / cap, a - 1.0));
   return raw / f_cap;
 }
 

@@ -109,9 +109,9 @@ TEST(HexLayout, WrapTranslationsHaveClusterMagnitude) {
   }
 }
 
-// The reference link path takes its roots in batches (sim::kernels::
-// hypot_lane), so both distances must be pure functions of the one offset
-// scan, and that scan must find the nearest wrap image.
+// Both distances must be pure functions of the one offset scan (the link
+// gains read only the squared one), and that scan must find the nearest
+// wrap image.
 TEST(HexLayout, DistancesDeriveFromTheNearestOffset) {
   for (const int rings : {1, 2}) {
     for (const bool wrap : {true, false}) {
@@ -125,7 +125,7 @@ TEST(HexLayout, DistancesDeriveFromTheNearestOffset) {
                       (2.0 * rng.uniform() - 1.0) * span};
         for (std::size_t k = 0; k < layout.num_cells(); ++k) {
           const Point o = layout.nearest_offset(p, k);
-          ASSERT_EQ(layout.distance_to_cell(p, k), std::hypot(o.x, o.y));
+          ASSERT_EQ(layout.distance_to_cell(p, k), std::sqrt(o.x * o.x + o.y * o.y));
           ASSERT_EQ(layout.distance_sq_to_cell(p, k), o.x * o.x + o.y * o.y);
           double nearest_sq = INFINITY;
           for (const Point& t : images) {

@@ -10,8 +10,8 @@
 //    parser, capability clamping of the set_simd_level test hook;
 //  * per-kernel bitwise agreement on randomized lanes plus the documented
 //    edge inputs (subnormals, the +/-1022 exp2 rails, NaN payloads, odd lane
-//    tails) for exp2/log2/dB lanes and the fused shadow-gain kernel, and
-//    hypot_lane against libm's std::hypot itself;
+//    tails) for exp2/log2/dB lanes and the fused shadow-gain kernel in both
+//    families (refmath's own lanes are pinned by tests/test_refmath.cpp);
 //  * ziggurat fill: sample-for-sample, word-count, and stream-position
 //    equality between the scalar fill and the SIMD block fill, across batch
 //    sizes that cover empty, sub-block, block-boundary, and multi-block;
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/common/fastmath.hpp"
+#include "src/common/refmath.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/simd.hpp"
 #include "src/common/ziggurat.hpp"
@@ -214,106 +215,32 @@ TEST(KernelAgreement, ShadowGainLaneBitwiseAcrossLevels) {
     shadow0[i] = rng.normal(0.0, 8.0);
   }
   const double rho = 0.98, innovation = 1.59, bias = -38.2, half_slope = 1.84;
-  std::vector<double> shadow_ref = shadow0, gain_ref(n);
-  ASSERT_TRUE(common::set_simd_level(common::SimdLevel::kScalar));
-  sim::kernels::shadow_gain_lane(rho, innovation, bias, half_slope, z.data(),
-                                 d_sq.data(), shadow_ref.data(),
-                                 gain_ref.data(), n);
-  for (common::SimdLevel level : supported_levels()) {
-    ASSERT_TRUE(common::set_simd_level(level));
-    std::vector<double> shadow = shadow0, gain(n, -1.0);
-    sim::kernels::shadow_gain_lane(rho, innovation, bias, half_slope, z.data(),
-                                   d_sq.data(), shadow.data(), gain.data(), n);
+  using sim::kernels::Family;
+  for (const Family family : {Family::kReference, Family::kRelaxed}) {
+    // The scalar formula, from the family's scalar functions.
+    const bool reference = family == Family::kReference;
+    std::vector<double> shadow_ref = shadow0, gain_ref(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits_of(shadow[i]), bits_of(shadow_ref[i]))
-          << "shadow @ " << common::simd_level_name(level) << " lane " << i;
-      ASSERT_EQ(bits_of(gain[i]), bits_of(gain_ref[i]))
-          << "gain @ " << common::simd_level_name(level) << " lane " << i;
+      shadow_ref[i] = rho * shadow_ref[i] + innovation * z[i];
+      const double log2_d_sq = reference ? common::refmath::log2(d_sq[i])
+                                         : common::fast_log2(d_sq[i]);
+      const double arg =
+          common::kExp2PerDb * shadow_ref[i] + bias - half_slope * log2_d_sq;
+      gain_ref[i] = reference ? common::refmath::exp2(arg) : common::fast_exp2(arg);
     }
-  }
-}
-
-/// Runs hypot_lane on (x, y) at every supported level and asserts each
-/// output is std::hypot's, bit for bit, with nothing written past n.
-void expect_hypot_lane_is_std_hypot(const std::vector<double>& x,
-                                    const std::vector<double>& y, const char* what) {
-  SimdLevelGuard guard;
-  const std::size_t n = x.size();
-  for (common::SimdLevel level : supported_levels()) {
-    ASSERT_TRUE(common::set_simd_level(level));
-    std::vector<double> out(n + 1, -7.0);
-    sim::kernels::hypot_lane(x.data(), y.data(), out.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits_of(out[i]), bits_of(std::hypot(x[i], y[i])))
-          << what << " @ " << common::simd_level_name(level) << " lane " << i
-          << ": hypot(" << x[i] << ", " << y[i] << ") = " << std::hypot(x[i], y[i])
-          << ", lane gave " << out[i];
-    }
-    ASSERT_EQ(out[n], -7.0) << what << ": wrote past the end";
-  }
-}
-
-TEST(KernelAgreement, HypotLaneMatchesStdHypotBitForBit) {
-  common::Rng rng(0x4907);
-  // Link offsets: metre-scale pairs of mixed signs, as the geometry scan
-  // produces them, 10^6 of them.
-  std::vector<double> x, y;
-  for (int i = 0; i < 1000000; ++i) {
-    x.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
-    y.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
-  }
-  expect_hypot_lane_is_std_hypot(x, y, "metre-scale");
-
-  // Every ordered pair of edge inputs, with both signs, so each special
-  // lands in every block position next to ordinary lanes.
-  const double inf = std::numeric_limits<double>::infinity();
-  const double dmax = std::numeric_limits<double>::max();
-  const std::vector<double> edges = {0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
-                                     0x1p-511, std::nextafter(0x1p-511, 0.0),
-                                     std::nextafter(0x1p-511, 1.0), 0x1p+511,
-                                     std::nextafter(0x1p+511, 0.0),
-                                     std::nextafter(0x1p+511, inf), dmax, inf,
-                                     std::numeric_limits<double>::quiet_NaN(), 1.0,
-                                     3.0, 1234.5678};
-  x.clear();
-  y.clear();
-  for (const double a : edges) {
-    for (const double b : edges) {
-      for (const double sa : {1.0, -1.0}) {
-        for (const double sb : {1.0, -1.0}) {
-          x.push_back(sa * a);
-          y.push_back(sb * b);
-        }
+    for (common::SimdLevel level : supported_levels()) {
+      ASSERT_TRUE(common::set_simd_level(level));
+      std::vector<double> shadow = shadow0, gain(n, -1.0);
+      sim::kernels::shadow_gain_lane(family, rho, innovation, bias, half_slope, z.data(),
+                                     d_sq.data(), shadow.data(), gain.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits_of(shadow[i]), bits_of(shadow_ref[i]))
+            << "shadow @ " << common::simd_level_name(level) << " lane " << i;
+        ASSERT_EQ(bits_of(gain[i]), bits_of(gain_ref[i]))
+            << (reference ? "reference" : "relaxed") << " gain @ "
+            << common::simd_level_name(level) << " lane " << i;
       }
     }
-  }
-  expect_hypot_lane_is_std_hypot(x, y, "edges");
-
-  // Equal magnitudes, and the smaller leg on either side of 2^-54 of the
-  // larger (glibc's "widely varying" exit).
-  x.clear();
-  y.clear();
-  for (int i = 0; i < 4096; ++i) {
-    const double a =
-        std::ldexp(1.0 + rng.uniform(), static_cast<int>(rng.uniform_int(400)) - 200);
-    const double cut = a * 0x1p-54;
-    for (const double b : {a, -a, cut, std::nextafter(cut, 0.0),
-                           std::nextafter(cut, inf), cut * (1.0 + 1e-9),
-                           cut * (1.0 - 1e-9), cut * 4.0}) {
-      x.push_back(rng.uniform() < 0.5 ? a : -a);
-      y.push_back(b);
-    }
-  }
-  expect_hypot_lane_is_std_hypot(x, y, "ratios");
-
-  // Lengths 0-9: the packed blocks and every scalar tail.
-  for (std::size_t n = 0; n <= 9; ++n) {
-    std::vector<double> tx, ty;
-    for (std::size_t i = 0; i < n; ++i) {
-      tx.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
-      ty.push_back((2.0 * rng.uniform() - 1.0) * 6000.0);
-    }
-    expect_hypot_lane_is_std_hypot(tx, ty, "tail");
   }
 }
 
@@ -462,8 +389,8 @@ TEST(FastTrajectorySimd, ByteIdenticalAcrossLevelsOnHotspotCenter) {
   expect_run_identical_across_levels(small_hotspot_center(), "fast");
 }
 
-// The reference providers reach exactly one kernel, hypot_lane, whose every
-// level is std::hypot; their whole runs must not see the level at all.
+// The reference providers run the gain lane on refmath, whose every level is
+// the scalar refmath function; their whole runs must not see the level.
 TEST(ReferenceTrajectorySimd, ExhaustiveByteIdenticalAcrossLevels) {
   expect_run_identical_across_levels(small_hotspot_center(), "exhaustive");
 }

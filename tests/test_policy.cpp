@@ -1,9 +1,10 @@
 // Tests for the pluggable admission-policy and channel-state-provider seams:
 // registry round-trips and unknown-name rejection, bit-identity of the
-// default policy + exhaustive provider against pre-refactor golden metrics
-// (a shrunk E5 run and a 19-cell default run), exhaustive-vs-culled metric
-// equivalence on uniform-hex7, and the inter-carrier hand-down policy both
-// on a synthetic FrameContext and through the simulator.
+// default policy + exhaustive provider against golden metrics pinned on the
+// refmath reference (a shrunk E5 run and a 19-cell default run),
+// exhaustive-vs-culled metric equivalence on uniform-hex7, and the
+// inter-carrier hand-down policy both on a synthetic FrameContext and
+// through the simulator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -77,8 +78,11 @@ TEST(PolicyRegistry, SimulatorReportsItsConfiguredPolicy) {
 }
 
 // --- Golden bit-identity: default policy + exhaustive provider ------------
-// Values captured from the pre-refactor simulator (PR 2 tree) running the
-// same configs; the seam refactor must not perturb a single bit.
+// Values pinned on the refmath reference (src/common/refmath.hpp), whose bits
+// are the same on every x86-64 host and C library.  They moved once, by ULPs
+// in continuous fields only, when the reference stopped calling libm
+// (CHANGES.md lists old and new values); a refactor must not perturb a
+// single bit.
 
 TEST(GoldenMetrics, ShrunkE5RunIsBitIdenticalToPreRefactor) {
   sweep::SweepSpec spec = scenario::e5_delay_rl();
@@ -92,25 +96,25 @@ TEST(GoldenMetrics, ShrunkE5RunIsBitIdenticalToPreRefactor) {
   ASSERT_EQ(r.scenarios.size(), 2u);
 
   EXPECT_EQ(r.scenarios[0].merged.mean_delay_s(), 3.377499999999976);
-  EXPECT_EQ(r.scenarios[0].merged.data_bits_delivered, 566053.76816169859);
+  EXPECT_EQ(r.scenarios[0].merged.data_bits_delivered, 566053.76816169848);
   EXPECT_EQ(r.scenarios[0].merged.grants, 12);
   EXPECT_EQ(r.scenarios[0].merged.requests_seen, 11);
   EXPECT_EQ(r.scenarios[0].merged.granted_sgr.mean(), 10.166666666666666);
   EXPECT_EQ(r.scenarios[0].merged.queue_delay_s.mean(), 0.92833333333332868);
 
   EXPECT_EQ(r.scenarios[1].merged.mean_delay_s(), 3.7963636363636124);
-  EXPECT_EQ(r.scenarios[1].merged.data_bits_delivered, 722632.86752643727);
+  EXPECT_EQ(r.scenarios[1].merged.data_bits_delivered, 722632.86752643716);
   EXPECT_EQ(r.scenarios[1].merged.grants, 16);
   EXPECT_EQ(r.scenarios[1].merged.requests_seen, 16);
   EXPECT_EQ(r.scenarios[1].merged.granted_sgr.mean(), 8.4375);
   EXPECT_EQ(r.scenarios[1].merged.queue_delay_s.mean(), 1.9474999999999889);
 }
 
-// Multi-master-seed golden coverage: the single pre-refactor pin above runs
+// Multi-master-seed golden coverage: the single reference pin above runs
 // one seed, so a stream-discipline bug that only shifts *other* seeds'
 // trajectories (e.g. an extra RNG draw gated on a seed-dependent branch)
 // could slip through.  Three more master seeds, same shrunk E5 point,
-// pinned bit-exactly from the PR 7 tree.
+// pinned bit-exactly on the refmath reference.
 TEST(GoldenMetrics, ShrunkE5IsBitIdenticalAcrossThreeMasterSeeds) {
   struct Golden {
     std::uint64_t seed;
@@ -119,11 +123,11 @@ TEST(GoldenMetrics, ShrunkE5IsBitIdenticalAcrossThreeMasterSeeds) {
     double granted_sgr_mean, queue_delay_mean_s;
   };
   const Golden kGolden[] = {
-      {101, 3.4285714285714093, 611234.20982430712, 13, 11,
+      {101, 3.4285714285714093, 611234.20982430724, 13, 11,
        8.615384615384615, 1.9984615384615179},
-      {7777, 2.4359999999999769, 662236.89127396676, 15, 15,
+      {7777, 2.4359999999999769, 662236.89127396664, 15, 15,
        12.0, 1.2426666666666537},
-      {424242, 2.3490909090908931, 683549.18727082224, 15, 14,
+      {424242, 2.3490909090908931, 683549.18727082247, 15, 14,
        12.466666666666667, 1.6706666666666505},
   };
   for (const Golden& g : kGolden) {
@@ -202,8 +206,8 @@ TEST(GoldenMetrics, DefaultNineteenCellRunIsBitIdenticalToPreRefactor) {
   EXPECT_EQ(m.grants, 19);
   EXPECT_EQ(m.requests_seen, 20);
   EXPECT_EQ(m.granted_sgr.mean(), 15.368421052631579);
-  EXPECT_EQ(m.reverse_rise_db.mean(), 1.9151694279634321);
-  EXPECT_EQ(m.forward_load_fraction.mean(), 0.22418013411970059);
+  EXPECT_EQ(m.reverse_rise_db.mean(), 1.9151694279634317);
+  EXPECT_EQ(m.forward_load_fraction.mean(), 0.22418013411970061);
   EXPECT_EQ(m.carrier_hand_downs, 0);
 }
 

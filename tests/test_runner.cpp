@@ -373,6 +373,37 @@ TEST(Supervisor, FaultFreeMergeIsBitIdenticalForAnyWorkerCount) {
   }
 }
 
+TEST(Supervisor, ProgressCountsDecodedItemsUpToTheTotal) {
+  const sweep::SweepSpec spec = tiny_spec();
+  const std::string reference = sweep::to_csv(sweep::run_sweep(spec, 1));
+  const std::size_t total = sweep::item_count(spec);
+  for (const std::size_t workers : {1u, 3u}) {
+    for (const bool kill : {false, true}) {
+      WorkDir dir;
+      SupervisorOptions options = fast_options(dir.path);
+      options.workers = workers;
+      if (kill) {
+        std::string why;
+        ASSERT_TRUE(FaultPlan::parse("kill:shard=0,frame=40", &options.fault, &why))
+            << why;
+      }
+      std::vector<std::size_t> seen;
+      options.progress = [&](std::size_t done, std::size_t of) {
+        EXPECT_EQ(of, total);
+        seen.push_back(done);
+      };
+      const SupervisorResult sup = run_supervised_sweep(spec, options);
+      ASSERT_TRUE(sup.ok) << sup.error;
+      // One call per shard, a retried shard included only once.
+      ASSERT_EQ(seen.size(), workers);
+      for (std::size_t i = 1; i < seen.size(); ++i) EXPECT_GE(seen[i], seen[i - 1]);
+      EXPECT_EQ(seen.back(), total);
+      EXPECT_EQ(sweep::to_csv(sup.result), reference)
+          << workers << " workers, kill " << kill;
+    }
+  }
+}
+
 TEST(Supervisor, KillAtEveryCheckpointBoundaryMergesIdentically) {
   // The tentpole property: for three master seeds, kill a worker at every
   // checkpoint boundary of its first in-flight item; the resumed run's
@@ -544,6 +575,29 @@ TEST(SweepMainCli, WorkersSurviveAKillFaultBitIdentically) {
   EXPECT_EQ(read_text_file(sup_csv), reference);
   std::remove(ref_csv.c_str());
   std::remove(sup_csv.c_str());
+}
+
+TEST(SweepMainCli, ProgressReachesTheTotalUnderWorkers) {
+  const char* bin = std::getenv("WCDMA_SWEEP_MAIN");
+  if (!bin || access(bin, X_OK) != 0) {
+    GTEST_SKIP() << "WCDMA_SWEEP_MAIN not exported by ctest";
+  }
+  WorkDir dir;
+  const std::string err = dir.path + "/progress.err";
+  const std::string base = std::string(bin) + " --preset smoke --duration 3";
+  ASSERT_EQ(std::system((base + " --workers 2 --progress --runner-dir " + dir.path +
+                         " --output " + dir.path + "/sup.csv 2> " + err)
+                            .c_str()),
+            0);
+  const std::string text = read_text_file(err);
+  // The last report names the whole grid: "sweep: N/N items".
+  const std::size_t at = text.rfind("sweep: ");
+  ASSERT_NE(at, std::string::npos) << "no progress on stderr: " << text;
+  const std::string last = text.substr(at + 7);
+  const std::size_t slash = last.find('/');
+  ASSERT_NE(slash, std::string::npos) << last;
+  EXPECT_EQ(last.substr(0, slash), last.substr(slash + 1, last.find(' ') - slash - 1))
+      << last;
 }
 
 }  // namespace

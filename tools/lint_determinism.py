@@ -119,6 +119,16 @@ RULES: List[Rule] = [
         allow_paths=("src/common/simd.hpp",),
     ),
     _rule(
+        "PORT-LIBM",
+        r"(?<![\w.>:])(?:std::|::)?"
+        r"(?:exp|exp2|log|log2|log10|pow|sin|cos|hypot|cyl_bessel_j)\s*\(",
+        "C-library transcendental in simulation code: glibc picks FMA or "
+        "non-FMA variants at run time, so the bits depend on the host; call "
+        "common::refmath (src/common/refmath.hpp) instead",
+        path_filter=r"^src/",
+        allow_paths=("src/common/refmath.cpp", "src/common/refmath.hpp"),
+    ),
+    _rule(
         "PORT-PRAGMA-ONCE",
         r"\A(?![\s\S]*^\s*#\s*pragma\s+once\b)",
         "header is missing #pragma once",

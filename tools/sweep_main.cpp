@@ -313,6 +313,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  sweep::ProgressFn progress;
+  if (want_progress) {
+    progress = [](std::size_t done, std::size_t total) {
+      std::fprintf(stderr, "\rsweep: %zu/%zu items", done, total);
+      if (done == total) std::fprintf(stderr, "\n");
+    };
+  }
+
   sweep::SweepResult supervised_result;
   if (workers > 0) {
     runner::SupervisorOptions options;
@@ -323,6 +331,7 @@ int main(int argc, char** argv) {
     options.checkpoint_every_frames = static_cast<std::int64_t>(checkpoint_every);
     options.fault = fault;
     options.strict_checkpoint = strict_checkpoint;
+    options.progress = progress;
 
     bool made_temp_dir = false;
     if (runner_dir.empty()) {
@@ -348,14 +357,6 @@ int main(int argc, char** argv) {
     }
     if (made_temp_dir) rmdir(runner_dir.c_str());
     supervised_result = sup.result;
-  }
-
-  sweep::ProgressFn progress;
-  if (want_progress) {
-    progress = [](std::size_t done, std::size_t total) {
-      std::fprintf(stderr, "\rsweep: %zu/%zu items", done, total);
-      if (done == total) std::fprintf(stderr, "\n");
-    };
   }
 
   const sweep::SweepResult result =

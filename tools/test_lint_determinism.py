@@ -201,6 +201,41 @@ class StaticLocal(LintFixtureCase):
             rule_id="DET-STATIC-LOCAL")
 
 
+class PortLibm(LintFixtureCase):
+    def test_positive_qualified_global_and_unqualified(self):
+        for snippet in ("double g = std::pow(10.0, db / 10.0);",
+                        "double r = ::exp(-x);",
+                        "double l = log10 (x);",
+                        "double d = std::hypot(dx, dy);",
+                        "double j = std::cyl_bessel_j(0.0, x);",
+                        "double c = std::cos(theta) * r;"):
+            self.assert_fires("PORT-LIBM", "src/sim/a.cpp", snippet + "\n",
+                              line=1)
+
+    def test_negative_refmath_roots_and_lookalikes(self):
+        self.assert_clean(
+            "src/sim/a.cpp",
+            "double g = common::refmath::pow(10.0, db / 10.0);\n"
+            "double s = std::sqrt(x) + common::fast_exp2(y);\n"
+            "double l = rm::log10(x) + logger.log(x) + p->exp(x);\n"
+            "double e = std::ldexp(m, q);\n"
+            "// std::pow(10, x) would depend on the host's libm\n",
+            rule_id="PORT-LIBM")
+
+    def test_refmath_itself_and_tools_are_out_of_scope(self):
+        self.assert_clean("src/common/refmath.cpp",
+                          "double exp(double x) { return exp2(x * k); }\n",
+                          rule_id="PORT-LIBM")
+        self.assert_clean("tools/sweep_main.cpp",
+                          "double v = std::log(x);\n", rule_id="PORT-LIBM")
+
+    def test_suppressed_with_reason(self):
+        self.assert_clean(
+            "src/common/stats.cpp",
+            "// lint-allow(PORT-LIBM): test-only statistic, no trajectory\n"
+            "double t = std::exp(a);\n")
+
+
 class PragmaOnce(LintFixtureCase):
     def test_positive_missing(self):
         self.assert_fires("PORT-PRAGMA-ONCE", "src/x/a.hpp",

@@ -62,10 +62,10 @@ class PathLoss {
   }
 
   /// Every model above is affine in log10 of the clamped distance:
-  /// loss_db(d) = a + b * log10(max(d, min_distance_m)).  Exposed so the
-  /// relaxed-precision CSI path can fold the model into two constants at
-  /// init while this class stays the single source of the per-model
-  /// parameters (sim::FrameState::init consumes it for the `fast` provider).
+  /// loss_db(d) = a + b * log10(max(d, min_distance_m)).  Exposed so
+  /// sim::FrameState::init can fold the model into the gain lane's two
+  /// constants while this class stays the single source of the per-model
+  /// parameters.
   struct AffineLog10 {
     double a_db = 0.0;
     double b_db = 0.0;
@@ -74,7 +74,7 @@ class PathLoss {
     // Derived from loss_db() itself at two points above the near-field
     // clamp a decade apart, so no model constant is duplicated and any
     // affine model folds correctly by construction (pinned across models
-    // by FastMath.PathLossAffineFoldMatchesEveryModel).
+    // by PathLoss.AffineFoldMatchesEveryModel).
     const double d1 = std::max(config_.min_distance_m, 1.0) * 2.0;
     const double d2 = d1 * 10.0;
     const double l1 = loss_db(d1);

@@ -159,62 +159,6 @@ double jain_fairness(const std::vector<double>& x) {
   return s * s / (static_cast<double>(x.size()) * s2);
 }
 
-namespace {
-
-/// Asymptotic Kolmogorov survival function Q(lambda) = 2 sum_k (-1)^{k-1}
-/// exp(-2 k^2 lambda^2); the alternating series converges in a handful of
-/// terms for lambda > 0.2 and is clamped to [0, 1].
-double kolmogorov_q(double lambda) {
-  if (lambda <= 0.0) return 1.0;
-  double sum = 0.0;
-  double sign = 1.0;
-  const double a = -2.0 * lambda * lambda;
-  for (int k = 1; k <= 100; ++k) {
-    // lint-allow(PORT-LIBM): a test statistic, never on a trajectory
-    const double term = sign * std::exp(a * static_cast<double>(k) * k);
-    sum += term;
-    if (std::fabs(term) < 1e-12 * std::fabs(sum) || std::fabs(term) < 1e-300) break;
-    sign = -sign;
-  }
-  const double q = 2.0 * sum;
-  return q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-}
-
-}  // namespace
-
-KsTest ks_two_sample(std::vector<double> a, std::vector<double> b) {
-  WCDMA_ASSERT(!a.empty() && !b.empty());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  KsTest result;
-  result.n = a.size();
-  result.m = b.size();
-  // Merge walk: evaluate the ECDF gap just after each DISTINCT sample
-  // point, advancing through every tied value on both sides first -- the
-  // one-element-per-side walk (as in the Numerical Recipes code) inflates D
-  // mid-tie on discrete or quantised data.
-  const double inv_n = 1.0 / static_cast<double>(a.size());
-  const double inv_m = 1.0 / static_cast<double>(b.size());
-  std::size_t i = 0, j = 0;
-  double d = 0.0;
-  while (i < a.size() && j < b.size()) {
-    const double x = std::min(a[i], b[j]);
-    while (i < a.size() && a[i] == x) ++i;
-    while (j < b.size() && b[j] == x) ++j;
-    d = std::max(d, std::fabs(static_cast<double>(i) * inv_n -
-                              static_cast<double>(j) * inv_m));
-  }
-  // The exhausted sample's ECDF reached 1 inside the loop, so the boundary
-  // gap is already folded into d; past it the gap only shrinks.
-  result.statistic = d;
-  const double en = std::sqrt(static_cast<double>(result.n) *
-                              static_cast<double>(result.m) /
-                              static_cast<double>(result.n + result.m));
-  const double lambda = (en + 0.12 + 0.11 / en) * result.statistic;
-  result.p_value = kolmogorov_q(lambda);
-  return result;
-}
-
 WelchInterval welch_difference_95(const std::vector<double>& a,
                                   const std::vector<double>& b) {
   WCDMA_ASSERT(a.size() >= 2 && b.size() >= 2);

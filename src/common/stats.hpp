@@ -3,12 +3,12 @@
 // queries, and batch-mean confidence intervals for Monte-Carlo replication
 // merging.
 //
-// The statistical-equivalence toolkit at the bottom (two-sample KS test,
-// Welch mean-difference interval, per-metric tolerance specs) is the
-// acceptance machinery for every optimisation that gives up bit-identity:
-// tests/test_statcheck.cpp runs paired common-random-number sweeps of the
-// reference and relaxed implementations and asserts the paper's headline
-// metrics agree under these tests.
+// The statistical-equivalence toolkit at the bottom (Welch mean-difference
+// interval, per-metric tolerance specs) is the acceptance machinery for
+// every optimisation that gives up bit-identity: tests/test_statcheck.cpp
+// runs paired common-random-number sweeps of the reference and the
+// approximating implementation and asserts the paper's headline metrics
+// agree under these tests.
 #pragma once
 
 #include <cmath>
@@ -91,20 +91,6 @@ double jain_fairness(const std::vector<double>& x);
 
 // --- Statistical-equivalence toolkit ---------------------------------------
 
-/// Two-sample Kolmogorov-Smirnov test result.
-struct KsTest {
-  double statistic = 0.0;  // sup |F_a - F_b|
-  double p_value = 1.0;    // asymptotic (Stephens-corrected) significance
-  std::size_t n = 0, m = 0;
-};
-
-/// Two-sample KS test of samples `a` vs `b` (copies are sorted internally).
-/// Both samples must be non-empty.  The p-value uses the asymptotic
-/// Kolmogorov distribution with the Stephens small-sample correction
-/// (Numerical Recipes), adequate for n, m >= ~8 at the significance levels
-/// the equivalence suites use (reject well below 1e-2).
-KsTest ks_two_sample(std::vector<double> a, std::vector<double> b);
-
 /// Welch (unequal-variance) 95% confidence interval on mean(a) - mean(b),
 /// with the Welch-Satterthwaite degrees of freedom.
 struct WelchInterval {
@@ -128,7 +114,7 @@ WelchInterval welch_difference_95(const std::vector<double>& a,
 
 /// Declared per-metric agreement bound: |a - b| must not exceed
 /// max(abs_tol, rel_tol * max(|a|, |b|)).  The specs live next to the
-/// equivalence tests so every relaxed-precision acceptance documents its
+/// equivalence tests so every non-bit-identical acceptance documents its
 /// tolerances explicitly.
 struct MetricTolerance {
   const char* metric = "";

@@ -21,6 +21,10 @@ inline double dbm_to_watt(double dbm) { return refmath::pow(10.0, (dbm - 30.0) /
 /// Watts -> dBm.
 inline double watt_to_dbm(double w) { return 10.0 * refmath::log10(w) + 30.0; }
 
+/// One exp2 unit per dB: 10^(x/10) = 2^(kExp2PerDb * x).  The fused gain
+/// evaluation of sim::FrameState folds its dB terms with it.
+inline constexpr double kExp2PerDb = 0.33219280948873623;  // log2(10) / 10
+
 /// Thermal noise power (watts) over `bandwidth_hz` at noise figure `nf_db`.
 /// kT = -174 dBm/Hz at 290 K.
 double thermal_noise_watt(double bandwidth_hz, double nf_db = 0.0);

@@ -37,13 +37,11 @@ class ClosedLoopPowerControl {
 
   /// The split update: applies the stepped dBm correction and the
   /// saturation flag, but leaves the cached wattage STALE.  The caller
-  /// batches every user's (power_dbm - 30) into a lane, converts it -- with
-  /// common::db_to_linear, which reproduces update() bit for bit, or with
-  /// the fast provider's SIMD-dispatched kernels::db_to_linear_lane
-  /// (relative error < 1e-8) -- and commits with set_power_watt(); see
-  /// Simulator::step_power_control.  Nothing may read power_watt() between
-  /// the two calls.  update() stays as the reference the split is tested
-  /// against.
+  /// batches every user's (power_dbm - 30) into a lane, converts it with
+  /// common::db_to_linear, which reproduces update() bit for bit, and
+  /// commits with set_power_watt(); see Simulator::step_power_control.
+  /// Nothing may read power_watt() between the two calls.  update() stays
+  /// as the reference the split is tested against.
   double update_db(double measured_sir_db);
   /// Commits the batch-converted wattage after update_db().
   void set_power_watt(double watt) { power_watt_ = watt; }

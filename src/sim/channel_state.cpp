@@ -8,16 +8,11 @@ namespace {
 
 const ChannelProvider kProviders[] = {
     {"exhaustive", "every cell every frame (reference, bit-identical legacy path)",
-     /*culls=*/false, /*fast_math=*/false},
+     /*culls=*/false},
     {"culled",
      "active set + pilot-floor radius candidates on a slow refresh timer; "
      "far cells folded back in as ring aggregates",
-     /*culls=*/true, /*fast_math=*/false},
-    {"fast",
-     "culled candidates + far-field aggregates + relaxed-precision link math "
-     "(fused exp2 gains, ziggurat draws); statistically equivalent, not "
-     "bit-identical",
-     /*culls=*/true, /*fast_math=*/true},
+     /*culls=*/true},
 };
 
 }  // namespace

@@ -123,7 +123,7 @@ struct LoadRampConfig {
   double scale(double now_s, std::size_t cell) const;
 };
 
-/// Hierarchical far-field aggregation for the culling providers (see
+/// Hierarchical far-field aggregation for the culled provider (see
 /// src/sim/far_field.hpp and docs/ACCURACY.md): cells outside a user's
 /// candidate set are folded back into both link directions as one additive
 /// ring-aggregated interference term per link, refreshed on the candidate
@@ -148,15 +148,14 @@ struct FarFieldConfig {
 /// Channel-state (CSI) computation backend: which cells get live link state
 /// each frame.  "exhaustive" is the bit-identical reference; "culled" keeps
 /// a per-user candidate-cell set (active set + pilot-floor radius) on a
-/// slow refresh timer so per-frame link state is O(users x nearby-cells);
-/// "fast" is culled plus relaxed-precision link math (fused exp2 composite
-/// gains, ziggurat Gaussian draws) -- statistically equivalent to the
-/// reference under tests/test_statcheck.cpp tolerances, not bit-identical.
-/// Both culling providers restore the dropped cells' interference through
-/// the far_field aggregate (docs/ACCURACY.md describes the full ladder).
+/// slow refresh timer so per-frame link state is O(users x nearby-cells),
+/// and restores the dropped cells' interference through the far_field
+/// aggregate -- statistically equivalent to the reference under
+/// tests/test_statcheck.cpp tolerances (docs/ACCURACY.md describes the
+/// ladder).
 struct CsiConfig {
   std::string provider = "exhaustive";  // sim::channel_provider_names()
-  /// Seconds between candidate-set rebuilds (culled/fast providers only);
+  /// Seconds between candidate-set rebuilds (culled provider only);
   /// the far-field aggregate refreshes on the same cadence.
   double refresh_interval_s = 0.5;
   /// Candidate radius as a multiple of the cell radius: beyond it a pilot

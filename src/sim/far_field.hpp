@@ -1,6 +1,6 @@
-// Hierarchical far-field interference aggregation for the culling providers.
+// Hierarchical far-field interference aggregation for the culled provider.
 //
-// The culled/fast channel-state providers drop every non-candidate cell from
+// The culled channel-state provider drops every non-candidate cell from
 // a user's link state, which removes its interference contribution entirely
 // -- a ~0.10 blocking-probability gap vs the exhaustive reference on the
 // 19-cell hotspot, growing with world size (docs/ACCURACY.md).  The paper's

@@ -3,18 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/fastmath.hpp"
 #include "src/common/serialize.hpp"
+#include "src/common/units.hpp"
 #include "src/sim/channel_state.hpp"
 #include "src/sim/kernels.hpp"
 
 namespace wcdma::sim {
-
-namespace {
-
-using common::kExp2PerDb;  // one exp2 unit per dB, shared with fastmath
-
-}  // namespace
 
 void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
                       const channel::ShadowingConfig& shadowing, const CsiConfig& csi,
@@ -33,7 +27,6 @@ void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* pa
   const std::size_t links = num_users_ * num_cells_;
   shadow_rng_.resize(links);
   shadow_db_.assign(links, 0.0);
-  fast_shadow_rng_.resize(num_users_);
   gain_mean_.assign(links, 0.0);
   pilot_fl_.assign(links, 0.0);
   far_fl_w_.assign(num_users_, 0.0);
@@ -49,13 +42,11 @@ void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* pa
   // PathLoss itself.  Fold them once so the per-link evaluation is a single
   // fused exp2.
   const channel::PathLoss::AffineLog10 loss = path_loss_->affine_log10();
-  gain_bias_ = -kExp2PerDb * loss.a_db;
+  gain_bias_ = -common::kExp2PerDb * loss.a_db;
   // kExp2PerDb * B * log10(2) == B / 10, halved for the d^2 form.
   half_log2_slope_ = loss.b_db / 10.0 * 0.5;
   const double min_d = path_loss_->config().min_distance_m;
   min_distance_sq_m_ = min_d * min_d;
-  fast_math_ = provider->fast_math;
-  fast_inv_decorr_m_ = 1.0 / shadowing_.decorrelation_m;
 
   culls_ = provider->culls;
   const double cull_radius_m = csi.cull_radius_scale * layout->cell_radius_m();
@@ -77,9 +68,6 @@ void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
   const double rho = channel::Ar1Fading::correlation(doppler_hz, frame_s_);
   fade_rho_[user] = rho;
   fade_innovation_[user] = std::sqrt(std::max(0.0, 1.0 - rho * rho) * 0.5);
-  // Fast-mode batch stream; an unused fork never perturbs the legacy
-  // streams (fork() is const on the parent).
-  fast_shadow_rng_[user] = user_rng.fork(7);
   for (std::size_t k = 0; k < num_cells_; ++k) {
     const std::size_t idx = link_index(user, k);
     const common::Rng link_rng = user_rng.fork(100 + k);
@@ -135,16 +123,8 @@ void FrameState::step_user_links(std::size_t user, cell::Point pos, double moved
                                  const std::vector<std::size_t>& cells) {
   // One correlation pair per user: every link of a mobile travels the same
   // distance this frame.
-  double rho, innovation;
-  if (fast_math_) {
-    rho = common::fast_exp(-std::fabs(moved_m) * fast_inv_decorr_m_);
-    innovation = shadowing_.sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho));
-  } else {
-    rho = channel::Shadowing::correlation(shadowing_, moved_m);
-    innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
-  }
-  const kernels::Family family =
-      fast_math_ ? kernels::Family::kRelaxed : kernels::Family::kReference;
+  const double rho = channel::Shadowing::correlation(shadowing_, moved_m);
+  const double innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
   const std::size_t row = user * num_cells_;
   const std::size_t count = cells.size();
   constexpr std::size_t kLane = 32;
@@ -160,18 +140,13 @@ void FrameState::step_user_links(std::size_t user, cell::Point pos, double moved
       d_sq[i] = std::max(layout_->distance_sq_to_cell(pos, k), min_distance_sq_m_);
       shadow[i] = shadow_db_[row + k];
     }
-    // The innovations: on `fast` the whole batch from one register-resident
-    // stream per user; on the reference path each link's normal from its
-    // own stream, which is what lets fading replay lazily.
-    if (fast_math_) {
-      zig_.fill(fast_shadow_rng_[user], z, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        z[i] = shadow_rng_[row + cells[base + i]].normal();
-      }
+    // Each link's innovation from its own stream, which is what lets
+    // fading replay lazily.
+    for (std::size_t i = 0; i < n; ++i) {
+      z[i] = shadow_rng_[row + cells[base + i]].normal();
     }
-    kernels::shadow_gain_lane(family, rho, innovation, gain_bias_, half_log2_slope_, z,
-                              d_sq, shadow, gain, n);
+    kernels::shadow_gain_lane(rho, innovation, gain_bias_, half_log2_slope_, z, d_sq,
+                              shadow, gain, n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t idx = row + cells[base + i];
       shadow_db_[idx] = shadow[i];
@@ -186,16 +161,9 @@ double FrameState::fading_factor(std::size_t user, std::size_t cell) {
   const double innovation = fade_innovation_[user];
   double re = fade_re_[idx], im = fade_im_[idx];
   common::Rng& rng = fade_rng_[idx];
-  if (fast_math_) {
-    for (std::int64_t f = fade_frame_[idx]; f < frame_; ++f) {
-      re = rho * re + innovation * zig_.draw(rng);
-      im = rho * im + innovation * zig_.draw(rng);
-    }
-  } else {
-    for (std::int64_t f = fade_frame_[idx]; f < frame_; ++f) {
-      re = rho * re + rng.normal(0.0, innovation);
-      im = rho * im + rng.normal(0.0, innovation);
-    }
+  for (std::int64_t f = fade_frame_[idx]; f < frame_; ++f) {
+    re = rho * re + rng.normal(0.0, innovation);
+    im = rho * im + rng.normal(0.0, innovation);
   }
   fade_re_[idx] = re;
   fade_im_[idx] = im;
@@ -227,8 +195,8 @@ void FrameState::rebuild_transpose() {
 }
 
 bool FrameState::set_well_formed(const std::vector<std::size_t>& cells) const {
-  // A culling provider fills every set on the first frame's step and never
-  // empties one again.
+  // `culled` fills every set on the first frame's step and never empties
+  // one again.
   if (culls_ && cells.empty() != (frame_ == 0)) return false;
   for (std::size_t j = 0; j < cells.size(); ++j) {
     if (cells[j] >= num_cells_ || (j > 0 && cells[j] <= cells[j - 1])) return false;
@@ -289,7 +257,6 @@ void FrameState::save(common::BinaryWriter& w) const {
   w.i64(frame_);
   save_rngs(w, shadow_rng_);
   w.vec_f64(shadow_db_);
-  save_rngs(w, fast_shadow_rng_);
   save_rngs(w, fade_rng_);
   w.vec_f64(fade_re_);
   w.vec_f64(fade_im_);
@@ -310,7 +277,6 @@ bool FrameState::load(common::BinaryReader& r) {
   frame_ = r.i64();
   if (!load_rngs(r, shadow_rng_)) return false;
   if (!load_sized_f64(r, shadow_db_)) return false;
-  if (!load_rngs(r, fast_shadow_rng_)) return false;
   if (!load_rngs(r, fade_rng_)) return false;
   if (!load_sized_f64(r, fade_re_)) return false;
   if (!load_sized_f64(r, fade_im_)) return false;

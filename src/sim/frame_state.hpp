@@ -22,9 +22,9 @@
 //
 // FrameState also owns each user's candidate set -- the cells whose links
 // it steps -- as the `csi.provider` row (src/sim/channel_state.hpp) says:
-// every cell on `exhaustive`; on `culled` and `fast`, the active-set
-// members plus the cells within csi.cull_radius_scale cell radii, chosen
-// again whenever the user's csi.refresh_interval_s timer runs out.  A link
+// every cell on `exhaustive`; on `culled`, the active-set members plus the
+// cells within csi.cull_radius_scale cell radii, chosen again whenever the
+// user's csi.refresh_interval_s timer runs out.  A link
 // leaving a set has its gain zeroed, and a monotone epoch moves whenever
 // any set changes.  The cell -> users transpose of the sets is derived
 // state, rebuilt only when the epoch moves (and on load) and never
@@ -47,7 +47,6 @@
 #include "src/channel/shadowing.hpp"
 #include "src/common/assert.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/ziggurat.hpp"
 #include "src/sim/config.hpp"
 
 namespace wcdma::sim {
@@ -56,10 +55,7 @@ class FrameState {
  public:
   /// Binds the world, folds the path-loss model into the gain lane's two
   /// constants, and fixes, from the `csi.provider` row, whether the
-  /// candidate sets cull and whether the links run on the relaxed-
-  /// precision kernels (common/fastmath.hpp + ziggurat draws instead of
-  /// refmath + polar Box-Muller: the lazy-replay contract holds, but NOT
-  /// bit-identical to the reference, so only `fast` arms them).
+  /// candidate sets cull.
   void init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
             const channel::ShadowingConfig& shadowing, const CsiConfig& csi,
             double frame_s, std::size_t num_users);
@@ -69,7 +65,6 @@ class FrameState {
   void init_user(std::size_t user, const common::Rng& user_rng, double doppler_hz);
 
   bool culls() const { return culls_; }
-  bool fast_math() const { return fast_math_; }
 
   /// Starts a new frame (advances the lazy-fading clock).  Call once per
   /// simulator frame before stepping any user.
@@ -78,9 +73,9 @@ class FrameState {
   std::int64_t frame() const { return frame_; }
 
   /// One user's channel step after the mobile moved `moved_m` to `pos`: on
-  /// a culling provider, counts down the user's refresh timer and, when it
-  /// runs out (or before the user's first step), chooses the candidate set
-  /// again around `active_members`; then steps shadowing and refreshes the
+  /// `culled`, counts down the user's refresh timer and, when it runs out
+  /// (or before the user's first step), chooses the candidate set again
+  /// around `active_members`; then steps shadowing and refreshes the
   /// local-mean gains of every cell in cells_for(user).  Safe to call
   /// concurrently for distinct users.
   void step_user(std::size_t user, cell::Point pos, double moved_m,
@@ -95,7 +90,7 @@ class FrameState {
   }
 
   /// Moves whenever any user's candidate set changes: 0 forever on
-  /// `exhaustive`, from 1 on the culling providers.
+  /// `exhaustive`, from 1 on `culled`.
   std::uint64_t candidate_epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }
@@ -149,10 +144,10 @@ class FrameState {
   bool fading_clocks_valid() const;
 
   /// Serializes the evolved state only: frame clock, shadowing/fading RNG
-  /// streams and lanes, cached gains/pilots, far-field lane, and on a
-  /// culling provider the epoch, refresh timers and candidate sets.
+  /// streams and lanes, cached gains/pilots, far-field lane, and on
+  /// `culled` the epoch, refresh timers and candidate sets.
   /// Init-time state (geometry tables, per-user fading coefficients,
-  /// fast-math fold constants) is reproduced by re-running
+  /// gain-lane fold constants) is reproduced by re-running
   /// init()/init_user() on the same config, and the transpose by a rebuild,
   /// so load() overwrites only what evolves, size-checks every lane against
   /// the initialised layout, and refuses any candidate set that
@@ -171,7 +166,7 @@ class FrameState {
   void build_transpose(std::vector<std::uint32_t>& offsets,
                        std::vector<std::uint32_t>& users) const;
   void rebuild_transpose();
-  /// Ascending, unique, in range, and (culling providers) empty exactly
+  /// Ascending, unique, in range, and (on `culled`) empty exactly
   /// while the frame clock reads 0.
   bool set_well_formed(const std::vector<std::size_t>& cells) const;
   std::size_t link_index(std::size_t user, std::size_t cell) const {
@@ -190,13 +185,6 @@ class FrameState {
   // Per-link shadowing state (stepped eagerly for candidates).
   std::vector<common::Rng> shadow_rng_;
   std::vector<double> shadow_db_;
-  // Fast-mode innovation streams: one per USER, not per link -- the batch
-  // of a user's per-candidate innovations comes from a single stream whose
-  // state stays in registers across the lane loop (the per-link streams
-  // exist for the reference path's lazy bit-identity contract, which the
-  // relaxed provider explicitly does not promise; the innovations stay iid
-  // N(0,1) across links either way).
-  std::vector<common::Rng> fast_shadow_rng_;
 
   // Per-link AR(1) fading state (advanced lazily).  rho/innovation depend
   // only on the user's Doppler, so they live per user.
@@ -220,14 +208,10 @@ class FrameState {
   /// scale), matching kernels::shadow_gain_lane's signature.
   double half_log2_slope_ = 0.0;
   double min_distance_sq_m_ = 0.0;   // near-field clamp, squared metres
-  // Relaxed-precision mode (the `fast` provider).
-  bool fast_math_ = false;
-  double fast_inv_decorr_m_ = 0.0;   // 1 / shadowing decorrelation distance
-  common::ZigguratNormal zig_;
 
-  // Candidate sets.  `exhaustive` lists every cell once in all_cells_; the
-  // culling providers keep one ascending set and one refresh countdown per
-  // user, and step_user() writes both from the shard pool, one user each.
+  // Candidate sets.  `exhaustive` lists every cell once in all_cells_;
+  // `culled` keeps one ascending set and one refresh countdown per user,
+  // and step_user() writes both from the shard pool, one user each.
   bool culls_ = false;
   double cull_radius_sq_m_ = 0.0;
   double refresh_interval_s_ = 0.0;

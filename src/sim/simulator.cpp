@@ -8,7 +8,6 @@
 #include "src/common/assert.hpp"
 #include "src/common/serialize.hpp"
 #include "src/common/units.hpp"
-#include "src/sim/kernels.hpp"
 
 namespace wcdma::sim {
 
@@ -315,21 +314,10 @@ void Simulator::forward_measure_user(std::size_t shard, std::size_t i) {
       // comparisons run directly on the linear pilots (order statistics are
       // domain-invariant), skipping the per-cell dB conversion.
       scratch.pilot_pairs.clear();
-      if (state_.fast_math()) {
-        // Relaxed path: one reciprocal per user instead of one divide per
-        // candidate (differs from x / total in the last ulp only).
-        const double inv_total = config_.radio.pilot_power_w / total;
-        for (std::size_t c = 0; c < n_cand; ++c) {
-          const std::size_t k = cand[c];
-          pilot[k] = gain[k] * inv_total;
-          scratch.pilot_pairs.push_back({k, pilot[k]});
-        }
-      } else {
-        for (std::size_t c = 0; c < n_cand; ++c) {
-          const std::size_t k = cand[c];
-          pilot[k] = config_.radio.pilot_power_w * gain[k] / total;
-          scratch.pilot_pairs.push_back({k, pilot[k]});
-        }
+      for (std::size_t c = 0; c < n_cand; ++c) {
+        const std::size_t k = cand[c];
+        pilot[k] = config_.radio.pilot_power_w * gain[k] / total;
+        scratch.pilot_pairs.push_back({k, pilot[k]});
       }
       u.active_set.update_sparse_linear(scratch.pilot_pairs, config_.frame_s);
     }
@@ -427,15 +415,10 @@ void Simulator::step_power_control() {
   }
 
   // Pass B -- every linear -> dB conversion this frame, as one lane.
-  const bool fast = state_.fast_math();
   const std::size_t n = pc_entries_.size();
   pc_sir_db_.resize(n);
-  if (fast) {
-    kernels::linear_to_db_lane(pc_sir_linear_.data(), pc_sir_db_.data(), n);
-  } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      pc_sir_db_[j] = common::linear_to_db(pc_sir_linear_[j]);
-    }
+  for (std::size_t j = 0; j < n; ++j) {
+    pc_sir_db_[j] = common::linear_to_db(pc_sir_linear_[j]);
   }
 
   // Pass C -- scalar loop stepping + saturation/voice metrics, ascending
@@ -468,11 +451,7 @@ void Simulator::step_power_control() {
   // Pass D -- every dB -> W refresh as one lane, then commit the cached
   // wattages.  Nothing reads power_watt() between update_db and here.
   pc_watt_.resize(n);
-  if (fast) {
-    kernels::db_to_linear_lane(pc_dbm_.data(), pc_watt_.data(), n);
-  } else {
-    for (std::size_t j = 0; j < n; ++j) pc_watt_[j] = common::db_to_linear(pc_dbm_[j]);
-  }
+  for (std::size_t j = 0; j < n; ++j) pc_watt_[j] = common::db_to_linear(pc_dbm_[j]);
   for (std::size_t j = 0; j < n; ++j) {
     User& u = users_[pc_entries_[j].user];
     if (pc_entries_[j].kind == PcKind::kForward) {
@@ -908,7 +887,9 @@ constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 // v5: FrameState writes the culling providers' candidate sets; the CSR copy
 // of the sets and its cell -> users transpose are no longer written (the
 // transpose is rebuilt on load).
-constexpr std::uint32_t kSnapshotVersion = 5;
+// v6: FrameState no longer writes one relaxed-precision innovation stream
+// per user (the `fast` provider is gone).
+constexpr std::uint32_t kSnapshotVersion = 6;
 constexpr std::size_t kSnapshotFooterBytes = 4;
 }  // namespace
 
@@ -1013,20 +994,25 @@ bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
   common::BinaryReader r(bytes.data(), payload);
   if (!check_snapshot_header(r)) return false;
   const std::vector<std::uint8_t> backup = snapshot();
-  if (restore_body(r)) return true;
+  const std::int64_t own_frame = frame_count_;
+  if (restore_body(r, total_frames())) return true;
   common::BinaryReader back(backup.data(), backup.size() - kSnapshotFooterBytes);
-  const bool rolled_back = check_snapshot_header(back) && restore_body(back);
+  const bool rolled_back = check_snapshot_header(back) && restore_body(back, own_frame);
   WCDMA_ASSERT(rolled_back && "rollback of a just-taken snapshot must succeed");
   return false;
 }
 
-bool Simulator::restore_body(common::BinaryReader& r) {
+bool Simulator::restore_body(common::BinaryReader& r, std::int64_t max_frame) {
   // A CRC-valid archive is not a trusted one.  The loads size-check every
   // lane before writing it and range-check what they index with on the
   // spot (candidate sets, far-field anchors and carriers); everything else
   // is checked once, by check_invariants() at the end.
   now_s_ = r.f64();
   frame_count_ = r.i64();
+  // run(), the sweep workers, service_main and perfbench all stop at the
+  // configured horizon, so an archive clock beyond it is forged, and the
+  // next frame's lazy fading replay would chase it.
+  if (frame_count_ > max_frame) return false;
   far_refresh_left_s_ = r.f64();
   rng_.load(r);
 

@@ -172,8 +172,8 @@ class Simulator {
   /// uninterrupted run.  Snapshots are valid between frames only.
   std::vector<std::uint8_t> snapshot() const;
   /// Restores a snapshot() archive; false (state untouched) on
-  /// magic/version/fingerprint mismatch, truncation, or a restored state
-  /// that fails check_invariants().
+  /// magic/version/fingerprint mismatch, truncation, a frame clock past
+  /// total_frames(), or a restored state that fails check_invariants().
   bool restore(const std::vector<std::uint8_t>& bytes);
 
   /// Cross-checks every incrementally-maintained structure against its
@@ -283,15 +283,14 @@ class Simulator {
   /// Closed-loop power control for every provider, as four passes: scalar
   /// SIR measurement into a lane (A), every linear -> dB conversion as one
   /// batch (B), loop stepping plus saturation/voice metrics in ascending
-  /// user order (C), and every dBm -> W refresh as one batch (D).  Passes B
-  /// and D run the SIMD-dispatched fastmath kernels when FrameState's
-  /// relaxed precision is armed (the `fast` provider) and plain libm
-  /// otherwise.  No cross-user state flows through power control within a
-  /// frame (every SIR reads last frame's powers and this user's pre-update
-  /// loop state), so per element the libm lanes are exactly
-  /// ClosedLoopPowerControl::update() and the exact path stays
-  /// bit-identical; the fast lanes are byte-identical across dispatch
-  /// levels by the kernel contract.
+  /// user order (C), and every dBm -> W refresh as one batch (D).  No
+  /// cross-user state flows through power control within a frame (every
+  /// SIR reads last frame's powers and this user's pre-update loop state),
+  /// so per element the refmath passes B and D are exactly
+  /// ClosedLoopPowerControl::update() and the run is bit-identical to one
+  /// per-user update() loop.  The split stays because it is measurably
+  /// faster: one per-user loop lost 8 of 10 alternating hotspot-contend
+  /// pairs to it, by about 1% of frames per second.
   void step_power_control();
   void step_traffic();
   /// Snapshots this frame's measurements and the queued eligible requests
@@ -328,8 +327,10 @@ class Simulator {
   /// Body restore, ending in check_invariants(): mutates state and may
   /// partially apply on a truncated, corrupt or forged archive -- restore()
   /// wraps it transactionally with a rollback snapshot so callers never
-  /// observe the partial state.
-  bool restore_body(common::BinaryReader& r);
+  /// observe the partial state.  Refuses a frame clock past `max_frame`:
+  /// total_frames() for a caller's archive, the simulator's own clock for
+  /// the rollback (a caller may have stepped past the horizon).
+  bool restore_body(common::BinaryReader& r, std::int64_t max_frame);
   bool carrier_in_range(int carrier) const {
     return carrier >= 0 && carrier < config_.placement.carriers;
   }
@@ -358,7 +359,7 @@ class Simulator {
   std::vector<double> prev_tx_w_;
   std::vector<int> user_carrier_;
   /// Ring-aggregated interference from each user's non-candidate cells
-  /// (culling providers only; see src/sim/far_field.hpp).  The forward term
+  /// (the culled provider only; see src/sim/far_field.hpp).  The forward term
   /// lives in FrameState's aggregate lane; the reverse term is per station.
   FarFieldAggregator far_field_;
   double far_refresh_left_s_ = 0.0;

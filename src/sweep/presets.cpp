@@ -155,36 +155,36 @@ SweepSpec enterprise_data() {
   return spec;
 }
 
-/// Exhaustive vs. neighbour-culled vs. relaxed-precision channel-state
-/// providers on the 19-cell hotspot grid: the metric-equivalence and
-/// frames/sec story in one sweep.  `fast` rows are statistically
-/// equivalent, not bit-identical (tests/test_statcheck.cpp pins the
-/// tolerances).
+/// Exhaustive vs. neighbour-culled channel-state providers on the 19-cell
+/// hotspot grid: the metric-equivalence and frames/sec story in one sweep.
+/// `culled` rows are statistically equivalent, not bit-identical
+/// (tests/test_statcheck.cpp pins the tolerances).
 SweepSpec csi_providers() {
   SweepSpec spec;
   spec.name = "csi-providers";
   spec.base = scenario::hotspot_center().to_config();
   spec.base.sim_duration_s = 60.0;
   spec.base.warmup_s = 8.0;
-  spec.axes = {axis_csi_provider({"exhaustive", "culled", "fast"}),
+  spec.axes = {axis_csi_provider({"exhaustive", "culled"}),
                axis_load_scale({1.0, 2.0})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
-/// 127-cell metro grid: the world size only the culling providers can
-/// afford.  Provider x load scale, shortened horizon -- the per-link cost
-/// of `culled`/`fast` stays flat with cell count because candidate sets
-/// are radius-bounded and the far-field aggregate covers the rest
-/// (docs/ACCURACY.md; tools/check_perf.py gates the scaling).
+/// 127-cell metro grid: the world size only the culled provider can
+/// afford.  Load scale on `culled`, shortened horizon -- the per-link cost
+/// stays flat with cell count because candidate sets are radius-bounded
+/// and the far-field aggregate covers the rest (docs/ACCURACY.md;
+/// tools/check_perf.py gates the scaling).
 SweepSpec large_hex() {
   SweepSpec spec;
   spec.name = "large-hex";
   spec.base = scenario::large_hex().to_config();
   spec.base.sim_duration_s = 30.0;
   spec.base.warmup_s = 5.0;
-  spec.axes = {axis_csi_provider({"culled", "fast"}), axis_load_scale({1.0, 1.5})};
+  spec.base.csi.provider = "culled";
+  spec.axes = {axis_load_scale({1.0, 1.5})};
   spec.replications = 1;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -241,7 +241,7 @@ SweepSpec sim_threads() {
   spec.base.sim_duration_s = 30.0;
   spec.base.warmup_s = 5.0;
   spec.axes = {axis_sim_threads({1, 4}),
-               axis_csi_provider({"exhaustive", "culled", "fast"})};
+               axis_csi_provider({"exhaustive", "culled"})};
   spec.replications = 1;
   spec.common_random_numbers = true;  // identical streams: rows must match
   return spec;
@@ -287,10 +287,9 @@ const PresetEntry kPresets[] = {
      highway_corridor},
     {"enterprise-data", "data-heavy enterprise mix, carriers x objective",
      enterprise_data},
-    {"csi-providers", "exhaustive vs culled vs fast channel state, load x provider",
+    {"csi-providers", "exhaustive vs culled channel state, load x provider",
      csi_providers},
-    {"large-hex", "127-cell metro grid, culling provider x load scale",
-     large_hex},
+    {"large-hex", "127-cell metro grid, culled provider x load scale", large_hex},
     {"carrier-balance", "inter-carrier hand-down vs JABA-SD, two carriers",
      carrier_balance},
     {"flash-crowd", "hotspot-centre arrival pulse, ramp peak x schedulers",

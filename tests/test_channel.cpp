@@ -1,8 +1,9 @@
-// Channel model tests: path-loss slopes, shadowing statistics and spatial
-// correlation, Rayleigh fading moments and Doppler behaviour, and the CSI
-// feedback pipe.
+// Channel model tests: path-loss slopes and every model's affine fold,
+// shadowing statistics and spatial correlation, Rayleigh fading moments and
+// Doppler behaviour, and the CSI feedback pipe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/channel/channel.hpp"
@@ -69,6 +70,26 @@ TEST(PathLoss, Cost231HataReasonableAtOneKm) {
   // Urban COST231-Hata at 2 GHz, 1 km is in the high-130s dB.
   EXPECT_GT(pl.loss_db(1000.0), 130.0);
   EXPECT_LT(pl.loss_db(1000.0), 145.0);
+}
+
+TEST(PathLoss, AffineFoldMatchesEveryModel) {
+  // Every provider's gain lane (sim::FrameState) consumes affine_log10(); it
+  // must agree with loss_db() across models and distances, or the fused
+  // constants have drifted from the reference evaluation.
+  for (const PathLossModelKind kind :
+       {PathLossModelKind::kLogDistance, PathLossModelKind::k3gppMacro,
+        PathLossModelKind::kCost231Hata}) {
+    PathLossConfig cfg;
+    cfg.kind = kind;
+    const PathLoss model(cfg);
+    const PathLoss::AffineLog10 affine = model.affine_log10();
+    for (double d = 5.0; d < 2.0e4; d *= 1.7) {
+      const double clamped = std::max(d, cfg.min_distance_m);
+      EXPECT_NEAR(affine.a_db + affine.b_db * std::log10(clamped), model.loss_db(d),
+                  1e-9)
+          << "kind=" << static_cast<int>(kind) << " d=" << d;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- shadowing

@@ -65,21 +65,6 @@ TEST(SimThreads, CulledProviderBitIdenticalAcrossThreadCounts) {
   expect_identical(t1, t0);
 }
 
-TEST(SimThreads, FastProviderBitIdenticalAcrossThreadCounts) {
-  // The relaxed-precision provider is NOT bit-identical to the reference,
-  // but it must still be bit-identical to ITSELF for every sim.threads
-  // value: the sharded loops carry no cross-shard state (per-user batch
-  // streams, stack-local lanes), and perf_smoke publishes fast rows at
-  // sim_threads = 4 on that basis.
-  sim::SystemConfig cfg = small_config();
-  cfg.csi.provider = "fast";
-  cfg.sim_threads = 1;
-  const sim::SimMetrics t1 = sim::Simulator(cfg).run();
-  cfg.sim_threads = 4;
-  const sim::SimMetrics t4 = sim::Simulator(cfg).run();
-  expect_identical(t1, t4);
-}
-
 TEST(SimThreads, MultiCarrierScenarioBitIdentical) {
   scenario::ScenarioLayout layout = scenario::enterprise_data();
   layout.sim_duration_s = 8.0;

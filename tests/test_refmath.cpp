@@ -23,9 +23,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/fastmath.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/simd.hpp"
+#include "src/common/units.hpp"
 #include "src/sim/kernels.hpp"
 
 #if WCDMA_HAVE_QUADMATH
@@ -386,8 +386,7 @@ TEST(RefmathBounds, CompositeLinkGain) {
       z[i] = rng.uniform(-40.0, 40.0);
       d_sq[i] = rng.uniform(100.0, 1.0e8);
     }
-    wcdma::sim::kernels::shadow_gain_lane(wcdma::sim::kernels::Family::kReference, 0.0,
-                                          1.0, bias, half, z.data(), d_sq.data(),
+    wcdma::sim::kernels::shadow_gain_lane(0.0, 1.0, bias, half, z.data(), d_sq.data(),
                                           shadow.data(), gain.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       const __float128 exact =

@@ -9,7 +9,8 @@
 //    hotspot-centre scenario;
 //  * checkpoint/restore: snapshot at frame k + resume into a fresh
 //    simulator equals the uninterrupted run, as a property across three
-//    master seeds; mismatched-config archives are refused with state
+//    master seeds; mismatched-config and forged archives (out-of-range
+//    indices, a frame clock past the horizon) are refused with state
 //    untouched;
 //  * protocol nacks: malformed, duplicate, out-of-order, and
 //    unknown-target events nack with the catalogue's result codes and
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -346,15 +348,15 @@ TEST(Replay, RefusesAForeignHeader) {
 
 // --- Checkpoint / restore ---------------------------------------------------
 
-// Property: for several master seeds and every provider (the culling ones
-// with the far field live and churning candidate sets), snapshot at frame k
+// Property: for several master seeds and every provider (`culled` with the
+// far field live and churning candidate sets), snapshot at frame k
 // + restore onto a simulator that has already stepped + run the remaining
 // frames == the uninterrupted run, bit for bit (metrics, station powers and
 // the final snapshot).  k = 0 and 1 pin the far field's first-frame gate:
 // the aggregates must first refresh on the frame after the one that filled
 // the candidate sets, whether or not a restore came in between.
 TEST(CheckpointRestore, ResumedRunEqualsUninterruptedAcrossSeeds) {
-  for (const std::string provider : {"exhaustive", "culled", "fast"}) {
+  for (const std::string provider : {"exhaustive", "culled"}) {
     for (const std::uint64_t seed : {3ull, 17ull, 90001ull}) {
       sim::SystemConfig cfg = hotspot_config(seed);
       cfg.csi.provider = provider;
@@ -532,7 +534,7 @@ TEST(CheckpointRestore, RefusesOtherSnapshotVersions) {
   for (std::size_t i = 0; i < 4; ++i) {
     version |= std::uint32_t{archive[kVersionAt + i]} << (8 * i);
   }
-  ASSERT_EQ(version, 5u);
+  ASSERT_EQ(version, 6u);
   for (const std::uint32_t other : {version - 1, version + 1}) {
     std::vector<std::uint8_t> forged = archive;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -657,11 +659,11 @@ std::vector<std::size_t> far_field_carrier_offsets(const std::vector<std::uint8_
   return found;
 }
 
-/// The culling providers' own lanes: candidate sets, and the far-field
+/// The culled provider's own lanes: candidate sets, and the far-field
 /// anchors and carriers that index the TX buckets.
-void expect_forged_candidate_state_refused(const std::string& provider) {
+void expect_forged_candidate_state_refused() {
   sim::SystemConfig cfg = hotspot_config(13);
-  cfg.csi.provider = provider;
+  cfg.csi.provider = "culled";
   cfg.csi.refresh_interval_s = 0.2;
   cfg.csi.cull_radius_scale = 2.0;
   sim::Simulator donor(cfg);
@@ -825,10 +827,61 @@ TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
   std::string why;
   EXPECT_TRUE(victim.check_invariants(&why)) << why;
 
-  for (const char* provider : {"culled", "fast"}) {
-    SCOPED_TRACE(provider);
-    expect_forged_candidate_state_refused(provider);
+  expect_forged_candidate_state_refused();
+}
+
+// The simulator's and FrameState's frame clocks forged together agree, and
+// every link's fading clock stays below them, so no invariant catches the
+// pair; the next frame's fading replay would chase the forged clock.  No
+// run loop in the repository steps past the config's horizon, so restore()
+// refuses a clock beyond total_frames(), while an honest archive taken at
+// the horizon itself still restores.
+TEST(CheckpointRestore, RefusesAFrameClockPastTheHorizon) {
+  const sim::SystemConfig cfg = hotspot_config(13);
+  constexpr std::uint64_t kDonorFrames = 30;
+  sim::Simulator donor(cfg);
+  for (std::uint64_t f = 0; f < kDonorFrames; ++f) donor.step_frame();
+  const std::vector<std::uint8_t> archive = donor.snapshot();
+  const std::size_t users = donor.num_users(), cells = donor.num_cells();
+
+  // The simulator's clock follows its now_s_ f64; FrameState's is directly
+  // followed by the shadowing stream count, one stream per link.
+  std::uint64_t now_bits = 0;
+  const double now = donor.now_s();
+  std::memcpy(&now_bits, &now, sizeof(now));
+  std::vector<std::size_t> sim_clock, state_clock;
+  for (std::size_t at = 0; at + 16 <= archive.size(); ++at) {
+    if (u64_at(archive, at + 8) == kDonorFrames && u64_at(archive, at) == now_bits)
+      sim_clock.push_back(at + 8);
+    if (u64_at(archive, at) == kDonorFrames && u64_at(archive, at + 8) == users * cells)
+      state_clock.push_back(at);
   }
+  ASSERT_EQ(sim_clock.size(), 1u);
+  ASSERT_EQ(state_clock.size(), 1u);
+
+  sim::Simulator victim(cfg);
+  for (int f = 0; f < 4; ++f) victim.step_frame();
+  const auto horizon = static_cast<std::uint64_t>(victim.total_frames());
+  std::vector<std::uint8_t> forged;
+  for (const std::uint64_t clock : {horizon + 1, std::uint64_t{1} << 50}) {
+    forged = archive;
+    put_u64(forged, sim_clock.front(), clock);
+    put_u64(forged, state_clock.front(), clock);
+    reseal(forged);
+    expect_refused(victim, forged, "both frame clocks at " + std::to_string(clock));
+  }
+
+  // step_frame() itself does not stop at the horizon, so a simulator a
+  // caller stepped past it must still roll back its own state.
+  sim::Simulator finished(cfg);
+  finished.run();
+  ASSERT_EQ(finished.frame_index(), victim.total_frames());
+  const std::vector<std::uint8_t> at_horizon = finished.snapshot();
+  finished.step_frame();
+  expect_refused(finished, forged, "a forged clock onto a simulator past its horizon");
+
+  ASSERT_TRUE(victim.restore(at_horizon));
+  EXPECT_TRUE(victim.snapshot() == at_horizon);
 }
 
 TEST(CheckpointRestore, ServiceCheckpointCarriesBufferedInjections) {

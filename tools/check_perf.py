@@ -12,17 +12,6 @@ Schema-2 files carry {"scales": [{"cells", "users", "frames", "entries":
 ({"providers": {name: fps}}) is also accepted for the baseline side, mapped
 to the 19-cell scale at sim_threads=1.
 
-Two additional gates (PR 5, the relaxed-precision `fast` provider):
-  --require-provider NAME   fail unless the fresh run has at least one NAME
-                            entry (a provider silently dropped from the
-                            registry would otherwise pass as "missing
-                            baseline rows are new");
-  --ratio NUM:DEN:FLOOR     at every scale where both providers have a
-                            sim_threads=1 entry in the fresh run, require
-                            fps[NUM] / fps[DEN] >= FLOOR (e.g.
-                            fast:culled:1.3 keeps the fast provider's win
-                            from silently eroding).
-
 One gate for PR 6 (far-field aggregation, 127-cell worlds):
   --cost-scaling PROVIDER:BASE_CELLS:BIG_CELLS:FACTOR
                             per-user frame cost 1 / (fps x users) at
@@ -40,7 +29,6 @@ baseline) and p99 per-frame decision latency (must stay under
 the same (scenario, policy, provider, seed) point.
 
 Usage: check_perf.py BASELINE_JSON FRESH_JSON [--tolerance 0.20]
-           [--require-provider NAME ...] [--ratio NUM:DEN:FLOOR ...]
            [--cost-scaling PROVIDER:BASE:BIG:FACTOR ...]
 """
 
@@ -113,13 +101,6 @@ def main():
     parser.add_argument("fresh")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional regression (default 0.20)")
-    parser.add_argument("--require-provider", action="append", default=[],
-                        metavar="NAME",
-                        help="fail unless the fresh run has NAME entries")
-    parser.add_argument("--ratio", action="append", default=[],
-                        metavar="NUM:DEN:FLOOR",
-                        help="require fps[NUM]/fps[DEN] >= FLOOR at "
-                             "sim_threads=1 wherever both exist")
     parser.add_argument("--cost-scaling", action="append", default=[],
                         metavar="PROVIDER:BASE:BIG:FACTOR",
                         help="require per-user frame cost on the BIG-cell "
@@ -147,50 +128,14 @@ def main():
 
     failures = []
     # A 0 f/s entry means the timed loop never ran (crashed or truncated
-    # smoke run): without this check it would sail through the ratio gates
-    # as a divide-by-zero -> 0.0 "ratio" or silently depress a floor.
+    # smoke run): without this check it would only show as a missing
+    # cost-scaling entry or silently depress a floor.
     for key, fps in sorted(fresh.items()):
         if fps <= 0:
             cells, users, provider, threads = key
             failures.append(
                 f"{cells}c/{users}u {provider} t{threads}: recorded "
                 f"{fps:g} f/s -- crashed or truncated smoke run")
-
-    for provider in args.require_provider:
-        if not any(key[2] == provider for key in fresh):
-            failures.append(f"required provider '{provider}' has no fresh entries")
-
-    for spec in args.ratio:
-        try:
-            num, den, floor_text = spec.split(":")
-            floor = float(floor_text)
-        except ValueError:
-            sys.exit(f"check_perf: bad --ratio spec '{spec}' (want NUM:DEN:FLOOR)")
-        scales = sorted({(c, u) for (c, u, p, t) in fresh if t == 1})
-        checked = 0
-        for cells, users in scales:
-            num_key = (cells, users, num, 1)
-            den_key = (cells, users, den, 1)
-            if num_key not in fresh or den_key not in fresh:
-                continue
-            checked += 1
-            if fresh[num_key] <= 0 or fresh[den_key] <= 0:
-                # Already reported as a 0 f/s failure above; a ratio over a
-                # zero side is meaningless, so attribute instead of dividing.
-                failures.append(
-                    f"{cells}c/{users}u: {num}/{den} ratio unavailable "
-                    f"({num} {fresh[num_key]:g} f/s, {den} "
-                    f"{fresh[den_key]:g} f/s)")
-                continue
-            ratio = fresh[num_key] / fresh[den_key]
-            status = "ok" if ratio >= floor else "REGRESSED"
-            print(f"check_perf: {cells}c/{users}u {num}/{den} t1 ratio "
-                  f"{ratio:.2f} (floor {floor:.2f}) {status}")
-            if ratio < floor:
-                failures.append(
-                    f"{cells}c/{users}u: {num}/{den} ratio {ratio:.2f} < {floor:.2f}")
-        if checked == 0:
-            failures.append(f"--ratio {spec}: no scale has t1 entries for both")
 
     for spec in args.cost_scaling:
         try:

@@ -11,17 +11,12 @@
 //     one exhaustive reference row so the gap stays on record.
 //   * 127 cells / 2304 users -- the far-field scale point (PR 6): candidate
 //     sets are radius-bounded and the ring aggregate covers the remaining
-//     ~110 cells, so the culling providers' per-user frame cost must stay
+//     ~110 cells, so the culled provider's per-user frame cost must stay
 //     flat with cell count.  The JSON summary records the per-user cost
-//     ratio vs the 19-cell grid (tools/check_perf.py gates culled at
-//     <= 1.3x; fast at <= 1.45x, since SIMD compresses its 19-cell cost).
+//     ratio vs the 19-cell grid (tools/check_perf.py gates it at <= 1.3x).
 //
-// Every registered channel-state provider gets rows at both scales (PR 5
-// added "fast", the relaxed-precision culled variant; the JSON summary
-// records its fast/culled frames-per-sec ratio at 19 cells, sim.threads=1,
-// which the PR 5 acceptance pins at >= 1.5x on the 1-core container).
-//
-// Each (scale, provider) pair runs at sim.threads = 1 and 4.  Thread counts
+// Every registered channel-state provider gets rows at every scale.  Each
+// (scale, provider) pair runs at sim.threads = 1 and 4.  Thread counts
 // change frames/sec only -- metrics are bit-identical by design (tested in
 // tests/test_frame_state.cpp).  On hosts with fewer cores than sim.threads
 // the simulator caps its worker pool at the hardware concurrency, so the
@@ -144,21 +139,13 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<std::string> providers = sim::channel_provider_names();
-  // The acceptance row: 19-cell culled at sim.threads = 4 (the configuration
-  // ISSUE/ROADMAP name), not the best over thread counts.
+  // The acceptance row: 19-cell culled at sim.threads = 4, not the best
+  // over thread counts.
   double gate_culled_fps = 0.0;
-  // The relaxed-precision acceptance ratio: fast vs culled at 19 cells,
-  // sim.threads = 1 (the 1-core container configuration the PR 5 target
-  // names); tools/check_perf.py can gate on it via --ratio.
-  double culled_19_t1_fps = 0.0, fast_19_t1_fps = 0.0;
-  // SIMD acceptance ratio (ISSUE 10): the fast provider re-run with the
-  // kernel dispatch forced to scalar vs the host's best level, 19 cells,
-  // sim.threads = 1.  Gated by check_perf.py --ratio fast-simd:fast-scalar.
-  double fast_scalar_19_t1_fps = 0.0, fast_simd_19_t1_fps = 0.0;
   // Far-field scaling record (PR 6): per-user frame cost = 1 / (fps x
   // users); the 127-cell over 19-cell ratio must stay ~flat for the
-  // culling providers (tools/check_perf.py --cost-scaling gates it).
-  double culled_127_t1_fps = 0.0, fast_127_t1_fps = 0.0;
+  // culled provider (tools/check_perf.py --cost-scaling gates it).
+  double culled_19_t1_fps = 0.0, culled_127_t1_fps = 0.0;
   int users_19 = 0, users_127 = 0;
 
   std::string json = "{\n  \"bench\": \"frames_per_sec\",\n  \"schema\": 2,\n";
@@ -196,12 +183,10 @@ int main(int argc, char** argv) {
         if (cells == 19 && threads == 1) {
           users_19 = users;
           if (provider == "culled") culled_19_t1_fps = fps;
-          if (provider == "fast") fast_19_t1_fps = fps;
         }
         if (cells == 127 && threads == 1) {
           users_127 = users;
           if (provider == "culled") culled_127_t1_fps = fps;
-          if (provider == "fast") fast_127_t1_fps = fps;
         }
         std::fprintf(stderr, "perf_smoke:   %-11s sim_threads=%d  %.1f frames/sec\n",
                      provider.c_str(), threads, fps);
@@ -212,49 +197,6 @@ int main(int argc, char** argv) {
                       first_entry ? "" : ",\n", provider.c_str(), threads, fps);
         json += buf;
         first_entry = false;
-      }
-    }
-    if (cells == 19) {
-      // Dispatch-forced rows: same fast-provider run with the SIMD kernels
-      // pinned to scalar, then to the host's best level.  Trajectories are
-      // byte-identical across levels (the kernels contract), so the fps
-      // delta is the SIMD win and nothing else.
-      cfg.csi.provider = "fast";
-      cfg.sim_threads = 1;
-      const common::SimdLevel restore = common::active_simd_level();
-      struct ForcedRow {
-        const char* name;
-        common::SimdLevel level;
-        double* fps_out;
-      } forced[] = {
-          {"fast-scalar", common::SimdLevel::kScalar, &fast_scalar_19_t1_fps},
-          {"fast-simd", common::max_supported_simd_level(), &fast_simd_19_t1_fps},
-      };
-      // Interleave the repetitions (scalar, simd, scalar, simd, ...) instead
-      // of running each row's best-of block sequentially: shared containers
-      // drift in multi-minute windows, and a sequential block can land one
-      // row entirely inside a slow window, corrupting the gated ratio.
-      // Adjacent runs see the same machine, so the best-of pairs stay
-      // comparable; a floor of 3 reps keeps the ratio stable even when the
-      // grid rows above run with --best-of 1.
-      const int forced_reps = best_of < 3 ? 3 : best_of;
-      for (int rep = 0; rep < forced_reps; ++rep) {
-        for (const ForcedRow& row : forced) {
-          common::set_simd_level(row.level);
-          const double fps = frames_per_sec(cfg, timed, 1);
-          if (fps > *row.fps_out) *row.fps_out = fps;
-        }
-      }
-      common::set_simd_level(restore);
-      for (const ForcedRow& row : forced) {
-        std::fprintf(stderr, "perf_smoke:   %-11s sim_threads=1  %.1f frames/sec\n",
-                     row.name, *row.fps_out);
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      ",\n      {\"provider\": \"%s\", \"sim_threads\": 1, "
-                      "\"fps\": %.3f}",
-                      row.name, *row.fps_out);
-        json += buf;
       }
     }
     json += "\n    ]}";
@@ -269,16 +211,8 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf), "  \"speedup_vs_pr3\": %.3f,\n",
                   gate_culled_fps / kPr3CulledBaselineFps);
     json += buf;
-    std::snprintf(buf, sizeof(buf), "  \"fast_over_culled_19c_t1\": %.3f,\n",
-                  culled_19_t1_fps > 0.0 ? fast_19_t1_fps / culled_19_t1_fps : 0.0);
-    json += buf;
     std::snprintf(buf, sizeof(buf), "  \"simd_level\": \"%s\",\n",
                   common::simd_level_name(common::max_supported_simd_level()));
-    json += buf;
-    std::snprintf(buf, sizeof(buf), "  \"simd_over_scalar_fast_19c\": %.3f,\n",
-                  fast_scalar_19_t1_fps > 0.0
-                      ? fast_simd_19_t1_fps / fast_scalar_19_t1_fps
-                      : 0.0);
     json += buf;
     // cost(scale) = 1 / (fps x users); ratio > 1 means the big grid costs
     // more per user-frame than the small one.
@@ -288,12 +222,8 @@ int main(int argc, char** argv) {
                  : 0.0;
     };
     std::snprintf(buf, sizeof(buf),
-                  "  \"culled_per_user_cost_127c_over_19c\": %.3f,\n",
+                  "  \"culled_per_user_cost_127c_over_19c\": %.3f\n",
                   cost_ratio(culled_127_t1_fps, culled_19_t1_fps));
-    json += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"fast_per_user_cost_127c_over_19c\": %.3f\n",
-                  cost_ratio(fast_127_t1_fps, fast_19_t1_fps));
     json += buf;
   }
   json += "}\n";

@@ -37,9 +37,7 @@ void print_usage() {
       "  --list-presets        list registered presets and exit\n"
       "  --policy NAME         force an admission policy on the preset base\n"
       "  --list-policies       list registered admission policies and exit\n"
-      "  --csi-provider NAME   force a channel-state provider\n"
-      "                        (exhaustive|culled|fast; fast trades bit-identity\n"
-      "                        for speed, see tests/test_statcheck.cpp)\n"
+      "  --csi-provider NAME   force a channel-state provider (exhaustive|culled)\n"
       "  --list-csi-providers  list registered channel-state providers and exit\n"
       "  --replications N      override the preset's replication count\n"
       "  --threads N           sweep worker threads (0 = inline; default: hardware)\n"

@@ -106,50 +106,17 @@ class CheckPerfTest(unittest.TestCase):
                            schema2([(19, 100, "exhaustive", 1, 1.0)]))
         self.assertNotEqual(result.returncode, 0)
 
-    # --- provider/ratio/cost gates ---
-
-    def test_require_provider_missing_fails(self):
-        doc = schema2([(19, 100, "exhaustive", 1, 500.0)])
-        result = self._run(doc, doc, "--require-provider", "fast")
-        self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("required provider 'fast'", result.stdout)
-
-    def test_ratio_floor_enforced(self):
-        doc = schema2([(19, 100, "fast", 1, 1000.0),
-                       (19, 100, "culled", 1, 900.0)])
-        ok = self._run(doc, doc, "--ratio", "fast:culled:1.05")
-        self.assertEqual(ok.returncode, 0, ok.stdout)
-        bad = self._run(doc, doc, "--ratio", "fast:culled:1.5")
-        self.assertEqual(bad.returncode, 1, bad.stdout)
-        self.assertIn("ratio", bad.stdout)
-
-    def test_ratio_with_no_common_scale_fails(self):
-        doc = schema2([(19, 100, "fast", 1, 1000.0)])
-        result = self._run(doc, doc, "--ratio", "fast:culled:1.0")
-        self.assertEqual(result.returncode, 1, result.stdout)
+    # --- zero-fps and cost-scaling gates ---
 
     def test_zero_fps_entry_fails_attributed(self):
         # A crashed/truncated smoke run records 0 f/s; the gate must name
         # the exact row instead of letting it slide through the floors.
-        base = schema2([(19, 100, "fast", 1, 1000.0)])
-        fresh = schema2([(19, 100, "fast", 1, 0.0)])
+        base = schema2([(19, 100, "culled", 1, 1000.0)])
+        fresh = schema2([(19, 100, "culled", 1, 0.0)])
         result = self._run(base, fresh, "--tolerance", "0.99")
         self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("19c/100u fast t1: recorded 0 f/s", result.stdout)
+        self.assertIn("19c/100u culled t1: recorded 0 f/s", result.stdout)
         self.assertIn("crashed or truncated", result.stdout)
-
-    def test_ratio_with_zero_denominator_fails_without_crash(self):
-        # Before the fix the ratio gate divided into a zero denominator's
-        # guard branch and reported ratio 0.00 < floor -- true but
-        # unattributed; a zero NUMERATOR passed outright when floor <= 0.
-        # Both sides must now fail with the 0 f/s row named and no
-        # Traceback.
-        doc = schema2([(19, 100, "fast", 1, 1000.0),
-                       (19, 100, "culled", 1, 0.0)])
-        result = self._run(doc, doc, "--ratio", "fast:culled:0.0")
-        self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("ratio unavailable", result.stdout)
-        self.assertNotIn("Traceback", result.stderr + result.stdout)
 
     def test_cost_scaling_cap_enforced(self):
         # per-user cost = 1/(fps*users): base 1/(500*100), big 1/(100*400)

@@ -12,9 +12,8 @@ namespace wcdma::cell {
 
 ActiveSet::ActiveSet(const ActiveSetConfig& config, std::size_t num_cells)
     : config_(config),
-      t_add_linear_(common::refmath::pow(10.0, config.t_add_db / 10.0)),
-      t_drop_linear_(common::refmath::pow(10.0, config.t_drop_db / 10.0)),
-      t_add_band_lo_(t_add_linear_ * (1.0 - kAddBand)),
+      t_add_band_lo_(common::refmath::pow(10.0, config.t_add_db / 10.0) *
+                     (1.0 - kAddBand)),
       last_pilot_db_(num_cells, -999.0),
       below_drop_s_(num_cells, 0.0) {
   WCDMA_ASSERT(config_.max_size >= 1);
@@ -22,12 +21,12 @@ ActiveSet::ActiveSet(const ActiveSetConfig& config, std::size_t num_cells)
   WCDMA_ASSERT(config_.t_add_db >= config_.t_drop_db);
 }
 
-void ActiveSet::drop_phase(double t_drop, double dt) {
+void ActiveSet::drop_phase(double dt) {
   // Members below T_DROP for longer than the drop timer leave.  In-place
   // compaction keeps member order and avoids a per-update allocation.
   std::size_t kept = 0;
   for (std::size_t cell : members_) {
-    if (last_pilot_db_[cell] < t_drop) {
+    if (last_pilot_db_[cell] < config_.t_drop_db) {
       below_drop_s_[cell] += dt;
       if (below_drop_s_[cell] >= config_.drop_timer_s) {
         below_drop_s_[cell] = 0.0;
@@ -75,7 +74,7 @@ void ActiveSet::update(const std::vector<double>& pilot_ec_io_db, double dt) {
   WCDMA_ASSERT(pilot_ec_io_db.size() == last_pilot_db_.size());
   last_pilot_db_ = pilot_ec_io_db;
 
-  drop_phase(config_.t_drop_db, dt);
+  drop_phase(dt);
 
   // Add phase: non-members above T_ADD, strongest first, until max_size.
   candidates_scratch_.clear();
@@ -99,20 +98,23 @@ void ActiveSet::update(const std::vector<double>& pilot_ec_io_db, double dt) {
   finish_update();
 }
 
-void ActiveSet::update_linear(const double* pilot, std::size_t n, double floor,
-                              double dt) {
-  WCDMA_ASSERT(n == last_pilot_db_.size());
+void ActiveSet::update_linear(const double* pilot, const std::vector<std::size_t>& cells,
+                              double floor, double dt) {
   const auto convert = [&](std::size_t cell) {
     last_pilot_db_[cell] = common::linear_to_db(std::max(pilot[cell], floor));
   };
-  for (std::size_t cell : members_) convert(cell);
-  drop_phase(config_.t_drop_db, dt);
+  for (std::size_t cell : members_) {
+    WCDMA_DEBUG_ASSERT(std::find(cells.begin(), cells.end(), cell) != cells.end() &&
+                       "every member must be a listed cell");
+    convert(cell);
+  }
+  drop_phase(dt);
 
   // Add phase as in update().  A floored pilot below the band's lower edge
   // is below T_ADD in dB too; anything else (NaN included) is converted and
   // tested in dB, and a passing cell needs its dB value for the ordering.
   candidates_scratch_.clear();
-  for (std::size_t cell = 0; cell < n; ++cell) {
+  for (std::size_t cell : cells) {
     if (std::max(pilot[cell], floor) < t_add_band_lo_ || contains(cell)) continue;
     convert(cell);
     if (last_pilot_db_[cell] >= config_.t_add_db) candidates_scratch_.push_back(cell);
@@ -120,42 +122,16 @@ void ActiveSet::update_linear(const double* pilot, std::size_t n, double floor,
   add_phase();
 
   // The empty fallback's first-strongest scan runs in dB, where pilots that
-  // differ in linear can tie, so every cell is converted for it.
+  // differ in linear can tie, so every listed cell is converted for it.
   if (members_.empty()) {
-    for (std::size_t cell = 0; cell < n; ++cell) convert(cell);
-    std::size_t best = 0;
-    for (std::size_t cell = 1; cell < n; ++cell) {
+    WCDMA_ASSERT(!cells.empty());
+    for (std::size_t cell : cells) convert(cell);
+    std::size_t best = cells.front();
+    for (std::size_t cell : cells) {
       if (last_pilot_db_[cell] > last_pilot_db_[best]) best = cell;
     }
     members_.push_back(best);
   }
-
-  finish_update();
-}
-
-void ActiveSet::update_sparse_linear(
-    const std::vector<std::pair<std::size_t, double>>& pilots, double dt) {
-  for (const auto& [cell, pilot] : pilots) {
-    WCDMA_ASSERT(cell < last_pilot_db_.size());
-    last_pilot_db_[cell] = pilot;
-  }
-
-  drop_phase(t_drop_linear_, dt);
-
-  candidates_scratch_.clear();
-  for (const auto& [cell, pilot] : pilots) {
-    if (pilot >= t_add_linear_ && !contains(cell)) candidates_scratch_.push_back(cell);
-  }
-  add_phase();
-
-  if (members_.empty() && !pilots.empty()) {
-    std::size_t best = pilots.front().first;
-    for (const auto& [cell, pilot] : pilots) {
-      if (pilot > last_pilot_db_[best]) best = cell;
-    }
-    members_.push_back(best);
-  }
-  WCDMA_ASSERT(!members_.empty());
 
   finish_update();
 }
@@ -185,7 +161,6 @@ double ActiveSet::reverse_adjustment() const {
 }
 
 void ActiveSet::save(common::BinaryWriter& w) const {
-  w.vec_f64(last_pilot_db_);
   w.vec_f64(below_drop_s_);
   w.u64(members_.size());
   for (std::size_t m : members_) w.u64(m);
@@ -193,20 +168,16 @@ void ActiveSet::save(common::BinaryWriter& w) const {
 }
 
 bool ActiveSet::load(common::BinaryReader& r) {
-  std::vector<double> pilots, timers;
-  r.vec_f64(pilots);
+  std::vector<double> timers;
   r.vec_f64(timers);
-  if (!r.ok() || pilots.size() != last_pilot_db_.size() ||
-      timers.size() != below_drop_s_.size()) {
-    return false;
-  }
+  if (!r.ok() || timers.size() != below_drop_s_.size()) return false;
   const std::size_t n = r.seq(8);
   if (!r.ok() || n > config_.max_size) return false;
   std::vector<std::size_t> members;
   members.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t m = r.u64();
-    if (!r.ok() || m >= last_pilot_db_.size() ||
+    if (!r.ok() || m >= below_drop_s_.size() ||
         std::find(members.begin(), members.end(), m) != members.end()) {
       return false;
     }
@@ -214,7 +185,6 @@ bool ActiveSet::load(common::BinaryReader& r) {
   }
   const bool initialised = r.boolean();
   if (!r.ok() || (initialised && members.empty())) return false;
-  last_pilot_db_ = std::move(pilots);
   below_drop_s_ = std::move(timers);
   members_ = std::move(members);
   initialised_ = initialised;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -37,35 +36,25 @@ class ActiveSet {
   /// `dt` is the frame duration (drives the drop timers).
   void update(const std::vector<double>& pilot_ec_io_db, double dt);
 
-  /// update() on linear pilot Ec/Io values, converting to dB on demand: the
-  /// same decisions, and the same stored member dB values, as update() fed
-  /// common::linear_to_db(std::max(pilot[k], floor)) for all `n` cells.  A
-  /// cell is converted only when the dB value can matter: current members,
-  /// cells whose floored pilot is not below T_ADD's linear value by more
-  /// than a relative kAddBand (NaN included) -- which covers every cell that
-  /// passes T_ADD, since those are sorted and compared in dB -- and every
-  /// cell when the set would otherwise run empty.  Below that band the
-  /// linear test decides the dB test exactly: the band is 4.3e-9 dB wide,
-  /// and log10 errs by a few ulp.  The exhaustive provider's hot path.
-  void update_linear(const double* pilot, std::size_t n, double floor, double dt);
+  /// update() on the linear pilot Ec/Io values of the listed `cells`,
+  /// converting to dB on demand: the same decisions, and the same member dB
+  /// values, as update() fed common::linear_to_db(std::max(pilot[k], floor))
+  /// for every listed cell and anything lower for every other one.  `pilot`
+  /// is indexed by cell; entries outside `cells` are never read.  Every
+  /// member must be listed.  A listed cell is converted only when the dB value can
+  /// matter: current members, cells whose floored pilot is not below T_ADD's
+  /// linear value by more than a relative kAddBand (NaN included) -- which
+  /// covers every cell that passes T_ADD, since those are sorted and
+  /// compared in dB -- and every listed cell when the set would otherwise
+  /// run empty, which then latches onto the first strongest listed cell.
+  /// Below that band the linear test decides the dB test exactly: the band
+  /// is 4.3e-9 dB wide, and log10 errs by a few ulp.  The simulator's
+  /// hand-off update on every provider, with `cells` the user's candidate
+  /// set (every cell, ascending, on `exhaustive`).
+  void update_linear(const double* pilot, const std::vector<std::size_t>& cells,
+                     double floor, double dt);
   /// Relative half-width of update_linear()'s T_ADD band.
   static constexpr double kAddBand = 1e-9;
-
-  /// Sparse per-frame update for culled channel state, on *linear* pilot
-  /// Ec/Io values compared against the pre-converted linear thresholds,
-  /// skipping the per-cell dB conversion entirely.  Only `pilots` (cell,
-  /// Ec/Io) carry real measurements; every unreported cell is implicitly at
-  /// a floor far below t_drop (so it can never join), and current members
-  /// must be among the reported cells.  O(reported) instead of O(cells).
-  /// All decisions -- add/drop thresholds, strongest-first ordering, drop
-  /// timers -- are order statistics, and x -> 10 log10(x) is strictly
-  /// monotone, so the resulting hand-off trajectories match update() on
-  /// the dB values of the same pilots.  A caller must stick to one domain
-  /// for the lifetime of the set: the simulator uses this variant for the
-  /// culled providers and the dB domain (update(), update_linear()) for the
-  /// exhaustive (golden) path.
-  void update_sparse_linear(const std::vector<std::pair<std::size_t, double>>& pilots,
-                            double dt);
 
   /// Cells currently in the FCH active set (sorted by descending pilot).
   const std::vector<std::size_t>& members() const { return members_; }
@@ -89,11 +78,13 @@ class ActiveSet {
 
   bool contains(std::size_t cell) const;
 
-  /// Checkpoint support: pilots, drop timers, membership.  Config and the
-  /// pre-converted linear thresholds are rebuilt from SystemConfig.  load()
-  /// refuses -- returning false and leaving the set unchanged -- lanes
-  /// sized for another cell count, more than max_size members, members out
-  /// of range or repeated, and an initialised set without members.
+  /// Checkpoint support: drop timers, membership and the initialised flag.
+  /// Config and the T_ADD band edge are rebuilt from SystemConfig, and the
+  /// pilot lane is per-update scratch (see below), so neither is written.
+  /// load() refuses -- returning false and leaving the set unchanged -- a
+  /// timer lane sized for another cell count, more than max_size members,
+  /// members out of range or repeated, and an initialised set without
+  /// members.
   void save(common::BinaryWriter& w) const;
   bool load(common::BinaryReader& r);
 
@@ -107,21 +98,18 @@ class ActiveSet {
   double reverse_adjustment() const;
 
  private:
-  void drop_phase(double t_drop, double dt);
+  void drop_phase(double dt);
   void add_phase();
   void finish_update();
 
   ActiveSetConfig config_;
-  double t_add_linear_ = 0.0;   // 10^(t_add_db / 10), for the linear variants
-  double t_drop_linear_ = 0.0;  // 10^(t_drop_db / 10)
-  double t_add_band_lo_ = 0.0;  // t_add_linear_ (1 - kAddBand)
-  /// Last reported pilot per cell, in whichever domain the caller feeds
-  /// (dB for update()/update_linear(), linear for update_sparse_linear()).
-  /// update_linear() writes only the cells it converts; the others keep an
-  /// older value, and no decision reads an entry before a later frame
-  /// converts it again (only members and add candidates are read, and both
-  /// are converted in the frame that reads them).  save() carries the stale
-  /// entries as they are, so a resumed run stays bit-identical.
+  double t_add_band_lo_ = 0.0;  // 10^(t_add_db / 10) (1 - kAddBand)
+  /// Pilot Ec/Io per cell in dB, scratch for one update: update() assigns
+  /// every entry, and update_linear() converts an entry before it reads it
+  /// (only members and add candidates are read, and both are converted in
+  /// the update that reads them).  The other entries keep older values that
+  /// no later update reads, so the lane is not checkpointed and load()
+  /// leaves it as it was.
   std::vector<double> last_pilot_db_;
   std::vector<double> below_drop_s_;  // time spent below t_drop per member
   std::vector<std::size_t> members_;

@@ -11,8 +11,9 @@
 // touching out-of-range memory, so a truncated or corrupted snapshot is a
 // recoverable `restore() == false`, never UB.  Writers and readers must
 // agree on field order; every archive starts with a caller-checked magic +
-// version header and (since snapshot v2) ends with a crc32() footer, so a
-// bit-flipped archive is refused by checksum before any field is parsed.
+// version header and ends with seal()'s crc32() footer, which unseal()
+// checks, so a bit-flipped archive is refused by checksum before any field
+// is parsed.
 #pragma once
 
 #include <array>
@@ -242,5 +243,24 @@ class BinaryReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// Bytes of the crc32 footer seal() appends.
+inline constexpr std::size_t kSealBytes = 4;
+
+/// Closes an archive: appends crc32 of everything written so far as a
+/// little-endian u32 footer.
+inline void seal(BinaryWriter& w) { w.u32(crc32(w.bytes())); }
+
+/// Opens a seal()ed archive: true, with `*payload` reading every byte
+/// before the footer, when `bytes` ends in the crc32 of the rest.  False,
+/// leaving `*payload` alone, on a mismatch or when `bytes` is too short to
+/// hold a footer after a non-empty payload.
+inline bool unseal(const std::vector<std::uint8_t>& bytes, BinaryReader* payload) {
+  if (bytes.size() <= kSealBytes) return false;
+  const std::size_t size = bytes.size() - kSealBytes;
+  if (crc32(bytes.data(), size) != detail::load_le32(bytes.data() + size)) return false;
+  *payload = BinaryReader(bytes.data(), size);
+  return true;
+}
 
 }  // namespace wcdma::common

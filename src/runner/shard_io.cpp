@@ -13,7 +13,6 @@ constexpr std::uint32_t kResultMagic = 0x53525357;      // "WSRS" little-endian
 constexpr std::uint32_t kResultVersion = 1;
 constexpr std::uint32_t kCheckpointMagic = 0x43525357;  // "WSRC" little-endian
 constexpr std::uint32_t kCheckpointVersion = 1;
-constexpr std::size_t kFooterBytes = 4;
 
 void write_header(common::BinaryWriter& w, const ShardHeader& h) {
   w.u64(h.shard);
@@ -43,25 +42,17 @@ bool fail(std::string* error, const std::string& message) {
 bool open_archive(const std::vector<std::uint8_t>& bytes, std::uint32_t magic,
                   std::uint32_t version, const char* what,
                   common::BinaryReader* reader, std::string* error) {
-  if (bytes.size() <= kFooterBytes) {
+  if (bytes.size() <= common::kSealBytes) {
     return fail(error, std::string(what) + " truncated below the crc footer");
   }
-  const std::size_t payload = bytes.size() - kFooterBytes;
-  std::uint32_t stored = 0;
-  for (std::size_t i = 0; i < kFooterBytes; ++i) {
-    stored |= static_cast<std::uint32_t>(bytes[payload + i]) << (8 * i);
-  }
-  if (common::crc32(bytes.data(), payload) != stored) {
+  if (!common::unseal(bytes, reader)) {
     return fail(error, std::string(what) + " failed its crc32 check");
   }
-  *reader = common::BinaryReader(bytes.data(), payload);
   if (reader->u32() != magic || reader->u32() != version) {
     return fail(error, std::string(what) + " has a wrong magic/version");
   }
   return true;
 }
-
-void seal(common::BinaryWriter& w) { w.u32(common::crc32(w.bytes())); }
 
 /// Boundary s of the cost split: the smallest k minimising
 /// |workers * cost[0, k) - s * whole|, in exact integers.  The running
@@ -154,7 +145,7 @@ std::vector<std::uint8_t> encode_shard_result(
   w.u32(kResultVersion);
   write_header(w, header);
   for (const sim::SimMetrics& m : items) m.save(w);
-  seal(w);
+  common::seal(w);
   return w.take();
 }
 
@@ -200,7 +191,7 @@ std::vector<std::uint8_t> encode_shard_checkpoint(const ShardCheckpoint& ck) {
   w.u64(ck.next_item);
   for (const sim::SimMetrics& m : ck.completed) m.save(w);
   w.blob(ck.snapshot);
-  seal(w);
+  common::seal(w);
   return w.take();
 }
 

@@ -1,5 +1,6 @@
 #include "src/service/service.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 
@@ -25,7 +26,12 @@ AdmissionService::AdmissionService(const sim::SystemConfig& config) : sim_(confi
 
 EventResult AdmissionService::validate(const Event& e) const {
   const EventSpec& spec = event_spec(e.type);
-  if (e.type == EventType::kTick) return {};
+  // A tick past the horizon would step a frame no run loop reaches, and
+  // the checkpoint taken there is one restore() refuses.
+  if (e.type == EventType::kTick) {
+    if (sim_.frame_index() >= sim_.total_frames()) return {ResultCode::kNackOutOfOrder};
+    return {};
+  }
   // Frame discipline: a non-tick event binds to the frame it was stamped
   // for; accepting it early or late would consume injection slots (and RNG
   // draws downstream) in a different frame than the recording run.
@@ -167,17 +173,17 @@ ReplayResult replay_trace(const sim::SystemConfig& config, std::istream& in) {
   }
   TraceRecord record;
   while (reader.next(&record)) {
-    if (record.ticks > 0) {
-      for (std::int64_t i = 0; i < record.ticks; ++i) {
-        service.submit(Event::tick());
+    // A coalesced record replays one tick at a time; the frame a nack
+    // names is the service's for a tick, the event's own stamp otherwise.
+    for (std::int64_t i = 0; i < std::max<std::int64_t>(record.ticks, 1); ++i) {
+      const Event e = record.ticks > 0 ? Event::tick() : record.event;
+      const std::int64_t frame = record.ticks > 0 ? service.frame() : e.frame;
+      const EventResult result = service.submit(e);
+      if (!result.ok()) {
+        out.error = std::string("replay event nacked (") + to_string(result.code) +
+                    ") at frame " + std::to_string(frame);
+        return out;
       }
-      continue;
-    }
-    const EventResult result = service.submit(record.event);
-    if (!result.ok()) {
-      out.error = std::string("replay event nacked (") + to_string(result.code) +
-                  ") at frame " + std::to_string(record.event.frame);
-      return out;
     }
   }
   if (!reader.ok()) {

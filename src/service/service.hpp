@@ -56,7 +56,8 @@ class AdmissionService {
 
   /// Validates and applies one event.  Non-tick events must be stamped with
   /// the service's current frame; a tick closes the frame (advances the
-  /// simulator once).  Nacked events leave all state untouched.
+  /// simulator once), and nacks kNackOutOfOrder once the service stands at
+  /// the config's total_frames().  Nacked events leave all state untouched.
   EventResult submit(const Event& e);
 
   /// Full service checkpoint (buffered injections ride inside the
@@ -104,8 +105,8 @@ struct ReplayResult {
 
 /// Replays a recorded trace into a fresh AdmissionService built from
 /// `config`.  Fails (without touching `config`'s semantics) on header
-/// mismatch, parse errors, or any nacked event -- a trace recorded from a
-/// valid run acks end to end.
+/// mismatch, parse errors, or any nacked event, a tick past the horizon
+/// included -- a trace recorded from a valid run acks end to end.
 ReplayResult replay_trace(const sim::SystemConfig& config, std::istream& in);
 
 }  // namespace wcdma::service

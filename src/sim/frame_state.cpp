@@ -108,13 +108,7 @@ void FrameState::refresh_candidates(std::size_t user, cell::Point pos,
     if (it == next.end() || *it != k) next.insert(it, k);
   }
   if (next.empty()) next.push_back(layout_->nearest_cell(pos));
-  // Cells leaving the set must stop contributing to interference sums.
   std::vector<std::size_t>& current = candidates_[user];
-  for (std::size_t k : current) {
-    if (!std::binary_search(next.begin(), next.end(), k)) {
-      gain_mean_[link_index(user, k)] = 0.0;
-    }
-  }
   if (next != current) epoch_.fetch_add(1, std::memory_order_relaxed);
   current = std::move(next);
 }
@@ -261,8 +255,6 @@ void FrameState::save(common::BinaryWriter& w) const {
   w.vec_f64(fade_re_);
   w.vec_f64(fade_im_);
   w.vec_i64(fade_frame_);
-  w.vec_f64(gain_mean_);
-  w.vec_f64(pilot_fl_);
   w.vec_f64(far_fl_w_);
   if (!culls_) return;
   w.u64(candidate_epoch());
@@ -281,8 +273,6 @@ bool FrameState::load(common::BinaryReader& r) {
   if (!load_sized_f64(r, fade_re_)) return false;
   if (!load_sized_f64(r, fade_im_)) return false;
   if (!load_sized_i64(r, fade_frame_)) return false;
-  if (!load_sized_f64(r, gain_mean_)) return false;
-  if (!load_sized_f64(r, pilot_fl_)) return false;
   if (!load_sized_f64(r, far_fl_w_)) return false;
   if (culls_) {
     // Every set is checked before the transpose's counting sort indexes

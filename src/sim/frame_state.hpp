@@ -18,16 +18,18 @@
 //    observed values enter the metrics; candidate links that are never
 //    observed simply never consume their draws.
 //  * local-mean gains and forward pilots: flat double buffers shared by the
-//    interference, pilot, and rise loops.
+//    interference, pilot, and rise loops.  Each frame rewrites every
+//    candidate link's entries before any read, and no loop reads another
+//    link's, so both are per-frame scratch: entries outside the candidate
+//    set keep stale values, and neither lane is checkpointed.
 //
 // FrameState also owns each user's candidate set -- the cells whose links
 // it steps -- as the `csi.provider` row (src/sim/channel_state.hpp) says:
 // every cell on `exhaustive`; on `culled`, the active-set members plus the
 // cells within csi.cull_radius_scale cell radii, chosen again whenever the
-// user's csi.refresh_interval_s timer runs out.  A link
-// leaving a set has its gain zeroed, and a monotone epoch moves whenever
-// any set changes.  The cell -> users transpose of the sets is derived
-// state, rebuilt only when the epoch moves (and on load) and never
+// user's csi.refresh_interval_s timer runs out.  A monotone epoch moves
+// whenever any set changes.  The cell -> users transpose of the sets is
+// derived state, rebuilt only when the epoch moves (and on load) and never
 // checkpointed.  It is what turns the reverse-link rise update from a
 // scatter (racy under sharding) into a deterministic per-station gather in
 // ascending user order.
@@ -83,8 +85,10 @@ class FrameState {
 
   /// Cells with live link state for `user`, ascending: every cell on
   /// `exhaustive`, the candidate set otherwise (empty before the user's
-  /// first step).  The measurement loops iterate exactly this set; gains
-  /// outside it are zero.
+  /// first step).  step_user() writes this frame's gain of exactly these
+  /// links, and every loop that reads a gain or pilot iterates this set or
+  /// a subset (the active-set members stay candidates); entries outside it
+  /// are stale.
   const std::vector<std::size_t>& cells_for(std::size_t user) const {
     return culls_ ? candidates_[user] : all_cells_;
   }
@@ -143,11 +147,12 @@ class FrameState {
   /// Every link's lazy-fading clock lies in [0, frame()].
   bool fading_clocks_valid() const;
 
-  /// Serializes the evolved state only: frame clock, shadowing/fading RNG
-  /// streams and lanes, cached gains/pilots, far-field lane, and on
-  /// `culled` the epoch, refresh timers and candidate sets.
-  /// Init-time state (geometry tables, per-user fading coefficients,
-  /// gain-lane fold constants) is reproduced by re-running
+  /// Serializes the state a later frame reads: frame clock, shadowing/fading
+  /// RNG streams and lanes, far-field lane, and on `culled` the epoch,
+  /// refresh timers and candidate sets.  The gain and pilot lanes are
+  /// per-frame scratch (see the file comment) and stay out; load() leaves
+  /// them as they were.  Init-time state (geometry tables, per-user fading
+  /// coefficients, gain-lane fold constants) is reproduced by re-running
   /// init()/init_user() on the same config, and the transpose by a rebuild,
   /// so load() overwrites only what evolves, size-checks every lane against
   /// the initialised layout, and refuses any candidate set that
@@ -156,8 +161,8 @@ class FrameState {
   bool load(common::BinaryReader& r);
 
  private:
-  /// Chooses `user`'s candidate set again around `active_members`, zeroes
-  /// the gains of cells leaving it, and moves the epoch if it changed.
+  /// Chooses `user`'s candidate set again around `active_members` and moves
+  /// the epoch if it changed.
   void refresh_candidates(std::size_t user, cell::Point pos,
                           const std::vector<std::size_t>& active_members);
   void step_user_links(std::size_t user, cell::Point pos, double moved_m,
@@ -193,7 +198,7 @@ class FrameState {
   std::vector<std::int64_t> fade_frame_;
   std::vector<double> fade_rho_, fade_innovation_;  // per user
 
-  // Per-frame link outputs (flat, stride num_cells_).
+  // Per-frame link outputs (flat, stride num_cells_; scratch, see above).
   std::vector<double> gain_mean_;
   std::vector<double> pilot_fl_;
   // Far-field aggregate lane, one forward term per user (stride 1).

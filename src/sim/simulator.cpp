@@ -56,7 +56,6 @@ Simulator::Simulator(const SystemConfig& config)
   const double idle_w = config_.radio.pilot_power_w + config_.radio.common_power_w;
   for (auto& bs : stations_) {
     bs.forward_w = idle_w;
-    bs.prev_forward_w = idle_w;
     bs.received_w = noise_w_;
   }
 
@@ -96,7 +95,6 @@ Simulator::Simulator(const SystemConfig& config)
   // run in order on the caller, at sequential speed.
   pool_ = std::make_unique<common::ThreadPool>(
       std::min(sim_threads_, common::default_thread_count()) - 1);
-  shard_scratch_.resize(sim_threads_);
 
   users_.reserve(static_cast<std::size_t>(total_users));
   const auto fl_cfg = forward_pc_config(config_.radio);
@@ -224,9 +222,8 @@ void Simulator::step_frame() {
 #endif
 }
 
-void Simulator::for_shards(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+void Simulator::for_shards(std::size_t n,
+                           const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   // Fixed contiguous ranges derived only from (n, sim_threads_): the split
   // itself never depends on the worker count, and no shard shares state, so
@@ -235,7 +232,7 @@ void Simulator::for_shards(
   const std::size_t chunk = (n + shards - 1) / shards;
   pool_->parallel_for(shards, [&fn, chunk, n](std::size_t s) {
     const std::size_t begin = s * chunk;
-    fn(s, begin, std::min(begin + chunk, n));
+    fn(begin, std::min(begin + chunk, n));
   });
 }
 
@@ -257,7 +254,7 @@ void Simulator::maybe_refresh_far_field() {
     far_anchor_[i] = static_cast<std::uint32_t>(users_[i].active_set.primary());
   }
   for (std::size_t s = 0; s < stations_.size(); ++s) {
-    far_station_w_[s] = stations_[s].prev_forward_w;
+    far_station_w_[s] = stations_[s].forward_w;
   }
   far_field_.refresh(state_, far_anchor_.data(), far_station_w_.data());
 }
@@ -266,69 +263,44 @@ void Simulator::step_mobility_and_channel() {
   // Per-user work only (mobility, candidate refresh, per-link RNG streams,
   // then this user's forward measurements): safe and bit-identical under
   // any sharding.
-  for_shards(users_.size(),
-             [this](std::size_t shard, std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 User& u = users_[i];
-                 const double moved = u.mobility->step(config_.frame_s);
-                 state_.step_user(i, u.mobility->position(), moved,
-                                  u.active_set.members());
-                 forward_measure_user(shard, i);
-               }
-             });
+  for_shards(users_.size(), [this](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      User& u = users_[i];
+      const double moved = u.mobility->step(config_.frame_s);
+      state_.step_user(i, u.mobility->position(), moved, u.active_set.members());
+      forward_measure_user(i);
+    }
+  });
 }
 
-void Simulator::forward_measure_user(std::size_t shard, std::size_t i) {
-  const std::size_t cells = layout_.num_cells();
-  ShardScratch& scratch = shard_scratch_[shard];
-  {
-    User& u = users_[i];
-    // Only the user's own carrier contributes interference: other carriers
-    // are separate frequencies.  Only candidate cells carry live gain state;
-    // the rest contribute zero by construction.
-    const std::vector<std::size_t>& candidates = state_.cells_for(i);
-    const std::size_t* cand = candidates.data();
-    const std::size_t n_cand = candidates.size();
-    const double* gain = state_.gain_mean_row(i);
-    double* pilot = state_.pilot_fl_row(i);
-    // Far-field aggregate lane: the ring-summed interference of every
-    // non-candidate cell enters next to thermal noise (exactly 0.0 on the
-    // exhaustive path, so the default trajectory stays bit-identical).
-    double total = noise_w_ + state_.far_fl_w(i);
-    for (std::size_t c = 0; c < n_cand; ++c) {
-      const std::size_t k = cand[c];
-      total += stations_[station_index(k, u.carrier)].prev_forward_w * gain[k];
-    }
-    u.fwd_interference_w = total;
-    if (n_cand == cells) {
-      // Exhaustive provider: dense update, bit-identical to update() on the
-      // dB pilots; only the cells whose dB value can matter are converted.
-      for (std::size_t k = 0; k < cells; ++k) {
-        pilot[k] = config_.radio.pilot_power_w * gain[k] / total;
-      }
-      u.active_set.update_linear(pilot, cells, kTiny, config_.frame_s);
-    } else {
-      // Culled provider: only candidate cells report; everything else sits
-      // at the floor pilot (below every hand-off threshold) implicitly, so
-      // per-user work is O(candidates), not O(cells) -- and the hand-off
-      // comparisons run directly on the linear pilots (order statistics are
-      // domain-invariant), skipping the per-cell dB conversion.
-      scratch.pilot_pairs.clear();
-      for (std::size_t c = 0; c < n_cand; ++c) {
-        const std::size_t k = cand[c];
-        pilot[k] = config_.radio.pilot_power_w * gain[k] / total;
-        scratch.pilot_pairs.push_back({k, pilot[k]});
-      }
-      u.active_set.update_sparse_linear(scratch.pilot_pairs, config_.frame_s);
-    }
-
-    // Own-cell orthogonality credit on the primary leg.
-    const std::size_t prim = u.active_set.primary();
-    const double own =
-        stations_[station_index(prim, u.carrier)].prev_forward_w * gain[prim];
-    u.fwd_interference_eff_w = total - (1.0 - config_.radio.orthogonality_loss) * own;
-    WCDMA_DEBUG_ASSERT(u.fwd_interference_eff_w > 0.0);
+void Simulator::forward_measure_user(std::size_t i) {
+  User& u = users_[i];
+  // Only the user's own carrier contributes interference: other carriers
+  // are separate frequencies.  Only candidate cells carry this frame's
+  // gains (every cell on `exhaustive`), so the loops read no other link.
+  const std::vector<std::size_t>& cells = state_.cells_for(i);
+  const double* gain = state_.gain_mean_row(i);
+  double* pilot = state_.pilot_fl_row(i);
+  // Far-field aggregate lane: the ring-summed interference of every
+  // non-candidate cell enters next to thermal noise (exactly 0.0 on the
+  // exhaustive path, so the default trajectory stays bit-identical).
+  double total = noise_w_ + state_.far_fl_w(i);
+  for (const std::size_t k : cells) {
+    total += stations_[station_index(k, u.carrier)].forward_w * gain[k];
   }
+  // Hand-off in the goldens' dB domain, converting only the pilots whose
+  // dB value can matter.  Every member is a candidate: the refresh keeps
+  // the members, and the update adds only listed cells.
+  for (const std::size_t k : cells) {
+    pilot[k] = config_.radio.pilot_power_w * gain[k] / total;
+  }
+  u.active_set.update_linear(pilot, cells, kTiny, config_.frame_s);
+
+  // Own-cell orthogonality credit on the primary leg.
+  const std::size_t prim = u.active_set.primary();
+  const double own = stations_[station_index(prim, u.carrier)].forward_w * gain[prim];
+  u.fwd_interference_eff_w = total - (1.0 - config_.radio.orthogonality_loss) * own;
+  WCDMA_DEBUG_ASSERT(u.fwd_interference_eff_w > 0.0);
 }
 
 void Simulator::step_reverse_measurements() {
@@ -338,8 +310,7 @@ void Simulator::step_reverse_measurements() {
   // is what makes the shard split over cells bit-identical for any thread
   // count (no shared accumulators).
   const int carriers = config_.placement.carriers;
-  for_shards(layout_.num_cells(), [this, carriers](std::size_t, std::size_t begin,
-                                                   std::size_t end) {
+  for_shards(layout_.num_cells(), [this, carriers](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
       for (int c = 0; c < carriers; ++c) {
         // Far-field term next to thermal noise (0.0 while inactive, keeping
@@ -566,7 +537,7 @@ void Simulator::build_frame_context() {
   ctx.forward_load_watt.resize(stations_.size());
   ctx.reverse_interference_watt.resize(stations_.size());
   for (std::size_t s = 0; s < stations_.size(); ++s) {
-    ctx.forward_load_watt[s] = stations_[s].prev_forward_w;
+    ctx.forward_load_watt[s] = stations_[s].forward_w;
     ctx.reverse_interference_watt[s] = stations_[s].received_w;
   }
 
@@ -820,7 +791,6 @@ void Simulator::update_transmit_powers() {
       bs.forward_w = idle_w + std::min(traffic, allowed);
       if (!in_warmup()) ++metrics_.bs_power_saturations;
     }
-    bs.prev_forward_w = bs.forward_w;
   }
 }
 
@@ -889,8 +859,11 @@ constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 // transpose is rebuilt on load).
 // v6: FrameState no longer writes one relaxed-precision innovation stream
 // per user (the `fast` provider is gone).
-constexpr std::uint32_t kSnapshotVersion = 6;
-constexpr std::size_t kSnapshotFooterBytes = 4;
+// v7: no lane that every frame rewrites before reading it: FrameState's
+// gains and pilots, the active sets' dB pilots, and each user's FCH gate,
+// forward interference and FCH SIR; stations no longer write last frame's
+// forward power (it always equals forward_w between frames).
+constexpr std::uint32_t kSnapshotVersion = 7;
 }  // namespace
 
 std::vector<std::uint8_t> Simulator::snapshot() const {
@@ -917,7 +890,6 @@ std::vector<std::uint8_t> Simulator::snapshot() const {
   w.u64(stations_.size());
   for (const BaseStation& bs : stations_) {
     w.f64(bs.forward_w);
-    w.f64(bs.prev_forward_w);
     w.f64(bs.received_w);
   }
   w.vec_f64(prev_tx_w_);
@@ -937,7 +909,6 @@ std::vector<std::uint8_t> Simulator::snapshot() const {
     u.mac.save(w);
     if (u.fixed) u.fixed->save(w);
     w.boolean(u.voice_active);
-    w.boolean(u.fch_on);
     w.boolean(u.has_pending);
     w.f64(u.pending_bits);
     w.f64(u.pending_arrival_s);
@@ -948,17 +919,13 @@ std::vector<std::uint8_t> Simulator::snapshot() const {
     w.f64(u.burst.arrival_s);
     w.f64(u.burst.setup_left_s);
     w.u64(u.burst.distance_bin);
-    w.f64(u.fwd_interference_w);
-    w.f64(u.fwd_interference_eff_w);
-    w.f64(u.fch_sir_linear);
   }
 
   state_.save(w);
   far_field_.save(w);
   admission_policy_->save_state(w);
   metrics_.save(w);
-  const std::uint32_t crc = common::crc32(w.bytes());
-  w.u32(crc);
+  common::seal(w);
   return w.take();
 }
 
@@ -984,20 +951,14 @@ bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
   // passes the checksum but fails structurally or fails check_invariants()
   // (tests truncate at every 64-byte boundary, bit-flip every stride, and
   // forge out-of-range fields) leaves the simulator exactly as it was.
-  if (bytes.size() <= kSnapshotFooterBytes) return false;
-  const std::size_t payload = bytes.size() - kSnapshotFooterBytes;
-  std::uint32_t stored = 0;
-  for (std::size_t i = 0; i < kSnapshotFooterBytes; ++i) {
-    stored |= static_cast<std::uint32_t>(bytes[payload + i]) << (8 * i);
-  }
-  if (common::crc32(bytes.data(), payload) != stored) return false;
-  common::BinaryReader r(bytes.data(), payload);
-  if (!check_snapshot_header(r)) return false;
+  common::BinaryReader r(nullptr, 0);
+  if (!common::unseal(bytes, &r) || !check_snapshot_header(r)) return false;
   const std::vector<std::uint8_t> backup = snapshot();
   const std::int64_t own_frame = frame_count_;
   if (restore_body(r, total_frames())) return true;
-  common::BinaryReader back(backup.data(), backup.size() - kSnapshotFooterBytes);
-  const bool rolled_back = check_snapshot_header(back) && restore_body(back, own_frame);
+  common::BinaryReader back(nullptr, 0);
+  const bool rolled_back = common::unseal(backup, &back) && check_snapshot_header(back) &&
+                           restore_body(back, own_frame);
   WCDMA_ASSERT(rolled_back && "rollback of a just-taken snapshot must succeed");
   return false;
 }
@@ -1016,10 +977,9 @@ bool Simulator::restore_body(common::BinaryReader& r, std::int64_t max_frame) {
   far_refresh_left_s_ = r.f64();
   rng_.load(r);
 
-  if (r.seq(24) != stations_.size()) return false;
+  if (r.seq(16) != stations_.size()) return false;
   for (BaseStation& bs : stations_) {
     bs.forward_w = r.f64();
-    bs.prev_forward_w = r.f64();
     bs.received_w = r.f64();
   }
   {
@@ -1054,7 +1014,6 @@ bool Simulator::restore_body(common::BinaryReader& r, std::int64_t max_frame) {
     u.mac.load(r);
     if (u.fixed) u.fixed->load(r);
     u.voice_active = r.boolean();
-    u.fch_on = r.boolean();
     u.has_pending = r.boolean();
     u.pending_bits = r.f64();
     u.pending_arrival_s = r.f64();
@@ -1065,9 +1024,6 @@ bool Simulator::restore_body(common::BinaryReader& r, std::int64_t max_frame) {
     u.burst.arrival_s = r.f64();
     u.burst.setup_left_s = r.f64();
     u.burst.distance_bin = static_cast<std::size_t>(r.u64());
-    u.fwd_interference_w = r.f64();
-    u.fwd_interference_eff_w = r.f64();
-    u.fch_sir_linear = r.f64();
     if (!r.ok()) return false;
   }
 

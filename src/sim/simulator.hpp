@@ -164,12 +164,18 @@ class Simulator {
     arrival_observer_ = std::move(observer);
   }
 
-  /// Serializes the full evolved simulator state (master + per-user RNG
-  /// streams, SoA channel lanes, far-field buckets, request queues, MAC,
-  /// power control, metrics) into a versioned little-endian archive.  The
-  /// header fingerprints the originating config; restore() onto a Simulator
-  /// constructed from the SAME config resumes bit-identically to an
-  /// uninterrupted run.  Snapshots are valid between frames only.
+  /// Serializes the state the next frame reads before it rewrites it
+  /// (master + per-user RNG streams, the shadowing and fading lanes,
+  /// candidate sets, far-field buckets, request queues, hand-off timers and
+  /// members, MAC, power control, metrics) into a versioned little-endian
+  /// archive.  Lanes every frame rewrites before any read -- the per-link
+  /// gains and pilots, the active sets' dB pilots, each user's FCH gate,
+  /// forward interference and FCH SIR -- stay out, as do init-time tables.
+  /// The station powers stay in because the public accessors read them
+  /// between frames.  The header fingerprints the originating config;
+  /// restore() onto a Simulator constructed from the SAME config resumes
+  /// bit-identically to an uninterrupted run.  Snapshots are valid between
+  /// frames only.
   std::vector<std::uint8_t> snapshot() const;
   /// Restores a snapshot() archive; false (state untouched) on
   /// magic/version/fingerprint mismatch, truncation, a frame clock past
@@ -207,9 +213,11 @@ class Simulator {
   /// runs C independent power amplifiers and rise budgets, and only
   /// same-carrier users interact.
   struct BaseStation {
-    double forward_w = 0.0;       // current frame total TX power
-    double prev_forward_w = 0.0;  // last frame (interference background)
-    double received_w = 0.0;      // L_k this frame
+    /// Total TX power, rebuilt by update_transmit_powers() at the end of a
+    /// frame; every earlier read in the next frame sees it as last frame's
+    /// power (the lagged interference background).
+    double forward_w = 0.0;
+    double received_w = 0.0;  // L_k this frame
   };
 
   struct Burst {
@@ -242,7 +250,7 @@ class Simulator {
     std::unique_ptr<phy::FixedRateAdapter> fixed;
 
     bool voice_active = false;
-    bool fch_on = false;
+    bool fch_on = false;  // per frame: set by power control, not checkpointed
     // (last frame's mobile TX power lives in Simulator::prev_tx_w_, the
     // SoA mirror the reverse-rise gather reads)
 
@@ -255,20 +263,14 @@ class Simulator {
 
     Burst burst;
 
-    // Per-frame interference caches (per-cell state lives in FrameState).
-    double fwd_interference_w = 0.0;  // total received forward power + noise
+    // Per-frame interference caches (per-cell state lives in FrameState),
+    // rewritten every frame before they are read and so not checkpointed.
     double fwd_interference_eff_w = 0.0;  // with own-cell orthogonality credit
     double fch_sir_linear = 0.0;          // achieved FCH Eb/I0 (relevant link)
 
     User(const cell::ActiveSetConfig& as_cfg, std::size_t num_cells,
          const power::PowerControlConfig& fl_cfg, const power::PowerControlConfig& rl_cfg)
         : active_set(as_cfg, num_cells), fl_pc(fl_cfg), rl_pc(rl_cfg, -20.0) {}
-  };
-
-  /// Per-shard measurement scratch (one per worker shard, so the forward
-  /// loop never shares a buffer across threads).
-  struct ShardScratch {
-    std::vector<std::pair<std::size_t, double>> pilot_pairs;
   };
 
   /// Refreshes the far-field aggregates on the slow candidate cadence
@@ -278,7 +280,9 @@ class Simulator {
   /// One sharded pass: mobility + candidate refresh + link stepping + this
   /// user's forward measurements (fused; see step_frame).
   void step_mobility_and_channel();
-  void forward_measure_user(std::size_t shard, std::size_t user);
+  /// This user's forward pilots over its candidate cells, then the
+  /// hand-off update on them (ActiveSet::update_linear, every provider).
+  void forward_measure_user(std::size_t user);
   void step_reverse_measurements();
   /// Closed-loop power control for every provider, as four passes: scalar
   /// SIR measurement into a lane (A), every linear -> dB conversion as one
@@ -305,11 +309,10 @@ class Simulator {
   void update_transmit_powers();
   void collect_frame_metrics();
 
-  /// Runs fn(shard, begin, end) over `n` items split into sim_threads_
-  /// contiguous shards (inline when single-threaded).  The sharded loops
-  /// must be free of cross-item accumulators; see the class comment.
-  void for_shards(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
+  /// Runs fn(begin, end) over `n` items split into sim_threads_ contiguous
+  /// shards (inline when single-threaded).  The sharded loops must be free
+  /// of cross-item accumulators and shared scratch; see the class comment.
+  void for_shards(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Index of the (cell, carrier) interference domain in stations_.
   std::size_t station_index(std::size_t cell, int carrier) const {
@@ -368,7 +371,6 @@ class Simulator {
   RequestQueues queues_;  // per-(direction, carrier) pending requests
   std::size_t sim_threads_ = 1;
   std::unique_ptr<common::ThreadPool> pool_;  // persistent intra-frame pool
-  std::vector<ShardScratch> shard_scratch_;
   // Per-frame admission snapshot (rebuilt by build_frame_context).
   admission::FrameContext frame_ctx_;
   std::vector<User*> pending_users_;  // aligned with frame_ctx_.requests

@@ -353,53 +353,14 @@ TEST(ActiveSet, ReducedSetIsTwoStrongest) {
   EXPECT_EQ(reduced[1], 0u);
 }
 
-TEST(ActiveSet, SparseUpdateMatchesDenseWithFloor) {
-  // Two sets driven by the same pilot trajectory: one dense on dB pilots
-  // (unreported cells at the floor), one sparse on the linear values of the
-  // reported pilots -- the culled providers' call.  Membership must evolve
-  // identically, including drop-timer expiry of a cell that stops being
-  // reported.
-  ActiveSet dense(as_config(), 6);
-  ActiveSet sparse(as_config(), 6);
-  const double kFloor = -500.0;
-
-  auto step_both = [&](const std::vector<std::pair<std::size_t, double>>& pilots,
-                       double dt) {
-    std::vector<double> full(6, kFloor);
-    std::vector<std::pair<std::size_t, double>> linear;
-    for (const auto& [cell, db] : pilots) {
-      full[cell] = db;
-      linear.push_back({cell, common::db_to_linear(db)});
-    }
-    dense.update(full, dt);
-    sparse.update_sparse_linear(linear, dt);
-    ASSERT_EQ(dense.members(), sparse.members());
-    EXPECT_EQ(dense.primary(), sparse.primary());
-    EXPECT_EQ(dense.reduced(), sparse.reduced());
-  };
-
-  step_both({{0, -9.0}, {1, -12.0}, {2, -13.5}, {3, -20.0}}, 0.02);
-  EXPECT_EQ(sparse.members().size(), 3u);
-  // Cell 1 degrades below t_drop; cell 4 appears strong.
-  for (int i = 0; i < 60; ++i) {
-    step_both({{0, -9.0}, {1, -17.0}, {2, -13.0}, {4, -10.0}}, 0.02);
-  }
-  EXPECT_FALSE(sparse.contains(1));  // drop timer expired identically
-  EXPECT_TRUE(sparse.contains(4));
-  // Cell 1 stops being reported: it sits at the floor and stays out.
-  for (int i = 0; i < 60; ++i) step_both({{0, -9.0}, {2, -13.0}, {4, -10.0}}, 0.02);
-  EXPECT_FALSE(sparse.contains(1));
-}
-
-/// The pilot and drop-timer lanes an ActiveSet would checkpoint.
-std::pair<std::vector<double>, std::vector<double>> saved_lanes(const ActiveSet& as) {
+/// The drop-timer lane an ActiveSet checkpoints.
+std::vector<double> saved_timers(const ActiveSet& as) {
   common::BinaryWriter w;
   as.save(w);
   common::BinaryReader r(w.bytes());
-  std::pair<std::vector<double>, std::vector<double>> lanes;
-  r.vec_f64(lanes.first);
-  r.vec_f64(lanes.second);
-  return lanes;
+  std::vector<double> timers;
+  r.vec_f64(timers);
+  return timers;
 }
 
 /// Linear pilots on and around T_ADD and T_DROP: the thresholds, their three
@@ -435,23 +396,42 @@ std::pair<double, double> db_tied_pair(double x) {
 }
 
 // update_linear() must be update() on the dB values of the floored linear
-// pilots: same members in the same order, same member dB values, same drop
-// timers, frame after frame.  The trajectories mix a random walk with
-// pilots on and within 1e-12 of both thresholds, exact ties, ties that only
-// exist in dB, zero pilots (the floor), and all-below frames long enough to
-// empty the set (the fallback).
+// pilots of the listed cells: same members in the same order and same drop
+// timers, frame after frame.  Each trajectory drives two pairs.  One lists
+// every cell, as the exhaustive provider does.  The other lists a strict
+// candidate subset that always holds the current members, as the culled
+// provider does: its update() reference sees every unlisted cell below the
+// listed cells' floor, and its pilot row holds 0 dB there, a value that
+// would join the set if update_linear() ever read it.  The trajectories mix
+// a random walk with pilots on and within 1e-12 of both thresholds, exact
+// ties, ties that only exist in dB, zero pilots (the floor), and all-below
+// frames long enough to empty the set (the fallback).
 TEST(ActiveSet, UpdateLinearMatchesUpdateOnDbPilots) {
   constexpr std::size_t kCells = 19;
   constexpr double kFloor = 1e-30;
+  constexpr double kUnlistedDb = -1000.0;  // below linear_to_db(kFloor)
   const ActiveSetConfig cfg = as_config();
   const std::vector<double> special = threshold_pilots(cfg);
   const auto [tie_lo, tie_hi] = db_tied_pair(common::db_to_linear(-20.5));
   ASSERT_LT(tie_lo, tie_hi);
+  std::vector<std::size_t> all_cells(kCells);
+  for (std::size_t k = 0; k < kCells; ++k) all_cells[k] = k;
   Rng rng(0xac71);
-  std::size_t fallbacks = 0, threshold_cells = 0;
+  Rng list_rng(0x5eb5);  // the subsets, apart from the pilot draws
+  // With nothing at T_ADD, only the empty fallback can bring a cell in.
+  const auto fell_back = [&](const std::vector<double>& dbs,
+                             const std::vector<std::size_t>& before,
+                             const ActiveSet& as) {
+    return *std::max_element(dbs.begin(), dbs.end()) < cfg.t_add_db &&
+           std::find(before.begin(), before.end(), as.primary()) == before.end();
+  };
+  std::size_t fallbacks = 0, subset_fallbacks = 0, threshold_cells = 0, unlisted = 0;
   for (int trajectory = 0; trajectory < 150; ++trajectory) {
     ActiveSet dense(cfg, kCells), linear(cfg, kCells);
+    ActiveSet dense_sub(cfg, kCells), linear_sub(cfg, kCells);
     std::vector<double> walk_db(kCells), pilot(kCells), db(kCells);
+    std::vector<double> pilot_sub(kCells), db_sub(kCells);
+    std::vector<std::size_t> listed;
     for (double& w : walk_db) w = -30.0 + 25.0 * rng.uniform();
     for (int frame = 0; frame < 120; ++frame) {
       const double dt = rng.uniform() < 0.5 ? 0.02 : 0.3;  // 0.3 s: timers expire fast
@@ -482,35 +462,47 @@ TEST(ActiveSet, UpdateLinearMatchesUpdateOnDbPilots) {
       for (std::size_t k = 0; k < kCells; ++k) {
         db[k] = common::linear_to_db(std::max(pilot[k], kFloor));
       }
+      listed.clear();
+      pilot_sub = pilot;
+      db_sub = db;
+      for (std::size_t k = 0; k < kCells; ++k) {
+        if (linear_sub.contains(k) || list_rng.uniform() < 0.6) {
+          listed.push_back(k);
+        } else {
+          pilot_sub[k] = 1.0;
+          db_sub[k] = kUnlistedDb;
+          ++unlisted;
+        }
+      }
+      ASSERT_FALSE(listed.empty());
       const std::vector<std::size_t> before = linear.members();
+      const std::vector<std::size_t> before_sub = linear_sub.members();
       dense.update(db, dt);
-      linear.update_linear(pilot.data(), kCells, kFloor, dt);
+      linear.update_linear(pilot.data(), all_cells, kFloor, dt);
       ASSERT_EQ(dense.members(), linear.members())
           << "trajectory " << trajectory << " frame " << frame;
-      const auto [dense_db, dense_timers] = saved_lanes(dense);
-      const auto [linear_db, linear_timers] = saved_lanes(linear);
-      for (const std::size_t m : linear.members()) {
-        ASSERT_EQ(dense_db[m], linear_db[m]) << "member " << m;
-      }
-      ASSERT_EQ(dense_timers, linear_timers);
-      // With nothing at T_ADD, only the empty fallback can bring a cell in.
-      const bool none_pass = *std::max_element(db.begin(), db.end()) < cfg.t_add_db;
-      fallbacks += none_pass && std::find(before.begin(), before.end(),
-                                          linear.primary()) == before.end();
+      ASSERT_EQ(saved_timers(dense), saved_timers(linear));
+      dense_sub.update(db_sub, dt);
+      linear_sub.update_linear(pilot_sub.data(), listed, kFloor, dt);
+      ASSERT_EQ(dense_sub.members(), linear_sub.members())
+          << "subset, trajectory " << trajectory << " frame " << frame;
+      ASSERT_EQ(saved_timers(dense_sub), saved_timers(linear_sub));
+      fallbacks += fell_back(db, before, linear);
+      subset_fallbacks += fell_back(db_sub, before_sub, linear_sub);
     }
   }
   // The trajectories must reach the cases they are built for.
   EXPECT_GT(fallbacks, 300u);
+  EXPECT_GT(subset_fallbacks, 300u);
   EXPECT_GT(threshold_cells, 10000u);
+  EXPECT_GT(unlisted, 50000u);
 }
 
 /// An ActiveSet checkpoint written field by field, for forging.
-std::vector<std::uint8_t> active_set_archive(const std::vector<double>& pilots,
-                                             const std::vector<double>& timers,
+std::vector<std::uint8_t> active_set_archive(const std::vector<double>& timers,
                                              const std::vector<std::uint64_t>& members,
                                              bool initialised) {
   common::BinaryWriter w;
-  w.vec_f64(pilots);
   w.vec_f64(timers);
   w.u64(members.size());
   for (const std::uint64_t m : members) w.u64(m);
@@ -532,19 +524,17 @@ TEST(ActiveSet, LoadRoundTripsAndRefusesMalformedArchives) {
     EXPECT_TRUE(r.at_end());
   }
   EXPECT_EQ(as.members(), donor.members());
-  EXPECT_EQ(saved_lanes(as), saved_lanes(donor));
+  EXPECT_EQ(saved_timers(as), saved_timers(donor));
 
-  const std::vector<double> p4(4, -20.0), t4(4, 0.0);
+  const std::vector<double> t4(4, 0.0);
   const std::pair<const char*, std::vector<std::uint8_t>> refused[] = {
-      {"pilot lane for 5 cells",
-       active_set_archive(std::vector<double>(5, -20.0), t4, {0}, true)},
       {"timer lane for 3 cells",
-       active_set_archive(p4, std::vector<double>(3, 0.0), {0}, true)},
-      {"more than max_size members", active_set_archive(p4, t4, {0, 1, 2, 3}, true)},
-      {"member out of range", active_set_archive(p4, t4, {0, 100000}, true)},
-      {"member one past the last cell", active_set_archive(p4, t4, {4}, true)},
-      {"repeated member", active_set_archive(p4, t4, {1, 2, 1}, true)},
-      {"initialised without members", active_set_archive(p4, t4, {}, true)},
+       active_set_archive(std::vector<double>(3, 0.0), {0}, true)},
+      {"more than max_size members", active_set_archive(t4, {0, 1, 2, 3}, true)},
+      {"member out of range", active_set_archive(t4, {0, 100000}, true)},
+      {"member one past the last cell", active_set_archive(t4, {4}, true)},
+      {"repeated member", active_set_archive(t4, {1, 2, 1}, true)},
+      {"initialised without members", active_set_archive(t4, {}, true)},
       {"truncated", std::vector<std::uint8_t>(good.begin(), good.end() - 9)},
   };
   for (const auto& [why, bytes] : refused) {
@@ -552,18 +542,18 @@ TEST(ActiveSet, LoadRoundTripsAndRefusesMalformedArchives) {
     EXPECT_FALSE(as.load(r)) << why;
     // A refused load leaves the set as it was.
     EXPECT_EQ(as.members(), donor.members()) << why;
-    EXPECT_EQ(saved_lanes(as), saved_lanes(donor)) << why;
+    EXPECT_EQ(saved_timers(as), saved_timers(donor)) << why;
   }
 
   // The accepted edges: a full set in any order, and a fresh empty one.
   {
-    const std::vector<std::uint8_t> full = active_set_archive(p4, t4, {3, 0, 2}, true);
+    const std::vector<std::uint8_t> full = active_set_archive(t4, {3, 0, 2}, true);
     common::BinaryReader r(full);
     ASSERT_TRUE(as.load(r));
     EXPECT_EQ(as.members(), (std::vector<std::size_t>{3, 0, 2}));
   }
   {
-    const std::vector<std::uint8_t> fresh = active_set_archive(p4, t4, {}, false);
+    const std::vector<std::uint8_t> fresh = active_set_archive(t4, {}, false);
     common::BinaryReader r(fresh);
     ASSERT_TRUE(as.load(r));
     EXPECT_TRUE(as.members().empty());

@@ -534,7 +534,7 @@ TEST(CheckpointRestore, RefusesOtherSnapshotVersions) {
   for (std::size_t i = 0; i < 4; ++i) {
     version |= std::uint32_t{archive[kVersionAt + i]} << (8 * i);
   }
-  ASSERT_EQ(version, 6u);
+  ASSERT_EQ(version, 7u);
   for (const std::uint32_t other : {version - 1, version + 1}) {
     std::vector<std::uint8_t> forged = archive;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -553,16 +553,16 @@ TEST(CheckpointRestore, RefusesOtherSnapshotVersions) {
 }
 
 /// Offsets of every user's active-set member list in a snapshot: the places
-/// where an ActiveSet checkpoint's layout starts -- two f64 lanes of
-/// `cells` entries, a member count of 1 to 3, that many in-range cells,
+/// where an ActiveSet checkpoint's layout starts -- an f64 drop-timer lane
+/// of `cells` entries, a member count of 1 to 3, that many in-range cells,
 /// and a set initialised flag.  Users are serialized in order.
 std::vector<std::size_t> member_list_offsets(const std::vector<std::uint8_t>& a,
                                              std::size_t cells) {
   const std::size_t lane = 8 + 8 * cells;
   std::vector<std::size_t> found;
-  for (std::size_t at = 0; at + 2 * lane + 8 * 5 < a.size(); ++at) {
-    if (u64_at(a, at) != cells || u64_at(a, at + lane) != cells) continue;
-    const std::size_t list = at + 2 * lane;
+  for (std::size_t at = 0; at + lane + 8 * 5 < a.size(); ++at) {
+    if (u64_at(a, at) != cells) continue;
+    const std::size_t list = at + lane;
     const std::uint64_t n = u64_at(a, list);
     if (n < 1 || n > 3) continue;
     bool in_range = true;
@@ -1005,6 +1005,48 @@ TEST(AdmissionServiceProtocol, NackedEventsLeaveTheRunBitIdentical) {
   }
   expect_metrics_identical(clean.simulator().metrics(),
                            noisy.simulator().metrics());
+}
+
+// The service stops at the config's horizon: a tick there nacks out of
+// order and changes nothing, so the checkpoint the service holds is one a
+// fresh service's restore() accepts, and a trace with one tick too many
+// fails to replay instead of stepping past the horizon.
+TEST(AdmissionServiceProtocol, NacksATickPastTheHorizon) {
+  sim::SystemConfig cfg = hotspot_config(19);
+  cfg.sim_duration_s = 1.0;
+  cfg.warmup_s = 0.2;
+  AdmissionService service(cfg);
+  const std::int64_t horizon = service.simulator().total_frames();
+  for (std::int64_t f = 0; f < horizon; ++f) {
+    ASSERT_TRUE(service.submit(Event::tick()).ok()) << "frame " << f;
+  }
+  const std::vector<std::uint8_t> at_horizon = service.checkpoint();
+  const service::ServiceCounters before = service.counters();
+  EXPECT_EQ(service.submit(Event::tick()).code, ResultCode::kNackOutOfOrder);
+  EXPECT_EQ(service.frame(), horizon);
+  EXPECT_EQ(service.counters().ticks, before.ticks);
+  EXPECT_EQ(service.counters().nacks, before.nacks + 1);
+  // The frame, the metrics and every other evolved stream stay put.
+  EXPECT_TRUE(service.checkpoint() == at_horizon);
+
+  AdmissionService fresh(cfg);
+  ASSERT_TRUE(fresh.restore(service.checkpoint()));
+  EXPECT_EQ(fresh.frame(), horizon);
+  EXPECT_EQ(fresh.submit(Event::tick()).code, ResultCode::kNackOutOfOrder);
+
+  std::stringstream trace;
+  {
+    sim::Simulator sim(cfg);
+    service::TraceRecorder recorder(sim, trace);
+    recorder.run_frames(horizon);
+  }
+  std::stringstream longer(trace.str() + "{\"e\":\"tick\",\"n\":1}\n");
+  const service::ReplayResult replayed = service::replay_trace(cfg, longer);
+  EXPECT_FALSE(replayed.ok);
+  EXPECT_NE(replayed.error.find("nack-out-of-order"), std::string::npos)
+      << replayed.error;
+  EXPECT_NE(replayed.error.find("frame " + std::to_string(horizon)), std::string::npos)
+      << replayed.error;
 }
 
 TEST(AdmissionServiceOverload, ShedsRequestsBeyondTheInjectionQueueCap) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/admission/policy.hpp"
+#include "src/runner/shard_io.hpp"
 #include "src/scenario/experiments.hpp"
 #include "src/service/service.hpp"
 #include "src/sim/channel_state.hpp"
@@ -118,27 +119,6 @@ std::string metrics_json(const sim::SimMetrics& m) {
   out += ",\"overload_sheds\":" + std::to_string(m.overload_sheds);
   out += "}}\n";
   return out;
-}
-
-bool write_file(const std::string& path, const void* data, std::size_t size) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  const std::size_t written = std::fwrite(data, 1, size, f);
-  return std::fclose(f) == 0 && written == size;
-}
-
-bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  out->clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->insert(out->end(), buf, buf + n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 /// Nearest-rank percentile of an unsorted sample (copies; bench-sized data).
@@ -299,7 +279,7 @@ int main(int argc, char** argv) {
     std::int64_t start_frame = 0;
     if (!resume_path.empty()) {
       std::vector<std::uint8_t> bytes;
-      if (!read_file(resume_path, &bytes)) {
+      if (!runner::read_file(resume_path, &bytes)) {
         std::fprintf(stderr, "service_main: cannot read %s\n", resume_path.c_str());
         return 1;
       }
@@ -345,7 +325,7 @@ int main(int argc, char** argv) {
         }
         run_span(at - start_frame);
         const std::vector<std::uint8_t> snap = sim.snapshot();
-        if (!write_file(checkpoint_path, snap.data(), snap.size())) {
+        if (!runner::write_file_atomic(checkpoint_path, snap)) {
           std::fprintf(stderr, "service_main: write to %s failed\n",
                        checkpoint_path.c_str());
           return 1;
@@ -387,7 +367,7 @@ int main(int argc, char** argv) {
       out += ",\"frame_p50_us\":" + fmt_double(1e6 * percentile(times, 0.50));
       out += ",\"frame_p99_us\":" + fmt_double(1e6 * percentile(times, 0.99));
       out += "}\n";
-      if (!write_file(bench_path, out.data(), out.size())) {
+      if (!runner::write_file_atomic(bench_path, {out.begin(), out.end()})) {
         std::fprintf(stderr, "service_main: write to %s failed\n",
                      bench_path.c_str());
         return 1;
@@ -402,7 +382,7 @@ int main(int argc, char** argv) {
   const std::string text = metrics_json(final_metrics);
   if (metrics_path.empty()) {
     std::fwrite(text.data(), 1, text.size(), stdout);
-  } else if (!write_file(metrics_path, text.data(), text.size())) {
+  } else if (!runner::write_file_atomic(metrics_path, {text.begin(), text.end()})) {
     std::fprintf(stderr, "service_main: write to %s failed\n",
                  metrics_path.c_str());
     return 1;

@@ -15,12 +15,11 @@
 // Each ablation group is one 1-D sweep on the engine; CRN seeding gives
 // every value in a group the same user drop and channel realisation, so the
 // comparison is paired exactly as in the hand-rolled original.
-#include "bench/bench_util.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/sweep/sweep.hpp"
 
 using namespace wcdma;
-using namespace wcdma::bench;
 
 int main() {
   common::Table t({"ablation", "value", "mean-delay(s)", "queue-delay(s)",

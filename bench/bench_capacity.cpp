@@ -12,27 +12,25 @@
 // the grid.
 #include <cstdio>
 
-#include "bench/bench_util.hpp"
+#include "src/admission/policy.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/sweep/sweep.hpp"
 
 using namespace wcdma;
-using namespace wcdma::bench;
 
 namespace {
 constexpr double kDelayTarget = 5.0;  // seconds
 
 const std::vector<int> kVoiceGrid = {0, 30, 60};
 const std::vector<int> kDataGrid = {6, 9, 12, 15, 18};
-const std::vector<admission::SchedulerKind> kSchedulers = {
-    admission::SchedulerKind::kJabaSd, admission::SchedulerKind::kFcfs,
-    admission::SchedulerKind::kEqualShare};
+const std::vector<std::string> kSchedulers = {"jaba-sd", "fcfs", "equal-share"};
 }  // namespace
 
 int main() {
   sweep::SweepSpec spec;
   spec.name = "E6-capacity";
-  spec.base = hotspot_config(4003);
+  spec.base = scenario::hotspot_cell_config(4003);
   spec.axes = {sweep::axis_voice_users(kVoiceGrid), sweep::axis_scheduler(kSchedulers),
                sweep::axis_data_users(kDataGrid)};
   spec.replications = 3;
@@ -54,7 +52,7 @@ int main() {
           delay_at_capacity = delay;
         }
       }
-      t.add_row({std::to_string(kVoiceGrid[v]), to_string(kSchedulers[k]),
+      t.add_row({std::to_string(kVoiceGrid[v]), admission::policy_label(kSchedulers[k]),
                  std::to_string(capacity),
                  common::format_double(delay_at_capacity, 4)});
     }

@@ -13,18 +13,17 @@
 // fixed-m4), with the per-distance-bin metrics read from the merged result.
 #include <cstdio>
 
-#include "bench/bench_util.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/sim/metrics.hpp"
 #include "src/sweep/sweep.hpp"
 
 using namespace wcdma;
-using namespace wcdma::bench;
 
 int main() {
   sweep::SweepSpec spec;
   spec.name = "E7-coverage";
-  spec.base = wide_config(4007);
+  spec.base = scenario::wide_area_config(4007);
   spec.base.sim_duration_s = 90.0;
   spec.base.data.users = 14;
   spec.axes = {sweep::axis_fixed_mode({0, 4})};

@@ -9,12 +9,11 @@
 //
 // Runs on the sweep engine: a compound timer axis crossed with the
 // objective axis, CRN-paired so every cell sees the same user drop.
-#include "bench/bench_util.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/sweep/sweep.hpp"
 
 using namespace wcdma;
-using namespace wcdma::bench;
 
 int main() {
   const sweep::SweepResult result =

@@ -8,12 +8,11 @@
 //
 // Runs on the sweep engine: one compound (objective, lambda, mu) axis with
 // CRN seeding, so every objective scores the same user drop.
-#include "bench/bench_util.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/sweep/sweep.hpp"
 
 using namespace wcdma;
-using namespace wcdma::bench;
 
 int main() {
   const sweep::SweepResult result =

@@ -1,33 +1,14 @@
-// Shared helpers for the experiment harnesses: canonical scenario builders
-// (delegating to src/scenario) and row extraction, so every bench prints
-// comparable tables.
+// Shared helpers for the experiment harnesses: the canonical experiments
+// (src/scenario) and row extraction, so every bench prints comparable
+// tables.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "src/admission/schedulers.hpp"
 #include "src/common/table.hpp"
 #include "src/scenario/experiments.hpp"
 #include "src/sim/metrics.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace wcdma::bench {
-
-/// Compact 7-cell hotspot scenario used by the load sweeps: every user in
-/// the central cell's footprint so burst requests actually contend.
-inline sim::SystemConfig hotspot_config(std::uint64_t seed) {
-  return scenario::hotspot_cell_config(seed);
-}
-
-/// Full 19-cell wide-area scenario (users spread over the whole layout).
-inline sim::SystemConfig wide_config(std::uint64_t seed) {
-  return scenario::wide_area_config(seed);
-}
-
-inline const std::vector<admission::SchedulerKind>& headline_schedulers() {
-  return scenario::headline_schedulers();
-}
 
 struct Row {
   double mean_delay_s;

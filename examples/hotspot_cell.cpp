@@ -24,9 +24,7 @@ int main() {
   spec.base.mobility.region_radius_m = spec.base.layout.cell_radius_m;
   spec.base.seed = 77;
   spec.axes = {sweep::axis_scheduler(
-      {admission::SchedulerKind::kJabaSd, admission::SchedulerKind::kGreedy,
-       admission::SchedulerKind::kFcfs, admission::SchedulerKind::kFcfsSingle,
-       admission::SchedulerKind::kEqualShare, admission::SchedulerKind::kRandom})};
+      {"jaba-sd", "jaba-sd-greedy", "fcfs", "fcfs-single", "equal-share", "random"})};
   spec.replications = 1;
   spec.common_random_numbers = true;  // paired comparison across schedulers
 

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "src/admission/measurement.hpp"
-#include "src/admission/schedulers.hpp"
+#include "src/admission/policy.hpp"
 #include "src/common/table.hpp"
 
 using namespace wcdma;
@@ -54,14 +54,12 @@ int main() {
   std::printf("b = [ %.3g %.3g ]\n\n", problem.region.b[0], problem.region.b[1]);
 
   common::Table table({"scheduler", "m0", "m1", "m2", "m3", "objective", "granted"});
-  for (const auto kind :
-       {admission::SchedulerKind::kJabaSd, admission::SchedulerKind::kGreedy,
-        admission::SchedulerKind::kFcfs, admission::SchedulerKind::kEqualShare,
-        admission::SchedulerKind::kRandom}) {
-    auto scheduler = admission::make_scheduler(kind, /*seed=*/7);
+  for (const char* name :
+       {"jaba-sd", "jaba-sd-greedy", "fcfs", "equal-share", "random"}) {
+    auto scheduler = admission::make_scheduler(name, /*seed=*/7);
     const admission::Allocation a = scheduler->schedule(problem);
-    table.add_row({scheduler->name(), std::to_string(a.m[0]), std::to_string(a.m[1]),
-                   std::to_string(a.m[2]), std::to_string(a.m[3]),
+    table.add_row({admission::policy_label(name), std::to_string(a.m[0]),
+                   std::to_string(a.m[1]), std::to_string(a.m[2]), std::to_string(a.m[3]),
                    common::format_double(a.objective), std::to_string(a.granted_count())});
   }
   table.print("quickstart: one admission round, 4 requests, 2 cells");

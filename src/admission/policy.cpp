@@ -107,8 +107,6 @@ SchedulerPolicy::SchedulerPolicy(std::unique_ptr<Scheduler> scheduler)
   WCDMA_ASSERT(scheduler_ != nullptr);
 }
 
-std::string SchedulerPolicy::name() const { return scheduler_->name(); }
-
 std::vector<PolicyGrant> SchedulerPolicy::decide(const FrameContext& ctx,
                                                  mac::LinkDirection direction, int carrier,
                                                  const std::vector<std::size_t>& round) {
@@ -122,19 +120,6 @@ void SchedulerPolicy::save_state(common::BinaryWriter& w) const {
 }
 
 bool SchedulerPolicy::load_state(common::BinaryReader& r) {
-  return scheduler_->load_state(r);
-}
-
-HandDownPolicy::HandDownPolicy(std::unique_ptr<Scheduler> scheduler)
-    : scheduler_(std::move(scheduler)) {
-  WCDMA_ASSERT(scheduler_ != nullptr);
-}
-
-void HandDownPolicy::save_state(common::BinaryWriter& w) const {
-  scheduler_->save_state(w);
-}
-
-bool HandDownPolicy::load_state(common::BinaryReader& r) {
   return scheduler_->load_state(r);
 }
 
@@ -192,34 +177,35 @@ namespace {
 
 struct PolicyEntry {
   const char* name;
+  const char* label;
   const char* description;
-  std::unique_ptr<AdmissionPolicy> (*build)(std::uint64_t seed);
+  std::unique_ptr<Scheduler> (*scheduler)(std::uint64_t seed);
+  bool hand_down;  // HandDownPolicy instead of SchedulerPolicy
 };
 
-template <SchedulerKind Kind>
-std::unique_ptr<AdmissionPolicy> build_scheduler_policy(std::uint64_t seed) {
-  return std::make_unique<SchedulerPolicy>(make_scheduler(Kind, seed));
+template <class S, auto... args>
+std::unique_ptr<Scheduler> build(std::uint64_t) {
+  return std::make_unique<S>(args...);
 }
 
-std::unique_ptr<AdmissionPolicy> build_hand_down(std::uint64_t seed) {
-  return std::make_unique<HandDownPolicy>(make_scheduler(SchedulerKind::kJabaSd, seed));
+std::unique_ptr<Scheduler> build_random(std::uint64_t seed) {
+  return std::make_unique<RandomScheduler>(common::Rng(seed));
 }
 
 const PolicyEntry kPolicies[] = {
-    {"jaba-sd", "the paper's IP solve (exact B&B, greedy beyond threshold)",
-     build_scheduler_policy<SchedulerKind::kJabaSd>},
-    {"jaba-sd-greedy", "pure polynomial greedy marginal-utility engine",
-     build_scheduler_policy<SchedulerKind::kGreedy>},
-    {"fcfs", "cdma2000-style first-come-first-serve burst grants",
-     build_scheduler_policy<SchedulerKind::kFcfs>},
-    {"fcfs-single", "strict single-burst-per-frame FCFS",
-     build_scheduler_policy<SchedulerKind::kFcfsSingle>},
-    {"equal-share", "equal sharing between concurrent burst requests",
-     build_scheduler_policy<SchedulerKind::kEqualShare>},
-    {"random", "random-order max-grant fairness baseline",
-     build_scheduler_policy<SchedulerKind::kRandom>},
-    {"hand-down", "JABA-SD plus inter-carrier hand-down of rejected requests",
-     build_hand_down},
+    {"jaba-sd", "JABA-SD", "the paper's IP solve (exact B&B, greedy beyond threshold)",
+     build<JabaSdScheduler>, false},
+    {"jaba-sd-greedy", "JABA-SD-greedy", "pure polynomial greedy marginal-utility engine",
+     build<GreedyScheduler>, false},
+    {"fcfs", "FCFS", "cdma2000-style first-come-first-serve burst grants",
+     build<FcfsScheduler, false>, false},
+    {"fcfs-single", "FCFS-single", "strict single-burst-per-frame FCFS",
+     build<FcfsScheduler, true>, false},
+    {"equal-share", "EqualShare", "equal sharing between concurrent burst requests",
+     build<EqualShareScheduler>, false},
+    {"random", "Random", "random-order max-grant fairness baseline", build_random, false},
+    {"hand-down", "HandDown", "JABA-SD plus inter-carrier hand-down of rejected requests",
+     build<JabaSdScheduler>, true},
 };
 
 const PolicyEntry* find_policy(const std::string& name) {
@@ -227,6 +213,12 @@ const PolicyEntry* find_policy(const std::string& name) {
     if (name == entry.name) return &entry;
   }
   return nullptr;
+}
+
+const PolicyEntry& policy_row(const std::string& name) {
+  const PolicyEntry* entry = find_policy(name);
+  WCDMA_ASSERT(entry != nullptr && "unknown admission policy");
+  return *entry;
 }
 
 }  // namespace
@@ -240,27 +232,19 @@ std::vector<std::string> policy_names() {
 bool has_policy(const std::string& name) { return find_policy(name) != nullptr; }
 
 std::unique_ptr<AdmissionPolicy> make_policy(const std::string& name, std::uint64_t seed) {
-  const PolicyEntry* entry = find_policy(name);
-  WCDMA_ASSERT(entry != nullptr && "unknown admission policy");
-  return entry->build(seed);
+  const PolicyEntry& entry = policy_row(name);
+  if (entry.hand_down) return std::make_unique<HandDownPolicy>(entry.scheduler(seed));
+  return std::make_unique<SchedulerPolicy>(entry.scheduler(seed));
 }
+
+std::unique_ptr<Scheduler> make_scheduler(const std::string& name, std::uint64_t seed) {
+  return policy_row(name).scheduler(seed);
+}
+
+std::string policy_label(const std::string& name) { return policy_row(name).label; }
 
 std::string policy_description(const std::string& name) {
-  const PolicyEntry* entry = find_policy(name);
-  WCDMA_ASSERT(entry != nullptr && "unknown admission policy");
-  return entry->description;
-}
-
-const char* policy_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kJabaSd: return "jaba-sd";
-    case SchedulerKind::kGreedy: return "jaba-sd-greedy";
-    case SchedulerKind::kFcfs: return "fcfs";
-    case SchedulerKind::kFcfsSingle: return "fcfs-single";
-    case SchedulerKind::kEqualShare: return "equal-share";
-    case SchedulerKind::kRandom: return "random";
-  }
-  return "jaba-sd";
+  return policy_row(name).description;
 }
 
 }  // namespace wcdma::admission

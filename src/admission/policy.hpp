@@ -12,9 +12,10 @@
 // (re-assigning a requester's carrier at grant time) expressible as a
 // policy rather than a simulator edit.
 //
-// A string-keyed registry (mirroring the sweep preset registry) constructs
-// policies by name so new schemes are drop-in plugins: SystemConfig, sweep
-// axes (policy=...), and the sweep_main CLI all plumb the name through.
+// A string-keyed registry names and builds every policy: one row per policy
+// holds its registry name (what SystemConfig, the policy= and scheduler=
+// sweep axes and the CLIs speak), the label the sweep's `scheduler` column
+// prints, its scheduler and whether the hand-down pass runs on top.
 #pragma once
 
 #include <cstdint>
@@ -123,7 +124,6 @@ class AdmissionPolicy {
   virtual std::vector<PolicyGrant> decide(const FrameContext& ctx,
                                           mac::LinkDirection direction, int carrier,
                                           const std::vector<std::size_t>& round) = 0;
-  virtual std::string name() const = 0;
 
   /// Checkpoint hooks, forwarded to the wrapped scheduler where one exists;
   /// policies without evolved state keep the empty default.
@@ -133,19 +133,18 @@ class AdmissionPolicy {
 
 /// Adapts a scheduling-sub-layer Scheduler (Section 3.2) to the policy API:
 /// builds the round's BurstProblem on the requests' own carrier and grants
-/// the scheduler's allocation verbatim.  All six legacy schedulers ship
-/// through this wrapper; the default-policy path is bit-identical to the
-/// pre-seam simulator.
-class SchedulerPolicy final : public AdmissionPolicy {
+/// the scheduler's allocation verbatim.  All six schedulers ship through
+/// this wrapper; the default-policy path is bit-identical to the pre-seam
+/// simulator.
+class SchedulerPolicy : public AdmissionPolicy {
  public:
   explicit SchedulerPolicy(std::unique_ptr<Scheduler> scheduler);
   std::vector<PolicyGrant> decide(const FrameContext& ctx, mac::LinkDirection direction,
                                   int carrier, const std::vector<std::size_t>& round) override;
-  std::string name() const override;
   void save_state(common::BinaryWriter& w) const override;
   bool load_state(common::BinaryReader& r) override;
 
- private:
+ protected:
   std::unique_ptr<Scheduler> scheduler_;
 };
 
@@ -159,31 +158,30 @@ class SchedulerPolicy final : public AdmissionPolicy {
 /// simulator's physical power/rise caps absorb transient over-commitment,
 /// exactly as for same-carrier forward/reverse rounds).  Only expressible
 /// through the policy API, which lets a grant carry a different carrier
-/// than the request.
-class HandDownPolicy final : public AdmissionPolicy {
+/// than the request.  It is SchedulerPolicy plus that second pass: only
+/// decide() differs.
+class HandDownPolicy final : public SchedulerPolicy {
  public:
-  explicit HandDownPolicy(std::unique_ptr<Scheduler> scheduler);
+  using SchedulerPolicy::SchedulerPolicy;
   std::vector<PolicyGrant> decide(const FrameContext& ctx, mac::LinkDirection direction,
                                   int carrier, const std::vector<std::size_t>& round) override;
-  std::string name() const override { return "HandDown"; }
-  void save_state(common::BinaryWriter& w) const override;
-  bool load_state(common::BinaryReader& r) override;
-
- private:
-  std::unique_ptr<Scheduler> scheduler_;
 };
 
-// --- PolicyRegistry: string-keyed factories --------------------------------
+// --- PolicyRegistry: one row per policy -------------------------------------
+// Every lookup below aborts on an unknown name (probe with has_policy).
 /// Registered policy names, in registry order.
 std::vector<std::string> policy_names();
 bool has_policy(const std::string& name);
-/// Builds the named policy; aborts on unknown names (probe with has_policy).
-/// `seed` feeds stochastic policies (the "random" baseline).
+/// Builds the named policy: the row's scheduler wrapped in SchedulerPolicy,
+/// or in HandDownPolicy for a hand-down row.  `seed` feeds stochastic
+/// schedulers (the "random" baseline).
 std::unique_ptr<AdmissionPolicy> make_policy(const std::string& name,
                                              std::uint64_t seed = 1);
+/// The named row's bare scheduler, for callers that solve one BurstProblem.
+std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
+                                          std::uint64_t seed = 1);
+/// Display label ("JABA-SD" for "jaba-sd"): the sweep's `scheduler` column.
+std::string policy_label(const std::string& name);
 std::string policy_description(const std::string& name);
-/// Registry name of a SchedulerKind (the sweep's `scheduler` axis speaks
-/// the enum and sets the config's policy string through this).
-const char* policy_name(SchedulerKind kind);
 
 }  // namespace wcdma::admission

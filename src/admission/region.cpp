@@ -15,18 +15,4 @@ bool Region::admits(const std::vector<int>& m, double tol) const {
   return common::satisfies(a, x, b, tol);
 }
 
-Region stack(const Region& first, const Region& second) {
-  if (first.empty()) return second;
-  if (second.empty()) return first;
-  WCDMA_ASSERT(first.a.cols() == second.a.cols());
-  Region out = first;
-  for (std::size_t r = 0; r < second.a.rows(); ++r) {
-    common::Vector row(second.a.cols());
-    for (std::size_t c = 0; c < second.a.cols(); ++c) row[c] = second.a(r, c);
-    out.a.append_row(row);
-    out.b.push_back(second.b[r]);
-  }
-  return out;
-}
-
 }  // namespace wcdma::admission

@@ -1,8 +1,8 @@
 // Linear admissible regions produced by the measurement sub-layer
 // (Section 3.1).  A region is the constraint set  A m <= b  over the
-// spreading-gain-ratio vector m of the Nd concurrent burst requests;
-// the forward-link (Eq. 7) and reverse-link (Eq. 17) regions stack into a
-// single region fed to the scheduling sub-layer.
+// spreading-gain-ratio vector m of the Nd concurrent burst requests.  The
+// forward-link (Eq. 7) and reverse-link (Eq. 17) regions stay separate:
+// each direction's round is scheduled on its own region.
 #pragma once
 
 #include <vector>
@@ -20,8 +20,5 @@ struct Region {
   /// True iff the integer assignment m satisfies A m <= b (+tol).
   bool admits(const std::vector<int>& m, double tol = 1e-9) const;
 };
-
-/// Stacks regions (same request count) into one constraint set.
-Region stack(const Region& first, const Region& second);
 
 }  // namespace wcdma::admission

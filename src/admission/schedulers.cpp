@@ -200,34 +200,4 @@ bool RandomScheduler::load_state(common::BinaryReader& r) {
   return r.ok();
 }
 
-const char* to_string(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::kJabaSd: return "JABA-SD";
-    case SchedulerKind::kGreedy: return "JABA-SD-greedy";
-    case SchedulerKind::kFcfs: return "FCFS";
-    case SchedulerKind::kFcfsSingle: return "FCFS-single";
-    case SchedulerKind::kEqualShare: return "EqualShare";
-    case SchedulerKind::kRandom: return "Random";
-  }
-  return "?";
-}
-
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, std::uint64_t seed) {
-  switch (kind) {
-    case SchedulerKind::kJabaSd:
-      return std::make_unique<JabaSdScheduler>();
-    case SchedulerKind::kGreedy:
-      return std::make_unique<GreedyScheduler>();
-    case SchedulerKind::kFcfs:
-      return std::make_unique<FcfsScheduler>(false);
-    case SchedulerKind::kFcfsSingle:
-      return std::make_unique<FcfsScheduler>(true);
-    case SchedulerKind::kEqualShare:
-      return std::make_unique<EqualShareScheduler>();
-    case SchedulerKind::kRandom:
-      return std::make_unique<RandomScheduler>(common::Rng(seed));
-  }
-  return nullptr;
-}
-
 }  // namespace wcdma::admission

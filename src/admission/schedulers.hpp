@@ -17,8 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/admission/objectives.hpp"
@@ -30,7 +28,7 @@ namespace wcdma::admission {
 
 /// The assembled per-frame scheduling problem for one link direction.
 struct BurstProblem {
-  Region region;                      // stacked admissible region(s)
+  Region region;                      // the direction's admissible region
   std::vector<RequestView> requests;  // column j <-> requests[j]
   std::vector<double> c;              // objective coefficients (J1 or J2)
   std::vector<int> upper;             // Eq. 24 bounds u_j
@@ -58,7 +56,6 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual Allocation schedule(const BurstProblem& problem) = 0;
-  virtual std::string name() const = 0;
 
   /// Checkpoint hooks: only stochastic schedulers carry evolved state (the
   /// "random" baseline's RNG); deterministic solvers keep the empty default.
@@ -75,7 +72,6 @@ class JabaSdScheduler final : public Scheduler {
   JabaSdScheduler();
   explicit JabaSdScheduler(const Options& options);
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "JABA-SD"; }
 
  private:
   Options options_;
@@ -85,7 +81,6 @@ class JabaSdScheduler final : public Scheduler {
 class GreedyScheduler final : public Scheduler {
  public:
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "JABA-SD-greedy"; }
 };
 
 class FcfsScheduler final : public Scheduler {
@@ -94,7 +89,6 @@ class FcfsScheduler final : public Scheduler {
   /// early-cdma2000 behaviour where one data user owns the SCH).
   explicit FcfsScheduler(bool single_burst = false) : single_burst_(single_burst) {}
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return single_burst_ ? "FCFS-single" : "FCFS"; }
 
  private:
   bool single_burst_;
@@ -103,26 +97,17 @@ class FcfsScheduler final : public Scheduler {
 class EqualShareScheduler final : public Scheduler {
  public:
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "EqualShare"; }
 };
 
 class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(common::Rng rng) : rng_(rng) {}
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "Random"; }
   void save_state(common::BinaryWriter& w) const override;
   bool load_state(common::BinaryReader& r) override;
 
  private:
   common::Rng rng_;
 };
-
-enum class SchedulerKind { kJabaSd, kGreedy, kFcfs, kFcfsSingle, kEqualShare, kRandom };
-
-const char* to_string(SchedulerKind k);
-
-/// Factory used by the simulator/bench configuration.
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, std::uint64_t seed = 1);
 
 }  // namespace wcdma::admission

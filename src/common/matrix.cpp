@@ -52,15 +52,6 @@ Vector Matrix::multiply(const Vector& x) const {
   return y;
 }
 
-void Matrix::append_row(const Vector& row_values) {
-  if (empty() && rows_ == 0) {
-    cols_ = row_values.size();
-  }
-  WCDMA_ASSERT(row_values.size() == cols_);
-  data_.insert(data_.end(), row_values.begin(), row_values.end());
-  ++rows_;
-}
-
 std::string Matrix::to_string(int precision) const {
   std::string out;
   char buf[64];

@@ -37,9 +37,6 @@ class Matrix {
   /// y = A x.  x.size() must equal cols().
   Vector multiply(const Vector& x) const;
 
-  /// Appends a row (must match cols(), or sets cols() if empty).
-  void append_row(const Vector& row_values);
-
   /// Human-readable dump for debugging / logging.
   std::string to_string(int precision = 4) const;
 

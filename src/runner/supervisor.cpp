@@ -67,15 +67,16 @@ ShardHeader header_for(const sweep::SweepSpec& spec, const ShardState& state,
   return h;
 }
 
-/// Forks one worker attempt.  The child runs run_worker() on the
-/// supervisor's own spec and _exits without unwinding the parent's stack.
+/// Forks one worker attempt of `shard` out of `workers`.  The child runs
+/// run_worker() on the supervisor's own spec and _exits without unwinding
+/// the parent's stack.
 pid_t launch_worker(const sweep::SweepSpec& spec,
                     const SupervisorOptions& options, std::size_t shard,
-                    const ShardState& state) {
+                    std::size_t workers, const ShardState& state) {
   WorkerJob job;
   job.spec = spec;
   job.shard = shard;
-  job.workers = options.workers;
+  job.workers = workers;
   job.result_path = state.result_path;
   job.checkpoint_path = state.checkpoint_path;
   job.checkpoint_every_frames = options.checkpoint_every_frames;
@@ -115,9 +116,12 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
   WCDMA_ASSERT(options.workers >= 1);
   WCDMA_ASSERT(options.max_retries >= 0);
 
+  // At most one shard per item.  A cost split can still leave a shard
+  // empty; an empty shard starts no worker and is done from the outset.
   const std::vector<std::uint64_t> costs = item_costs(spec);
-  const std::size_t workers = options.workers;
+  const std::size_t workers = std::min(options.workers, costs.size());
   std::vector<ShardState> shards(workers);
+  std::size_t done = 0;
   for (std::size_t s = 0; s < workers; ++s) {
     shards[s].range = shard_range(costs, s, workers);
     shards[s].result_path = shard_file(options.work_dir, s, ".result");
@@ -127,6 +131,10 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
     // failures attribute cleanly.
     std::remove(shards[s].result_path.c_str());
     std::remove(shards[s].checkpoint_path.c_str());
+    if (shards[s].range.size() == 0) {
+      shards[s].status = ShardStatus::kDone;
+      ++done;
+    }
   }
 
   // Attributed hard stop: kill anything still running, reap, and report.
@@ -192,7 +200,6 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
     return true;
   };
 
-  std::size_t done = 0;
   std::size_t items_done = 0;
   while (done < workers) {
     const double now = monotonic_now_s();
@@ -200,7 +207,7 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
     for (std::size_t s = 0; s < workers; ++s) {
       ShardState& st = shards[s];
       if (st.status != ShardStatus::kPending || now < st.ready_s) continue;
-      const pid_t pid = launch_worker(spec, options, s, st);
+      const pid_t pid = launch_worker(spec, options, s, workers, st);
       if (pid < 0) return abort_with(s, "fork() failed");
       if (st.resume_next) ++out.checkpoint_resumes;
       st.pid = pid;

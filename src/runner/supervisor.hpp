@@ -42,7 +42,8 @@ namespace wcdma::runner {
 double backoff_delay_s(int retry, double base_s, double cap_s);
 
 struct SupervisorOptions {
-  /// Worker process count == shard count; >= 1.
+  /// Worker process count == shard count; >= 1.  Capped at the grid's
+  /// item count, and a shard the cost split leaves empty starts no worker.
   std::size_t workers = 1;
   /// Per-attempt wall-clock budget in seconds; <= 0 disables the timeout.
   double timeout_s = 0.0;

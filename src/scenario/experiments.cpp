@@ -3,7 +3,6 @@
 namespace wcdma::scenario {
 
 using admission::ObjectiveKind;
-using admission::SchedulerKind;
 
 sim::SystemConfig hotspot_cell_config(std::uint64_t seed) {
   sim::SystemConfig cfg = sim::default_config();
@@ -29,11 +28,10 @@ sim::SystemConfig wide_area_config(std::uint64_t seed) {
   return cfg;
 }
 
-const std::vector<SchedulerKind>& headline_schedulers() {
-  static const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::kJabaSd, SchedulerKind::kGreedy, SchedulerKind::kFcfs,
-      SchedulerKind::kFcfsSingle, SchedulerKind::kEqualShare};
-  return kinds;
+const std::vector<std::string>& headline_schedulers() {
+  static const std::vector<std::string> names = {"jaba-sd", "jaba-sd-greedy", "fcfs",
+                                                 "fcfs-single", "equal-share"};
+  return names;
 }
 
 sweep::SweepSpec e4_delay_fl() {
@@ -66,7 +64,7 @@ sweep::SweepSpec e8_synergy() {
   spec.base = hotspot_cell_config(4008);
   spec.base.data.users = 20;
   spec.axes = {sweep::axis_fixed_mode({0, 3}),
-               sweep::axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfsSingle})};
+               sweep::axis_scheduler({"jaba-sd", "fcfs-single"})};
   spec.replications = 1;
   spec.common_random_numbers = true;  // every cell of the 2x2 sees one drop
   return spec;

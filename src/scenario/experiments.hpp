@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/sweep/sweep.hpp"
@@ -22,8 +23,9 @@ sim::SystemConfig hotspot_cell_config(std::uint64_t seed);
 /// Full 19-cell wide-area scenario (users spread over the whole layout).
 sim::SystemConfig wide_area_config(std::uint64_t seed);
 
-/// The paper's headline scheduler line-up: JABA-SD and its baselines.
-const std::vector<admission::SchedulerKind>& headline_schedulers();
+/// The paper's headline scheduler line-up, by policy registry name:
+/// JABA-SD and its baselines.
+const std::vector<std::string>& headline_schedulers();
 
 /// E4 — forward-link burst delay vs data users, schedulers paired by CRN.
 sweep::SweepSpec e4_delay_fl();

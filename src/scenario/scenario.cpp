@@ -62,8 +62,6 @@ std::vector<double> corridor_weights(const cell::HexLayoutConfig& layout,
 
 ScenarioLayout uniform_hex7() {
   ScenarioLayout s;
-  s.name = "uniform-hex7";
-  s.description = "uniformly loaded 7-cell grid, mixed pedestrian/urban users";
   s.layout.rings = 1;
   s.placement.cell_weights = uniform_weights(1);
   s.placement.home_radius_scale = 1.4;  // users roam across cell borders
@@ -78,8 +76,6 @@ ScenarioLayout uniform_hex7() {
 
 ScenarioLayout hotspot_center() {
   ScenarioLayout s;
-  s.name = "hotspot-center";
-  s.description = "19-cell grid, load piled onto the centre cell";
   s.layout.rings = 2;
   s.placement.cell_weights = hotspot_weights(2, 8.0);
   s.placement.home_radius_scale = 1.2;
@@ -94,8 +90,6 @@ ScenarioLayout hotspot_center() {
 
 ScenarioLayout highway_corridor() {
   ScenarioLayout s;
-  s.name = "highway-corridor";
-  s.description = "vehicular load on the row of cells through the origin";
   s.layout.rings = 2;
   // Half a cell radius of lateral spread keeps the load on the 5-cell row.
   s.placement.cell_weights = corridor_weights(s.layout, 0.5 * s.layout.cell_radius_m);
@@ -117,8 +111,6 @@ ScenarioLayout highway_corridor() {
 
 ScenarioLayout enterprise_data() {
   ScenarioLayout s;
-  s.name = "enterprise-data";
-  s.description = "data-heavy enterprise mix, two carriers, mostly downloads";
   s.layout.rings = 1;
   s.placement.cell_weights = hotspot_weights(1, 3.0);
   s.placement.home_radius_scale = 1.0;  // indoor users stay near their cell
@@ -137,10 +129,6 @@ ScenarioLayout enterprise_data() {
 
 ScenarioLayout large_hex() {
   ScenarioLayout s;
-  s.name = "large-hex";
-  s.description = "uniformly loaded 127-cell metro grid (6 rings); the "
-                  "culling providers' far-field aggregate carries the "
-                  "out-of-candidate interference";
   s.layout.rings = 6;  // 127 cells
   s.placement.cell_weights = uniform_weights(6);
   s.placement.home_radius_scale = 1.2;
@@ -153,44 +141,6 @@ ScenarioLayout large_hex() {
   s.warmup_s = 8.0;
   s.seed = 20505;
   return s;
-}
-
-namespace {
-
-struct LayoutEntry {
-  const char* name;
-  ScenarioLayout (*build)();
-};
-
-const LayoutEntry kLayouts[] = {
-    {"uniform-hex7", uniform_hex7},
-    {"hotspot-center", hotspot_center},
-    {"highway-corridor", highway_corridor},
-    {"enterprise-data", enterprise_data},
-    {"large-hex", large_hex},
-};
-
-const LayoutEntry* find_layout(const std::string& name) {
-  for (const LayoutEntry& entry : kLayouts) {
-    if (name == entry.name) return &entry;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-std::vector<std::string> layout_names() {
-  std::vector<std::string> names;
-  for (const LayoutEntry& entry : kLayouts) names.push_back(entry.name);
-  return names;
-}
-
-bool has_layout(const std::string& name) { return find_layout(name) != nullptr; }
-
-ScenarioLayout make_layout(const std::string& name) {
-  const LayoutEntry* entry = find_layout(name);
-  WCDMA_ASSERT(entry != nullptr && "unknown scenario layout");
-  return entry->build();
 }
 
 }  // namespace wcdma::scenario

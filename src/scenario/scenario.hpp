@@ -2,7 +2,7 @@
 // star).
 //
 // A ScenarioLayout composes cell::geometry, cell::mobility, and the traffic
-// mixes into a named multi-cell, multi-carrier topology: how many cells, how
+// mixes into a multi-cell, multi-carrier topology: how many cells, how
 // load is distributed over them (per-cell placement weights), how fast users
 // move, the voice/data mix, and the run horizon.  Layouts expand to plain
 // sim::SystemConfigs, so everything downstream (simulator, sweep engine,
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/cell/geometry.hpp"
@@ -22,12 +21,9 @@
 
 namespace wcdma::scenario {
 
-/// A named multi-cell topology plus the load that lives on it.  Expand with
+/// A multi-cell topology plus the load that lives on it.  Expand with
 /// to_config(); sweep presets then put axes on top of the expanded config.
 struct ScenarioLayout {
-  std::string name;
-  std::string description;
-
   cell::HexLayoutConfig layout{};     // ring count, cell radius, wrap-around
   sim::PlacementConfig placement{};   // per-cell weights, home radius, carriers
   double min_speed_mps = 0.3;
@@ -81,11 +77,5 @@ ScenarioLayout enterprise_data();
 /// Uniformly loaded 127-cell metro grid (6 rings, ~2300 users): the
 /// culling + far-field scale point (docs/ACCURACY.md).
 ScenarioLayout large_hex();
-
-/// Names accepted by make_layout, in registry order.
-std::vector<std::string> layout_names();
-bool has_layout(const std::string& name);
-/// Builds the named layout; aborts on unknown names (probe with has_layout).
-ScenarioLayout make_layout(const std::string& name);
 
 }  // namespace wcdma::scenario

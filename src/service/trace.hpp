@@ -7,7 +7,7 @@
 // -- a re-emitted sweep run must replay to bit-identical metrics.
 //
 //   {"trace":"wcdma-burst-events","v":1,"seed":7,"users":80,"cells":7,
-//    "carriers":1,"frame_s":0.02,"policy":"JABA-SD","provider":"exhaustive"}
+//    "carriers":1,"frame_s":0.02,"policy":"jaba-sd","provider":"exhaustive"}
 //   {"e":"req","f":103,"u":52,"bits":418240}
 //   {"e":"tick","n":57}
 //

@@ -1,6 +1,7 @@
 #include "src/sweep/presets.hpp"
 
 #include "src/common/assert.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/scenario/scenario.hpp"
 
 namespace wcdma::sweep {
@@ -8,10 +9,8 @@ namespace wcdma::sweep {
 namespace {
 
 using admission::ObjectiveKind;
-using admission::SchedulerKind;
 
-const std::vector<SchedulerKind> kCoreSchedulers = {
-    SchedulerKind::kJabaSd, SchedulerKind::kFcfs, SchedulerKind::kEqualShare};
+const std::vector<std::string> kCoreSchedulers = {"jaba-sd", "fcfs", "equal-share"};
 
 /// The paper's 19-cell wide-area setting, shortened to a CI-friendly horizon.
 SweepSpec paper_default() {
@@ -33,14 +32,7 @@ SweepSpec paper_default() {
 SweepSpec hotspot_cell() {
   SweepSpec spec;
   spec.name = "hotspot-cell";
-  spec.base = sim::default_config();
-  spec.base.layout.rings = 1;  // 7 cells
-  spec.base.voice.users = 30;
-  spec.base.data.mean_reading_s = 1.0;
-  spec.base.mobility.region_radius_m = spec.base.layout.cell_radius_m;
-  spec.base.sim_duration_s = 50.0;
-  spec.base.warmup_s = 8.0;
-  spec.base.seed = 7701;
+  spec.base = scenario::hotspot_cell_config(7701);
   spec.axes = {axis_scheduler(kCoreSchedulers), axis_data_users({8, 16, 24})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
@@ -61,7 +53,7 @@ SweepSpec highway_mobility() {
   spec.base.warmup_s = 6.0;
   spec.base.seed = 8803;
   spec.axes = {axis_max_speed_kmh({60.0, 90.0, 120.0}),
-               axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+               axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -137,7 +129,7 @@ SweepSpec highway_corridor() {
   spec.name = "highway-corridor";
   spec.base = scenario::highway_corridor().to_config();
   spec.axes = {axis_max_speed_kmh({60.0, 90.0, 120.0}),
-               axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+               axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -226,7 +218,7 @@ SweepSpec flash_crowd() {
   // value 1 doubles as the no-ramp control cell of the sweep.
   spec.base = layout.to_config();
   spec.axes = {axis_load_ramp_peak({1.0, 2.0, 4.0}),
-               axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+               axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -259,7 +251,7 @@ SweepSpec smoke() {
   spec.base.sim_duration_s = 6.0;
   spec.base.warmup_s = 1.0;
   spec.base.seed = 1105;
-  spec.axes = {axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+  spec.axes = {axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 1;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;

@@ -58,11 +58,11 @@ Axis axis_shadowing_sigma_db(const std::vector<double>& sigmas) {
   return axis;
 }
 
-Axis axis_scheduler(const std::vector<admission::SchedulerKind>& kinds) {
+Axis axis_scheduler(const std::vector<std::string>& names) {
   Axis axis{"scheduler", {}};
-  for (auto kind : kinds) {
-    axis.values.push_back({admission::to_string(kind), [kind](sim::SystemConfig& cfg) {
-                             cfg.admission.policy = admission::policy_name(kind);
+  for (const std::string& name : names) {
+    axis.values.push_back({admission::policy_label(name), [name](sim::SystemConfig& cfg) {
+                             cfg.admission.policy = name;
                            }});
   }
   return axis;

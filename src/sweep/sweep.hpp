@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "src/admission/schedulers.hpp"
+#include "src/admission/objectives.hpp"
 #include "src/common/table.hpp"
 #include "src/sim/config.hpp"
 #include "src/sim/metrics.hpp"
@@ -41,9 +41,10 @@ Axis axis_voice_users(const std::vector<int>& counts);
 /// Sets mobility.max_speed_mps (min stays at the config default).
 Axis axis_max_speed_kmh(const std::vector<double>& kmh);
 Axis axis_shadowing_sigma_db(const std::vector<double>& sigmas);
-Axis axis_scheduler(const std::vector<admission::SchedulerKind>& kinds);
-/// Admission policy by registry name (admission::policy_names()); reaches
-/// policies the SchedulerKind enum cannot (e.g. "hand-down").
+/// Admission policy by registry name (admission::policy_names()), in a
+/// `scheduler` column that prints each policy's label ("JABA-SD").
+Axis axis_scheduler(const std::vector<std::string>& names);
+/// The same knob in a `policy` column that prints the registry name.
 Axis axis_policy(const std::vector<std::string>& names);
 /// Channel-state provider by registry name ("exhaustive", "culled").
 Axis axis_csi_provider(const std::vector<std::string>& names);

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "src/admission/measurement.hpp"
 #include "src/admission/objectives.hpp"
+#include "src/admission/policy.hpp"
 #include "src/admission/region.hpp"
 #include "src/admission/schedulers.hpp"
 #include "src/common/rng.hpp"
@@ -107,26 +110,13 @@ TEST(ReverseRegion, OverloadedCellClamps) {
   EXPECT_DOUBLE_EQ(r.b[0], 0.0);
 }
 
-TEST(Region, StackConcatenatesRows) {
-  Region a, b;
-  a.a = common::Matrix{{1.0, 0.0}};
-  a.b = {1.0};
-  b.a = common::Matrix{{0.0, 2.0}};
-  b.b = {2.0};
-  const Region s = stack(a, b);
-  EXPECT_EQ(s.a.rows(), 2u);
-  EXPECT_TRUE(s.admits({1, 1}));
-  EXPECT_FALSE(s.admits({2, 0}));
-  EXPECT_FALSE(s.admits({0, 2}));
-}
-
-TEST(Region, EmptyStackReturnsOther) {
-  Region empty;
-  Region a;
-  a.a = common::Matrix{{1.0}};
-  a.b = {1.0};
-  EXPECT_EQ(stack(empty, a).a.rows(), 1u);
-  EXPECT_EQ(stack(a, empty).a.rows(), 1u);
+TEST(Region, AdmitsChecksEveryRow) {
+  Region r;
+  r.a = common::Matrix{{1.0, 0.0}, {0.0, 2.0}};
+  r.b = {1.0, 2.0};
+  EXPECT_TRUE(r.admits({1, 1}));
+  EXPECT_FALSE(r.admits({2, 0}));  // first row
+  EXPECT_FALSE(r.admits({0, 2}));  // second row
 }
 
 TEST(Region, AdmitsRejectsNegativeAssignments) {
@@ -284,15 +274,15 @@ TEST(BurstProblem, WiresCoefficientsAndBounds) {
 // Feasibility property: every scheduler's output satisfies the admissible
 // region and per-request bounds on randomized instances.
 class SchedulerFeasibility
-    : public ::testing::TestWithParam<std::tuple<SchedulerKind, int>> {};
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
 
 TEST_P(SchedulerFeasibility, OutputAlwaysAdmissible) {
-  const auto [kind, seed] = GetParam();
+  const auto [name, seed] = GetParam();
   Rng rng(seed);
   const std::size_t nd = 1 + rng.uniform_int(10);
   const std::size_t cells = 1 + rng.uniform_int(5);
   const BurstProblem p = random_problem(rng, nd, cells);
-  auto scheduler = make_scheduler(kind, static_cast<std::uint64_t>(seed));
+  auto scheduler = make_scheduler(name, static_cast<std::uint64_t>(seed));
   const Allocation a = scheduler->schedule(p);
   ASSERT_EQ(a.m.size(), nd);
   EXPECT_TRUE(p.region.admits(a.m));
@@ -308,10 +298,8 @@ TEST_P(SchedulerFeasibility, OutputAlwaysAdmissible) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchedulers, SchedulerFeasibility,
-    ::testing::Combine(::testing::Values(SchedulerKind::kJabaSd, SchedulerKind::kGreedy,
-                                         SchedulerKind::kFcfs, SchedulerKind::kFcfsSingle,
-                                         SchedulerKind::kEqualShare,
-                                         SchedulerKind::kRandom),
+    ::testing::Combine(::testing::Values("jaba-sd", "jaba-sd-greedy", "fcfs",
+                                         "fcfs-single", "equal-share", "random"),
                        ::testing::Range(1, 13)));
 
 // Optimality ordering: exact JABA-SD dominates every baseline on the same
@@ -324,12 +312,10 @@ TEST_P(JabaDominance, ExactBeatsBaselines) {
   JabaSdScheduler jaba;
   const Allocation best = jaba.schedule(p);
   ASSERT_TRUE(best.proven_optimal);
-  for (const auto kind : {SchedulerKind::kGreedy, SchedulerKind::kFcfs,
-                          SchedulerKind::kFcfsSingle, SchedulerKind::kEqualShare,
-                          SchedulerKind::kRandom}) {
-    auto sched = make_scheduler(kind, 42);
-    EXPECT_LE(sched->schedule(p).objective, best.objective + 1e-9)
-        << to_string(kind);
+  for (const char* name :
+       {"jaba-sd-greedy", "fcfs", "fcfs-single", "equal-share", "random"}) {
+    auto sched = make_scheduler(name, 42);
+    EXPECT_LE(sched->schedule(p).objective, best.objective + 1e-9) << name;
   }
 }
 
@@ -425,10 +411,9 @@ TEST(RandomScheduler, DeterministicPerSeedStream) {
 
 TEST(Schedulers, EmptyProblemYieldsEmptyAllocation) {
   BurstProblem p;
-  for (const auto kind : {SchedulerKind::kJabaSd, SchedulerKind::kGreedy,
-                          SchedulerKind::kFcfs, SchedulerKind::kEqualShare,
-                          SchedulerKind::kRandom}) {
-    auto sched = make_scheduler(kind, 1);
+  for (const char* name :
+       {"jaba-sd", "jaba-sd-greedy", "fcfs", "equal-share", "random"}) {
+    auto sched = make_scheduler(name, 1);
     const Allocation a = sched->schedule(p);
     EXPECT_TRUE(a.m.empty());
     EXPECT_DOUBLE_EQ(a.objective, 0.0);
@@ -448,18 +433,20 @@ TEST(Schedulers, ZeroCapacityGrantsNothing) {
   }
   const BurstProblem p = make_burst_problem(region, requests, ObjectiveKind::kJ1MaxRate,
                                             {}, {}, 9600.0, 0.080, 16);
-  for (const auto kind : {SchedulerKind::kJabaSd, SchedulerKind::kGreedy,
-                          SchedulerKind::kFcfs, SchedulerKind::kFcfsSingle,
-                          SchedulerKind::kEqualShare, SchedulerKind::kRandom}) {
-    auto sched = make_scheduler(kind, 1);
-    EXPECT_EQ(sched->schedule(p).granted_count(), 0) << to_string(kind);
+  for (const std::string& name : policy_names()) {
+    auto sched = make_scheduler(name, 1);
+    EXPECT_EQ(sched->schedule(p).granted_count(), 0) << name;
   }
 }
 
-TEST(Schedulers, NamesAreDistinct) {
-  EXPECT_STREQ(to_string(SchedulerKind::kJabaSd), "JABA-SD");
-  EXPECT_STREQ(to_string(SchedulerKind::kEqualShare), "EqualShare");
-  EXPECT_EQ(make_scheduler(SchedulerKind::kFcfsSingle, 1)->name(), "FCFS-single");
+TEST(Schedulers, RegistryLabelsAreDistinct) {
+  std::set<std::string> labels;
+  for (const std::string& name : policy_names()) {
+    EXPECT_TRUE(labels.insert(policy_label(name)).second) << name;
+  }
+  EXPECT_EQ(policy_label("jaba-sd"), "JABA-SD");
+  EXPECT_EQ(policy_label("equal-share"), "EqualShare");
+  EXPECT_EQ(policy_label("fcfs-single"), "FCFS-single");
 }
 
 }  // namespace

@@ -192,14 +192,6 @@ TEST(Matrix, Multiply) {
   EXPECT_DOUBLE_EQ(y[1], 7.0);
 }
 
-TEST(Matrix, AppendRow) {
-  Matrix m;
-  m.append_row({1.0, 2.0});
-  m.append_row({3.0, 4.0});
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
-}
-
 TEST(Matrix, Satisfies) {
   Matrix a{{1.0, 1.0}};
   EXPECT_TRUE(satisfies(a, {1.0, 1.0}, {2.0}));

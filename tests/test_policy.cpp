@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <typeinfo>
 
 #include "src/admission/policy.hpp"
 #include "src/scenario/experiments.hpp"
@@ -20,27 +22,44 @@ namespace wcdma {
 namespace {
 
 TEST(PolicyRegistry, RoundTripsEveryRegisteredName) {
+  // Every row in registry order: its name, the label the sweep's
+  // `scheduler` column prints, the scheduler it builds, and whether the
+  // hand-down pass runs on top.
+  struct Row {
+    const char* name;
+    const char* label;
+    const std::type_info& scheduler;
+    bool hand_down;
+  };
+  const Row rows[] = {
+      {"jaba-sd", "JABA-SD", typeid(admission::JabaSdScheduler), false},
+      {"jaba-sd-greedy", "JABA-SD-greedy", typeid(admission::GreedyScheduler), false},
+      {"fcfs", "FCFS", typeid(admission::FcfsScheduler), false},
+      {"fcfs-single", "FCFS-single", typeid(admission::FcfsScheduler), false},
+      {"equal-share", "EqualShare", typeid(admission::EqualShareScheduler), false},
+      {"random", "Random", typeid(admission::RandomScheduler), false},
+      {"hand-down", "HandDown", typeid(admission::JabaSdScheduler), true},
+  };
   const std::vector<std::string> names = admission::policy_names();
-  ASSERT_GE(names.size(), 7u);  // six schedulers + hand-down
-  for (const std::string& name : names) {
-    SCOPED_TRACE(name);
-    EXPECT_TRUE(admission::has_policy(name));
-    EXPECT_FALSE(admission::policy_description(name).empty());
-    const auto policy = admission::make_policy(name, 7);
+  ASSERT_EQ(names.size(), std::size(rows));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const Row& row = rows[i];
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(names[i], row.name);
+    EXPECT_TRUE(admission::has_policy(row.name));
+    EXPECT_FALSE(admission::policy_description(row.name).empty());
+    EXPECT_EQ(admission::policy_label(row.name), row.label);
+    const auto scheduler = admission::make_scheduler(row.name, 7);
+    ASSERT_NE(scheduler, nullptr);
+    const admission::Scheduler& built = *scheduler;
+    EXPECT_EQ(typeid(built), row.scheduler);
+    const auto policy = admission::make_policy(row.name, 7);
     ASSERT_NE(policy, nullptr);
-    EXPECT_FALSE(policy->name().empty());
+    EXPECT_EQ(dynamic_cast<admission::HandDownPolicy*>(policy.get()) != nullptr,
+              row.hand_down);
   }
   EXPECT_FALSE(admission::has_policy("no-such-policy"));
   EXPECT_FALSE(admission::has_policy(""));
-}
-
-TEST(PolicyRegistry, LegacySchedulerKindsMapToRegisteredNames) {
-  using admission::SchedulerKind;
-  for (SchedulerKind kind :
-       {SchedulerKind::kJabaSd, SchedulerKind::kGreedy, SchedulerKind::kFcfs,
-        SchedulerKind::kFcfsSingle, SchedulerKind::kEqualShare, SchedulerKind::kRandom}) {
-    EXPECT_TRUE(admission::has_policy(admission::policy_name(kind)));
-  }
 }
 
 TEST(ChannelProviderRegistry, RoundTripsEveryRegisteredName) {
@@ -89,7 +108,7 @@ TEST(GoldenMetrics, ShrunkE5RunIsBitIdenticalToPreRefactor) {
   spec.base.sim_duration_s = 8.0;
   spec.base.warmup_s = 2.0;
   spec.axes = {sweep::axis_data_users({4, 8}),
-               sweep::axis_scheduler({admission::SchedulerKind::kJabaSd})};
+               sweep::axis_scheduler({"jaba-sd"})};
   spec.replications = 2;
   const sweep::SweepResult r = sweep::run_sweep(spec, 0);
   ASSERT_EQ(r.scenarios.size(), 2u);
@@ -137,7 +156,7 @@ TEST(GoldenMetrics, ShrunkE5IsBitIdenticalAcrossThreeMasterSeeds) {
     spec.base.sim_duration_s = 8.0;
     spec.base.warmup_s = 2.0;
     spec.axes = {sweep::axis_data_users({6}),
-                 sweep::axis_scheduler({admission::SchedulerKind::kJabaSd})};
+                 sweep::axis_scheduler({"jaba-sd"})};
     spec.replications = 2;
     const sweep::SweepResult r = sweep::run_sweep(spec, 0);
     ASSERT_EQ(r.scenarios.size(), 1u);

@@ -2,7 +2,6 @@
 //  * simplex optimality cross-checked against dense grid search,
 //  * the J2 objective's IP-coefficient form is equivalent (up to a
 //    constant) to the literal Eq. 20 expression with the delay penalty,
-//  * stacked forward+reverse regions behave like their intersection,
 //  * Jakes and AR(1) fading agree on the lag-1 Clarke correlation,
 //  * the measurement sub-layer is scale-consistent (doubling interference
 //    halves reverse headroom coefficients' budget, etc.).
@@ -117,34 +116,6 @@ TEST_P(J2Equivalence, CoefficientFormMatchesLiteralFormUpToConstant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, J2Equivalence, ::testing::Range(0, 15));
-
-// -------------------------------------------------- stacked-region algebra
-
-TEST(StackedRegions, BehavesAsIntersection) {
-  Rng rng(41);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t nd = 1 + rng.uniform_int(5);
-    auto random_region = [&](std::size_t rows) {
-      admission::Region r;
-      r.a = Matrix(rows, nd, 0.0);
-      for (std::size_t k = 0; k < rows; ++k) {
-        for (std::size_t j = 0; j < nd; ++j) {
-          r.a(k, j) = rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.05, 1.0);
-        }
-      }
-      r.b.resize(rows);
-      for (auto& b : r.b) b = rng.uniform(0.5, 5.0);
-      return r;
-    };
-    const admission::Region fl = random_region(1 + rng.uniform_int(3));
-    const admission::Region rl = random_region(1 + rng.uniform_int(3));
-    const admission::Region both = stack(fl, rl);
-
-    std::vector<int> m(nd);
-    for (auto& v : m) v = static_cast<int>(rng.uniform_int(6));
-    EXPECT_EQ(both.admits(m), fl.admits(m) && rl.admits(m));
-  }
-}
 
 // ------------------------------------------------- fading model agreement
 

@@ -9,6 +9,7 @@
 // tools/sweep_main --workers is exercised by SweepMainCli* below when ctest
 // exports WCDMA_SWEEP_MAIN, and by the CI crash-recovery smoke.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -440,6 +441,26 @@ TEST(Supervisor, KillAtEveryCheckpointBoundaryMergesIdentically) {
   }
 }
 
+TEST(Supervisor, CutsAtMostOneShardPerItemAndForksNoneForAnEmptyShard) {
+  // 6 workers asked for on 4 items: a 6-way cost split leaves shard 4
+  // empty.  The supervisor cuts 4 shards instead, so a fault aimed at shard
+  // 4 finds no worker, and no empty shard's result file can fail the sweep.
+  const sweep::SweepSpec spec = tiny_spec();
+  ASSERT_EQ(sweep::item_count(spec), 4u);
+  ASSERT_EQ(shard_range(item_costs(spec), 4, 6).size(), 0u);
+  const std::string reference = sweep::to_csv(sweep::run_sweep(spec, 1));
+  WorkDir dir;
+  SupervisorOptions options = fast_options(dir.path);
+  options.workers = 6;
+  options.max_retries = 0;
+  options.fault.kind = FaultKind::kDropResult;
+  options.fault.shard = 4;
+  const SupervisorResult sup = run_supervised_sweep(spec, options);
+  ASSERT_TRUE(sup.ok) << sup.error;
+  EXPECT_EQ(sup.retries, 0);
+  EXPECT_EQ(sweep::to_csv(sup.result), reference);
+}
+
 TEST(Supervisor, StallPastTheTimeoutIsKilledAndRetried) {
   const sweep::SweepSpec spec = tiny_spec();
   const std::string reference = sweep::to_csv(sweep::run_sweep(spec, 1));
@@ -575,6 +596,31 @@ TEST(SweepMainCli, WorkersSurviveAKillFaultBitIdentically) {
   EXPECT_EQ(read_text_file(sup_csv), reference);
   std::remove(ref_csv.c_str());
   std::remove(sup_csv.c_str());
+}
+
+TEST(SweepMainCli, RefusesIntegerFlagsThatDoNotFitTheirType) {
+  const char* bin = std::getenv("WCDMA_SWEEP_MAIN");
+  if (!bin || access(bin, X_OK) != 0) {
+    GTEST_SKIP() << "WCDMA_SWEEP_MAIN not exported by ctest";
+  }
+  WorkDir dir;
+  const std::string err = dir.path + "/flag.err";
+  // No value fits its destination: a cast would wrap 2^32 to 0 in an int
+  // and 2^63 to a negative int64.
+  for (const std::string& flag :
+       std::vector<std::string>{"--max-retries 4294967296", "--sim-threads 4294967296",
+                                "--checkpoint-every 9223372036854775808"}) {
+    SCOPED_TRACE(flag);
+    const int status =
+        std::system((std::string(bin) + " --preset smoke --workers 2 " + flag +
+                     " --runner-dir " + dir.path + " > /dev/null 2> " + err)
+                        .c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    const std::string name = flag.substr(0, flag.find(' '));
+    EXPECT_NE(read_text_file(err).find("bad " + name + " value"), std::string::npos)
+        << read_text_file(err);
+  }
 }
 
 TEST(SweepMainCli, ProgressReachesTheTotalUnderWorkers) {

@@ -1,4 +1,4 @@
-// Scenario-subsystem tests: layout registry and weight builders, grid
+// Scenario-subsystem tests: layout and weight builders, grid
 // expansion of the multi-cell presets, per-cell load scaling and carrier
 // assignment observed through the simulator, and the determinism contract
 // for a migrated bench (bit-identical merged metrics across 1/N threads).
@@ -15,20 +15,13 @@
 namespace wcdma::scenario {
 namespace {
 
-TEST(ScenarioRegistry, AllLayoutsBuildValidConfigs) {
-  const std::vector<std::string> names = layout_names();
-  ASSERT_EQ(names.size(), 5u);
-  for (const std::string& name : names) {
-    SCOPED_TRACE(name);
-    EXPECT_TRUE(has_layout(name));
-    const ScenarioLayout layout = make_layout(name);
-    EXPECT_EQ(layout.name, name);
-    EXPECT_FALSE(layout.description.empty());
-    const sim::SystemConfig cfg = layout.to_config();  // validates internally
+TEST(ScenarioLayouts, AllLayoutsBuildValidConfigs) {
+  for (ScenarioLayout (*build)() :
+       {uniform_hex7, hotspot_center, highway_corridor, enterprise_data, large_hex}) {
+    const sim::SystemConfig cfg = build().to_config();  // validates internally
     EXPECT_EQ(cfg.placement.cell_weights.size(), cell::hex_cell_count(cfg.layout.rings));
     EXPECT_GT(cfg.sim_duration_s, cfg.warmup_s);
   }
-  EXPECT_FALSE(has_layout("no-such-layout"));
 }
 
 TEST(ScenarioWeights, UniformHotspotAndCorridorShapes) {
@@ -230,8 +223,7 @@ TEST(MigratedBenches, E5MergedMetricsAreThreadCountInvariant) {
   spec.base.sim_duration_s = 4.0;
   spec.base.warmup_s = 1.0;
   spec.axes = {sweep::axis_data_users({2, 4}),
-               sweep::axis_scheduler({admission::SchedulerKind::kJabaSd,
-                                      admission::SchedulerKind::kFcfs})};
+               sweep::axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 2;
 
   const sweep::SweepResult inline_run = sweep::run_sweep(spec, 0);

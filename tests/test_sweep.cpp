@@ -22,9 +22,7 @@ SweepSpec tiny_spec() {
   spec.base.warmup_s = 1.0;
   spec.base.data.mean_reading_s = 1.0;
   spec.base.seed = 991;
-  spec.axes = {axis_scheduler({admission::SchedulerKind::kJabaSd,
-                               admission::SchedulerKind::kFcfs}),
-               axis_data_users({2, 4})};
+  spec.axes = {axis_scheduler({"jaba-sd", "fcfs"}), axis_data_users({2, 4})};
   spec.replications = 3;
   return spec;
 }
@@ -55,11 +53,12 @@ TEST(SweepSpec, MixedRadixDecodeIsRowMajor) {
 TEST(SweepSpec, AxesApplyTheirKnobs) {
   SweepSpec spec;
   spec.base = sim::default_config();
-  spec.axes = {axis_scheduler({admission::SchedulerKind::kEqualShare}),
+  spec.axes = {axis_scheduler({"equal-share"}),
                axis_objective({admission::ObjectiveKind::kJ1MaxRate}),
                axis_max_speed_kmh({90.0}), axis_fixed_mode({3})};
   const Scenario s = spec.scenario(0);
   EXPECT_EQ(s.config.admission.policy, "equal-share");
+  EXPECT_EQ(s.labels[0], "EqualShare");
   EXPECT_EQ(s.config.admission.objective, admission::ObjectiveKind::kJ1MaxRate);
   EXPECT_NEAR(s.config.mobility.max_speed_mps, 25.0, 1e-9);
   EXPECT_EQ(s.config.phy.fixed_mode, 3);

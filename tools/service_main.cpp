@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,13 +60,18 @@ void print_usage() {
       "                        BENCH_decision_latency.json)\n");
 }
 
-bool parse_u64(const char* text, std::uint64_t* out) {
+/// Parses a non-negative decimal that fits T.  strtoull silently wraps
+/// negative input ("-1" -> 2^64-1), and a cast would wrap anything past T's
+/// range ("4294967297" -> 1 in an int); both are refused.
+template <class T>
+bool parse_count(const char* text, T* out) {
   if (text[0] == '-') return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
   if (errno == ERANGE || end == text || *end != '\0') return false;
-  *out = v;
+  if (v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) return false;
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -139,8 +145,8 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string bench_path = "BENCH_decision_latency.json";
   std::uint64_t seed = 42;
-  std::uint64_t checkpoint_at = 0;
-  std::uint64_t voice_users = 0, data_users = 0;
+  std::int64_t checkpoint_at = 0;
+  int voice_users = 0, data_users = 0;
   bool have_voice = false, have_data = false, want_bench = false;
   double duration_s = 8.0, warmup_s = 2.0;
 
@@ -153,8 +159,8 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto need_u64 = [&](std::uint64_t* out) {
-      if (!parse_u64(next_value(), out)) {
+    auto need_count = [&](auto* out) {
+      if (!parse_count(next_value(), out)) {
         std::fprintf(stderr, "service_main: bad %s value\n", arg.c_str());
         std::exit(2);
       }
@@ -169,7 +175,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--csi-provider") {
       csi_provider = next_value();
     } else if (arg == "--seed") {
-      need_u64(&seed);
+      need_count(&seed);
     } else if (arg == "--duration") {
       if (!parse_nonneg_double(next_value(), &duration_s) || duration_s <= 0.0) {
         std::fprintf(stderr, "service_main: bad --duration value\n");
@@ -181,10 +187,10 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--voice-users") {
-      need_u64(&voice_users);
+      need_count(&voice_users);
       have_voice = true;
     } else if (arg == "--data-users") {
-      need_u64(&data_users);
+      need_count(&data_users);
       have_data = true;
     } else if (arg == "--record") {
       record_path = next_value();
@@ -193,7 +199,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint") {
       checkpoint_path = next_value();
     } else if (arg == "--checkpoint-at") {
-      need_u64(&checkpoint_at);
+      need_count(&checkpoint_at);
     } else if (arg == "--resume") {
       resume_path = next_value();
     } else if (arg == "--metrics-out") {
@@ -225,8 +231,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "service_main: warmup must be shorter than duration\n");
     return 2;
   }
-  if (have_voice) cfg.voice.users = static_cast<int>(voice_users);
-  if (have_data) cfg.data.users = static_cast<int>(data_users);
+  if (have_voice) cfg.voice.users = voice_users;
+  if (have_data) cfg.data.users = data_users;
   if (!policy.empty()) {
     if (!admission::has_policy(policy)) {
       std::fprintf(stderr, "service_main: unknown policy %s\n", policy.c_str());
@@ -318,12 +324,11 @@ int main(int argc, char** argv) {
         }
       };
       if (!checkpoint_path.empty()) {
-        const auto at = static_cast<std::int64_t>(checkpoint_at);
-        if (at < start_frame || at > total_frames) {
+        if (checkpoint_at < start_frame || checkpoint_at > total_frames) {
           std::fprintf(stderr, "service_main: --checkpoint-at out of range\n");
           return 1;
         }
-        run_span(at - start_frame);
+        run_span(checkpoint_at - start_frame);
         const std::vector<std::uint8_t> snap = sim.snapshot();
         if (!runner::write_file_atomic(checkpoint_path, snap)) {
           std::fprintf(stderr, "service_main: write to %s failed\n",
@@ -331,8 +336,8 @@ int main(int argc, char** argv) {
           return 1;
         }
         std::fprintf(stderr, "checkpoint at frame %lld: %zu bytes\n",
-                     static_cast<long long>(at), snap.size());
-        start_frame = at;
+                     static_cast<long long>(checkpoint_at), snap.size());
+        start_frame = checkpoint_at;
       }
       run_span(total_frames - start_frame);
     }

@@ -16,7 +16,9 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "src/admission/policy.hpp"
@@ -71,14 +73,18 @@ void print_usage() {
       "                        discard-and-restart\n");
 }
 
-bool parse_size(const char* text, std::size_t* out) {
-  // strtoull silently wraps negative input ("-1" -> 2^64-1); reject it.
+/// Parses a non-negative decimal that fits T.  strtoull silently wraps
+/// negative input ("-1" -> 2^64-1), and a cast would wrap anything past T's
+/// range ("4294967296" -> 0 in an int); both are refused.
+template <class T>
+bool parse_count(const char* text, T* out) {
   if (text[0] == '-') return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
   if (errno == ERANGE || end == text || *end != '\0') return false;
-  *out = static_cast<std::size_t>(v);
+  if (v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) return false;
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -103,17 +109,18 @@ int main(int argc, char** argv) {
   bool want_progress = false;
   bool have_replications = false, have_seed = false, have_duration = false;
   bool have_warmup = false, have_sim_threads = false;
-  std::size_t sim_threads = 0;
-  std::size_t replications = 0, seed = 0;
+  int sim_threads = 0;
+  std::size_t replications = 0;
+  std::uint64_t seed = 0;
   double duration_s = 0.0, warmup_s = 0.0;
 
   // Multi-process supervision (--workers) and its knobs.
   std::size_t workers = 0;  // 0 = in-process thread pool
   std::string runner_dir;
   double timeout_s = 0.0;
-  std::size_t max_retries = 2;
+  int max_retries = 2;
   double backoff_s = 0.05;
-  std::size_t checkpoint_every = 256;
+  std::int64_t checkpoint_every = 256;
   std::string fault_spec;
   bool strict_checkpoint = false;
 
@@ -160,24 +167,24 @@ int main(int argc, char** argv) {
     } else if (arg == "--output") {
       output_path = next_value();
     } else if (arg == "--replications") {
-      have_replications = parse_size(next_value(), &replications);
+      have_replications = parse_count(next_value(), &replications);
       if (!have_replications || replications == 0) {
         std::fprintf(stderr, "sweep_main: bad --replications value\n");
         return 2;
       }
     } else if (arg == "--threads") {
-      if (!parse_size(next_value(), &threads)) {
+      if (!parse_count(next_value(), &threads)) {
         std::fprintf(stderr, "sweep_main: bad --threads value\n");
         return 2;
       }
     } else if (arg == "--sim-threads") {
-      have_sim_threads = parse_size(next_value(), &sim_threads);
+      have_sim_threads = parse_count(next_value(), &sim_threads);
       if (!have_sim_threads) {
         std::fprintf(stderr, "sweep_main: bad --sim-threads value\n");
         return 2;
       }
     } else if (arg == "--seed") {
-      have_seed = parse_size(next_value(), &seed);
+      have_seed = parse_count(next_value(), &seed);
       if (!have_seed) {
         std::fprintf(stderr, "sweep_main: bad --seed value\n");
         return 2;
@@ -200,7 +207,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--progress") {
       want_progress = true;
     } else if (arg == "--workers") {
-      if (!parse_size(next_value(), &workers) || workers == 0) {
+      if (!parse_count(next_value(), &workers) || workers == 0) {
         std::fprintf(stderr, "sweep_main: bad --workers value (need >= 1)\n");
         return 2;
       }
@@ -212,7 +219,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--max-retries") {
-      if (!parse_size(next_value(), &max_retries)) {
+      if (!parse_count(next_value(), &max_retries)) {
         std::fprintf(stderr, "sweep_main: bad --max-retries value\n");
         return 2;
       }
@@ -222,7 +229,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--checkpoint-every") {
-      if (!parse_size(next_value(), &checkpoint_every)) {
+      if (!parse_count(next_value(), &checkpoint_every)) {
         std::fprintf(stderr, "sweep_main: bad --checkpoint-every value\n");
         return 2;
       }
@@ -287,10 +294,10 @@ int main(int argc, char** argv) {
   }
   if (have_replications) spec.replications = replications;
   if (have_sim_threads) {
-    spec.base.sim_threads = static_cast<int>(sim_threads);
+    spec.base.sim_threads = sim_threads;
     for (sweep::Axis& axis : spec.axes) {
       if (axis.name == "sim_threads") {
-        axis = sweep::axis_sim_threads({static_cast<int>(sim_threads)});
+        axis = sweep::axis_sim_threads({sim_threads});
       }
     }
   }
@@ -324,9 +331,9 @@ int main(int argc, char** argv) {
     runner::SupervisorOptions options;
     options.workers = workers;
     options.timeout_s = timeout_s;
-    options.max_retries = static_cast<int>(max_retries);
+    options.max_retries = max_retries;
     options.backoff_base_s = backoff_s;
-    options.checkpoint_every_frames = static_cast<std::int64_t>(checkpoint_every);
+    options.checkpoint_every_frames = checkpoint_every;
     options.fault = fault;
     options.strict_checkpoint = strict_checkpoint;
     options.progress = progress;

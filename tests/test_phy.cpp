@@ -116,6 +116,22 @@ TEST(Adaptation, AvgThroughputMatchesMonteCarlo) {
   }
 }
 
+// The closed form sums throughput x mode probability over the ladder; its
+// every bit must be that sum's, taken in mode order from 0.
+TEST(Adaptation, AvgThroughputIsTheModeProbabilitySumBitForBit) {
+  const auto policy = make_policy();
+  Rng rng(0x7a0c);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double mean_csi = std::pow(10.0, -3.0 + 7.0 * rng.uniform());
+    double want = 0.0;
+    for (int q = 1; q <= static_cast<int>(policy.modes().size()); ++q) {
+      want += policy.modes().mode(q).throughput *
+              policy.mode_probability_rayleigh(mean_csi, q);
+    }
+    ASSERT_EQ(policy.avg_throughput_rayleigh(mean_csi), want) << "mean_csi=" << mean_csi;
+  }
+}
+
 TEST(Adaptation, OutageProbabilityMatchesFormula) {
   const auto policy = make_policy();
   const double eps = 5.0;

@@ -1,10 +1,10 @@
 // Tests for the pluggable admission-policy and channel-state-provider seams:
 // registry round-trips and unknown-name rejection, bit-identity of the
-// default policy + exhaustive provider against golden metrics pinned on the
-// refmath reference (a shrunk E5 run and a 19-cell default run),
-// exhaustive-vs-culled metric equivalence on uniform-hex7, and the
-// inter-carrier hand-down policy both on a synthetic FrameContext and
-// through the simulator.
+// default policy against golden metrics pinned on the refmath reference (a
+// shrunk E5 run and a 19-cell default run on `exhaustive`, the same 19-cell
+// world on `culled`), exhaustive-vs-culled metric equivalence on
+// uniform-hex7, and the inter-carrier hand-down policy both on a synthetic
+// FrameContext and through the simulator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -188,6 +188,49 @@ TEST(GoldenMetrics, DefaultNineteenCellRunIsBitIdenticalToPreRefactor) {
   EXPECT_EQ(m.reverse_rise_db.mean(), 1.9151694279634317);
   EXPECT_EQ(m.forward_load_fraction.mean(), 0.22418013411970061);
   EXPECT_EQ(m.carrier_hand_downs, 0);
+}
+
+// The same 19-cell world on `culled`: with the default 3-radius cull some
+// cells fall outside each user's candidate set, so the run reaches the
+// far-field aggregates and candidate sets that change as users move.  Two
+// master seeds, pinned on the refmath reference like the cases above.
+TEST(GoldenMetrics, CulledNineteenCellRunIsBitIdenticalToPreRefactor) {
+  struct Golden {
+    std::uint64_t seed;
+    double mean_delay_s, data_bits_delivered;
+    std::int64_t grants, requests_seen;
+    double granted_sgr_mean, reverse_rise_db_mean, forward_load_fraction_mean;
+  };
+  const Golden kGolden[] = {
+      {777, 2.2752380952380711, 1865897.942067791, 21, 21, 15.523809523809526,
+       1.9758286666549241, 0.22471567248915755},
+      {20261, 1.8751999999999718, 1480650.6129311596, 26, 28, 16.0,
+       1.632904318430682, 0.23836623995059825},
+  };
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE("seed " + std::to_string(g.seed));
+    sim::SystemConfig cfg = sim::default_config();
+    cfg.voice.users = 24;
+    cfg.data.users = 10;
+    cfg.sim_duration_s = 10.0;
+    cfg.warmup_s = 2.0;
+    cfg.data.mean_reading_s = 1.0;
+    cfg.seed = g.seed;
+    cfg.csi.provider = "culled";
+    sim::Simulator simulator(cfg);
+    const sim::SimMetrics m = simulator.run();
+    ASSERT_EQ(simulator.num_cells(), 19u);
+    EXPECT_TRUE(simulator.far_field_active());
+    EXPECT_GT(simulator.csi_candidate_epoch(), 1u);
+    EXPECT_EQ(m.mean_delay_s(), g.mean_delay_s);
+    EXPECT_EQ(m.data_bits_delivered, g.data_bits_delivered);
+    EXPECT_EQ(m.grants, g.grants);
+    EXPECT_EQ(m.requests_seen, g.requests_seen);
+    EXPECT_EQ(m.granted_sgr.mean(), g.granted_sgr_mean);
+    EXPECT_EQ(m.reverse_rise_db.mean(), g.reverse_rise_db_mean);
+    EXPECT_EQ(m.forward_load_fraction.mean(), g.forward_load_fraction_mean);
+    EXPECT_EQ(m.carrier_hand_downs, 0);
+  }
 }
 
 // --- Exhaustive vs culled provider equivalence ----------------------------

@@ -5,6 +5,11 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/refmath.hpp"
+#include "src/common/simd.hpp"
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace wcdma::cell {
 
@@ -52,12 +57,16 @@ HexLayout::HexLayout(const HexLayoutConfig& config) : config_(config) {
     }
   }
 
-  // Flatten (cell x image) centre positions for the hot distance path.
+  // Flatten (image x cell) centre positions for the hot distance path.
   images_per_cell_ = 1 + translations_.size();
-  images_.reserve(centers_.size() * images_per_cell_);
-  for (const Point& c : centers_) {
-    images_.push_back(c);
-    for (const Point& t : translations_) images_.push_back(c + t);
+  image_x_.reserve(centers_.size() * images_per_cell_);
+  image_y_.reserve(centers_.size() * images_per_cell_);
+  for (std::size_t i = 0; i < images_per_cell_; ++i) {
+    for (const Point& c : centers_) {
+      const Point image = i == 0 ? c : c + translations_[i - 1];
+      image_x_.push_back(image.x);
+      image_y_.push_back(image.y);
+    }
   }
 
   // |p - (c + t)| >= |t| - |p - c|, so when |p - c| < min|t| / 2 the direct
@@ -67,6 +76,67 @@ HexLayout::HexLayout(const HexLayoutConfig& config) : config_(config) {
     const double half = norm(t) / 2.0;
     near_field_sq_ = std::min(near_field_sq_, half * half);
   }
+}
+
+#if defined(__GNUC__) && defined(__x86_64__)
+
+namespace {
+
+/// Table entries of four cells, one contiguous load when they are
+/// consecutive.
+__attribute__((target("avx2"), always_inline)) inline __m256d load4(
+    const double* table, const std::size_t* cells, bool consecutive) {
+  return consecutive ? _mm256_loadu_pd(table + cells[0])
+                     : _mm256_set_pd(table[cells[3]], table[cells[2]], table[cells[1]],
+                                     table[cells[0]]);
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void HexLayout::distance_sq_lane_avx2(
+    Point p, const std::size_t* cells, std::size_t n, double* out) const {
+  const std::size_t stride = centers_.size();
+  const __m256d px = _mm256_set1_pd(p.x), py = _mm256_set1_pd(p.y);
+  const __m256d near_field = _mm256_set1_pd(near_field_sq_);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const std::size_t* c = cells + i;
+    const bool consecutive = c[1] == c[0] + 1 && c[2] == c[0] + 2 && c[3] == c[0] + 3;
+    const __m256d dx = _mm256_sub_pd(px, load4(image_x_.data(), c, consecutive));
+    const __m256d dy = _mm256_sub_pd(py, load4(image_y_.data(), c, consecutive));
+    const __m256d direct = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+    const __m256d near = _mm256_cmp_pd(direct, near_field, _CMP_LT_OQ);
+    __m256d sq = direct;
+    if (_mm256_movemask_pd(near) != 0xF) {
+      // min(a, b) is a < b ? a : b, the scan's strictly-nearer update.
+      __m256d best = direct;
+      for (std::size_t img = 1; img < images_per_cell_; ++img) {
+        const double* x = &image_x_[img * stride];
+        const double* y = &image_y_[img * stride];
+        const __m256d ix = _mm256_sub_pd(px, load4(x, c, consecutive));
+        const __m256d iy = _mm256_sub_pd(py, load4(y, c, consecutive));
+        best = _mm256_min_pd(_mm256_add_pd(_mm256_mul_pd(ix, ix), _mm256_mul_pd(iy, iy)),
+                             best);
+      }
+      sq = _mm256_blendv_pd(best, direct, near);
+    }
+    _mm256_storeu_pd(out + i, sq);
+  }
+  _mm256_zeroupper();
+  for (; i < n; ++i) out[i] = distance_sq_to_cell(p, cells[i]);
+}
+
+#endif
+
+void HexLayout::distance_sq_lane(Point p, const std::size_t* cells, std::size_t n,
+                                 double* out) const {
+#if defined(__GNUC__) && defined(__x86_64__)
+  if (common::active_simd_level() == common::SimdLevel::kAvx2) {
+    distance_sq_lane_avx2(p, cells, n, out);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) out[i] = distance_sq_to_cell(p, cells[i]);
 }
 
 Point HexLayout::center(std::size_t k) const {

@@ -53,15 +53,15 @@ class HexLayout {
   /// derived from.
   Point nearest_offset(Point p, std::size_t k) const {
     WCDMA_DEBUG_ASSERT(k < centers_.size());
-    const Point* images = &images_[k * images_per_cell_];
-    Point best = p - images[0];
+    const std::size_t cells = centers_.size();
+    Point best = p - Point{image_x_[k], image_y_[k]};
     double best_sq = best.x * best.x + best.y * best.y;
     // Near-field shortcut: when the direct distance is under half the
     // closest wrap translation, the triangle inequality guarantees every
     // mirror image is strictly farther -- no need to scan them.
     if (best_sq < near_field_sq_) return best;
     for (std::size_t i = 1; i < images_per_cell_; ++i) {
-      const Point d = p - images[i];
+      const Point d = p - Point{image_x_[i * cells + k], image_y_[i * cells + k]};
       const double sq = d.x * d.x + d.y * d.y;
       if (sq < best_sq) {
         best_sq = sq;
@@ -78,6 +78,16 @@ class HexLayout {
     const Point d = nearest_offset(p, k);
     return d.x * d.x + d.y * d.y;
   }
+
+  /// out[i] = distance_sq_to_cell(p, cells[i]) for i < n, bit for bit at
+  /// every dispatch level.  The AVX2 body takes 4 cells at a time: the
+  /// squared distance is the smallest of the images' squared offsets
+  /// (the one the scan above selects, whose square it returns), unless the
+  /// direct image is in the near field; it skips the mirror scan when all
+  /// four direct images are, and loads the table contiguously when the
+  /// four cells are consecutive.
+  void distance_sq_lane(Point p, const std::size_t* cells, std::size_t n,
+                        double* out) const;
 
   /// Distance from `p` to the centre of cell `k`, minimised over the
   /// wrap-around images when enabled: the correctly rounded root of
@@ -99,12 +109,17 @@ class HexLayout {
   const std::vector<Point>& wrap_translations() const { return translations_; }
 
  private:
+  /// distance_sq_lane's AVX2 body (x86-64 only).
+  void distance_sq_lane_avx2(Point p, const std::size_t* cells, std::size_t n,
+                             double* out) const;
+
   HexLayoutConfig config_;
   std::vector<Point> centers_;
   std::vector<Point> translations_;  // identity excluded
-  /// Flattened wrap-image table: cell k's images (identity first) occupy
-  /// images_[k * images_per_cell_ .. + images_per_cell_).
-  std::vector<Point> images_;
+  /// Wrap-image table as coordinate lanes, image-major: image i of cell k
+  /// (i = 0 the cell itself) is (image_x_[i * num_cells() + k], image_y_[..]),
+  /// so one image of consecutive cells is one contiguous load.
+  std::vector<double> image_x_, image_y_;
   std::size_t images_per_cell_ = 1;
   /// (min wrap-translation length / 2)^2; +inf without wrap-around.
   double near_field_sq_ = 0.0;

@@ -317,6 +317,10 @@ void exp2_lane_scalar(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = refmath::exp2(x[i]);
 }
 
+void log_lane_scalar(const double* x, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = refmath::log(x[i]);
+}
+
 void log2_lane_scalar(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = refmath::log2(x[i]);
 }
@@ -350,10 +354,15 @@ __attribute__((target("avx2"))) void exp2_lane_avx2(const double* x, double* out
   exp2_lane_scalar(x + i, out + i, n - i);
 }
 
-__attribute__((target("avx2"))) void log2_lane_avx2(const double* x, double* out,
-                                                    std::size_t n) {
+/// The log and log2 lane bodies: the vector core on every 4-block whose
+/// arguments are all on the common path (positive, normal, finite), the
+/// scalar function on the rest.
+template <bool kBase2>
+__attribute__((target("avx2"))) void log_family_lane_avx2(const double* x, double* out,
+                                                         std::size_t n) {
   const __m256d lo = _mm256_set1_pd(std::numeric_limits<double>::min());
   const __m256d hi = _mm256_set1_pd(std::numeric_limits<double>::max());
+  const auto scalar = kBase2 ? log2_lane_scalar : log_lane_scalar;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d v = _mm256_loadu_pd(x + i);
@@ -361,14 +370,20 @@ __attribute__((target("avx2"))) void log2_lane_avx2(const double* x, double* out
                                      _mm256_cmp_pd(v, hi, _CMP_LE_OQ));
     if (_mm256_movemask_pd(ok) != 0xF) {
       _mm256_zeroupper();
-      log2_lane_scalar(x + i, out + i, 4);
+      scalar(x + i, out + i, 4);
       continue;
     }
-    const v4d y = log2_core(reinterpret_cast<v4d>(v));
+    v4d y;
+    if constexpr (kBase2) {
+      y = log2_core(reinterpret_cast<v4d>(v));
+    } else {
+      const Sum<v4d> sum = log_core<v4d>(as_bits(reinterpret_cast<v4d>(v)));
+      y = sum.hi + sum.lo;
+    }
     _mm256_storeu_pd(out + i, reinterpret_cast<__m256d>(y));
   }
   _mm256_zeroupper();
-  log2_lane_scalar(x + i, out + i, n - i);
+  scalar(x + i, out + i, n - i);
 }
 
 #endif  // WCDMA_REFMATH_X86
@@ -491,9 +506,16 @@ void exp2_lane(const double* x, double* out, std::size_t n) {
   exp2_lane_scalar(x, out, n);
 }
 
+void log_lane(const double* x, double* out, std::size_t n) {
+#if WCDMA_REFMATH_X86
+  if (avx2_active()) return log_family_lane_avx2<false>(x, out, n);
+#endif
+  log_lane_scalar(x, out, n);
+}
+
 void log2_lane(const double* x, double* out, std::size_t n) {
 #if WCDMA_REFMATH_X86
-  if (avx2_active()) return log2_lane_avx2(x, out, n);
+  if (avx2_active()) return log_family_lane_avx2<true>(x, out, n);
 #endif
   log2_lane_scalar(x, out, n);
 }

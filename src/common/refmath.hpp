@@ -10,7 +10,7 @@
 // exp, log, pow, sin and cos at run time, and the goldens used to move with
 // them (docs/ACCURACY.md "The reference math").
 //
-// The exp2 and log2 cores are written once as templates and instantiated at
+// The exp2 and log cores are written once as templates and instantiated at
 // the scalar width and as 4-lane AVX2 vectors: the lanes below return, for
 // every element and at every dispatch level, exactly the bits of the scalar
 // function.  A 4-lane block holding an argument off the common path (see
@@ -49,6 +49,9 @@ double j0(double x);
 
 /// out[i] = exp2(x[i]).  Common path: |x| <= 1000.  In-place allowed.
 void exp2_lane(const double* x, double* out, std::size_t n);
+/// out[i] = log(x[i]).  Common path: x positive, normal and finite.
+/// In-place allowed.
+void log_lane(const double* x, double* out, std::size_t n);
 /// out[i] = log2(x[i]).  Common path: x positive, normal and finite.
 /// In-place allowed.
 void log2_lane(const double* x, double* out, std::size_t n);

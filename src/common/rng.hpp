@@ -4,12 +4,16 @@
 // of thread count, so every logical entity (replication, cell, user, channel
 // process) owns its own Rng derived from the master seed and a stream index
 // via SplitMix64.  Xoshiro256** is the workhorse generator: tiny state, fast,
-// and passes BigCrush.
+// and passes BigCrush.  RngBank holds many such streams side by side and
+// draws their normals in one batch, bit for bit as each stream's own
+// normal() would.
 #pragma once
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/assert.hpp"
 #include "src/common/refmath.hpp"
@@ -22,6 +26,31 @@ class BinaryReader;
 namespace detail {
 inline std::uint64_t rotl64(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+/// One Xoshiro256** step on the state words (s0, s1, s2, s3).
+inline std::uint64_t xoshiro_next(std::uint64_t& s0, std::uint64_t& s1,
+                                  std::uint64_t& s2, std::uint64_t& s3) {
+  const std::uint64_t result = rotl64(s1 * 5, 7) * 9;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl64(s3, 45);
+  return result;
+}
+
+/// The 53 high bits of `bits` as a double in [0, 1).
+inline double unit_uniform(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+/// Uniform in [-1, 1): the polar Box-Muller coordinate, exactly
+/// Rng::uniform(-1.0, 1.0) of the same draw.
+inline double polar_coordinate(std::uint64_t bits) {
+  return -1.0 + 2.0 * unit_uniform(bits);
 }
 }  // namespace detail
 
@@ -92,27 +121,58 @@ class Rng {
   void load(BinaryReader& r);
 
  private:
+  friend class RngBank;
+  Rng(const std::array<std::uint64_t, 4>& s, double spare, bool has_spare)
+      : s_(s), spare_normal_(spare), has_spare_(has_spare) {}
+
   std::array<std::uint64_t, 4> s_{};
   double spare_normal_ = 0.0;
   bool has_spare_ = false;
 };
 
+/// N independent Rng streams kept as structure-of-arrays lanes (the four
+/// state words, the Box-Muller spare and its flag), so a batch of streams
+/// draws its normals in one pass instead of one rejection loop at a time.
+/// Every stream evolves exactly as the Rng it was set from would.
+class RngBank {
+ public:
+  /// Sizes the bank to `n` streams, each in the all-zero (unset) state.
+  void resize(std::size_t n);
+  std::size_t size() const { return spare_.size(); }
+
+  /// Stream `i` takes `rng`'s whole state, its spare included.
+  void set(std::size_t i, const Rng& rng);
+  /// Stream `i`'s state as an Rng.
+  Rng get(std::size_t i) const;
+
+  /// out[j] = streams[j]'s next normal(), for j < n, leaving each stream in
+  /// the state its own Rng::normal() would leave it in.  The streams must
+  /// be distinct.  Spares are handed out first; the streams still owing a
+  /// draw then draw (u, v) pairs in rounds, the rejected ones again, so
+  /// each draws exactly the pairs its own normal() would, in order; one
+  /// refmath::log_lane over the accepted pairs finishes the block.
+  void normal(const std::size_t* streams, std::size_t n, double* out);
+
+  /// Exactly the bytes of size() Rng::save calls, stream 0 first (and
+  /// load() reads them back), so an archive does not see the layout.
+  void save(BinaryWriter& w) const;
+  void load(BinaryReader& r);
+
+ private:
+  /// Streams per internal batch of normal(): bounds its stack scratch.
+  static constexpr std::size_t kBatch = 64;
+  void normal_batch(const std::size_t* streams, std::size_t n, double* out);
+
+  std::vector<std::uint64_t> s0_, s1_, s2_, s3_;
+  std::vector<double> spare_;
+  std::vector<std::uint8_t> has_spare_;
+};
+
 inline std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = detail::rotl64(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = detail::rotl64(s_[3], 45);
-  return result;
+  return detail::xoshiro_next(s_[0], s_[1], s_[2], s_[3]);
 }
 
-inline double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+inline double Rng::uniform() { return detail::unit_uniform(next_u64()); }
 
 inline double Rng::uniform(double lo, double hi) {
   WCDMA_DEBUG_ASSERT(hi >= lo);
@@ -126,8 +186,8 @@ inline double Rng::normal() {
   }
   double u, v, s;
   do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
+    u = detail::polar_coordinate(next_u64());
+    v = detail::polar_coordinate(next_u64());
     s = u * u + v * v;
   // lint-allow(DET-FLOAT-EQ): Box-Muller rejects the exact-zero draw (log(0))
   } while (s >= 1.0 || s == 0.0);

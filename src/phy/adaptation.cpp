@@ -36,14 +36,15 @@ ModeDecision AdaptationPolicy::select(double gamma) const {
 double AdaptationPolicy::avg_throughput_rayleigh(double mean_csi) const {
   WCDMA_ASSERT(mean_csi > 0.0);
   // gamma = X * mean_csi with X ~ Exp(1):
-  // P(gamma >= t) = exp(-t / mean_csi).
+  // P(gamma >= t) = exp(-t / mean_csi).  Mode i's upper edge is mode i+1's
+  // lower edge, so each exponential is taken once and carried over.
   double acc = 0.0;
   const std::size_t q_count = modes_.size();
+  double lo_p = rm::exp(-thresholds_[0] / mean_csi);
   for (std::size_t i = 0; i < q_count; ++i) {
-    const double lo = thresholds_[i];
     const double hi_p = (i + 1 < q_count) ? rm::exp(-thresholds_[i + 1] / mean_csi) : 0.0;
-    const double p = rm::exp(-lo / mean_csi) - hi_p;
-    acc += modes_.all()[i].throughput * p;
+    acc += modes_.all()[i].throughput * (lo_p - hi_p);
+    lo_p = hi_p;
   }
   return acc;
 }

@@ -121,9 +121,31 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
   const std::vector<std::uint64_t> costs = item_costs(spec);
   const std::size_t workers = std::min(options.workers, costs.size());
   std::vector<ShardState> shards(workers);
-  std::size_t done = 0;
   for (std::size_t s = 0; s < workers; ++s) {
     shards[s].range = shard_range(costs, s, workers);
+  }
+
+  // A fault aimed at a shard that starts no worker would never fire, and a
+  // recovery run would pass without injecting anything: refuse it before
+  // anything is forked or written.
+  if (options.fault.enabled()) {
+    const std::size_t target = options.fault.shard;
+    const std::string cut = "the sweep cuts " + std::to_string(workers) + " shard(s)";
+    if (target >= workers) {
+      out.error = "fault names shard " + std::to_string(target) + ", but " + cut +
+                  " (shards 0-" + std::to_string(workers - 1) + ")";
+      return out;
+    }
+    if (shards[target].range.size() == 0) {
+      out.error = "fault names shard " + std::to_string(target) +
+                  ", which starts no worker: " + cut +
+                  " and the cost split leaves shard " + std::to_string(target) + " empty";
+      return out;
+    }
+  }
+
+  std::size_t done = 0;
+  for (std::size_t s = 0; s < workers; ++s) {
     shards[s].result_path = shard_file(options.work_dir, s, ".result");
     shards[s].checkpoint_path = shard_file(options.work_dir, s, ".ckpt");
     // A stale file from an earlier run must never satisfy this one; the

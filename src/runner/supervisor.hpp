@@ -55,7 +55,9 @@ struct SupervisorOptions {
   std::int64_t checkpoint_every_frames = 256;
   /// Directory for shard result/checkpoint files; must exist.
   std::string work_dir = ".";
-  /// Injected fault, forwarded to the worker whose shard it names.
+  /// Injected fault, forwarded to the worker whose shard it names.  A
+  /// fault naming a shard that starts no worker (past the shard count, or
+  /// left empty by the cost split) is refused before any worker forks.
   FaultPlan fault;
   /// Corrupt checkpoint = hard error instead of discard-and-restart.
   bool strict_checkpoint = false;

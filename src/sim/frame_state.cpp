@@ -73,7 +73,7 @@ void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
     const common::Rng link_rng = user_rng.fork(100 + k);
     common::Rng srng = link_rng.fork(1);
     shadow_db_[idx] = srng.normal(0.0, shadowing_.sigma_db);
-    shadow_rng_[idx] = srng;
+    shadow_rng_.set(idx, srng);
     common::Rng frng = link_rng.fork(2);
     // Stationary start h ~ CN(0, 1), drawn exactly as Ar1Fading's ctor.
     fade_re_[idx] = frng.normal(0.0, std::sqrt(0.5));
@@ -83,15 +83,63 @@ void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
   }
 }
 
-void FrameState::step_user(std::size_t user, cell::Point pos, double moved_m,
-                           const std::vector<std::size_t>& active_members) {
+void FrameState::step_users(std::size_t begin, std::size_t end, const cell::Point* pos,
+                            const double* moved_m,
+                            const std::vector<std::size_t>* const* active_members) {
   if (culls_) {
-    refresh_left_s_[user] -= frame_s_;
-    if (candidates_[user].empty() || refresh_left_s_[user] <= 0.0) {
-      refresh_candidates(user, pos, active_members);
+    for (std::size_t u = begin; u < end; ++u) {
+      refresh_left_s_[u] -= frame_s_;
+      if (candidates_[u].empty() || refresh_left_s_[u] <= 0.0) {
+        refresh_candidates(u, pos[u - begin], *active_members[u - begin]);
+      }
     }
   }
-  step_user_links(user, pos, moved_m, cells_for(user));
+  // Link-major blocks: each fills with the candidate links of consecutive
+  // users, across user boundaries, so every link of the group goes through
+  // the bank's batched draw and the vector lanes.  Each link carries its
+  // user's AR(1) pair: one per user, since every link of a mobile travels
+  // the same distance this frame.
+  LinkBlock block;
+  for (std::size_t u = begin; u < end; ++u) {
+    const double rho = channel::Shadowing::correlation(shadowing_, moved_m[u - begin]);
+    const double innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
+    const std::vector<std::size_t>& cells = cells_for(u);
+    const std::size_t row = u * num_cells_;
+    for (std::size_t j = 0; j < cells.size();) {
+      const std::size_t m = std::min(LinkBlock::kSize - block.fill, cells.size() - j);
+      // Distances feed the gain only through B log10(d) = (B/2) log10(d^2),
+      // so the squared distance goes straight into the log2 lane: no root
+      // per link.
+      double* d_sq = &block.d_sq[block.fill];
+      layout_->distance_sq_lane(pos[u - begin], &cells[j], m, d_sq);
+      for (std::size_t t = 0; t < m; ++t) {
+        block.link[block.fill + t] = row + cells[j + t];
+        block.rho[block.fill + t] = rho;
+        block.innovation[block.fill + t] = innovation;
+        d_sq[t] = std::max(d_sq[t], min_distance_sq_m_);
+      }
+      block.fill += m;
+      j += m;
+      if (block.fill == LinkBlock::kSize) step_block(block);
+    }
+  }
+  if (block.fill > 0) step_block(block);
+}
+
+void FrameState::step_block(LinkBlock& block) {
+  const std::size_t n = block.fill;
+  // Each link's innovation from its own stream, which is what lets fading
+  // replay lazily.
+  double z[LinkBlock::kSize], shadow[LinkBlock::kSize], gain[LinkBlock::kSize];
+  shadow_rng_.normal(block.link, n, z);
+  for (std::size_t i = 0; i < n; ++i) shadow[i] = shadow_db_[block.link[i]];
+  kernels::shadow_gain_lane(block.rho, block.innovation, gain_bias_, half_log2_slope_, z,
+                            block.d_sq, shadow, gain, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    shadow_db_[block.link[i]] = shadow[i];
+    gain_mean_[block.link[i]] = gain[i];
+  }
+  block.fill = 0;
 }
 
 void FrameState::refresh_candidates(std::size_t user, cell::Point pos,
@@ -111,42 +159,6 @@ void FrameState::refresh_candidates(std::size_t user, cell::Point pos,
   std::vector<std::size_t>& current = candidates_[user];
   if (next != current) epoch_.fetch_add(1, std::memory_order_relaxed);
   current = std::move(next);
-}
-
-void FrameState::step_user_links(std::size_t user, cell::Point pos, double moved_m,
-                                 const std::vector<std::size_t>& cells) {
-  // One correlation pair per user: every link of a mobile travels the same
-  // distance this frame.
-  const double rho = channel::Shadowing::correlation(shadowing_, moved_m);
-  const double innovation = channel::Shadowing::innovation_sigma(shadowing_, rho);
-  const std::size_t row = user * num_cells_;
-  const std::size_t count = cells.size();
-  constexpr std::size_t kLane = 32;
-  double z[kLane], d_sq[kLane], shadow[kLane], gain[kLane];
-  for (std::size_t base = 0; base < count; base += kLane) {
-    const std::size_t n = std::min(kLane, count - base);
-    // A scalar gather of the squared distances and current shadowing (the
-    // geometry scan and the CSR indirection don't vectorize).  Distances
-    // feed the gain only through B log10(d) = (B/2) log10(d^2), so the
-    // squared distance goes straight into the log2 lane: no root per link.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t k = cells[base + i];
-      d_sq[i] = std::max(layout_->distance_sq_to_cell(pos, k), min_distance_sq_m_);
-      shadow[i] = shadow_db_[row + k];
-    }
-    // Each link's innovation from its own stream, which is what lets
-    // fading replay lazily.
-    for (std::size_t i = 0; i < n; ++i) {
-      z[i] = shadow_rng_[row + cells[base + i]].normal();
-    }
-    kernels::shadow_gain_lane(rho, innovation, gain_bias_, half_log2_slope_, z, d_sq,
-                              shadow, gain, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t idx = row + cells[base + i];
-      shadow_db_[idx] = shadow[i];
-      gain_mean_[idx] = gain[i];
-    }
-  }
 }
 
 double FrameState::fading_factor(std::size_t user, std::size_t cell) {
@@ -221,11 +233,22 @@ void save_rngs(common::BinaryWriter& w, const std::vector<common::Rng>& v) {
   for (const common::Rng& r : v) r.save(w);
 }
 
+void save_rngs(common::BinaryWriter& w, const common::RngBank& bank) {
+  w.u64(bank.size());
+  bank.save(w);
+}
+
+// Streams are sized at init from the layout; a snapshot from a different
+// world shape must not resize them.
 bool load_rngs(common::BinaryReader& r, std::vector<common::Rng>& v) {
-  // Streams are sized at init from the layout; a snapshot from a different
-  // world shape must not resize them.
   if (r.seq(8) != v.size()) return false;
   for (common::Rng& x : v) x.load(r);
+  return r.ok();
+}
+
+bool load_rngs(common::BinaryReader& r, common::RngBank& bank) {
+  if (r.seq(8) != bank.size()) return false;
+  bank.load(r);
   return r.ok();
 }
 

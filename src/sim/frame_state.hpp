@@ -5,12 +5,15 @@
 // indexed [user * num_cells + cell], so the measurement loops stream
 // linearly:
 //
-//  * shadowing and local-mean gain: per-link (rng, value_db) pairs stepped
-//    once per frame for every candidate cell, with the AR(1) correlation
-//    pair hoisted to one exp/sqrt per *user* (all links of a mobile move
-//    together), and each link's gain folded into one exp2 of its shadowing
-//    and log2 of its squared distance, taken in 32-link blocks through
-//    kernels::shadow_gain_lane;
+//  * shadowing and local-mean gain: a per-link value_db lane and a per-link
+//    xoshiro stream, the streams side by side in one common::RngBank.
+//    step_users() steps every candidate link of a group of users once per
+//    frame in link-major 64-link blocks that run across user boundaries:
+//    the bank draws a block's innovations in one batched polar pass,
+//    HexLayout::distance_sq_lane gives the squared wrap distances, and
+//    kernels::shadow_gain_lane folds each link's shadowing and the log2 of
+//    its squared distance into one exp2.  The AR(1) correlation pair is one
+//    exp/sqrt per *user* (all links of a mobile move together);
 //  * fast fading: per-link AR(1) state advanced LAZILY -- the stream
 //    is replayed up to the current frame only when a link's fading factor
 //    is observed (the serving leg of an active burst).  Bit-identical to
@@ -74,18 +77,22 @@ class FrameState {
   /// Frames started since init (the lazy-fading clock).
   std::int64_t frame() const { return frame_; }
 
-  /// One user's channel step after the mobile moved `moved_m` to `pos`: on
-  /// `culled`, counts down the user's refresh timer and, when it runs out
-  /// (or before the user's first step), chooses the candidate set again
-  /// around `active_members`; then steps shadowing and refreshes the
-  /// local-mean gains of every cell in cells_for(user).  Safe to call
-  /// concurrently for distinct users.
-  void step_user(std::size_t user, cell::Point pos, double moved_m,
-                 const std::vector<std::size_t>& active_members);
+  /// The channel step of users [begin, end), user u having moved
+  /// moved_m[u - begin] metres to pos[u - begin]: on `culled`, counts down
+  /// each user's refresh timer and, when it runs out (or before the user's
+  /// first step), chooses its candidate set again around
+  /// *active_members[u - begin]; then steps shadowing and refreshes the
+  /// local-mean gain of every link (u, k), k in cells_for(u), in link-major
+  /// blocks that run across user boundaries.  Reads and writes only these
+  /// users' state, so it is safe to call concurrently for disjoint ranges,
+  /// and any split of the users into ranges gives the same bits.
+  void step_users(std::size_t begin, std::size_t end, const cell::Point* pos,
+                  const double* moved_m,
+                  const std::vector<std::size_t>* const* active_members);
 
   /// Cells with live link state for `user`, ascending: every cell on
   /// `exhaustive`, the candidate set otherwise (empty before the user's
-  /// first step).  step_user() writes this frame's gain of exactly these
+  /// first step).  step_users() writes this frame's gain of exactly these
   /// links, and every loop that reads a gain or pilot iterates this set or
   /// a subset (the active-set members stay candidates); entries outside it
   /// are stale.
@@ -161,12 +168,22 @@ class FrameState {
   bool load(common::BinaryReader& r);
 
  private:
+  /// Up to kSize candidate links of consecutive users, each with its
+  /// user's AR(1) pair and its clamped squared distance.
+  struct LinkBlock {
+    static constexpr std::size_t kSize = 64;
+    std::size_t fill = 0;
+    std::size_t link[kSize];
+    double rho[kSize], innovation[kSize], d_sq[kSize];
+  };
+
   /// Chooses `user`'s candidate set again around `active_members` and moves
   /// the epoch if it changed.
   void refresh_candidates(std::size_t user, cell::Point pos,
                           const std::vector<std::size_t>& active_members);
-  void step_user_links(std::size_t user, cell::Point pos, double moved_m,
-                       const std::vector<std::size_t>& cells);
+  /// Draws the block's innovations from the stream bank, steps its
+  /// shadowing and writes its gains; leaves the block empty.
+  void step_block(LinkBlock& block);
   /// The cell -> users transpose of the candidate sets, by counting sort.
   void build_transpose(std::vector<std::uint32_t>& offsets,
                        std::vector<std::uint32_t>& users) const;
@@ -188,7 +205,7 @@ class FrameState {
   std::int64_t frame_ = 0;
 
   // Per-link shadowing state (stepped eagerly for candidates).
-  std::vector<common::Rng> shadow_rng_;
+  common::RngBank shadow_rng_;
   std::vector<double> shadow_db_;
 
   // Per-link AR(1) fading state (advanced lazily).  rho/innovation depend
@@ -216,7 +233,8 @@ class FrameState {
 
   // Candidate sets.  `exhaustive` lists every cell once in all_cells_;
   // `culled` keeps one ascending set and one refresh countdown per user,
-  // and step_user() writes both from the shard pool, one user each.
+  // and step_users() writes both from the shard pool, each user's from
+  // one shard.
   bool culls_ = false;
   double cull_radius_sq_m_ = 0.0;
   double refresh_interval_s_ = 0.0;

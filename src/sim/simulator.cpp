@@ -262,13 +262,25 @@ void Simulator::maybe_refresh_far_field() {
 void Simulator::step_mobility_and_channel() {
   // Per-user work only (mobility, candidate refresh, per-link RNG streams,
   // then this user's forward measurements): safe and bit-identical under
-  // any sharding.
+  // any sharding.  Each shard walks its users in groups small enough that
+  // a group's fresh gains are still in L1 when its measurements read them:
+  // the group moves, FrameState steps all of its links in cross-user
+  // blocks, then each user measures.
+  constexpr std::size_t kGroup = 16;
   for_shards(users_.size(), [this](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      User& u = users_[i];
-      const double moved = u.mobility->step(config_.frame_s);
-      state_.step_user(i, u.mobility->position(), moved, u.active_set.members());
-      forward_measure_user(i);
+    cell::Point pos[kGroup];
+    double moved[kGroup];
+    const std::vector<std::size_t>* members[kGroup];
+    for (std::size_t first = begin; first < end; first += kGroup) {
+      const std::size_t last = std::min(first + kGroup, end);
+      for (std::size_t i = first; i < last; ++i) {
+        User& u = users_[i];
+        moved[i - first] = u.mobility->step(config_.frame_s);
+        pos[i - first] = u.mobility->position();
+        members[i - first] = &u.active_set.members();
+      }
+      state_.step_users(first, last, pos, moved, members);
+      for (std::size_t i = first; i < last; ++i) forward_measure_user(i);
     }
   });
 }

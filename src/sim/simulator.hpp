@@ -277,8 +277,9 @@ class Simulator {
   /// (no-op while the aggregator is inactive or before the first fused
   /// pass has filled the candidate sets).
   void maybe_refresh_far_field();
-  /// One sharded pass: mobility + candidate refresh + link stepping + this
-  /// user's forward measurements (fused; see step_frame).
+  /// One sharded pass over groups of users: the group's mobility, then
+  /// FrameState::step_users (candidate refresh + link-major link stepping),
+  /// then each user's forward measurements (fused; see step_frame).
   void step_mobility_and_channel();
   /// This user's forward pilots over its candidate cells, then the
   /// hand-off update on them (ActiveSet::update_linear, every provider).

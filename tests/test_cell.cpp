@@ -5,13 +5,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/cell/active_set.hpp"
 #include "src/cell/geometry.hpp"
 #include "src/cell/mobility.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/serialize.hpp"
+#include "src/common/simd.hpp"
 #include "src/common/units.hpp"
 
 namespace wcdma::cell {
@@ -137,6 +141,124 @@ TEST(HexLayout, DistancesDeriveFromTheNearestOffset) {
         }
       }
     }
+  }
+}
+
+/// Every dispatch level this host runs, scalar first.
+std::vector<common::SimdLevel> host_levels() {
+  std::vector<common::SimdLevel> levels = {common::SimdLevel::kScalar};
+  if (common::max_supported_simd_level() == common::SimdLevel::kAvx2) {
+    levels.push_back(common::SimdLevel::kAvx2);
+  }
+  return levels;
+}
+
+/// The distance lane on `cells` at every level writes distance_sq_to_cell's
+/// bits, and nothing past n.
+void expect_distance_lane_is_scalar(const HexLayout& layout, Point p,
+                                    const std::vector<std::size_t>& cells) {
+  const common::SimdLevel saved = common::active_simd_level();
+  for (const common::SimdLevel level : host_levels()) {
+    ASSERT_TRUE(common::set_simd_level(level));
+    std::vector<double> out(cells.size() + 1, -7.0);
+    layout.distance_sq_lane(p, cells.data(), cells.size(), out.data());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      std::uint64_t got, want;
+      const double scalar = layout.distance_sq_to_cell(p, cells[i]);
+      std::memcpy(&got, &out[i], sizeof(got));
+      std::memcpy(&want, &scalar, sizeof(want));
+      ASSERT_EQ(got, want) << common::simd_level_name(level) << " cell " << cells[i]
+                           << " p = (" << p.x << ", " << p.y << ")";
+    }
+    ASSERT_EQ(out[cells.size()], -7.0) << "wrote past n";
+  }
+  common::set_simd_level(saved);
+}
+
+/// (min wrap-translation length / 2)^2, as HexLayout computes its near
+/// field; +inf without wrap-around.
+double near_field_sq(const HexLayout& layout) {
+  double sq = INFINITY;
+  for (const Point& t : layout.wrap_translations()) {
+    const double half = norm(t) / 2.0;
+    sq = std::min(sq, half * half);
+  }
+  return sq;
+}
+
+TEST(HexLayout, DistanceLaneIsTheScalarDistanceBitForBit) {
+  for (const int rings : {0, 1, 2}) {
+    for (const bool wrap : {true, false}) {
+      SCOPED_TRACE("rings " + std::to_string(rings) + " wrap " + std::to_string(wrap));
+      const HexLayout layout(HexLayoutConfig{rings, 1000.0, wrap});
+      const std::size_t n = layout.num_cells();
+      // Consecutive cells (every cell, and every run from every start) and
+      // scattered ones: descending, a stride through the layout, and runs
+      // of four whose middle pair is swapped (first and last still three
+      // apart).
+      std::vector<std::vector<std::size_t>> sets;
+      for (std::size_t first = 0; first < n; ++first) {
+        std::vector<std::size_t> run;
+        for (std::size_t k = first; k < n; ++k) run.push_back(k);
+        sets.push_back(run);
+      }
+      std::vector<std::size_t> descending, strided, swapped;
+      for (std::size_t k = n; k-- > 0;) descending.push_back(k);
+      for (std::size_t k = 0; k < 3 * n; k += 5) strided.push_back(k % n);
+      for (std::size_t k = 0; k + 4 <= n; ++k) {
+        swapped.insert(swapped.end(), {k, k + 2, k + 1, k + 3});
+      }
+      sets.push_back(descending);
+      sets.push_back(strided);
+      sets.push_back(swapped);
+      Rng rng(0xd157 + static_cast<std::uint64_t>(rings));
+      const double span = 1.5 * layout.service_radius_m();
+      for (int trial = 0; trial < 200; ++trial) {
+        const Point p{(2.0 * rng.uniform() - 1.0) * span,
+                      (2.0 * rng.uniform() - 1.0) * span};
+        for (const std::vector<std::size_t>& cells : sets) {
+          expect_distance_lane_is_scalar(layout, p, cells);
+        }
+      }
+    }
+  }
+}
+
+TEST(HexLayout, DistanceLaneKeepsTheNearFieldSelectAtItsBoundary) {
+  // The near-field bound is half the shortest wrap translation, so at the
+  // midpoint between a cell and its nearest mirror image the two images
+  // are (almost) equally far and the direct one's squared distance sits on
+  // the bound.  Points a few ULPs around each such midpoint land on both
+  // sides of the select, which must go the scalar shortcut's way.
+  for (const int rings : {1, 2}) {
+    const HexLayout layout(HexLayoutConfig{rings, 1000.0, true});
+    const double bound = near_field_sq(layout);
+    ASSERT_TRUE(std::isfinite(bound));
+    std::vector<std::size_t> all(layout.num_cells());
+    for (std::size_t k = 0; k < all.size(); ++k) all[k] = k;
+    int below = 0, at_or_above = 0;
+    for (std::size_t k = 0; k < layout.num_cells(); ++k) {
+      for (const Point& t : layout.wrap_translations()) {
+        const Point mid = layout.center(k) + 0.5 * t;
+        for (int dx = -2; dx <= 2; ++dx) {
+          for (int dy = -2; dy <= 2; ++dy) {
+            Point p = mid;
+            for (int i = 0; i < std::abs(dx); ++i) {
+              p.x = std::nextafter(p.x, dx * INFINITY);
+            }
+            for (int i = 0; i < std::abs(dy); ++i) {
+              p.y = std::nextafter(p.y, dy * INFINITY);
+            }
+            const Point d = p - layout.center(k);
+            (d.x * d.x + d.y * d.y < bound ? below : at_or_above) += 1;
+            expect_distance_lane_is_scalar(layout, p, all);
+          }
+        }
+      }
+    }
+    // Both sides of the select were reached.
+    EXPECT_GT(below, 0);
+    EXPECT_GT(at_or_above, 0);
   }
 }
 

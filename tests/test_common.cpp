@@ -1,16 +1,21 @@
-// Unit tests for the common substrate: PRNG, units, matrix, statistics,
-// thread pool, and table formatting.
+// Unit tests for the common substrate: PRNG and the stream bank, units,
+// matrix, statistics, thread pool, and table formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/common/matrix.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/serialize.hpp"
+#include "src/common/simd.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/table.hpp"
 #include "src/common/thread_pool.hpp"
@@ -139,6 +144,157 @@ TEST(Rng, LognormalShadowMedianIsOne) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) above += rng.lognormal_shadow(8.0) > 1.0 ? 1 : 0;
   EXPECT_NEAR(above, n / 2, 4 * std::sqrt(n / 4.0));
+}
+
+// ------------------------------------------------------------- RngBank
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// Every dispatch level this host runs, scalar first.
+std::vector<SimdLevel> host_levels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (max_supported_simd_level() == SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  return levels;
+}
+
+/// Restores the ambient dispatch level when a test scope ends.
+struct SimdLevelGuard {
+  SimdLevel saved = active_simd_level();
+  ~SimdLevelGuard() { set_simd_level(saved); }
+};
+
+/// Pairs rejected before the next pair of a stream holding no spare.
+int rejections_before_next_pair(Rng rng) {
+  int rejected = 0;
+  for (;;) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double v = rng.uniform(-1.0, 1.0);
+    const double s = u * u + v * v;
+    if (s < 1.0 && s > 0.0) return rejected;
+    ++rejected;
+  }
+}
+
+/// The bank's draws on `streams`, checked against each stream's own Rng.
+void expect_bank_draws_match(RngBank& bank, std::vector<Rng>& ref,
+                             const std::vector<std::size_t>& streams) {
+  std::vector<double> out(streams.size() + 1, -7.0);
+  bank.normal(streams.data(), streams.size(), out.data());
+  for (std::size_t j = 0; j < streams.size(); ++j) {
+    ASSERT_EQ(bits_of(out[j]), bits_of(ref[streams[j]].normal()))
+        << "slot " << j << " stream " << streams[j] << " at "
+        << simd_level_name(active_simd_level());
+  }
+  ASSERT_EQ(out[streams.size()], -7.0) << "wrote past n";
+}
+
+/// The bank's streams hold exactly the reference Rngs' states.
+void expect_bank_holds(const RngBank& bank, const std::vector<Rng>& ref) {
+  BinaryWriter want, got;
+  for (const Rng& r : ref) r.save(want);
+  bank.save(got);
+  ASSERT_EQ(got.bytes(), want.bytes());
+}
+
+TEST(RngBank, NormalMatchesEachStreamsOwnNormalBitForBit) {
+  SimdLevelGuard guard;
+  for (const SimdLevel level : host_levels()) {
+    ASSERT_TRUE(set_simd_level(level));
+    const std::size_t n = 300;
+    const Rng root(0xba4c);
+    RngBank bank;
+    bank.resize(n);
+    std::vector<Rng> ref;
+    for (std::size_t i = 0; i < n; ++i) {
+      Rng r = root.fork(i);
+      if (i % 3 == 0) r.normal();  // leaves a spare: mixed spare states
+      ref.push_back(r);
+      bank.set(i, r);
+    }
+    std::vector<std::size_t> contiguous(n), every_seventh, scattered;
+    for (std::size_t i = 0; i < n; ++i) contiguous[i] = i;
+    for (std::size_t i = 3; i < n; i += 7) every_seventh.push_back(i);
+    // Distinct streams in a random order: ranked by one uniform draw each.
+    Rng order(91);
+    std::vector<std::pair<double, std::size_t>> keyed;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (order.bernoulli(0.4)) keyed.push_back({order.uniform(), i});
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (const auto& [key, i] : keyed) scattered.push_back(i);
+    // Several rounds, so every stream moves through both spare states and
+    // some calls span more than one internal batch.
+    for (int round = 0; round < 5; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      expect_bank_draws_match(bank, ref, contiguous);
+      expect_bank_draws_match(bank, ref, scattered);
+      expect_bank_draws_match(bank, ref, every_seventh);
+      expect_bank_draws_match(bank, ref, {});
+      expect_bank_holds(bank, ref);
+    }
+  }
+}
+
+TEST(RngBank, StreamsThatRejectThreeTimesInARowDrawTheirOwnPairs) {
+  SimdLevelGuard guard;
+  // Streams whose next pair comes after three or more rejected pairs, mixed
+  // with streams that accept at once.
+  const Rng root(0x5eed);
+  std::vector<Rng> picked;
+  std::size_t stubborn = 0;
+  for (std::uint64_t i = 0; stubborn < 6 || picked.size() < 40; ++i) {
+    ASSERT_LT(i, 100000u) << "no stream rejects three pairs in a row";
+    const Rng r = root.fork(i);
+    const int rejected = rejections_before_next_pair(r);
+    if (rejected >= 3 && stubborn < 6) {
+      ++stubborn;
+      picked.push_back(r);
+    } else if (rejected == 0 && picked.size() < 40) {
+      picked.push_back(r);
+    }
+  }
+  for (const SimdLevel level : host_levels()) {
+    ASSERT_TRUE(set_simd_level(level));
+    RngBank bank;
+    bank.resize(picked.size());
+    std::vector<Rng> ref = picked;
+    for (std::size_t i = 0; i < ref.size(); ++i) bank.set(i, ref[i]);
+    std::vector<std::size_t> all(ref.size());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    for (int round = 0; round < 4; ++round) expect_bank_draws_match(bank, ref, all);
+    expect_bank_holds(bank, ref);
+  }
+}
+
+TEST(RngBank, SavesTheBytesOfOneRngSavePerStreamAndLoadsThemBack) {
+  const std::size_t n = 37;
+  const Rng root(17);
+  RngBank bank;
+  bank.resize(n);
+  std::vector<Rng> ref;
+  for (std::size_t i = 0; i < n; ++i) {
+    Rng r = root.fork(i);
+    for (std::size_t k = 0; k < i % 4; ++k) r.normal();
+    ref.push_back(r);
+    bank.set(i, r);
+  }
+  expect_bank_holds(bank, ref);
+  BinaryWriter w;
+  bank.save(w);
+  RngBank loaded;
+  loaded.resize(n);
+  BinaryReader r(w.bytes());
+  loaded.load(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.at_end());
+  expect_bank_holds(loaded, ref);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(bits_of(loaded.get(i).normal()), bits_of(ref[i].normal())) << i;
+  }
 }
 
 // ---------------------------------------------------------------- units

@@ -18,6 +18,7 @@
 // the dispatch test so a scalar-only host is visible in the test log).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -101,17 +102,25 @@ TEST(KernelAgreement, ShadowGainLaneBitwiseAcrossLevels) {
   SimdLevelGuard guard;
   common::Rng rng(0x5badf00d);
   const std::size_t n = 517;  // odd: exercises every tail path
-  std::vector<double> z(n), d_sq(n), shadow0(n);
+  std::vector<double> z(n), d_sq(n), shadow0(n), rho(n), innovation(n);
   for (std::size_t i = 0; i < n; ++i) {
     z[i] = rng.normal();
     d_sq[i] = 25.0 + rng.uniform() * 4.0e7;
     shadow0[i] = rng.normal(0.0, 8.0);
+    // One AR(1) pair per run of 19 links, as one user's links carry it.
+    if (i % 19 == 0) {
+      rho[i] = 0.9 + 0.1 * rng.uniform();
+      innovation[i] = 8.0 * std::sqrt(1.0 - rho[i] * rho[i]);
+    } else {
+      rho[i] = rho[i - 1];
+      innovation[i] = innovation[i - 1];
+    }
   }
-  const double rho = 0.98, innovation = 1.59, bias = -38.2, half_slope = 1.84;
+  const double bias = -38.2, half_slope = 1.84;
   // The scalar formula, from refmath's scalar functions.
   std::vector<double> shadow_ref = shadow0, gain_ref(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shadow_ref[i] = rho * shadow_ref[i] + innovation * z[i];
+    shadow_ref[i] = rho[i] * shadow_ref[i] + innovation[i] * z[i];
     const double arg = common::kExp2PerDb * shadow_ref[i] + bias -
                        half_slope * common::refmath::log2(d_sq[i]);
     gain_ref[i] = common::refmath::exp2(arg);
@@ -119,8 +128,8 @@ TEST(KernelAgreement, ShadowGainLaneBitwiseAcrossLevels) {
   for (common::SimdLevel level : supported_levels()) {
     ASSERT_TRUE(common::set_simd_level(level));
     std::vector<double> shadow = shadow0, gain(n, -1.0);
-    sim::kernels::shadow_gain_lane(rho, innovation, bias, half_slope, z.data(),
-                                   d_sq.data(), shadow.data(), gain.data(), n);
+    sim::kernels::shadow_gain_lane(rho.data(), innovation.data(), bias, half_slope,
+                                   z.data(), d_sq.data(), shadow.data(), gain.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(bits_of(shadow[i]), bits_of(shadow_ref[i]))
           << "shadow @ " << common::simd_level_name(level) << " lane " << i;

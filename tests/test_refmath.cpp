@@ -203,6 +203,15 @@ TEST(RefmathLanes, Exp2LaneIsScalarExp2BitForBit) {
   expect_lane_is_scalar(&rm::exp2_lane, &rm::exp2, x, "exp2_lane");
 }
 
+TEST(RefmathLanes, LogLaneIsScalarLogBitForBit) {
+  std::vector<double> x = log_uniform(3, -30, 40, 4000);
+  // The polar draw's arguments: u^2 + v^2 on the 2^-104 grid of (0, 1).
+  for (std::size_t i = 0; i < 600; ++i) x[5 * i + 1] = std::ldexp(1.0 + i, -104 + i / 6);
+  const double odd[] = {0.0, -1.0, kTrue0, 1e-310, kInf, kMax, kMin, std::nan("")};
+  for (std::size_t i = 0; i < sizeof(odd) / sizeof(odd[0]); ++i) x[43 * i + 2] = odd[i];
+  expect_lane_is_scalar(&rm::log_lane, &rm::log, x, "log_lane");
+}
+
 TEST(RefmathLanes, Log2LaneIsScalarLog2BitForBit) {
   std::vector<double> x = log_uniform(2, -30, 40, 4000);
   const double odd[] = {0.0, -1.0, kTrue0, 1e-310, kInf, kMax, kMin, std::nan("")};
@@ -382,12 +391,14 @@ TEST(RefmathBounds, CompositeLinkGain) {
     const double half = b_db / 10.0 * 0.5;
     const std::size_t n = 4096;
     std::vector<double> z(n), d_sq(n), shadow(n, 0.0), gain(n);
+    const std::vector<double> rho(n, 0.0), innovation(n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
       z[i] = rng.uniform(-40.0, 40.0);
       d_sq[i] = rng.uniform(100.0, 1.0e8);
     }
-    wcdma::sim::kernels::shadow_gain_lane(0.0, 1.0, bias, half, z.data(), d_sq.data(),
-                                          shadow.data(), gain.data(), n);
+    wcdma::sim::kernels::shadow_gain_lane(rho.data(), innovation.data(), bias, half,
+                                          z.data(), d_sq.data(), shadow.data(),
+                                          gain.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       const __float128 exact =
           powq(10, (static_cast<__float128>(z[i]) - a_db) / 10) *

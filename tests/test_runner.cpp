@@ -443,8 +443,9 @@ TEST(Supervisor, KillAtEveryCheckpointBoundaryMergesIdentically) {
 
 TEST(Supervisor, CutsAtMostOneShardPerItemAndForksNoneForAnEmptyShard) {
   // 6 workers asked for on 4 items: a 6-way cost split leaves shard 4
-  // empty.  The supervisor cuts 4 shards instead, so a fault aimed at shard
-  // 4 finds no worker, and no empty shard's result file can fail the sweep.
+  // empty.  The supervisor cuts 4 shards instead, so no empty shard's
+  // result file can fail the sweep, and shard 4 does not exist: a fault
+  // aimed at it is refused, naming the shard count, instead of never firing.
   const sweep::SweepSpec spec = tiny_spec();
   ASSERT_EQ(sweep::item_count(spec), 4u);
   ASSERT_EQ(shard_range(item_costs(spec), 4, 6).size(), 0u);
@@ -453,12 +454,40 @@ TEST(Supervisor, CutsAtMostOneShardPerItemAndForksNoneForAnEmptyShard) {
   SupervisorOptions options = fast_options(dir.path);
   options.workers = 6;
   options.max_retries = 0;
-  options.fault.kind = FaultKind::kDropResult;
-  options.fault.shard = 4;
   const SupervisorResult sup = run_supervised_sweep(spec, options);
   ASSERT_TRUE(sup.ok) << sup.error;
   EXPECT_EQ(sup.retries, 0);
   EXPECT_EQ(sweep::to_csv(sup.result), reference);
+
+  options.fault.kind = FaultKind::kDropResult;
+  options.fault.shard = 4;
+  const SupervisorResult refused = run_supervised_sweep(spec, options);
+  ASSERT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("shard 4"), std::string::npos) << refused.error;
+  EXPECT_NE(refused.error.find("4 shard(s)"), std::string::npos) << refused.error;
+  EXPECT_EQ(refused.crashes, 0);
+}
+
+TEST(Supervisor, RefusesAFaultAimedAtAShardTheCostSplitLeavesEmpty) {
+  // One item costs far more than the other two together, so the 3-way cost
+  // split puts both cheap items in shard 0, the dear one in shard 1, and
+  // nothing in shard 2: a fault there would never fire.
+  sweep::SweepSpec spec = tiny_spec();
+  spec.base.voice.users = 1;
+  spec.axes = {sweep::axis_data_users({1, 1, 300})};
+  spec.replications = 1;
+  ASSERT_EQ(shard_range(item_costs(spec), 2, 3).size(), 0u);
+  WorkDir dir;
+  SupervisorOptions options = fast_options(dir.path);
+  options.workers = 3;
+  options.fault.kind = FaultKind::kKill;
+  options.fault.shard = 2;
+  options.fault.frame = 10;
+  const SupervisorResult refused = run_supervised_sweep(spec, options);
+  ASSERT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("shard 2"), std::string::npos) << refused.error;
+  EXPECT_NE(refused.error.find("3 shard(s)"), std::string::npos) << refused.error;
+  EXPECT_NE(refused.error.find("empty"), std::string::npos) << refused.error;
 }
 
 TEST(Supervisor, StallPastTheTimeoutIsKilledAndRetried) {
@@ -596,6 +625,27 @@ TEST(SweepMainCli, WorkersSurviveAKillFaultBitIdentically) {
   EXPECT_EQ(read_text_file(sup_csv), reference);
   std::remove(ref_csv.c_str());
   std::remove(sup_csv.c_str());
+}
+
+TEST(SweepMainCli, RefusesAFaultAimedAtAShardThatStartsNoWorker) {
+  const char* bin = std::getenv("WCDMA_SWEEP_MAIN");
+  if (!bin || access(bin, X_OK) != 0) {
+    GTEST_SKIP() << "WCDMA_SWEEP_MAIN not exported by ctest";
+  }
+  WorkDir dir;
+  const std::string err = dir.path + "/fault.err";
+  // smoke has 2 items, so 2 workers cut shards 0 and 1 only.
+  const int status = std::system((std::string(bin) +
+                                  " --preset smoke --workers 2 --max-retries 0"
+                                  " --fault kill:shard=7,frame=10 --runner-dir " +
+                                  dir.path + " --output " + dir.path +
+                                  "/sup.csv 2> " + err)
+                                     .c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_NE(WEXITSTATUS(status), 0);
+  const std::string text = read_text_file(err);
+  EXPECT_NE(text.find("shard 7"), std::string::npos) << text;
+  EXPECT_NE(text.find("2 shard(s)"), std::string::npos) << text;
 }
 
 TEST(SweepMainCli, RefusesIntegerFlagsThatDoNotFitTheirType) {

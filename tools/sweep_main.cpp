@@ -357,7 +357,9 @@ int main(int argc, char** argv) {
     const runner::SupervisorResult sup = runner::run_supervised_sweep(spec, options);
     if (!sup.ok) {
       std::fprintf(stderr, "sweep_main: %s\n", sup.error.c_str());
-      // The work dir is kept for post-mortem when the run fails.
+      // A failed run's shard files stay for post-mortem; a temp dir the
+      // run left empty (a refused fault) goes.
+      if (made_temp_dir) rmdir(runner_dir.c_str());
       return 1;
     }
     if (made_temp_dir) rmdir(runner_dir.c_str());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/assert.hpp"
 #include "src/common/serialize.hpp"
@@ -62,11 +63,20 @@ void Histogram::save(BinaryWriter& w) const {
   w.u64(static_cast<std::uint64_t>(total_));
 }
 
-void Histogram::load(BinaryReader& r) {
+bool Histogram::load(BinaryReader& r) {
   std::vector<std::uint64_t> counts;
   r.vec_u64(counts);
-  if (counts.size() == counts_.size()) counts_ = std::move(counts);
-  total_ = static_cast<std::size_t>(r.u64());
+  const std::uint64_t total = r.u64();
+  if (!r.ok() || counts.size() != counts_.size()) return false;
+  std::uint64_t sum = 0;
+  for (const std::uint64_t c : counts) {
+    if (c > std::numeric_limits<std::uint64_t>::max() - sum) return false;
+    sum += c;
+  }
+  if (sum != total) return false;
+  counts_ = std::move(counts);
+  total_ = static_cast<std::size_t>(total);
+  return true;
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -58,8 +58,10 @@ class Histogram {
   void add(double x);
   void merge(const Histogram& other);
   /// Bin geometry is fixed by the constructor; only counts round-trip.
+  /// load() refuses, leaving the histogram as it was, a count vector of
+  /// another length or a total other than the counts' sum.
   void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  bool load(BinaryReader& r);
 
   std::size_t count() const { return total_; }
   /// Value at quantile q in [0,1], linearly interpolated within the bin.

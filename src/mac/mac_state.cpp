@@ -1,5 +1,8 @@
 #include "src/mac/mac_state.hpp"
 
+#include <cmath>
+#include <cstdint>
+
 #include "src/common/serialize.hpp"
 
 namespace wcdma::mac {
@@ -66,9 +69,14 @@ void MacStateMachine::save(common::BinaryWriter& w) const {
   w.f64(idle_s_);
 }
 
-void MacStateMachine::load(common::BinaryReader& r) {
-  state_ = static_cast<MacState>(r.u8());
-  idle_s_ = r.f64();
+bool MacStateMachine::load(common::BinaryReader& r) {
+  const std::uint8_t state = r.u8();
+  const double idle_s = r.f64();
+  if (!r.ok() || state > static_cast<std::uint8_t>(MacState::kDormant)) return false;
+  if (!std::isfinite(idle_s) || idle_s < 0.0) return false;
+  state_ = static_cast<MacState>(state);
+  idle_s_ = idle_s;
+  return true;
 }
 
 }  // namespace wcdma::mac

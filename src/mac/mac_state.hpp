@@ -56,7 +56,9 @@ class MacStateMachine {
   double setup_delay() const;
 
   void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  /// Refuses, leaving the machine as it was, a state outside the four of
+  /// Fig. 3 or an idle time that is negative or not finite.
+  bool load(common::BinaryReader& r);
 
  private:
   MacTimersConfig timers_;

@@ -9,10 +9,12 @@ namespace wcdma::runner {
 
 namespace {
 
+// Both archives hold SimMetrics encodings, so a metrics field moves both
+// versions.  v2: the metrics carry `requests_granted`.
 constexpr std::uint32_t kResultMagic = 0x53525357;      // "WSRS" little-endian
-constexpr std::uint32_t kResultVersion = 1;
+constexpr std::uint32_t kResultVersion = 2;
 constexpr std::uint32_t kCheckpointMagic = 0x43525357;  // "WSRC" little-endian
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 void write_header(common::BinaryWriter& w, const ShardHeader& h) {
   w.u64(h.shard);

@@ -36,7 +36,7 @@ const std::vector<std::string>& headline_schedulers() {
 
 sweep::SweepSpec e4_delay_fl() {
   sweep::SweepSpec spec;
-  spec.name = "E4-delay-fl";
+  spec.name = "e4-delay-fl";
   spec.base = hotspot_cell_config(4001);
   spec.base.data.forward_fraction = 1.0;  // all downloads
   spec.axes = {sweep::axis_data_users({4, 8, 12, 16, 20, 24}),
@@ -48,7 +48,7 @@ sweep::SweepSpec e4_delay_fl() {
 
 sweep::SweepSpec e5_delay_rl() {
   sweep::SweepSpec spec;
-  spec.name = "E5-delay-rl";
+  spec.name = "e5-delay-rl";
   spec.base = hotspot_cell_config(4002);
   spec.base.data.forward_fraction = 0.0;  // all uploads
   spec.axes = {sweep::axis_data_users({4, 8, 12, 16, 20, 24}),
@@ -60,7 +60,7 @@ sweep::SweepSpec e5_delay_rl() {
 
 sweep::SweepSpec e8_synergy() {
   sweep::SweepSpec spec;
-  spec.name = "E8-synergy";
+  spec.name = "e8-synergy";
   spec.base = hotspot_cell_config(4008);
   spec.base.data.users = 20;
   spec.axes = {sweep::axis_fixed_mode({0, 3}),
@@ -72,7 +72,7 @@ sweep::SweepSpec e8_synergy() {
 
 sweep::SweepSpec e10_objectives() {
   sweep::SweepSpec spec;
-  spec.name = "E10-objectives";
+  spec.name = "e10-objectives";
   spec.base = hotspot_cell_config(4010);
   spec.base.data.users = 20;
   // Compound axis: the paper varies (objective, lambda, mu) jointly, not as
@@ -107,7 +107,7 @@ sweep::SweepSpec e10_objectives() {
 
 sweep::SweepSpec e11_mac_states() {
   sweep::SweepSpec spec;
-  spec.name = "E11-mac-states";
+  spec.name = "e11-mac-states";
   spec.base = hotspot_cell_config(4011);
   spec.base.data.users = 18;
   spec.base.data.mean_reading_s = 3.0;  // long gaps: MAC decays between bursts
@@ -138,56 +138,54 @@ sweep::SweepSpec e11_mac_states() {
   return spec;
 }
 
-std::vector<sweep::SweepSpec> e12_ablations() {
-  std::vector<sweep::SweepSpec> specs;
+sweep::SweepSpec e12a_feedback_delay() {
+  sweep::SweepSpec spec;
+  spec.name = "e12a-feedback-delay";
+  spec.base = hotspot_cell_config(4012);
+  spec.base.data.users = 16;
+  // Only the fixed-rate PHY decides on fed-back CSI (the adaptive VTAOC
+  // path adapts symbol by symbol on the true CSI), so the ablation runs
+  // E8's non-adaptive arm, mode 3.
+  spec.base.phy.fixed_mode = 3;
+  spec.axes = {sweep::axis_feedback_delay_frames({0, 1, 4, 8})};
+  spec.replications = 1;
+  spec.common_random_numbers = true;
+  return spec;
+}
 
-  {
-    sweep::SweepSpec spec;
-    spec.name = "feedback-delay";
-    spec.base = hotspot_cell_config(4012);
-    spec.base.data.users = 16;
-    // Only the fixed-rate PHY decides on fed-back CSI (the adaptive VTAOC
-    // path adapts symbol by symbol on the true CSI), so the ablation runs
-    // E8's non-adaptive arm, mode 3.
-    spec.base.phy.fixed_mode = 3;
-    spec.axes = {sweep::axis_feedback_delay_frames({0, 1, 4, 8})};
-    spec.replications = 1;
-    spec.common_random_numbers = true;
-    specs.push_back(spec);
-  }
-  {
-    sweep::SweepSpec spec;
-    spec.name = "kappa-margin";
-    spec.base = hotspot_cell_config(4012);
-    spec.base.data.users = 16;
-    spec.base.data.forward_fraction = 0.0;  // reverse link: kappa matters there
-    spec.axes = {sweep::axis_kappa_margin_db({0.0, 2.0, 6.0})};
-    spec.replications = 1;
-    spec.common_random_numbers = true;
-    specs.push_back(spec);
-  }
-  {
-    sweep::SweepSpec spec;
-    spec.name = "scrm-retry";
-    spec.base = hotspot_cell_config(4012);
-    spec.base.data.users = 20;
-    spec.axes = {sweep::axis_scrm_retry_s({0.02, 0.26, 1.0})};
-    spec.replications = 1;
-    spec.common_random_numbers = true;
-    specs.push_back(spec);
-  }
-  {
-    sweep::SweepSpec spec;
-    spec.name = "reduced-set";
-    spec.base = hotspot_cell_config(4012);
-    spec.base.data.users = 16;
-    spec.base.active_set.max_size = 3;
-    spec.axes = {sweep::axis_reduced_set({1, 2, 3})};
-    spec.replications = 1;
-    spec.common_random_numbers = true;
-    specs.push_back(spec);
-  }
-  return specs;
+sweep::SweepSpec e12b_kappa_margin() {
+  sweep::SweepSpec spec;
+  spec.name = "e12b-kappa-margin";
+  spec.base = hotspot_cell_config(4012);
+  spec.base.data.users = 16;
+  spec.base.data.forward_fraction = 0.0;  // reverse link: kappa matters there
+  spec.axes = {sweep::axis_kappa_margin_db({0.0, 2.0, 6.0})};
+  spec.replications = 1;
+  spec.common_random_numbers = true;
+  return spec;
+}
+
+sweep::SweepSpec e12c_scrm_retry() {
+  sweep::SweepSpec spec;
+  spec.name = "e12c-scrm-retry";
+  spec.base = hotspot_cell_config(4012);
+  spec.base.data.users = 20;
+  spec.axes = {sweep::axis_scrm_retry_s({0.02, 0.26, 1.0})};
+  spec.replications = 1;
+  spec.common_random_numbers = true;
+  return spec;
+}
+
+sweep::SweepSpec e12d_reduced_set() {
+  sweep::SweepSpec spec;
+  spec.name = "e12d-reduced-set";
+  spec.base = hotspot_cell_config(4012);
+  spec.base.data.users = 16;
+  spec.base.active_set.max_size = 3;
+  spec.axes = {sweep::axis_reduced_set({1, 2, 3})};
+  spec.replications = 1;
+  spec.common_random_numbers = true;
+  return spec;
 }
 
 }  // namespace wcdma::scenario

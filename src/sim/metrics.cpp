@@ -25,6 +25,7 @@ void SimMetrics::merge(const SimMetrics& other) {
   }
   requests_seen += other.requests_seen;
   grants += other.grants;
+  requests_granted += other.requests_granted;
   reject_rounds += other.reject_rounds;
   carrier_hand_downs += other.carrier_hand_downs;
   pending_queue_len.merge(other.pending_queue_len);
@@ -51,6 +52,7 @@ void SimMetrics::save(common::BinaryWriter& w) const {
   w.vec_i64(mode_frames);
   w.i64(requests_seen);
   w.i64(grants);
+  w.i64(requests_granted);
   w.i64(reject_rounds);
   w.i64(carrier_hand_downs);
   pending_queue_len.save(w);
@@ -64,7 +66,7 @@ void SimMetrics::save(common::BinaryWriter& w) const {
 
 bool SimMetrics::load(common::BinaryReader& r) {
   burst_delay_s.load(r);
-  delay_hist.load(r);
+  if (!delay_hist.load(r)) return false;
   queue_delay_s.load(r);
   granted_sgr.load(r);
   data_bits_delivered = r.f64();
@@ -80,6 +82,7 @@ bool SimMetrics::load(common::BinaryReader& r) {
   mode_frames = std::move(modes);
   requests_seen = r.i64();
   grants = r.i64();
+  requests_granted = r.i64();
   reject_rounds = r.i64();
   carrier_hand_downs = r.i64();
   pending_queue_len.load(r);

@@ -39,8 +39,11 @@ struct SimMetrics {
   std::vector<std::int64_t> mode_frames = std::vector<std::int64_t>(8, 0);
 
   // Admission activity.
-  std::int64_t requests_seen = 0;
-  std::int64_t grants = 0;
+  std::int64_t requests_seen = 0;  // requests that arrived after warm-up
+  std::int64_t grants = 0;         // grants made after warm-up
+  /// Grants of requests counted in requests_seen: `grants` also holds
+  /// requests that arrived during warm-up and were granted after it.
+  std::int64_t requests_granted = 0;
   std::int64_t reject_rounds = 0;  // scheduling rounds that granted nothing
   /// Grants served on a different carrier than the request arrived on
   /// (inter-carrier hand-down policies only).
@@ -76,8 +79,14 @@ struct SimMetrics {
                                 static_cast<double>(sch_frames)
                           : 0.0;
   }
+  double ber_violation_rate() const {
+    return sch_frames > 0 ? static_cast<double>(ber_violation_frames) /
+                                static_cast<double>(sch_frames)
+                          : 0.0;
+  }
+  /// Share of the post-warm-up requests granted so far; at most 1.
   double grant_rate() const {
-    return requests_seen > 0 ? static_cast<double>(grants) /
+    return requests_seen > 0 ? static_cast<double>(requests_granted) /
                                    static_cast<double>(requests_seen)
                              : 0.0;
   }

@@ -667,6 +667,8 @@ void Simulator::run_admission(mac::LinkDirection direction, int carrier) {
     ++granted;
     if (!in_warmup()) {
       ++metrics_.grants;
+      // requests_seen's predicate, so grant_rate() compares like with like.
+      if (!(u.pending_arrival_s < config_.warmup_s)) ++metrics_.requests_granted;
       metrics_.queue_delay_s.add(waited);
       metrics_.granted_sgr.add(static_cast<double>(m));
     }
@@ -875,7 +877,9 @@ constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 // gains and pilots, the active sets' dB pilots, and each user's FCH gate,
 // forward interference and FCH SIR; stations no longer write last frame's
 // forward power (it always equals forward_w between frames).
-constexpr std::uint32_t kSnapshotVersion = 7;
+// v8: the metrics carry `requests_granted`, the grants of post-warm-up
+// requests.
+constexpr std::uint32_t kSnapshotVersion = 8;
 }  // namespace
 
 std::vector<std::uint8_t> Simulator::snapshot() const {
@@ -1023,7 +1027,7 @@ bool Simulator::restore_body(common::BinaryReader& r, std::int64_t max_frame) {
     u.rl_pc.load(r);
     if (u.voice) u.voice->load(r);
     if (u.data) u.data->load(r);
-    u.mac.load(r);
+    if (!u.mac.load(r)) return false;
     if (u.fixed) u.fixed->load(r);
     u.voice_active = r.boolean();
     u.has_pending = r.boolean();

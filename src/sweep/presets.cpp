@@ -289,6 +289,23 @@ const PresetEntry kPresets[] = {
     {"sim-threads", "intra-frame thread count x provider, bit-identity proof",
      sim_threads},
     {"smoke", "tiny 2-scenario grid for CI smoke runs", smoke},
+    // The paper's experiments (src/scenario/experiments.hpp).
+    {"e4-delay-fl", "E4: forward-link burst delay, data users x schedulers",
+     scenario::e4_delay_fl},
+    {"e5-delay-rl", "E5: reverse-link burst delay, data users x schedulers",
+     scenario::e5_delay_rl},
+    {"e8-synergy", "E8: synergy 2x2, adaptive/fixed PHY x JABA-SD/FCFS-single",
+     scenario::e8_synergy},
+    {"e10-objectives", "E10: J1 vs J2 and the delay-penalty (lambda, mu) cases",
+     scenario::e10_objectives},
+    {"e11-mac-states", "E11: MAC set-up penalty and timer cases x objective",
+     scenario::e11_mac_states},
+    {"e12a-feedback-delay", "E12a: CSI feedback delay on the fixed mode-3 PHY",
+     scenario::e12a_feedback_delay},
+    {"e12b-kappa-margin", "E12b: reverse-link neighbour-projection margin kappa",
+     scenario::e12b_kappa_margin},
+    {"e12c-scrm-retry", "E12c: SCRM retry interval", scenario::e12c_scrm_retry},
+    {"e12d-reduced-set", "E12d: reduced active-set size", scenario::e12d_reduced_set},
 };
 
 const PresetEntry* find_preset(const std::string& name) {

@@ -3,8 +3,9 @@
 // for (hotspot load, vehicular mobility, data-heavy traffic, degraded
 // channels), including the multi-cell, multi-carrier topologies built by
 // src/scenario (uniform-hex7, hotspot-center, highway-corridor,
-// enterprise-data).  Benches and the sweep CLI both draw from here so
-// experiment definitions live in exactly one place.
+// enterprise-data).  The paper's E4-E12 experiments are rows too, each
+// built by its src/scenario/experiments.hpp function, so the sweep CLI
+// renders every experiment table and each definition lives in one place.
 #pragma once
 
 #include <string>

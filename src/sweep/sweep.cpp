@@ -323,8 +323,9 @@ common::Table to_table(const SweepResult& result) {
   std::vector<std::string> headers = {"scenario"};
   headers.insert(headers.end(), result.axis_names.begin(), result.axis_names.end());
   for (const char* metric :
-       {"mean_delay_s", "p95_delay_s", "throughput_kbps", "grant_rate", "mean_sgr",
-        "sch_outage_rate", "hand_downs"}) {
+       {"mean_delay_s", "p95_delay_s", "queue_delay_s", "max_queue_delay_s",
+        "throughput_kbps", "grant_rate", "mean_sgr", "sch_outage_rate",
+        "ber_violation_rate", "hand_downs"}) {
     headers.push_back(metric);
   }
   common::Table table(std::move(headers));
@@ -332,8 +333,10 @@ common::Table to_table(const SweepResult& result) {
     std::vector<std::string> row = {std::to_string(s.index)};
     row.insert(row.end(), s.labels.begin(), s.labels.end());
     const sim::SimMetrics& m = s.merged;
-    for (double v : {m.mean_delay_s(), m.p95_delay_s(), m.data_throughput_bps() / 1000.0,
-                     m.grant_rate(), m.granted_sgr.mean(), m.sch_outage_rate()}) {
+    for (double v : {m.mean_delay_s(), m.p95_delay_s(), m.queue_delay_s.mean(),
+                     m.queue_delay_s.max(), m.data_throughput_bps() / 1000.0,
+                     m.grant_rate(), m.granted_sgr.mean(), m.sch_outage_rate(),
+                     m.ber_violation_rate()}) {
       row.push_back(common::format_double(v, 6));
     }
     row.push_back(std::to_string(m.carrier_hand_downs));

@@ -158,7 +158,9 @@ SweepResult merge_item_metrics(const SweepSpec& spec,
                                const std::vector<sim::SimMetrics>& per_item);
 
 /// Standard result table: one row per scenario with the axis labels plus
-/// the headline metrics (delay, throughput, grant rate, SGR, outage).
+/// the headline metrics (burst and queueing delay, throughput, grant rate,
+/// SGR, outage, BER violations, hand-downs); every experiment table the
+/// paper's evidence needs is a view of these columns.
 common::Table to_table(const SweepResult& result);
 std::string to_csv(const SweepResult& result);
 std::string to_json(const SweepResult& result);

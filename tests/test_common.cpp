@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -423,6 +425,46 @@ TEST(Histogram, MergeAddsCounts) {
   b.add(9.0);
   a.merge(b);
   EXPECT_EQ(a.count(), 2u);
+}
+
+/// A histogram checkpoint as Histogram::save() lays it out.
+std::vector<std::uint8_t> histogram_archive(const std::vector<std::uint64_t>& counts,
+                                            std::uint64_t total) {
+  BinaryWriter w;
+  w.vec_u64(counts);
+  w.u64(total);
+  return w.take();
+}
+
+// A restore must not accept counts the bin geometry cannot hold, or a total
+// the counts do not add up to (summed without wrapping), and a refused load
+// leaves the histogram as it was.
+TEST(Histogram, LoadRefusesForgedCounts) {
+  Histogram h(0.0, 4.0, 4);
+  h.add(1.5);
+  {
+    Histogram copy(0.0, 4.0, 4);
+    BinaryWriter w;
+    h.save(w);
+    BinaryReader r(w.bytes());
+    ASSERT_TRUE(copy.load(r));
+    EXPECT_EQ(copy.bins(), h.bins());
+    EXPECT_EQ(copy.count(), 1u);
+  }
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::uint8_t> forged[] = {
+      histogram_archive({0, 1, 0}, 1),           // a bin short
+      histogram_archive({0, 1, 0, 0, 0}, 1),     // a bin over
+      histogram_archive({0, 1, 0, 0}, 2),        // total past the counts
+      histogram_archive({max, 2, 0, 0}, 1),      // the sum wraps to the total
+  };
+  for (std::size_t i = 0; i < std::size(forged); ++i) {
+    SCOPED_TRACE(i);
+    BinaryReader r(forged[i]);
+    EXPECT_FALSE(h.load(r));
+    EXPECT_EQ(h.bins(), (std::vector<std::uint64_t>{0, 1, 0, 0}));
+    EXPECT_EQ(h.count(), 1u);
+  }
 }
 
 TEST(ConfidenceInterval, KnownSmallSample) {

@@ -185,6 +185,7 @@ void expect_metrics_identical(const sim::SimMetrics& a, const sim::SimMetrics& b
   EXPECT_EQ(a.ber_violation_frames, b.ber_violation_frames);
   EXPECT_EQ(a.requests_seen, b.requests_seen);
   EXPECT_EQ(a.grants, b.grants);
+  EXPECT_EQ(a.requests_granted, b.requests_granted);
   EXPECT_EQ(a.reject_rounds, b.reject_rounds);
   EXPECT_EQ(a.carrier_hand_downs, b.carrier_hand_downs);
   EXPECT_EQ(a.bs_power_saturations, b.bs_power_saturations);

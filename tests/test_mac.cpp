@@ -2,6 +2,12 @@
 // delay penalty of Eq. (22)-(23).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <vector>
+
+#include "src/common/serialize.hpp"
 #include "src/mac/mac_state.hpp"
 
 namespace wcdma::mac {
@@ -76,6 +82,46 @@ TEST(MacStateMachine, IdleClockAccumulates) {
   MacStateMachine sm(timers(), MacState::kActive);
   for (int i = 0; i < 5; ++i) sm.step(0.02, false);
   EXPECT_NEAR(sm.idle_s(), 0.1, 1e-12);
+}
+
+/// A MAC checkpoint as MacStateMachine::save() lays it out.
+std::vector<std::uint8_t> mac_archive(std::uint8_t state, double idle_s) {
+  common::BinaryWriter w;
+  w.u8(state);
+  w.f64(idle_s);
+  return w.take();
+}
+
+// A checkpoint's MAC bytes are untrusted: a state outside Fig. 3's four, or
+// an idle clock no step() can produce, is refused with the machine as it was.
+TEST(MacStateMachine, LoadRefusesForgedStateOrIdleTime) {
+  MacStateMachine donor(timers(), MacState::kActive);
+  donor.step(3.0, false);  // Suspended
+  common::BinaryWriter w;
+  donor.save(w);
+  ASSERT_EQ(w.bytes(), mac_archive(static_cast<std::uint8_t>(MacState::kSuspended), 3.0));
+  MacStateMachine restored(timers());
+  common::BinaryReader honest(w.bytes());
+  ASSERT_TRUE(restored.load(honest));
+  EXPECT_EQ(restored.state(), MacState::kSuspended);
+  EXPECT_EQ(restored.idle_s(), 3.0);
+
+  const std::vector<std::uint8_t> forged[] = {
+      mac_archive(4, 3.0),
+      mac_archive(255, 3.0),
+      mac_archive(2, -1.0),
+      mac_archive(2, std::numeric_limits<double>::quiet_NaN()),
+      mac_archive(2, std::numeric_limits<double>::infinity()),
+  };
+  for (std::size_t i = 0; i < std::size(forged); ++i) {
+    SCOPED_TRACE(i);
+    MacStateMachine victim(timers(), MacState::kActive);
+    victim.step(0.5, false);  // Control Hold
+    common::BinaryReader r(forged[i]);
+    EXPECT_FALSE(victim.load(r));
+    EXPECT_EQ(victim.state(), MacState::kControlHold);
+    EXPECT_EQ(victim.idle_s(), 0.5);
+  }
 }
 
 TEST(MacState, ToStringNames) {

@@ -128,6 +128,30 @@ TEST(GoldenMetrics, ShrunkE5RunIsBitIdenticalToPreRefactor) {
   EXPECT_EQ(r.scenarios[1].merged.queue_delay_s.mean(), 1.9474999999999889);
 }
 
+// grant_rate() is a rate: `grants` also counts requests that arrived during
+// warm-up (the first scenario above makes 12 grants for 11 requests), so the
+// rate divides the grants of post-warm-up requests instead.
+TEST(GrantRate, ShrunkE5RateIsAtMostOne) {
+  sweep::SweepSpec spec = scenario::e5_delay_rl();
+  spec.base.voice.users = 10;
+  spec.base.sim_duration_s = 8.0;
+  spec.base.warmup_s = 2.0;
+  spec.axes = {sweep::axis_data_users({4, 8}),
+               sweep::axis_scheduler({"jaba-sd"})};
+  spec.replications = 2;
+  const sweep::SweepResult r = sweep::run_sweep(spec, 0);
+  ASSERT_EQ(r.scenarios.size(), 2u);
+  for (const sweep::ScenarioResult& s : r.scenarios) {
+    SCOPED_TRACE(s.index);
+    const sim::SimMetrics& m = s.merged;
+    ASSERT_GT(m.requests_seen, 0);
+    EXPECT_GT(m.requests_granted, 0);
+    EXPECT_LE(m.requests_granted, m.grants);
+    EXPECT_LE(m.requests_granted, m.requests_seen);
+    EXPECT_LE(m.grant_rate(), 1.0);
+  }
+}
+
 // Multi-master-seed golden coverage: the single reference pin above runs
 // one seed, so a stream-discipline bug that only shifts *other* seeds'
 // trajectories (e.g. an extra RNG draw gated on a seed-dependent branch)

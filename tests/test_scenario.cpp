@@ -1,7 +1,8 @@
 // Scenario-subsystem tests: layout and weight builders, grid
 // expansion of the multi-cell presets, per-cell load scaling and carrier
-// assignment observed through the simulator, and the determinism contract
-// for a migrated bench (bit-identical merged metrics across 1/N threads).
+// assignment observed through the simulator, the E-numbered experiments
+// and their preset rows, and the determinism contract for one experiment
+// (bit-identical merged metrics across 1/N threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,13 +187,50 @@ TEST(MigratedBenches, SpecsAreWellFormed) {
     EXPECT_TRUE(spec.common_random_numbers);  // paired comparisons
     EXPECT_GE(spec.scenario_count(), 4u);
   }
-  const std::vector<sweep::SweepSpec> ablations = e12_ablations();
-  ASSERT_EQ(ablations.size(), 4u);
-  for (const sweep::SweepSpec& spec : ablations) {
+  for (const sweep::SweepSpec& spec : {e12a_feedback_delay(), e12b_kappa_margin(),
+                                       e12c_scrm_retry(), e12d_reduced_set()}) {
     SCOPED_TRACE(spec.name);
     spec.validate();
     EXPECT_EQ(spec.axes.size(), 1u);
     EXPECT_TRUE(spec.common_random_numbers);
+  }
+}
+
+// Each experiment is a preset row whose builder is the scenario function
+// itself: the registry adds a name, never a second copy of the spec.
+TEST(MigratedBenches, ExperimentPresetsAreTheirScenarioBuilders) {
+  const struct {
+    const char* preset;
+    sweep::SweepSpec (*build)();
+  } kExperiments[] = {
+      {"e4-delay-fl", e4_delay_fl},
+      {"e5-delay-rl", e5_delay_rl},
+      {"e8-synergy", e8_synergy},
+      {"e10-objectives", e10_objectives},
+      {"e11-mac-states", e11_mac_states},
+      {"e12a-feedback-delay", e12a_feedback_delay},
+      {"e12b-kappa-margin", e12b_kappa_margin},
+      {"e12c-scrm-retry", e12c_scrm_retry},
+      {"e12d-reduced-set", e12d_reduced_set},
+  };
+  for (const auto& e : kExperiments) {
+    SCOPED_TRACE(e.preset);
+    ASSERT_TRUE(sweep::has_preset(e.preset));
+    const sweep::SweepSpec preset = sweep::make_preset(e.preset);
+    const sweep::SweepSpec built = e.build();
+    EXPECT_EQ(preset.name, e.preset);
+    EXPECT_EQ(built.name, e.preset);
+    EXPECT_EQ(preset.base.seed, built.base.seed);
+    EXPECT_EQ(preset.replications, built.replications);
+    EXPECT_EQ(preset.common_random_numbers, built.common_random_numbers);
+    ASSERT_EQ(preset.axes.size(), built.axes.size());
+    for (std::size_t a = 0; a < built.axes.size(); ++a) {
+      EXPECT_EQ(preset.axes[a].name, built.axes[a].name);
+      ASSERT_EQ(preset.axes[a].values.size(), built.axes[a].values.size());
+      for (std::size_t v = 0; v < built.axes[a].values.size(); ++v) {
+        EXPECT_EQ(preset.axes[a].values[v].label, built.axes[a].values[v].label);
+      }
+    }
   }
 }
 
@@ -201,8 +239,8 @@ TEST(MigratedBenches, SpecsAreWellFormed) {
 // the channel no longer supports, so the 8-frame row delivers less and
 // violates the BER target more often than the 0-frame row.
 TEST(MigratedBenches, E12FeedbackDelayAxisMovesTheMetrics) {
-  sweep::SweepSpec spec = e12_ablations().front();
-  ASSERT_EQ(spec.name, "feedback-delay");
+  sweep::SweepSpec spec = e12a_feedback_delay();
+  ASSERT_EQ(spec.name, "e12a-feedback-delay");
   spec.base.sim_duration_s = 8.0;
   spec.base.warmup_s = 2.0;
   spec.axes = {sweep::axis_feedback_delay_frames({0, 8})};

@@ -10,7 +10,8 @@
 //  * checkpoint/restore: snapshot at frame k + resume into a fresh
 //    simulator equals the uninterrupted run, as a property across three
 //    master seeds; mismatched-config and forged archives (out-of-range
-//    indices, a frame clock past the horizon) are refused with state
+//    indices, a frame clock past the horizon, a delay histogram whose
+//    counts do not fit, also in shard result files) are refused with state
 //    untouched;
 //  * protocol nacks: malformed, duplicate, out-of-order, and
 //    unknown-target events nack with the catalogue's result codes and
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "src/common/serialize.hpp"
+#include "src/runner/shard_io.hpp"
 #include "src/scenario/experiments.hpp"
 #include "src/service/events.hpp"
 #include "src/service/service.hpp"
@@ -78,6 +80,7 @@ void expect_metrics_identical(const sim::SimMetrics& a, const sim::SimMetrics& b
   EXPECT_EQ(a.mode_frames, b.mode_frames);
   EXPECT_EQ(a.requests_seen, b.requests_seen);
   EXPECT_EQ(a.grants, b.grants);
+  EXPECT_EQ(a.requests_granted, b.requests_granted);
   EXPECT_EQ(a.reject_rounds, b.reject_rounds);
   EXPECT_EQ(a.carrier_hand_downs, b.carrier_hand_downs);
   EXPECT_EQ(a.bs_power_saturations, b.bs_power_saturations);
@@ -534,7 +537,7 @@ TEST(CheckpointRestore, RefusesOtherSnapshotVersions) {
   for (std::size_t i = 0; i < 4; ++i) {
     version |= std::uint32_t{archive[kVersionAt + i]} << (8 * i);
   }
-  ASSERT_EQ(version, 7u);
+  ASSERT_EQ(version, 8u);
   for (const std::uint32_t other : {version - 1, version + 1}) {
     std::vector<std::uint8_t> forged = archive;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -882,6 +885,86 @@ TEST(CheckpointRestore, RefusesAFrameClockPastTheHorizon) {
 
   ASSERT_TRUE(victim.restore(at_horizon));
   EXPECT_TRUE(victim.snapshot() == at_horizon);
+}
+
+/// Steps a hotspot world 600 frames, 200 of them past warm-up, so its delay
+/// histogram holds counts.
+void step_histogram_donor(sim::Simulator& donor) {
+  for (int f = 0; f < 600; ++f) donor.step_frame();
+  ASSERT_GT(donor.metrics().delay_hist.count(), 0u);
+}
+
+/// Offset of the delay histogram's count vector in `archive`, which ends
+/// in the encoding of `metrics` and a crc footer: the vector's size prefix
+/// follows the burst-delay moments, 40 bytes into the metrics.
+std::size_t delay_counts_offset(const std::vector<std::uint8_t>& archive,
+                                const sim::SimMetrics& metrics) {
+  common::BinaryWriter w;
+  metrics.save(w);
+  return archive.size() - common::kSealBytes - w.bytes().size() + 40;
+}
+
+/// `archive` resealed with its delay histogram's last bin cut: an empty
+/// bin, so the total still equals the sum of the counts and only the
+/// vector's length is wrong.
+std::vector<std::uint8_t> cut_last_delay_bin(std::vector<std::uint8_t> archive,
+                                             const sim::SimMetrics& metrics) {
+  const std::size_t counts = delay_counts_offset(archive, metrics);
+  const std::uint64_t bins = u64_at(archive, counts);
+  EXPECT_EQ(bins, metrics.delay_hist.bins().size());
+  const std::size_t last = counts + 8 + 8 * (bins - 1);
+  EXPECT_EQ(u64_at(archive, last), 0u);
+  put_u64(archive, counts, bins - 1);
+  archive.erase(archive.begin() + static_cast<std::ptrdiff_t>(last),
+                archive.begin() + static_cast<std::ptrdiff_t>(last + 8));
+  reseal(archive);
+  return archive;
+}
+
+// The delay histogram's load used to keep its own counts when the archive's
+// vector had another length, yet still overwrite the total, so a forged
+// archive restored with a total that no longer matched its counts.
+TEST(CheckpointRestore, RefusesAForgedDelayHistogram) {
+  sim::Simulator donor(scenario::hotspot_cell_config(13));
+  step_histogram_donor(donor);
+  const sim::SimMetrics& metrics = donor.metrics();
+  const std::vector<std::uint8_t> archive = donor.snapshot();
+
+  sim::Simulator victim(scenario::hotspot_cell_config(13));
+  for (int f = 0; f < 4; ++f) victim.step_frame();
+  expect_refused(victim, cut_last_delay_bin(archive, metrics),
+                 "a delay histogram one bin short");
+
+  // The total follows the counts; one past their sum is forged too.
+  std::vector<std::uint8_t> forged = archive;
+  const std::size_t total = delay_counts_offset(archive, metrics) + 8 +
+                            8 * metrics.delay_hist.bins().size();
+  ASSERT_EQ(u64_at(forged, total), metrics.delay_hist.count());
+  put_u64(forged, total, metrics.delay_hist.count() + 1);
+  reseal(forged);
+  expect_refused(victim, forged, "a delay total one past its counts");
+
+  std::vector<std::uint8_t> resealed = archive;
+  reseal(resealed);
+  ASSERT_TRUE(victim.restore(resealed));
+}
+
+// Shard result files carry the same metrics encoding, so the supervisor
+// must refuse the same forgery there.
+TEST(CheckpointRestore, ShardResultRefusesAForgedDelayHistogram) {
+  sim::Simulator donor(scenario::hotspot_cell_config(13));
+  step_histogram_donor(donor);
+  const runner::ShardHeader header{0, 1, 0, 1, 13};
+  const std::vector<std::uint8_t> file =
+      runner::encode_shard_result(header, {donor.metrics()});
+  std::vector<sim::SimMetrics> items;
+  std::string error;
+  ASSERT_TRUE(runner::decode_shard_result(file, header, &items, &error)) << error;
+
+  EXPECT_FALSE(runner::decode_shard_result(cut_last_delay_bin(file, donor.metrics()),
+                                           header, &items, &error));
+  EXPECT_NE(error.find("item 0 failed to decode"), std::string::npos) << error;
+  EXPECT_TRUE(items.empty());
 }
 
 TEST(CheckpointRestore, ServiceCheckpointCarriesBufferedInjections) {

@@ -225,13 +225,25 @@ TEST(Metrics, MergeAddsEverything) {
   b.burst_delay_s.add(3.0);
   a.grants = 2;
   b.grants = 5;
+  a.requests_granted = 1;
+  b.requests_granted = 4;
   a.mode_frames[2] = 10;
   b.mode_frames[2] = 7;
   a.merge(b);
   EXPECT_EQ(a.burst_delay_s.count(), 2u);
   EXPECT_DOUBLE_EQ(a.mean_delay_s(), 2.0);
   EXPECT_EQ(a.grants, 7);
+  EXPECT_EQ(a.requests_granted, 5);
   EXPECT_EQ(a.mode_frames[2], 17);
+}
+
+TEST(Metrics, RatesAreZeroWithoutADenominator) {
+  SimMetrics m;
+  m.grants = 3;
+  m.requests_granted = 3;
+  m.ber_violation_frames = 2;
+  EXPECT_EQ(m.grant_rate(), 0.0);          // no request seen
+  EXPECT_EQ(m.ber_violation_rate(), 0.0);  // no SCH frame
 }
 
 TEST(Config, ValidateAcceptsDefaults) {

@@ -3,7 +3,12 @@
 // bit-identical for any worker count (0 = inline, 1, N).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/sweep/presets.hpp"
 #include "src/sweep/sweep.hpp"
@@ -207,6 +212,62 @@ TEST(Emission, CsvAndJsonShape) {
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"scheduler\": \"JABA-SD\""), std::string::npos);
   EXPECT_NE(json.find("\"mean_delay_s\": "), std::string::npos);
+}
+
+/// Splits one CSV line whose cells hold no quotes or commas.
+std::vector<std::string> csv_cells(const std::string& line) {
+  std::vector<std::string> cells;
+  std::size_t start = 0;
+  for (std::size_t comma; (comma = line.find(',', start)) != std::string::npos;
+       start = comma + 1) {
+    cells.push_back(line.substr(start, comma - start));
+  }
+  cells.push_back(line.substr(start));
+  return cells;
+}
+
+// The experiment tables read the queueing delay (E10-E12) and the BER
+// violation rate (E12a) off the standard table, so those columns must
+// print exactly the merged metrics they name.
+TEST(Emission, TableCarriesQueueDelayAndBerViolationColumns) {
+  SweepSpec spec = tiny_spec();
+  spec.replications = 1;
+  // Stale feedback on the fixed-rate PHY, so violations are not all zero.
+  spec.base.phy.fixed_mode = 3;
+  spec.base.phy.feedback_delay_frames = 8;
+  const SweepResult result = run_sweep(spec, 0);
+  std::istringstream csv(to_csv(result));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  const std::vector<std::string> header = csv_cells(line);
+  const auto column = [&header](const std::string& name) {
+    return static_cast<std::size_t>(std::find(header.begin(), header.end(), name) -
+                                    header.begin());
+  };
+  const std::size_t queue = column("queue_delay_s");
+  const std::size_t max_queue = column("max_queue_delay_s");
+  const std::size_t violations = column("ber_violation_rate");
+  ASSERT_LT(queue, header.size());
+  ASSERT_LT(max_queue, header.size());
+  ASSERT_LT(violations, header.size());
+
+  std::int64_t violation_frames = 0;
+  for (const ScenarioResult& s : result.scenarios) {
+    SCOPED_TRACE(s.index);
+    ASSERT_TRUE(std::getline(csv, line));
+    const std::vector<std::string> row = csv_cells(line);
+    ASSERT_EQ(row.size(), header.size());
+    const sim::SimMetrics& m = s.merged;
+    ASSERT_GT(m.sch_frames, 0);
+    EXPECT_EQ(row[queue], common::format_double(m.queue_delay_s.mean(), 6));
+    EXPECT_EQ(row[max_queue], common::format_double(m.queue_delay_s.max(), 6));
+    EXPECT_EQ(row[violations],
+              common::format_double(static_cast<double>(m.ber_violation_frames) /
+                                        static_cast<double>(m.sch_frames),
+                                    6));
+    violation_frames += m.ber_violation_frames;
+  }
+  EXPECT_GT(violation_frames, 0);
 }
 
 }  // namespace

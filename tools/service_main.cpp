@@ -16,13 +16,11 @@
 // Metrics print as %.17g (--metrics-out), so a replayed or resumed run can
 // be compared to the original with a plain byte-wise `cmp` in CI.
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +31,12 @@
 #include "src/service/service.hpp"
 #include "src/sim/channel_state.hpp"
 #include "src/sim/simulator.hpp"
+#include "tools/cli_parse.hpp"
 
 using namespace wcdma;
+using cli::parse_count;
+using cli::parse_nonneg_double;
+using cli::parse_positive_double;
 
 namespace {
 
@@ -58,29 +60,6 @@ void print_usage() {
       "  --bench               time the admission-decision phase\n"
       "  --bench-out FILE      bench JSON path (default:\n"
       "                        BENCH_decision_latency.json)\n");
-}
-
-/// Parses a non-negative decimal that fits T.  strtoull silently wraps
-/// negative input ("-1" -> 2^64-1), and a cast would wrap anything past T's
-/// range ("4294967297" -> 1 in an int); both are refused.
-template <class T>
-bool parse_count(const char* text, T* out) {
-  if (text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0') return false;
-  if (v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) return false;
-  *out = static_cast<T>(v);
-  return true;
-}
-
-bool parse_nonneg_double(const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0) return false;
-  *out = v;
-  return true;
 }
 
 std::string fmt_double(double v) {
@@ -114,6 +93,7 @@ std::string metrics_json(const sim::SimMetrics& m) {
   out += ",\"p95_delay_s\":" + fmt_double(m.p95_delay_s());
   out += ",\"requests_seen\":" + std::to_string(m.requests_seen);
   out += ",\"grants\":" + std::to_string(m.grants);
+  out += ",\"requests_granted\":" + std::to_string(m.requests_granted);
   out += ",\"reject_rounds\":" + std::to_string(m.reject_rounds);
   out += ",\"carrier_hand_downs\":" + std::to_string(m.carrier_hand_downs);
   out += ",\"sch_frames\":" + std::to_string(m.sch_frames);
@@ -177,7 +157,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       need_count(&seed);
     } else if (arg == "--duration") {
-      if (!parse_nonneg_double(next_value(), &duration_s) || duration_s <= 0.0) {
+      if (!parse_positive_double(next_value(), &duration_s)) {
         std::fprintf(stderr, "service_main: bad --duration value\n");
         return 2;
       }

@@ -14,11 +14,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 #include "src/admission/policy.hpp"
@@ -27,8 +25,12 @@
 #include "src/sim/channel_state.hpp"
 #include "src/sweep/presets.hpp"
 #include "src/sweep/sweep.hpp"
+#include "tools/cli_parse.hpp"
 
 using namespace wcdma;
+using cli::parse_count;
+using cli::parse_nonneg_double;
+using cli::parse_positive_double;
 
 namespace {
 
@@ -73,30 +75,6 @@ void print_usage() {
       "                        discard-and-restart\n");
 }
 
-/// Parses a non-negative decimal that fits T.  strtoull silently wraps
-/// negative input ("-1" -> 2^64-1), and a cast would wrap anything past T's
-/// range ("4294967296" -> 0 in an int); both are refused.
-template <class T>
-bool parse_count(const char* text, T* out) {
-  if (text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0') return false;
-  if (v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) return false;
-  *out = static_cast<T>(v);
-  return true;
-}
-
-bool parse_positive_double(const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  if (!std::isfinite(v) || v <= 0.0) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,7 +117,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--list-presets") {
       for (const std::string& name : sweep::preset_names()) {
         const sweep::SweepSpec spec = sweep::make_preset(name);
-        std::printf("%-18s %zu scenarios x %zu reps  %s\n", name.c_str(),
+        std::printf("%-20s %zu scenarios x %zu reps  %s\n", name.c_str(),
                     spec.scenario_count(), spec.replications,
                     sweep::preset_description(name).c_str());
       }
@@ -196,10 +174,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--warmup") {
-      const char* text = next_value();
-      char* end = nullptr;
-      warmup_s = std::strtod(text, &end);
-      have_warmup = end != text && *end == '\0' && std::isfinite(warmup_s) && warmup_s >= 0.0;
+      have_warmup = parse_nonneg_double(next_value(), &warmup_s);
       if (!have_warmup) {
         std::fprintf(stderr, "sweep_main: bad --warmup value\n");
         return 2;

@@ -195,9 +195,6 @@ Allocation RandomScheduler::schedule(const BurstProblem& problem) {
 
 void RandomScheduler::save_state(common::BinaryWriter& w) const { rng_.save(w); }
 
-bool RandomScheduler::load_state(common::BinaryReader& r) {
-  rng_.load(r);
-  return r.ok();
-}
+bool RandomScheduler::load_state(common::BinaryReader& r) { return rng_.load(r); }
 
 }  // namespace wcdma::admission

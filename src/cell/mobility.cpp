@@ -118,8 +118,7 @@ void RandomWaypoint::save(common::BinaryWriter& w) const {
 }
 
 bool RandomWaypoint::load(common::BinaryReader& r) {
-  if (r.u8() != kTagWaypoint) return false;
-  rng_.load(r);
+  if (r.u8() != kTagWaypoint || !rng_.load(r)) return false;
   pos_ = load_point(r);
   target_ = load_point(r);
   speed_ = r.f64();
@@ -136,8 +135,7 @@ void CorridorMobility::save(common::BinaryWriter& w) const {
 }
 
 bool CorridorMobility::load(common::BinaryReader& r) {
-  if (r.u8() != kTagCorridor) return false;
-  rng_.load(r);
+  if (r.u8() != kTagCorridor || !rng_.load(r)) return false;
   pos_ = load_point(r);
   dir_ = r.i32();
   speed_ = r.f64();

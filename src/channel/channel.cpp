@@ -30,11 +30,12 @@ void CsiFeedback::save(common::BinaryWriter& w) const {
   for (double v : pipe_) w.f64(v);
 }
 
-void CsiFeedback::load(common::BinaryReader& r) {
-  rng_.load(r);
+bool CsiFeedback::load(common::BinaryReader& r) {
+  if (!rng_.load(r)) return false;
   const std::size_t n = r.seq(sizeof(double));
   pipe_.clear();
   for (std::size_t i = 0; i < n; ++i) pipe_.push_back(r.f64());
+  return r.ok();
 }
 
 }  // namespace wcdma::channel

@@ -31,8 +31,9 @@ class CsiFeedback {
   bool primed() const { return pipe_.size() > delay_frames_; }
 
   /// Checkpoint support: the delay pipe contents plus the error-draw RNG.
+  /// load() is false on a short read or an RNG state Rng::load refuses.
   void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  bool load(common::BinaryReader& r);
 
  private:
   std::size_t delay_frames_;

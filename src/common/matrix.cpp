@@ -73,20 +73,6 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-Vector axpy(const Vector& a, double s, const Vector& b) {
-  WCDMA_ASSERT(a.size() == b.size());
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
-  return out;
-}
-
-double linf_distance(const Vector& a, const Vector& b) {
-  WCDMA_ASSERT(a.size() == b.size());
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::fabs(a[i] - b[i]));
-  return m;
-}
-
 double sum(const Vector& v) {
   double acc = 0.0;
   for (double x : v) acc += x;

@@ -49,12 +49,6 @@ class Matrix {
 /// Dot product; sizes must match.
 double dot(const Vector& a, const Vector& b);
 
-/// Element-wise: out = a + s * b.
-Vector axpy(const Vector& a, double s, const Vector& b);
-
-/// max_i |a_i - b_i|; sizes must match.
-double linf_distance(const Vector& a, const Vector& b);
-
 /// Sum of elements.
 double sum(const Vector& v);
 

@@ -15,10 +15,14 @@ void Rng::save(BinaryWriter& w) const {
   w.boolean(has_spare_);
 }
 
-void Rng::load(BinaryReader& r) {
-  for (std::uint64_t& word : s_) word = r.u64();
-  spare_normal_ = r.f64();
-  has_spare_ = r.boolean();
+bool Rng::load(BinaryReader& r) {
+  std::array<std::uint64_t, 4> s{};
+  for (std::uint64_t& word : s) word = r.u64();
+  const double spare = r.f64();
+  const bool has_spare = r.boolean();
+  if (!r.ok() || (s[0] | s[1] | s[2] | s[3]) == 0) return false;
+  *this = Rng(s, spare, has_spare);
+  return true;
 }
 
 void RngBank::resize(std::size_t n) {
@@ -116,12 +120,16 @@ void RngBank::save(BinaryWriter& w) const {
   for (std::size_t i = 0; i < size(); ++i) get(i).save(w);
 }
 
-void RngBank::load(BinaryReader& r) {
-  Rng rng({}, 0.0, false);
+bool RngBank::load(BinaryReader& r) {
+  RngBank loaded;
+  loaded.resize(size());
+  Rng rng;
   for (std::size_t i = 0; i < size(); ++i) {
-    rng.load(r);
-    set(i, rng);
+    if (!rng.load(r)) return false;
+    loaded.set(i, rng);
   }
+  *this = std::move(loaded);
+  return true;
 }
 
 std::uint64_t SplitMix64::next() {
@@ -163,11 +171,6 @@ double Rng::exponential(double mean) {
   return -mean * refmath::log(1.0 - uniform());
 }
 
-double Rng::pareto(double alpha, double xm) {
-  WCDMA_DEBUG_ASSERT(alpha > 0.0 && xm > 0.0);
-  return xm / refmath::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
 double Rng::pareto_truncated(double alpha, double xm, double cap) {
   WCDMA_DEBUG_ASSERT(cap > xm);
   // Inverse-CDF of the Pareto truncated to [xm, cap].
@@ -177,30 +180,6 @@ double Rng::pareto_truncated(double alpha, double xm, double cap) {
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
-
-int Rng::poisson(double mean) {
-  WCDMA_DEBUG_ASSERT(mean >= 0.0);
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth inversion.
-    const double limit = refmath::exp(-mean);
-    double prod = uniform();
-    int n = 0;
-    while (prod > limit) {
-      prod *= uniform();
-      ++n;
-    }
-    return n;
-  }
-  // Normal approximation with continuity correction: adequate for the
-  // large-mean call sites (aggregate voice arrivals).
-  const double x = normal(mean, std::sqrt(mean));
-  return x < 0.0 ? 0 : static_cast<int>(x + 0.5);
-}
-
-double Rng::rayleigh(double sigma) {
-  return sigma * std::sqrt(-2.0 * refmath::log(1.0 - uniform()));
-}
 
 double Rng::lognormal_shadow(double sigma_db) {
   return refmath::pow(10.0, normal(0.0, sigma_db) / 10.0);

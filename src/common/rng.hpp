@@ -99,26 +99,21 @@ class Rng {
   double normal(double mean, double stddev);
   /// Exponential with given mean (not rate).  mean > 0.
   double exponential(double mean);
-  /// Pareto with shape `alpha` > 1 and minimum `xm` > 0 (mean finite).
-  double pareto(double alpha, double xm);
   /// Truncated Pareto on [xm, cap]; used for WWW object sizes.
   double pareto_truncated(double alpha, double xm, double cap);
   /// Bernoulli(p).
   bool bernoulli(double p);
-  /// Poisson with given mean (inversion for small, PTRS-lite via normal
-  /// approximation for large means).
-  int poisson(double mean);
-  /// Rayleigh-distributed envelope with E[x^2] = 2*sigma^2.
-  double rayleigh(double sigma);
   /// Log-normal where the dB-value is Normal(0, sigma_db): returns linear
   /// factor 10^(N(0,sigma_db)/10).
   double lognormal_shadow(double sigma_db);
 
   /// Checkpoint support: the full generator state (four Xoshiro words plus
   /// the cached Box-Muller spare -- dropping the spare would shift every
-  /// subsequent normal() draw by one).
+  /// subsequent normal() draw by one).  load() refuses, leaving the
+  /// generator as it was, a short read or the all-zero state: xoshiro never
+  /// leaves it, so normal() and uniform_int() would never return.
   void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  bool load(BinaryReader& r);
 
  private:
   friend class RngBank;
@@ -155,8 +150,9 @@ class RngBank {
 
   /// Exactly the bytes of size() Rng::save calls, stream 0 first (and
   /// load() reads them back), so an archive does not see the layout.
+  /// load() takes all streams or none: it refuses what Rng::load refuses.
   void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  bool load(BinaryReader& r);
 
  private:
   /// Streams per internal batch of normal(): bounds its stack scratch.

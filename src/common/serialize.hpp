@@ -194,6 +194,33 @@ class BinaryReader {
   void vec_i32(std::vector<int>& v) { read_vec(v, 4, [this] { return i32(); }); }
   void vec_i64(std::vector<std::int64_t>& v) { read_vec(v, 8, [this] { return i64(); }); }
 
+  /// A lane of fixed shape: reads what the matching vec_*() wrote into `v`
+  /// only when its length prefix equals v.size().  Otherwise, or on a short
+  /// read, returns false with ok() cleared and `v` unchanged.
+  bool sized_vec(std::vector<double>& v) {
+    return sized_vec(v, [this](double& x) { x = f64(); return true; });
+  }
+  bool sized_vec(std::vector<int>& v) {
+    return sized_vec(v, [this](int& x) { x = i32(); return true; });
+  }
+  bool sized_vec(std::vector<std::int64_t>& v) {
+    return sized_vec(v, [this](std::int64_t& x) { x = i64(); return true; });
+  }
+  /// The same for elements the caller decodes: `read(x)` fills one element
+  /// and returns false to refuse it, which fails the whole lane.
+  template <typename T, typename Read>
+  bool sized_vec(std::vector<T>& v, Read read) {
+    if (u64() != v.size()) ok_ = false;
+    if (!ok_) return false;
+    std::vector<T> lane = v;
+    for (T& x : lane) {
+      if (!read(x)) ok_ = false;
+      if (!ok_) return false;
+    }
+    v = std::move(lane);
+    return true;
+  }
+
   /// Size prefix for caller-decoded sequences; 0 (with ok() cleared) when
   /// the prefix can't fit in the remaining payload at `min_elem_bytes` each.
   std::size_t seq(std::size_t min_elem_bytes) {

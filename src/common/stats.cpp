@@ -50,12 +50,13 @@ void StreamingMoments::save(BinaryWriter& w) const {
   w.f64(max_);
 }
 
-void StreamingMoments::load(BinaryReader& r) {
+bool StreamingMoments::load(BinaryReader& r) {
   n_ = static_cast<std::size_t>(r.u64());
   mean_ = r.f64();
   m2_ = r.f64();
   min_ = r.f64();
   max_ = r.f64();
+  return r.ok();
 }
 
 void Histogram::save(BinaryWriter& w) const {
@@ -120,15 +121,6 @@ double Histogram::percentile(double q) const {
   return hi_;
 }
 
-double Histogram::mean_estimate() const {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += static_cast<double>(counts_[i]) * (bin_lo(i) + 0.5 * width_);
-  }
-  return acc / static_cast<double>(total_);
-}
-
 namespace {
 
 // Two-sided 97.5% Student-t quantiles for small df; 1.96 beyond the table.
@@ -156,17 +148,6 @@ ConfidenceInterval confidence_interval_95(const std::vector<double>& replication
     ci.half_width = t_quantile_975(ci.n - 1) * m.stddev() / std::sqrt(static_cast<double>(ci.n));
   }
   return ci;
-}
-
-double jain_fairness(const std::vector<double>& x) {
-  if (x.empty()) return 1.0;
-  double s = 0.0, s2 = 0.0;
-  for (double v : x) {
-    s += v;
-    s2 += v * v;
-  }
-  if (s2 <= 0.0) return 1.0;
-  return s * s / (static_cast<double>(x.size()) * s2);
 }
 
 WelchInterval welch_difference_95(const std::vector<double>& a,

@@ -30,7 +30,7 @@ class StreamingMoments {
   void add(double x);
   void merge(const StreamingMoments& other);
   void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  bool load(BinaryReader& r);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -66,7 +66,6 @@ class Histogram {
   std::size_t count() const { return total_; }
   /// Value at quantile q in [0,1], linearly interpolated within the bin.
   double percentile(double q) const;
-  double mean_estimate() const;
   const std::vector<std::uint64_t>& bins() const { return counts_; }
   double bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
 
@@ -86,10 +85,6 @@ struct ConfidenceInterval {
 /// 95% CI from independent per-replication means (n >= 2); for n < 2 the
 /// half-width is reported as 0.
 ConfidenceInterval confidence_interval_95(const std::vector<double>& replication_means);
-
-/// Jain's fairness index: (sum x)^2 / (n * sum x^2); 1 = perfectly fair.
-/// Returns 1 for empty or all-zero input.
-double jain_fairness(const std::vector<double>& x);
 
 // --- Statistical-equivalence toolkit ---------------------------------------
 

@@ -18,9 +18,6 @@ inline double linear_to_db(double x) { return 10.0 * refmath::log10(x); }
 /// dBm -> watts. 30 dBm == 1 W.
 inline double dbm_to_watt(double dbm) { return refmath::pow(10.0, (dbm - 30.0) / 10.0); }
 
-/// Watts -> dBm.
-inline double watt_to_dbm(double w) { return 10.0 * refmath::log10(w) + 30.0; }
-
 /// One exp2 unit per dB: 10^(x/10) = 2^(kExp2PerDb * x).  The fused gain
 /// evaluation of sim::FrameState folds its dB terms with it.
 inline constexpr double kExp2PerDb = 0.33219280948873623;  // log2(10) / 10
@@ -36,8 +33,5 @@ inline constexpr double kSpeedOfLight = 2.99792458e8;
 inline double doppler_hz(double v_mps, double fc_hz) {
   return v_mps * fc_hz / kSpeedOfLight;
 }
-
-/// km/h -> m/s.
-inline double kmh_to_mps(double kmh) { return kmh / 3.6; }
 
 }  // namespace wcdma::common

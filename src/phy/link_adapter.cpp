@@ -54,6 +54,6 @@ FrameOutcome FixedRateAdapter::on_frame(double true_csi) {
 }
 
 void FixedRateAdapter::save(common::BinaryWriter& w) const { feedback_.save(w); }
-void FixedRateAdapter::load(common::BinaryReader& r) { feedback_.load(r); }
+bool FixedRateAdapter::load(common::BinaryReader& r) { return feedback_.load(r); }
 
 }  // namespace wcdma::phy

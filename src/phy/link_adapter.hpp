@@ -64,7 +64,7 @@ class FixedRateAdapter {
 
   /// Checkpoint support: only the feedback pipe evolves.
   void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  bool load(common::BinaryReader& r);
 
  private:
   const AdaptationPolicy* policy_;

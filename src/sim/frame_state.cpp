@@ -241,31 +241,11 @@ void save_rngs(common::BinaryWriter& w, const common::RngBank& bank) {
 // Streams are sized at init from the layout; a snapshot from a different
 // world shape must not resize them.
 bool load_rngs(common::BinaryReader& r, std::vector<common::Rng>& v) {
-  if (r.seq(8) != v.size()) return false;
-  for (common::Rng& x : v) x.load(r);
-  return r.ok();
+  return r.sized_vec(v, [&r](common::Rng& x) { return x.load(r); });
 }
 
 bool load_rngs(common::BinaryReader& r, common::RngBank& bank) {
-  if (r.seq(8) != bank.size()) return false;
-  bank.load(r);
-  return r.ok();
-}
-
-bool load_sized_f64(common::BinaryReader& r, std::vector<double>& v) {
-  std::vector<double> tmp;
-  r.vec_f64(tmp);
-  if (!r.ok() || tmp.size() != v.size()) return false;
-  v = std::move(tmp);
-  return true;
-}
-
-bool load_sized_i64(common::BinaryReader& r, std::vector<std::int64_t>& v) {
-  std::vector<std::int64_t> tmp;
-  r.vec_i64(tmp);
-  if (!r.ok() || tmp.size() != v.size()) return false;
-  v = std::move(tmp);
-  return true;
+  return r.seq(8) == bank.size() && r.ok() && bank.load(r);
 }
 
 }  // namespace
@@ -290,18 +270,16 @@ void FrameState::save(common::BinaryWriter& w) const {
 
 bool FrameState::load(common::BinaryReader& r) {
   frame_ = r.i64();
-  if (!load_rngs(r, shadow_rng_)) return false;
-  if (!load_sized_f64(r, shadow_db_)) return false;
-  if (!load_rngs(r, fade_rng_)) return false;
-  if (!load_sized_f64(r, fade_re_)) return false;
-  if (!load_sized_f64(r, fade_im_)) return false;
-  if (!load_sized_i64(r, fade_frame_)) return false;
-  if (!load_sized_f64(r, far_fl_w_)) return false;
+  if (!load_rngs(r, shadow_rng_) || !r.sized_vec(shadow_db_)) return false;
+  if (!load_rngs(r, fade_rng_) || !r.sized_vec(fade_re_) || !r.sized_vec(fade_im_) ||
+      !r.sized_vec(fade_frame_) || !r.sized_vec(far_fl_w_)) {
+    return false;
+  }
   if (culls_) {
     // Every set is checked before the transpose's counting sort indexes
     // with it: a CRC-valid archive is not a trusted one.
     const std::uint64_t epoch = r.u64();
-    if (!load_sized_f64(r, refresh_left_s_)) return false;
+    if (!r.sized_vec(refresh_left_s_)) return false;
     std::vector<std::vector<std::size_t>> sets(num_users_);
     std::vector<std::uint32_t> cells;
     for (std::vector<std::size_t>& set : sets) {

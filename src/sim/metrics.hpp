@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/stats.hpp"
@@ -62,6 +63,37 @@ struct SimMetrics {
   /// arrivals never cross the service gate.
   std::int64_t overload_sheds = 0;
 
+  /// Calls f(name, &SimMetrics::member) for every accumulator above, in
+  /// checkpoint order.  merge, save, load, to_json and the tests' identity
+  /// check all walk this one list, so a new accumulator is one row here; a
+  /// static_assert in metrics.cpp refuses a member left off it.
+  template <typename F>
+  static constexpr void for_each_field(F&& f) {
+    f("burst_delay_s", &SimMetrics::burst_delay_s);
+    f("delay_hist", &SimMetrics::delay_hist);
+    f("queue_delay_s", &SimMetrics::queue_delay_s);
+    f("granted_sgr", &SimMetrics::granted_sgr);
+    f("data_bits_delivered", &SimMetrics::data_bits_delivered);
+    f("observed_s", &SimMetrics::observed_s);
+    f("delay_by_distance", &SimMetrics::delay_by_distance);
+    f("sch_frames", &SimMetrics::sch_frames);
+    f("sch_outage_frames", &SimMetrics::sch_outage_frames);
+    f("ber_violation_frames", &SimMetrics::ber_violation_frames);
+    f("mode_frames", &SimMetrics::mode_frames);
+    f("requests_seen", &SimMetrics::requests_seen);
+    f("grants", &SimMetrics::grants);
+    f("requests_granted", &SimMetrics::requests_granted);
+    f("reject_rounds", &SimMetrics::reject_rounds);
+    f("carrier_hand_downs", &SimMetrics::carrier_hand_downs);
+    f("pending_queue_len", &SimMetrics::pending_queue_len);
+    f("forward_load_fraction", &SimMetrics::forward_load_fraction);
+    f("reverse_rise_db", &SimMetrics::reverse_rise_db);
+    f("bs_power_saturations", &SimMetrics::bs_power_saturations);
+    f("mobile_power_saturations", &SimMetrics::mobile_power_saturations);
+    f("voice_sir_error_db", &SimMetrics::voice_sir_error_db);
+    f("overload_sheds", &SimMetrics::overload_sheds);
+  }
+
   void merge(const SimMetrics& other);
 
   /// Checkpoint serialization: every accumulator round-trips bit-exactly so
@@ -91,5 +123,10 @@ struct SimMetrics {
                              : 0.0;
   }
 };
+
+/// Every accumulator as `{"metrics":{"name":value,...}}` plus the derived
+/// p95_delay_s, doubles at %.17g, so two bit-identical runs write
+/// byte-identical text (service_main --metrics-out; CI compares with cmp).
+std::string to_json(const SimMetrics& m);
 
 }  // namespace wcdma::sim

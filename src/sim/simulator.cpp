@@ -991,44 +991,28 @@ bool Simulator::restore_body(common::BinaryReader& r, std::int64_t max_frame) {
   // next frame's lazy fading replay would chase it.
   if (frame_count_ > max_frame) return false;
   far_refresh_left_s_ = r.f64();
-  rng_.load(r);
+  if (!rng_.load(r)) return false;
 
   if (r.seq(16) != stations_.size()) return false;
   for (BaseStation& bs : stations_) {
     bs.forward_w = r.f64();
     bs.received_w = r.f64();
   }
-  {
-    std::vector<double> tx;
-    r.vec_f64(tx);
-    if (!r.ok() || tx.size() != prev_tx_w_.size()) return false;
-    prev_tx_w_ = std::move(tx);
+  if (!r.sized_vec(prev_tx_w_) || !r.sized_vec(user_carrier_) ||
+      !r.sized_vec(injected_bits_) || !queues_.load(r)) {
+    return false;
   }
-  {
-    std::vector<int> carriers;
-    r.vec_i32(carriers);
-    if (!r.ok() || carriers.size() != user_carrier_.size()) return false;
-    user_carrier_ = std::move(carriers);
-  }
-  {
-    std::vector<double> inj;
-    r.vec_f64(inj);
-    if (!r.ok() || inj.size() != injected_bits_.size()) return false;
-    injected_bits_ = std::move(inj);
-  }
-  if (!queues_.load(r)) return false;
 
   if (r.seq(1) != users_.size()) return false;
   for (User& u : users_) {
     u.carrier = r.i32();
-    if (!u.mobility->load(r)) return false;
-    if (!u.active_set.load(r)) return false;
+    if (!u.mobility->load(r) || !u.active_set.load(r)) return false;
     u.fl_pc.load(r);
     u.rl_pc.load(r);
-    if (u.voice) u.voice->load(r);
-    if (u.data) u.data->load(r);
-    if (!u.mac.load(r)) return false;
-    if (u.fixed) u.fixed->load(r);
+    if ((u.voice && !u.voice->load(r)) || (u.data && !u.data->load(r)) ||
+        !u.mac.load(r) || (u.fixed && !u.fixed->load(r))) {
+      return false;
+    }
     u.voice_active = r.boolean();
     u.has_pending = r.boolean();
     u.pending_bits = r.f64();

@@ -48,10 +48,11 @@ void DataSource::save(common::BinaryWriter& w) const {
   w.boolean(in_flight_);
 }
 
-void DataSource::load(common::BinaryReader& r) {
-  rng_.load(r);
+bool DataSource::load(common::BinaryReader& r) {
+  if (!rng_.load(r)) return false;
   next_arrival_s_ = r.f64();
   in_flight_ = r.boolean();
+  return r.ok();
 }
 
 }  // namespace wcdma::traffic

@@ -46,8 +46,9 @@ class DataSource {
 
   bool waiting_for_completion() const { return in_flight_; }
 
+  /// load() is false on a short read or an RNG state Rng::load refuses.
   void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  bool load(common::BinaryReader& r);
 
  private:
   DataTrafficConfig config_;

@@ -30,10 +30,11 @@ void VoiceSource::save(common::BinaryWriter& w) const {
   w.f64(time_left_);
 }
 
-void VoiceSource::load(common::BinaryReader& r) {
-  rng_.load(r);
+bool VoiceSource::load(common::BinaryReader& r) {
+  if (!rng_.load(r)) return false;
   active_ = r.boolean();
   time_left_ = r.f64();
+  return r.ok();
 }
 
 }  // namespace wcdma::traffic

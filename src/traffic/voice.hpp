@@ -36,8 +36,9 @@ class VoiceSource {
     return config_.mean_on_s / (config_.mean_on_s + config_.mean_off_s);
   }
 
+  /// load() is false on a short read or an RNG state Rng::load refuses.
   void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  bool load(common::BinaryReader& r);
 
  private:
   VoiceConfig config_;

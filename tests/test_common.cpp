@@ -90,19 +90,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(m.mean(), 3.0, 0.05);
 }
 
-TEST(Rng, ParetoRespectsMinimumAndShape) {
-  Rng rng(23);
-  StreamingMoments m;
-  const double alpha = 1.7, xm = 2.0;
-  for (int i = 0; i < 200000; ++i) {
-    const double x = rng.pareto(alpha, xm);
-    EXPECT_GE(x, xm);
-    m.add(x);
-  }
-  // E[X] = alpha xm / (alpha - 1); heavy tail -> generous tolerance.
-  EXPECT_NEAR(m.mean(), alpha * xm / (alpha - 1.0), 0.3);
-}
-
 TEST(Rng, ParetoTruncatedWithinBounds) {
   Rng rng(29);
   for (int i = 0; i < 20000; ++i) {
@@ -112,40 +99,44 @@ TEST(Rng, ParetoTruncatedWithinBounds) {
   }
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng(31);
-  StreamingMoments m;
-  for (int i = 0; i < 100000; ++i) m.add(rng.poisson(2.5));
-  EXPECT_NEAR(m.mean(), 2.5, 0.05);
-  EXPECT_NEAR(m.variance(), 2.5, 0.1);
-}
-
-TEST(Rng, PoissonLargeMeanNormalApprox) {
-  Rng rng(37);
-  StreamingMoments m;
-  for (int i = 0; i < 50000; ++i) m.add(rng.poisson(100.0));
-  EXPECT_NEAR(m.mean(), 100.0, 0.5);
-}
-
-TEST(Rng, RayleighPowerIsExponential) {
-  Rng rng(41);
-  StreamingMoments m;
-  // sigma = sqrt(1/2) gives unit mean power.
-  const double sigma = std::sqrt(0.5);
-  for (int i = 0; i < 200000; ++i) {
-    const double r = rng.rayleigh(sigma);
-    m.add(r * r);
-  }
-  EXPECT_NEAR(m.mean(), 1.0, 0.02);
-  EXPECT_NEAR(m.variance(), 1.0, 0.05);
-}
-
 TEST(Rng, LognormalShadowMedianIsOne) {
   Rng rng(43);
   int above = 0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) above += rng.lognormal_shadow(8.0) > 1.0 ? 1 : 0;
   EXPECT_NEAR(above, n / 2, 4 * std::sqrt(n / 4.0));
+}
+
+std::vector<std::uint8_t> saved(const Rng& rng) {
+  BinaryWriter w;
+  rng.save(w);
+  return w.take();
+}
+
+// xoshiro never leaves the all-zero state: every polar pair there is
+// (-1, -1) and rejected, so normal() would never return.  A checkpoint
+// holding it is refused, by the bank too, and the state stays as it was.
+TEST(Rng, LoadRefusesTheAllZeroState) {
+  BinaryWriter w;
+  for (int word = 0; word < 4; ++word) w.u64(0);
+  w.f64(0.0);
+  w.boolean(false);
+  const std::vector<std::uint8_t> zero = w.take();
+  Rng rng(47);
+  BinaryReader r(zero);
+  EXPECT_FALSE(rng.load(r));
+  EXPECT_EQ(saved(rng), saved(Rng(47)));
+
+  RngBank bank;
+  bank.resize(2);
+  bank.set(0, Rng(1));
+  bank.set(1, Rng(2));
+  std::vector<std::uint8_t> archive = saved(Rng(3));
+  archive.insert(archive.end(), zero.begin(), zero.end());
+  BinaryReader rb(archive);
+  EXPECT_FALSE(bank.load(rb));
+  EXPECT_EQ(saved(bank.get(0)), saved(Rng(1)));
+  EXPECT_EQ(saved(bank.get(1)), saved(Rng(2)));
 }
 
 // ------------------------------------------------------------- RngBank
@@ -290,8 +281,7 @@ TEST(RngBank, SavesTheBytesOfOneRngSavePerStreamAndLoadsThemBack) {
   RngBank loaded;
   loaded.resize(n);
   BinaryReader r(w.bytes());
-  loaded.load(r);
-  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(loaded.load(r));
   EXPECT_TRUE(r.at_end());
   expect_bank_holds(loaded, ref);
   for (std::size_t i = 0; i < n; ++i) {
@@ -310,20 +300,19 @@ TEST(Units, DbRoundTrip) {
 TEST(Units, KnownValues) {
   EXPECT_NEAR(db_to_linear(3.0103), 2.0, 1e-3);
   EXPECT_NEAR(dbm_to_watt(30.0), 1.0, 1e-12);
-  EXPECT_NEAR(watt_to_dbm(0.001), 0.0, 1e-9);
 }
 
 TEST(Units, ThermalNoise) {
-  // -174 dBm/Hz over 3.6864 MHz ~= -108.3 dBm.
+  // -174 dBm/Hz over 3.6864 MHz ~= -108.3 dBm, i.e. -138.3 dBW.
   const double n = thermal_noise_watt(3.6864e6);
-  EXPECT_NEAR(watt_to_dbm(n), -108.33, 0.05);
+  EXPECT_NEAR(linear_to_db(n), -138.33, 0.05);
   // Noise figure adds straight dB.
-  EXPECT_NEAR(watt_to_dbm(thermal_noise_watt(3.6864e6, 5.0)), -103.33, 0.05);
+  EXPECT_NEAR(linear_to_db(thermal_noise_watt(3.6864e6, 5.0)), -133.33, 0.05);
 }
 
 TEST(Units, Doppler) {
-  // 60 km/h at 2 GHz ~= 111 Hz.
-  EXPECT_NEAR(doppler_hz(kmh_to_mps(60.0), 2.0e9), 111.2, 0.5);
+  // 16.67 m/s (60 km/h) at 2 GHz ~= 111 Hz.
+  EXPECT_NEAR(doppler_hz(16.67, 2.0e9), 111.2, 0.5);
 }
 
 // ---------------------------------------------------------------- Matrix
@@ -360,9 +349,6 @@ TEST(Matrix, Satisfies) {
 TEST(Matrix, VectorHelpers) {
   EXPECT_DOUBLE_EQ(dot({1.0, 2.0}, {3.0, 4.0}), 11.0);
   EXPECT_DOUBLE_EQ(sum({1.0, 2.0, 3.0}), 6.0);
-  const Vector v = axpy({1.0, 1.0}, 2.0, {1.0, 2.0});
-  EXPECT_DOUBLE_EQ(v[1], 5.0);
-  EXPECT_DOUBLE_EQ(linf_distance({0.0, 0.0}, {1.0, -3.0}), 3.0);
 }
 
 // ---------------------------------------------------------------- stats
@@ -407,7 +393,6 @@ TEST(Histogram, PercentileUniform) {
   for (int i = 0; i < 100; ++i) h.add(i + 0.5);
   EXPECT_NEAR(h.percentile(0.5), 50.0, 1.0);
   EXPECT_NEAR(h.percentile(0.95), 95.0, 1.0);
-  EXPECT_NEAR(h.mean_estimate(), 50.0, 0.5);
 }
 
 TEST(Histogram, ClampsOutOfRange) {
@@ -479,13 +464,6 @@ TEST(ConfidenceInterval, DegenerateSizes) {
   const auto one = confidence_interval_95({7.0});
   EXPECT_DOUBLE_EQ(one.mean, 7.0);
   EXPECT_DOUBLE_EQ(one.half_width, 0.0);
-}
-
-TEST(JainFairness, Extremes) {
-  EXPECT_DOUBLE_EQ(jain_fairness({1.0, 1.0, 1.0, 1.0}), 1.0);
-  EXPECT_NEAR(jain_fairness({1.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
-  EXPECT_DOUBLE_EQ(jain_fairness({}), 1.0);
-  EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 1.0);
 }
 
 // ---------------------------------------------------------------- pool
@@ -757,6 +735,37 @@ TEST(Crc32, MatchesTheIeeeCheckValueAndSeesEveryBit) {
     }
   }
   EXPECT_EQ(common::crc32(bytes), base);
+}
+
+// sized_vec() takes a lane only at the destination's length, and a
+// refused lane (another length, a short read, a refused element) leaves
+// the destination as it was.
+TEST(BinaryReader, SizedVecTakesOnlyALaneOfTheDestinationsLength) {
+  BinaryWriter w;
+  w.vec_i64({5, -6});
+  const std::vector<std::uint8_t> bytes = w.take();
+  std::vector<std::int64_t> v = {1, 2};
+  BinaryReader whole(bytes);
+  EXPECT_TRUE(whole.sized_vec(v));
+  EXPECT_TRUE(whole.at_end());
+  EXPECT_EQ(v, (std::vector<std::int64_t>{5, -6}));
+  for (const std::size_t n : {1u, 3u}) {
+    std::vector<std::int64_t> other(n, 7);
+    BinaryReader r(bytes);
+    EXPECT_FALSE(r.sized_vec(other));
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(other, std::vector<std::int64_t>(n, 7));
+  }
+  v = {1, 2};
+  BinaryReader shorn(bytes.data(), bytes.size() - 1);
+  EXPECT_FALSE(shorn.sized_vec(v));
+  BinaryReader refusing(bytes);
+  EXPECT_FALSE(refusing.sized_vec(v, [&refusing](std::int64_t& x) {
+    x = refusing.i64();
+    return x > 0;
+  }));
+  EXPECT_FALSE(refusing.ok());
+  EXPECT_EQ(v, (std::vector<std::int64_t>{1, 2}));
 }
 
 TEST(BinaryReader, ImplausibleSizePrefixFailsInsteadOfAllocating) {

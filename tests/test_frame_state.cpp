@@ -22,6 +22,7 @@
 #include "src/sim/request_queue.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sweep/sweep.hpp"
+#include "tests/metrics_identity.hpp"
 
 namespace wcdma {
 namespace {
@@ -37,19 +38,6 @@ sim::SystemConfig small_config() {
   return cfg;
 }
 
-void expect_identical(const sim::SimMetrics& a, const sim::SimMetrics& b) {
-  EXPECT_EQ(a.mean_delay_s(), b.mean_delay_s());
-  EXPECT_EQ(a.data_bits_delivered, b.data_bits_delivered);
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.requests_seen, b.requests_seen);
-  EXPECT_EQ(a.granted_sgr.mean(), b.granted_sgr.mean());
-  EXPECT_EQ(a.queue_delay_s.mean(), b.queue_delay_s.mean());
-  EXPECT_EQ(a.reverse_rise_db.mean(), b.reverse_rise_db.mean());
-  EXPECT_EQ(a.forward_load_fraction.mean(), b.forward_load_fraction.mean());
-  EXPECT_EQ(a.voice_sir_error_db.mean(), b.voice_sir_error_db.mean());
-  EXPECT_EQ(a.pending_queue_len.mean(), b.pending_queue_len.mean());
-}
-
 // --- sim.threads bit-identity ---------------------------------------------
 
 TEST(SimThreads, OneVsFourThreadsBitIdentical) {
@@ -58,7 +46,7 @@ TEST(SimThreads, OneVsFourThreadsBitIdentical) {
   const sim::SimMetrics t1 = sim::Simulator(cfg).run();
   cfg.sim_threads = 4;
   const sim::SimMetrics t4 = sim::Simulator(cfg).run();
-  expect_identical(t1, t4);
+  EXPECT_TRUE(metrics_identical(t1, t4));
 }
 
 TEST(SimThreads, CulledProviderBitIdenticalAcrossThreadCounts) {
@@ -70,8 +58,8 @@ TEST(SimThreads, CulledProviderBitIdenticalAcrossThreadCounts) {
   const sim::SimMetrics t3 = sim::Simulator(cfg).run();
   cfg.sim_threads = 0;  // hardware concurrency
   const sim::SimMetrics t0 = sim::Simulator(cfg).run();
-  expect_identical(t1, t3);
-  expect_identical(t1, t0);
+  EXPECT_TRUE(metrics_identical(t1, t3));
+  EXPECT_TRUE(metrics_identical(t1, t0));
 }
 
 TEST(SimThreads, MultiCarrierScenarioBitIdentical) {
@@ -84,7 +72,7 @@ TEST(SimThreads, MultiCarrierScenarioBitIdentical) {
   const sim::SimMetrics t1 = sim::Simulator(cfg).run();
   cfg.sim_threads = 4;
   const sim::SimMetrics t4 = sim::Simulator(cfg).run();
-  expect_identical(t1, t4);
+  EXPECT_TRUE(metrics_identical(t1, t4));
 }
 
 TEST(SimThreads, ResolvesHardwareConcurrencyForZero) {
@@ -286,7 +274,7 @@ TEST(SimThreads, SweepAxisLeavesMetricsIdentical) {
   spec.common_random_numbers = true;
   const sweep::SweepResult r = sweep::run_sweep(spec, 0);
   ASSERT_EQ(r.scenarios.size(), 2u);
-  expect_identical(r.scenarios[0].merged, r.scenarios[1].merged);
+  EXPECT_TRUE(metrics_identical(r.scenarios[0].merged, r.scenarios[1].merged));
 }
 
 }  // namespace

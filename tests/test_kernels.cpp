@@ -33,6 +33,7 @@
 #include "src/sim/kernels.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sweep/sweep.hpp"
+#include "tests/metrics_identity.hpp"
 
 namespace wcdma {
 namespace {
@@ -156,42 +157,6 @@ RunResult run_provider(sim::SystemConfig cfg, const char* provider) {
   return {simulator.metrics(), simulator.snapshot()};
 }
 
-void expect_moments_equal(const common::StreamingMoments& a,
-                          const common::StreamingMoments& b, const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(bits_of(a.mean()), bits_of(b.mean())) << what;
-  EXPECT_EQ(bits_of(a.variance()), bits_of(b.variance())) << what;
-  EXPECT_EQ(bits_of(a.min()), bits_of(b.min())) << what;
-  EXPECT_EQ(bits_of(a.max()), bits_of(b.max())) << what;
-}
-
-void expect_metrics_identical(const sim::SimMetrics& a, const sim::SimMetrics& b,
-                              const std::string& label) {
-  SCOPED_TRACE(label);
-  expect_moments_equal(a.burst_delay_s, b.burst_delay_s, "burst_delay_s");
-  expect_moments_equal(a.queue_delay_s, b.queue_delay_s, "queue_delay_s");
-  expect_moments_equal(a.granted_sgr, b.granted_sgr, "granted_sgr");
-  expect_moments_equal(a.forward_load_fraction, b.forward_load_fraction,
-                       "forward_load_fraction");
-  expect_moments_equal(a.reverse_rise_db, b.reverse_rise_db, "reverse_rise_db");
-  expect_moments_equal(a.voice_sir_error_db, b.voice_sir_error_db,
-                       "voice_sir_error_db");
-  expect_moments_equal(a.pending_queue_len, b.pending_queue_len,
-                       "pending_queue_len");
-  EXPECT_EQ(bits_of(a.data_bits_delivered), bits_of(b.data_bits_delivered));
-  EXPECT_EQ(bits_of(a.observed_s), bits_of(b.observed_s));
-  EXPECT_EQ(a.sch_frames, b.sch_frames);
-  EXPECT_EQ(a.sch_outage_frames, b.sch_outage_frames);
-  EXPECT_EQ(a.ber_violation_frames, b.ber_violation_frames);
-  EXPECT_EQ(a.requests_seen, b.requests_seen);
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.requests_granted, b.requests_granted);
-  EXPECT_EQ(a.reject_rounds, b.reject_rounds);
-  EXPECT_EQ(a.carrier_hand_downs, b.carrier_hand_downs);
-  EXPECT_EQ(a.bs_power_saturations, b.bs_power_saturations);
-  EXPECT_EQ(a.mobile_power_saturations, b.mobile_power_saturations);
-}
-
 void expect_run_identical_across_levels(const sim::SystemConfig& cfg,
                                         const char* provider) {
   SimdLevelGuard guard;
@@ -202,8 +167,8 @@ void expect_run_identical_across_levels(const sim::SystemConfig& cfg,
     if (level == common::SimdLevel::kScalar) continue;
     ASSERT_TRUE(common::set_simd_level(level));
     const RunResult run = run_provider(cfg, provider);
-    expect_metrics_identical(run.metrics, reference.metrics,
-                             common::simd_level_name(level));
+    EXPECT_TRUE(metrics_identical(run.metrics, reference.metrics))
+        << provider << " @ " << common::simd_level_name(level);
     EXPECT_TRUE(run.snapshot == reference.snapshot)
         << provider << " @ " << common::simd_level_name(level)
         << ": final state differs from scalar";

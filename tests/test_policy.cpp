@@ -17,6 +17,7 @@
 #include "src/sim/channel_state.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sweep/sweep.hpp"
+#include "tests/metrics_identity.hpp"
 
 namespace wcdma {
 namespace {
@@ -421,9 +422,7 @@ TEST(HandDownPolicy, SingleCarrierBehavesLikeBaseScheduler) {
 
   // With one carrier there is nowhere to hand down: identical trajectories.
   EXPECT_EQ(hd.carrier_hand_downs, 0);
-  EXPECT_EQ(hd.mean_delay_s(), base.mean_delay_s());
-  EXPECT_EQ(hd.data_bits_delivered, base.data_bits_delivered);
-  EXPECT_EQ(hd.grants, base.grants);
+  EXPECT_TRUE(metrics_identical(hd, base));
 }
 
 TEST(HandDownPolicy, HandsDownUnderTwoCarrierOverload) {

@@ -31,6 +31,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/sweep/presets.hpp"
 #include "src/sweep/sweep.hpp"
+#include "tests/metrics_identity.hpp"
 
 namespace wcdma::runner {
 namespace {
@@ -273,9 +274,7 @@ TEST(ShardArchive, ResultRoundTripsAndRefusesDamage) {
   ASSERT_TRUE(decode_shard_result(bytes, header, &back, &why)) << why;
   ASSERT_EQ(back.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(back[i].requests_seen, items[i].requests_seen);
-    EXPECT_EQ(back[i].data_bits_delivered, items[i].data_bits_delivered);
-    EXPECT_EQ(back[i].burst_delay_s.mean(), items[i].burst_delay_s.mean());
+    EXPECT_TRUE(metrics_identical(back[i], items[i]));
   }
 
   // A single flipped bit anywhere trips the crc footer.

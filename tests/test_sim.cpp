@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/sim/simulator.hpp"
+#include "tests/metrics_identity.hpp"
 
 namespace wcdma::sim {
 namespace {
@@ -62,12 +64,7 @@ TEST(Simulator, ReverseInterferenceAtLeastThermal) {
 TEST(Simulator, DeterministicForSameSeed) {
   const SystemConfig cfg = small_config();
   Simulator a(cfg), b(cfg);
-  const SimMetrics ma = a.run();
-  const SimMetrics mb = b.run();
-  EXPECT_EQ(ma.burst_delay_s.count(), mb.burst_delay_s.count());
-  EXPECT_DOUBLE_EQ(ma.mean_delay_s(), mb.mean_delay_s());
-  EXPECT_DOUBLE_EQ(ma.data_bits_delivered, mb.data_bits_delivered);
-  EXPECT_EQ(ma.grants, mb.grants);
+  EXPECT_TRUE(metrics_identical(a.run(), b.run()));
 }
 
 TEST(Simulator, DifferentSeedsDiffer) {
@@ -219,22 +216,36 @@ TEST(Simulator, InvariantsHoldWithCulledProviderAndFarField) {
   ASSERT_TRUE(resumed.check_invariants(&why)) << why;
 }
 
+void set_away(double& v) { v = 1.5; }
+void set_away(std::int64_t& v) { v = 3; }
+void set_away(common::StreamingMoments& m) { m.add(2.0); }
+void set_away(common::Histogram& h) { h.add(5.0); }
+template <typename T>
+void set_away(std::vector<T>& v) {
+  for (T& x : v) set_away(x);
+}
+
+// Every listed accumulator of `b` is set away from its default, so merging
+// it must change the encoding of every field of `a`.
 TEST(Metrics, MergeAddsEverything) {
   SimMetrics a, b;
+  std::vector<std::string> every;
+  SimMetrics::for_each_field([&](const char* name, auto member) {
+    set_away(b.*member);
+    every.push_back(name);
+  });
   a.burst_delay_s.add(1.0);
-  b.burst_delay_s.add(3.0);
   a.grants = 2;
-  b.grants = 5;
   a.requests_granted = 1;
-  b.requests_granted = 4;
   a.mode_frames[2] = 10;
-  b.mode_frames[2] = 7;
+  const SimMetrics before = a;
   a.merge(b);
+  EXPECT_EQ(differing_fields(before, a), every);
   EXPECT_EQ(a.burst_delay_s.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean_delay_s(), 2.0);
-  EXPECT_EQ(a.grants, 7);
-  EXPECT_EQ(a.requests_granted, 5);
-  EXPECT_EQ(a.mode_frames[2], 17);
+  EXPECT_DOUBLE_EQ(a.mean_delay_s(), 1.5);
+  EXPECT_EQ(a.grants, 5);
+  EXPECT_EQ(a.requests_granted, 4);
+  EXPECT_EQ(a.mode_frames[2], 13);
 }
 
 TEST(Metrics, RatesAreZeroWithoutADenominator) {

@@ -140,7 +140,7 @@ RULES: List[Rule] = [
         "float printf format without an explicit precision in a "
         "serialization path; the trace/metrics contract mandates %.17g "
         "(IEEE-754 round-trip)",
-        path_filter=r"^(?:src/service/|src/common/serialize|"
+        path_filter=r"^(?:src/service/|src/common/serialize|src/sim/metrics|"
         r"tools/service_main)",
         in_strings=True,
     ),

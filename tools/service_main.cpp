@@ -13,8 +13,9 @@
 //                       write decisions/sec + p50/p99 latency JSON for the
 //                       tools/check_perf.py regression gate
 //
-// Metrics print as %.17g (--metrics-out), so a replayed or resumed run can
-// be compared to the original with a plain byte-wise `cmp` in CI.
+// Metrics print as %.17g (--metrics-out, sim::to_json), so a replayed or
+// resumed run can be compared to the original with a plain byte-wise `cmp`
+// in CI.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -66,45 +67,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-void append_moments(std::string* out, const char* key,
-                    const common::StreamingMoments& m) {
-  *out += std::string(",\"") + key + "\":{\"n\":" + std::to_string(m.count()) +
-          ",\"mean\":" + fmt_double(m.mean()) +
-          ",\"var\":" + fmt_double(m.variance()) +
-          ",\"min\":" + fmt_double(m.min()) + ",\"max\":" + fmt_double(m.max()) +
-          "}";
-}
-
-/// Deterministic %.17g rendering of every user-visible accumulator, so two
-/// bit-identical runs produce byte-identical files (CI compares with cmp).
-std::string metrics_json(const sim::SimMetrics& m) {
-  std::string out = "{\"metrics\":{";
-  out += "\"observed_s\":" + fmt_double(m.observed_s);
-  out += ",\"data_bits_delivered\":" + fmt_double(m.data_bits_delivered);
-  append_moments(&out, "burst_delay_s", m.burst_delay_s);
-  append_moments(&out, "queue_delay_s", m.queue_delay_s);
-  append_moments(&out, "granted_sgr", m.granted_sgr);
-  append_moments(&out, "pending_queue_len", m.pending_queue_len);
-  append_moments(&out, "forward_load_fraction", m.forward_load_fraction);
-  append_moments(&out, "reverse_rise_db", m.reverse_rise_db);
-  append_moments(&out, "voice_sir_error_db", m.voice_sir_error_db);
-  out += ",\"p95_delay_s\":" + fmt_double(m.p95_delay_s());
-  out += ",\"requests_seen\":" + std::to_string(m.requests_seen);
-  out += ",\"grants\":" + std::to_string(m.grants);
-  out += ",\"requests_granted\":" + std::to_string(m.requests_granted);
-  out += ",\"reject_rounds\":" + std::to_string(m.reject_rounds);
-  out += ",\"carrier_hand_downs\":" + std::to_string(m.carrier_hand_downs);
-  out += ",\"sch_frames\":" + std::to_string(m.sch_frames);
-  out += ",\"sch_outage_frames\":" + std::to_string(m.sch_outage_frames);
-  out += ",\"ber_violation_frames\":" + std::to_string(m.ber_violation_frames);
-  out += ",\"bs_power_saturations\":" + std::to_string(m.bs_power_saturations);
-  out += ",\"mobile_power_saturations\":" +
-         std::to_string(m.mobile_power_saturations);
-  out += ",\"overload_sheds\":" + std::to_string(m.overload_sheds);
-  out += "}}\n";
-  return out;
 }
 
 /// Nearest-rank percentile of an unsorted sample (copies; bench-sized data).
@@ -364,7 +326,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string text = metrics_json(final_metrics);
+  const std::string text = sim::to_json(final_metrics);
   if (metrics_path.empty()) {
     std::fwrite(text.data(), 1, text.size(), stdout);
   } else if (!runner::write_file_atomic(metrics_path, {text.begin(), text.end()})) {

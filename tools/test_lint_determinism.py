@@ -261,6 +261,11 @@ class SerFloatFmt(LintFixtureCase):
                 "SER-FLOAT-FMT", "src/service/trace.cpp",
                 f'std::snprintf(buf, sizeof(buf), "{fmt}", v);\n')
 
+    def test_positive_in_the_metrics_json_writer(self):
+        self.assert_fires(
+            "SER-FLOAT-FMT", "src/sim/metrics.cpp",
+            'std::snprintf(buf, sizeof(buf), "%g", m.mean());\n')
+
     def test_negative_17g_and_out_of_scope(self):
         self.assert_clean(
             "src/service/trace.cpp",
@@ -268,7 +273,7 @@ class SerFloatFmt(LintFixtureCase):
             rule_id="SER-FLOAT-FMT")
         # Only serialization paths are in scope; bench table output is not.
         self.assert_clean(
-            "src/sim/metrics.cpp",
+            "src/sim/simulator.cpp",
             'std::printf("%f\\n", fps);\n', rule_id="SER-FLOAT-FMT")
 
 

@@ -34,7 +34,6 @@ int main() {
   spec.axes = {sweep::axis_voice_users(kVoiceGrid), sweep::axis_scheduler(kSchedulers),
                sweep::axis_data_users(kDataGrid)};
   spec.replications = 3;
-  spec.common_random_numbers = true;  // paired comparison across grid cells
 
   const sweep::SweepResult result =
       sweep::run_sweep(spec, common::default_thread_count());

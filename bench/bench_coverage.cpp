@@ -28,7 +28,6 @@ int main() {
   spec.base.data.users = 14;
   spec.axes = {sweep::axis_fixed_mode({0, 4})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // identical user drops for both PHYs
 
   const sweep::SweepResult result =
       sweep::run_sweep(spec, common::default_thread_count());

@@ -26,7 +26,6 @@ int main() {
   spec.axes = {sweep::axis_scheduler(
       {"jaba-sd", "jaba-sd-greedy", "fcfs", "fcfs-single", "equal-share", "random"})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // paired comparison across schedulers
 
   const sweep::SweepResult result =
       sweep::run_sweep(spec, common::default_thread_count());

@@ -115,13 +115,9 @@ std::vector<PolicyGrant> SchedulerPolicy::decide(const FrameContext& ctx,
   return grants;
 }
 
-void SchedulerPolicy::save_state(common::BinaryWriter& w) const {
-  scheduler_->save_state(w);
-}
+void SchedulerPolicy::save(common::BinaryWriter& w) const { scheduler_->save(w); }
 
-bool SchedulerPolicy::load_state(common::BinaryReader& r) {
-  return scheduler_->load_state(r);
-}
+bool SchedulerPolicy::load(common::BinaryReader& r) { return scheduler_->load(r); }
 
 std::vector<PolicyGrant> HandDownPolicy::decide(const FrameContext& ctx,
                                                 mac::LinkDirection direction, int carrier,

@@ -127,8 +127,8 @@ class AdmissionPolicy {
 
   /// Checkpoint hooks, forwarded to the wrapped scheduler where one exists;
   /// policies without evolved state keep the empty default.
-  virtual void save_state(common::BinaryWriter&) const {}
-  virtual bool load_state(common::BinaryReader&) { return true; }
+  virtual void save(common::BinaryWriter&) const {}
+  virtual bool load(common::BinaryReader&) { return true; }
 };
 
 /// Adapts a scheduling-sub-layer Scheduler (Section 3.2) to the policy API:
@@ -141,8 +141,8 @@ class SchedulerPolicy : public AdmissionPolicy {
   explicit SchedulerPolicy(std::unique_ptr<Scheduler> scheduler);
   std::vector<PolicyGrant> decide(const FrameContext& ctx, mac::LinkDirection direction,
                                   int carrier, const std::vector<std::size_t>& round) override;
-  void save_state(common::BinaryWriter& w) const override;
-  bool load_state(common::BinaryReader& r) override;
+  void save(common::BinaryWriter& w) const override;
+  bool load(common::BinaryReader& r) override;
 
  protected:
   std::unique_ptr<Scheduler> scheduler_;

@@ -193,8 +193,16 @@ Allocation RandomScheduler::schedule(const BurstProblem& problem) {
   return alloc;
 }
 
-void RandomScheduler::save_state(common::BinaryWriter& w) const { rng_.save(w); }
+template <typename Self, typename Archive>
+void RandomScheduler::fields(Self& scheduler, Archive& ar) {
+  ar.field(scheduler.rng_);
+}
 
-bool RandomScheduler::load_state(common::BinaryReader& r) { return rng_.load(r); }
+void RandomScheduler::save(common::BinaryWriter& w) const { fields(*this, w); }
+
+bool RandomScheduler::load(common::BinaryReader& r) {
+  fields(*this, r);
+  return r.ok();
+}
 
 }  // namespace wcdma::admission

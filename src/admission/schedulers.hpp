@@ -59,8 +59,8 @@ class Scheduler {
 
   /// Checkpoint hooks: only stochastic schedulers carry evolved state (the
   /// "random" baseline's RNG); deterministic solvers keep the empty default.
-  virtual void save_state(common::BinaryWriter&) const {}
-  virtual bool load_state(common::BinaryReader&) { return true; }
+  virtual void save(common::BinaryWriter&) const {}
+  virtual bool load(common::BinaryReader&) { return true; }
 };
 
 class JabaSdScheduler final : public Scheduler {
@@ -103,10 +103,13 @@ class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(common::Rng rng) : rng_(rng) {}
   Allocation schedule(const BurstProblem& problem) override;
-  void save_state(common::BinaryWriter& w) const override;
-  bool load_state(common::BinaryReader& r) override;
+  void save(common::BinaryWriter& w) const override;
+  bool load(common::BinaryReader& r) override;
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& scheduler, Archive& ar);
+
   common::Rng rng_;
 };
 

@@ -160,35 +160,26 @@ double ActiveSet::reverse_adjustment() const {
   return legs > 1.0 ? 0.8 : 1.0;
 }
 
-void ActiveSet::save(common::BinaryWriter& w) const {
-  w.vec_f64(below_drop_s_);
-  w.u64(members_.size());
-  for (std::size_t m : members_) w.u64(m);
-  w.boolean(initialised_);
+template <typename Self, typename Archive>
+void ActiveSet::fields(Self& set, Archive& ar) {
+  ar.field(set.below_drop_s_);  // a lane at the cell count
+  ar.vec(set.members_);
+  ar.field(set.initialised_);
+  ar.check([&] {
+    const std::vector<std::size_t>& m = set.members_;
+    if (m.size() > set.config_.max_size || (set.initialised_ && m.empty())) return false;
+    for (std::size_t j = 0; j < m.size(); ++j) {
+      if (m[j] >= set.below_drop_s_.size() ||
+          std::find(m.begin(), m.begin() + static_cast<std::ptrdiff_t>(j), m[j]) !=
+              m.begin() + static_cast<std::ptrdiff_t>(j)) {
+        return false;
+      }
+    }
+    return true;
+  });
 }
 
-bool ActiveSet::load(common::BinaryReader& r) {
-  std::vector<double> timers;
-  r.vec_f64(timers);
-  if (!r.ok() || timers.size() != below_drop_s_.size()) return false;
-  const std::size_t n = r.seq(8);
-  if (!r.ok() || n > config_.max_size) return false;
-  std::vector<std::size_t> members;
-  members.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t m = r.u64();
-    if (!r.ok() || m >= below_drop_s_.size() ||
-        std::find(members.begin(), members.end(), m) != members.end()) {
-      return false;
-    }
-    members.push_back(static_cast<std::size_t>(m));
-  }
-  const bool initialised = r.boolean();
-  if (!r.ok() || (initialised && members.empty())) return false;
-  below_drop_s_ = std::move(timers);
-  members_ = std::move(members);
-  initialised_ = initialised;
-  return true;
-}
+void ActiveSet::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool ActiveSet::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
 }  // namespace wcdma::cell

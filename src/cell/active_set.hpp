@@ -98,6 +98,8 @@ class ActiveSet {
   double reverse_adjustment() const;
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& set, Archive& ar);
   void drop_phase(double dt);
   void add_phase();
   void finish_update();

@@ -16,16 +16,10 @@ namespace {
 constexpr std::uint8_t kTagWaypoint = 1;
 constexpr std::uint8_t kTagCorridor = 3;
 
-void save_point(common::BinaryWriter& w, const Point& p) {
-  w.f64(p.x);
-  w.f64(p.y);
-}
-
-Point load_point(common::BinaryReader& r) {
-  Point p;
-  p.x = r.f64();
-  p.y = r.f64();
-  return p;
+template <typename P, typename Archive>
+void point_fields(P& p, Archive& ar) {
+  ar.field(p.x);
+  ar.field(p.y);
 }
 
 Point random_in_disc(common::Rng& rng, const MobilityConfig& config) {
@@ -108,39 +102,30 @@ double CorridorMobility::step(double dt) {
   return moved;
 }
 
-void RandomWaypoint::save(common::BinaryWriter& w) const {
-  w.u8(kTagWaypoint);
-  rng_.save(w);
-  save_point(w, pos_);
-  save_point(w, target_);
-  w.f64(speed_);
-  w.f64(pause_left_);
+template <typename Self, typename Archive>
+void RandomWaypoint::fields(Self& m, Archive& ar) {
+  ar.expect(kTagWaypoint);
+  ar.field(m.rng_);
+  point_fields(m.pos_, ar);
+  point_fields(m.target_, ar);
+  ar.field(m.speed_);
+  ar.field(m.pause_left_);
 }
 
-bool RandomWaypoint::load(common::BinaryReader& r) {
-  if (r.u8() != kTagWaypoint || !rng_.load(r)) return false;
-  pos_ = load_point(r);
-  target_ = load_point(r);
-  speed_ = r.f64();
-  pause_left_ = r.f64();
-  return r.ok();
+void RandomWaypoint::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool RandomWaypoint::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
+
+template <typename Self, typename Archive>
+void CorridorMobility::fields(Self& m, Archive& ar) {
+  ar.expect(kTagCorridor);
+  ar.field(m.rng_);
+  point_fields(m.pos_, ar);
+  ar.field(m.dir_);
+  ar.field(m.speed_);
 }
 
-void CorridorMobility::save(common::BinaryWriter& w) const {
-  w.u8(kTagCorridor);
-  rng_.save(w);
-  save_point(w, pos_);
-  w.i32(dir_);
-  w.f64(speed_);
-}
-
-bool CorridorMobility::load(common::BinaryReader& r) {
-  if (r.u8() != kTagCorridor || !rng_.load(r)) return false;
-  pos_ = load_point(r);
-  dir_ = r.i32();
-  speed_ = r.f64();
-  return r.ok();
-}
+void CorridorMobility::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool CorridorMobility::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
 std::unique_ptr<MobilityModel> make_mobility(const MobilityConfig& config,
                                              common::Rng rng) {

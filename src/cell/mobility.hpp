@@ -64,6 +64,8 @@ class RandomWaypoint final : public MobilityModel {
   bool load(common::BinaryReader& r) override;
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& m, Archive& ar);
   void pick_waypoint();
 
   MobilityConfig config_;
@@ -91,6 +93,9 @@ class CorridorMobility final : public MobilityModel {
   bool load(common::BinaryReader& r) override;
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& m, Archive& ar);
+
   MobilityConfig config_;
   common::Rng rng_;
   Point pos_;

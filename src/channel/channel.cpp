@@ -24,18 +24,13 @@ double CsiFeedback::current() const {
   return pipe_.front();
 }
 
-void CsiFeedback::save(common::BinaryWriter& w) const {
-  rng_.save(w);
-  w.u64(pipe_.size());
-  for (double v : pipe_) w.f64(v);
+template <typename Self, typename Archive>
+void CsiFeedback::fields(Self& feedback, Archive& ar) {
+  ar.field(feedback.rng_);
+  ar.vec(feedback.pipe_);
 }
 
-bool CsiFeedback::load(common::BinaryReader& r) {
-  if (!rng_.load(r)) return false;
-  const std::size_t n = r.seq(sizeof(double));
-  pipe_.clear();
-  for (std::size_t i = 0; i < n; ++i) pipe_.push_back(r.f64());
-  return r.ok();
-}
+void CsiFeedback::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool CsiFeedback::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
 }  // namespace wcdma::channel

@@ -31,11 +31,15 @@ class CsiFeedback {
   bool primed() const { return pipe_.size() > delay_frames_; }
 
   /// Checkpoint support: the delay pipe contents plus the error-draw RNG.
-  /// load() is false on a short read or an RNG state Rng::load refuses.
+  /// load() refuses, leaving the feedback as it was, a short read or an
+  /// RNG state Rng::load refuses.
   void save(common::BinaryWriter& w) const;
   bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& feedback, Archive& ar);
+
   std::size_t delay_frames_;
   double error_sigma_db_;
   common::Rng rng_;

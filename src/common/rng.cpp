@@ -9,21 +9,16 @@
 
 namespace wcdma::common {
 
-void Rng::save(BinaryWriter& w) const {
-  for (std::uint64_t word : s_) w.u64(word);
-  w.f64(spare_normal_);
-  w.boolean(has_spare_);
+template <typename Self, typename Archive>
+void Rng::fields(Self& rng, Archive& ar) {
+  for (auto& word : rng.s_) ar.field(word);
+  ar.field(rng.spare_normal_);
+  ar.field(rng.has_spare_);
+  ar.check([&] { return (rng.s_[0] | rng.s_[1] | rng.s_[2] | rng.s_[3]) != 0; });
 }
 
-bool Rng::load(BinaryReader& r) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  const double spare = r.f64();
-  const bool has_spare = r.boolean();
-  if (!r.ok() || (s[0] | s[1] | s[2] | s[3]) == 0) return false;
-  *this = Rng(s, spare, has_spare);
-  return true;
-}
+void Rng::save(BinaryWriter& w) const { fields(*this, w); }
+bool Rng::load(BinaryReader& r) { return r.load_whole(*this, fields); }
 
 void RngBank::resize(std::size_t n) {
   s0_.assign(n, 0);
@@ -116,21 +111,17 @@ void RngBank::normal_batch(const std::size_t* streams, std::size_t n, double* ou
   }
 }
 
-void RngBank::save(BinaryWriter& w) const {
-  for (std::size_t i = 0; i < size(); ++i) get(i).save(w);
+template <typename Self, typename Archive>
+void RngBank::fields(Self& bank, Archive& ar) {
+  for (std::size_t i = 0; i < bank.size(); ++i) {
+    Rng stream = bank.get(i);
+    ar.field(stream);
+    if constexpr (Archive::kLoads) bank.set(i, stream);
+  }
 }
 
-bool RngBank::load(BinaryReader& r) {
-  RngBank loaded;
-  loaded.resize(size());
-  Rng rng;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (!rng.load(r)) return false;
-    loaded.set(i, rng);
-  }
-  *this = std::move(loaded);
-  return true;
-}
+void RngBank::save(BinaryWriter& w) const { fields(*this, w); }
+bool RngBank::load(BinaryReader& r) { return r.load_whole(*this, fields); }
 
 std::uint64_t SplitMix64::next() {
   std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);

@@ -117,6 +117,8 @@ class Rng {
 
  private:
   friend class RngBank;
+  template <typename Self, typename Archive>
+  static void fields(Self& rng, Archive& ar);
   Rng(const std::array<std::uint64_t, 4>& s, double spare, bool has_spare)
       : s_(s), spare_normal_(spare), has_spare_(has_spare) {}
 
@@ -155,6 +157,8 @@ class RngBank {
   bool load(BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& bank, Archive& ar);
   /// Streams per internal batch of normal(): bounds its stack scratch.
   static constexpr std::size_t kBatch = 64;
   void normal_batch(const std::size_t* streams, std::size_t n, double* out);

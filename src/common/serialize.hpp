@@ -6,12 +6,37 @@
 // bit patterns, so a snapshot taken on one toolchain restores bit-exactly on
 // another.  No floating-point text round-trips, no host-endianness leaks.
 //
+// Each checkpointed type names its archive fields once, in archive order, in
+// one field function
+//
+//   template <typename Self, typename Archive>
+//   static void fields(Self& self, Archive& ar);
+//
+// which save() walks with a BinaryWriter (Self const) and load() with a
+// BinaryReader.  Both archives speak the same vocabulary:
+//
+//   field(x)   a scalar at its own type's width (bool as one byte, double as
+//              its bit pattern), a string behind a u64 length, a nested type
+//              through its save()/load(), or a std::vector as a lane of fixed
+//              shape: a u64 length the reader takes only at the
+//              destination's length, then the elements;
+//   vec(s)     a vector or deque of scalars of any length behind a u64
+//              length (raw bytes in one copy);
+//   expect(x)  a fingerprint or shape field: the writer writes x, the reader
+//              reads one and refuses the archive unless it equals x;
+//   check(p)   a refusal rule: the reader refuses unless p() holds for what
+//              it has read (the writer never calls p);
+//   blame(w)   names the first failing section for an error message.
+//
+// Archive::kLoads tells a field function which side it runs on, for the few
+// fields whose archive form is not their member's (an enum, a narrowed
+// index).  Adding a checkpointed field is one line in its type's function.
+//
 // BinaryReader fails SOFT: reads past the end (or a size prefix larger than
-// the remaining payload) clear ok() and return zeros/empties instead of
-// touching out-of-range memory, so a truncated or corrupted snapshot is a
-// recoverable `restore() == false`, never UB.  Writers and readers must
-// agree on field order; every archive starts with a caller-checked magic +
-// version header and ends with seal()'s crc32() footer, which unseal()
+// the remaining payload) clear ok() instead of touching out-of-range memory,
+// so a truncated or corrupted snapshot is a recoverable `restore() ==
+// false`, never UB.  Every archive starts with a magic + version header
+// (expect()ed on load) and ends with seal()'s crc32() footer, which unseal()
 // checks, so a bit-flipped archive is refused by checksum before any field
 // is parsed.
 #pragma once
@@ -20,6 +45,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace wcdma::common {
@@ -86,6 +112,8 @@ inline std::uint32_t crc32(const std::vector<std::uint8_t>& bytes,
 
 class BinaryWriter {
  public:
+  static constexpr bool kLoads = false;
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v) { append_le(v); }
   void u64(std::uint64_t v) { append_le(v); }
@@ -102,33 +130,38 @@ class BinaryWriter {
     u64(s.size());
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
-  /// Length-prefixed raw bytes in one copy; the layout of a u64 count
-  /// followed by that many u8() fields.
-  void blob(const std::vector<std::uint8_t>& b) {
-    u64(b.size());
-    bytes_.insert(bytes_.end(), b.begin(), b.end());
-  }
 
-  void vec_f64(const std::vector<double>& v) {
-    u64(v.size());
-    for (double x : v) f64(x);
+  // --- The field vocabulary (see the file comment) -------------------------
+  template <typename T>
+  void field(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      boolean(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      f64(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      append_le(static_cast<std::make_unsigned_t<T>>(v));
+    } else {
+      v.save(*this);
+    }
   }
-  void vec_u32(const std::vector<std::uint32_t>& v) {
-    u64(v.size());
-    for (std::uint32_t x : v) u32(x);
+  void field(const std::string& s) { str(s); }
+  template <typename T>
+  void field(const std::vector<T>& lane) { vec(lane); }
+  template <typename Seq>
+  void vec(const Seq& s) {
+    u64(s.size());
+    if constexpr (std::is_same_v<Seq, std::vector<std::uint8_t>>) {
+      bytes_.insert(bytes_.end(), s.begin(), s.end());  // raw bytes in one copy
+    } else {
+      for (const auto& x : s) field(x);
+    }
   }
-  void vec_u64(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    for (std::uint64_t x : v) u64(x);
-  }
-  void vec_i32(const std::vector<int>& v) {
-    u64(v.size());
-    for (int x : v) i32(x);
-  }
-  void vec_i64(const std::vector<std::int64_t>& v) {
-    u64(v.size());
-    for (std::int64_t x : v) i64(x);
-  }
+  template <typename T>
+  void expect(const T& v) { field(v); }
+  template <typename Pred>
+  void check(Pred&&) {}
+  template <typename Why>
+  void blame(Why&&) {}
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
@@ -148,63 +181,93 @@ class BinaryWriter {
 
 class BinaryReader {
  public:
+  static constexpr bool kLoads = true;
+
   BinaryReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
   explicit BinaryReader(const std::vector<std::uint8_t>& bytes)
       : BinaryReader(bytes.data(), bytes.size()) {}
 
-  /// False once any read ran past the end or a size prefix was implausible.
-  /// Callers check once at the end of a load; intermediate reads after a
-  /// failure keep returning zeros/empties.
+  /// False once any read ran past the end, a size prefix was implausible,
+  /// or an expect() or check() refused.  Callers check once at the end of
+  /// a load: every read after a failure leaves its destination as it was
+  /// (vec() empties it) and the getters return zeros/empties.
   bool ok() const { return ok_; }
   /// True when the whole payload was consumed (trailing garbage detector).
   bool at_end() const { return pos_ == size_; }
+  /// What the first blame() after the failure named; empty if none did.
+  const std::string& failure() const { return failure_; }
 
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return data_[pos_ - 1];
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  std::int64_t i64() { return get<std::int64_t>(); }
+  bool boolean() { return get<bool>(); }
+  std::string str() { return get<std::string>(); }
+
+  // --- The field vocabulary (see the file comment) -------------------------
+  template <typename T>
+  void field(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (take(1)) v = data_[pos_ - 1] != 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+      std::uint64_t bits;
+      if (read_le(bits)) std::memcpy(&v, &bits, sizeof(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      std::make_unsigned_t<T> u;
+      if (read_le(u)) v = static_cast<T>(u);
+    } else {
+      if (ok_ && !v.load(*this)) ok_ = false;
+    }
   }
-  std::uint32_t u32() { return read_le<std::uint32_t>(); }
-  std::uint64_t u64() { return read_le<std::uint64_t>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(read_le<std::uint32_t>()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(read_le<std::uint64_t>()); }
-  bool boolean() { return u8() != 0; }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (!plausible(n, 1) || !take(static_cast<std::size_t>(n))) return {};
-    return std::string(reinterpret_cast<const char*>(data_ + pos_ - n),
-                       static_cast<std::size_t>(n));
-  }
-  /// Reads what BinaryWriter::blob() wrote, in one copy; empty on failure.
-  void blob(std::vector<std::uint8_t>& out) {
+  void field(std::string& s) {
     const std::size_t n = seq(1);
-    out.clear();
-    if (take(n)) out.assign(data_ + pos_ - n, data_ + pos_);
+    if (take(n)) s.assign(reinterpret_cast<const char*>(data_ + pos_ - n), n);
+  }
+  template <typename T>
+  void field(std::vector<T>& lane) { sized_vec(lane); }
+  /// Reads what BinaryWriter::vec() wrote, at any length the payload can
+  /// hold; hands back nothing on failure, never a partial sequence.
+  template <typename Seq>
+  void vec(Seq& s) {
+    using T = typename Seq::value_type;
+    s.clear();
+    const std::size_t n = seq(sizeof(T));
+    if constexpr (std::is_same_v<Seq, std::vector<std::uint8_t>>) {
+      if (take(n)) s.assign(data_ + pos_ - n, data_ + pos_);
+    } else {
+      for (std::size_t i = 0; i < n && ok_; ++i) s.push_back(get<T>());
+    }
+  }
+  template <typename T>
+  void expect(const T& v) {
+    T got = v;
+    field(got);
+    if (ok_ && !(got == v)) ok_ = false;
+  }
+  template <typename Pred>
+  void check(Pred&& holds) { if (ok_ && !holds()) ok_ = false; }
+  /// After a failure, names it (a string, or a callable that makes one)
+  /// unless an earlier blame() already did: placed after each section of a
+  /// layout, it attributes the failure to the first section that failed.
+  template <typename Why>
+  void blame(Why&& why) {
+    if (ok_ || !failure_.empty()) return;
+    if constexpr (std::is_invocable_v<Why>) {
+      failure_ = why();
+    } else {
+      failure_ = why;
+    }
   }
 
-  void vec_f64(std::vector<double>& v) { read_vec(v, sizeof(double), [this] { return f64(); }); }
-  void vec_u32(std::vector<std::uint32_t>& v) { read_vec(v, 4, [this] { return u32(); }); }
-  void vec_u64(std::vector<std::uint64_t>& v) { read_vec(v, 8, [this] { return u64(); }); }
-  void vec_i32(std::vector<int>& v) { read_vec(v, 4, [this] { return i32(); }); }
-  void vec_i64(std::vector<std::int64_t>& v) { read_vec(v, 8, [this] { return i64(); }); }
-
-  /// A lane of fixed shape: reads what the matching vec_*() wrote into `v`
-  /// only when its length prefix equals v.size().  Otherwise, or on a short
+  /// A lane of fixed shape: reads what field(vector) wrote into `v` only
+  /// when its length prefix equals v.size().  Otherwise, or on a short
   /// read, returns false with ok() cleared and `v` unchanged.
-  bool sized_vec(std::vector<double>& v) {
-    return sized_vec(v, [this](double& x) { x = f64(); return true; });
-  }
-  bool sized_vec(std::vector<int>& v) {
-    return sized_vec(v, [this](int& x) { x = i32(); return true; });
-  }
-  bool sized_vec(std::vector<std::int64_t>& v) {
-    return sized_vec(v, [this](std::int64_t& x) { x = i64(); return true; });
+  template <typename T>
+  bool sized_vec(std::vector<T>& v) {
+    return sized_vec(v, [this](T& x) {
+      field(x);
+      return true;
+    });
   }
   /// The same for elements the caller decodes: `read(x)` fills one element
   /// and returns false to refuse it, which fails the whole lane.
@@ -221,40 +284,46 @@ class BinaryReader {
     return true;
   }
 
-  /// Size prefix for caller-decoded sequences; 0 (with ok() cleared) when
-  /// the prefix can't fit in the remaining payload at `min_elem_bytes` each.
-  std::size_t seq(std::size_t min_elem_bytes) {
-    const std::uint64_t n = u64();
-    if (!plausible(n, min_elem_bytes)) return 0;
-    return static_cast<std::size_t>(n);
+  /// Loads `obj` through its field function into a copy and takes the copy
+  /// only when every read and check passed, so a refused load leaves `obj`
+  /// as it was.
+  template <typename T>
+  bool load_whole(T& obj, void (*fields)(T&, BinaryReader&)) {
+    T next = obj;
+    fields(next, *this);
+    if (!ok_) return false;
+    obj = std::move(next);
+    return true;
   }
 
  private:
   template <typename T>
-  T read_le() {
-    if (!take(sizeof(T))) return 0;
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(data_[pos_ - sizeof(T) + i]) << (8 * i);
-    }
+  T get() {
+    T v{};
+    field(v);
     return v;
   }
-
-  template <typename V, typename Fn>
-  void read_vec(V& v, std::size_t elem_bytes, Fn next) {
-    const std::size_t n = seq(elem_bytes);
-    v.clear();
-    v.reserve(n);
-    for (std::size_t i = 0; i < n && ok_; ++i) v.push_back(next());
+  template <typename U>
+  bool read_le(U& out) {
+    if (!take(sizeof(U))) return false;
+    U v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v |= static_cast<U>(data_[pos_ - sizeof(U) + i]) << (8 * i);
+    }
+    out = v;
+    return true;
   }
 
-  bool plausible(std::uint64_t n, std::size_t elem_bytes) {
+  /// Size prefix of a sequence; 0 (with ok() cleared) when the prefix can't
+  /// fit in the remaining payload at `min_elem_bytes` each.
+  std::size_t seq(std::size_t min_elem_bytes) {
+    const std::uint64_t n = u64();
     // Divide instead of multiply: a hostile size prefix must not overflow.
-    if (!ok_ || n > (size_ - pos_) / elem_bytes) {
+    if (!ok_ || n > (size_ - pos_) / min_elem_bytes) {
       ok_ = false;
-      return false;
+      return 0;
     }
-    return true;
+    return static_cast<std::size_t>(n);
   }
   bool take(std::size_t n) {
     if (!ok_ || size_ - pos_ < n) {
@@ -269,6 +338,7 @@ class BinaryReader {
   std::size_t size_;
   std::size_t pos_ = 0;
   bool ok_ = true;
+  std::string failure_;
 };
 
 /// Bytes of the crc32 footer seal() appends.

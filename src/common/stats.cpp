@@ -42,43 +42,34 @@ double StreamingMoments::variance() const {
 
 double StreamingMoments::stddev() const { return std::sqrt(variance()); }
 
-void StreamingMoments::save(BinaryWriter& w) const {
-  w.u64(static_cast<std::uint64_t>(n_));
-  w.f64(mean_);
-  w.f64(m2_);
-  w.f64(min_);
-  w.f64(max_);
+template <typename Self, typename Archive>
+void StreamingMoments::fields(Self& m, Archive& ar) {
+  ar.field(m.n_);
+  ar.field(m.mean_);
+  ar.field(m.m2_);
+  ar.field(m.min_);
+  ar.field(m.max_);
 }
 
-bool StreamingMoments::load(BinaryReader& r) {
-  n_ = static_cast<std::size_t>(r.u64());
-  mean_ = r.f64();
-  m2_ = r.f64();
-  min_ = r.f64();
-  max_ = r.f64();
-  return r.ok();
+void StreamingMoments::save(BinaryWriter& w) const { fields(*this, w); }
+bool StreamingMoments::load(BinaryReader& r) { return r.load_whole(*this, fields); }
+
+template <typename Self, typename Archive>
+void Histogram::fields(Self& h, Archive& ar) {
+  ar.field(h.counts_);  // a lane at the constructor's bin count
+  ar.field(h.total_);
+  ar.check([&] {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t c : h.counts_) {
+      if (c > std::numeric_limits<std::uint64_t>::max() - sum) return false;
+      sum += c;
+    }
+    return sum == h.total_;
+  });
 }
 
-void Histogram::save(BinaryWriter& w) const {
-  w.vec_u64(counts_);
-  w.u64(static_cast<std::uint64_t>(total_));
-}
-
-bool Histogram::load(BinaryReader& r) {
-  std::vector<std::uint64_t> counts;
-  r.vec_u64(counts);
-  const std::uint64_t total = r.u64();
-  if (!r.ok() || counts.size() != counts_.size()) return false;
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : counts) {
-    if (c > std::numeric_limits<std::uint64_t>::max() - sum) return false;
-    sum += c;
-  }
-  if (sum != total) return false;
-  counts_ = std::move(counts);
-  total_ = static_cast<std::size_t>(total);
-  return true;
-}
+void Histogram::save(BinaryWriter& w) const { fields(*this, w); }
+bool Histogram::load(BinaryReader& r) { return r.load_whole(*this, fields); }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {

@@ -42,6 +42,9 @@ class StreamingMoments {
   double total() const { return mean_ * static_cast<double>(n_); }
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& m, Archive& ar);
+
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -70,6 +73,9 @@ class Histogram {
   double bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& h, Archive& ar);
+
   double lo_, hi_, width_;
   std::vector<std::uint64_t> counts_;
   std::size_t total_ = 0;

@@ -64,19 +64,17 @@ double MacStateMachine::setup_delay() const {
   return 0.0;
 }
 
-void MacStateMachine::save(common::BinaryWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.f64(idle_s_);
+template <typename Self, typename Archive>
+void MacStateMachine::fields(Self& mac, Archive& ar) {
+  auto state = static_cast<std::uint8_t>(mac.state_);
+  ar.field(state);
+  ar.check([&] { return state <= static_cast<std::uint8_t>(MacState::kDormant); });
+  if constexpr (Archive::kLoads) mac.state_ = static_cast<MacState>(state);
+  ar.field(mac.idle_s_);
+  ar.check([&] { return std::isfinite(mac.idle_s_) && mac.idle_s_ >= 0.0; });
 }
 
-bool MacStateMachine::load(common::BinaryReader& r) {
-  const std::uint8_t state = r.u8();
-  const double idle_s = r.f64();
-  if (!r.ok() || state > static_cast<std::uint8_t>(MacState::kDormant)) return false;
-  if (!std::isfinite(idle_s) || idle_s < 0.0) return false;
-  state_ = static_cast<MacState>(state);
-  idle_s_ = idle_s;
-  return true;
-}
+void MacStateMachine::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool MacStateMachine::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
 }  // namespace wcdma::mac

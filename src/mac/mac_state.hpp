@@ -61,6 +61,9 @@ class MacStateMachine {
   bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& mac, Archive& ar);
+
   MacTimersConfig timers_;
   MacState state_;
   double idle_s_ = 0.0;

@@ -53,7 +53,15 @@ FrameOutcome FixedRateAdapter::on_frame(double true_csi) {
   return out;
 }
 
-void FixedRateAdapter::save(common::BinaryWriter& w) const { feedback_.save(w); }
-bool FixedRateAdapter::load(common::BinaryReader& r) { return feedback_.load(r); }
+template <typename Self, typename Archive>
+void FixedRateAdapter::fields(Self& adapter, Archive& ar) {
+  ar.field(adapter.feedback_);
+}
+
+void FixedRateAdapter::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool FixedRateAdapter::load(common::BinaryReader& r) {
+  fields(*this, r);
+  return r.ok();
+}
 
 }  // namespace wcdma::phy

@@ -67,6 +67,9 @@ class FixedRateAdapter {
   bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& adapter, Archive& ar);
+
   const AdaptationPolicy* policy_;
   int fixed_mode_;
   channel::CsiFeedback feedback_;

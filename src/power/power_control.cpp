@@ -50,16 +50,16 @@ double ClosedLoopPowerControl::to_watt(double dbm) {
   return common::refmath::pow(10.0, (dbm - 30.0) / 10.0);
 }
 
-void ClosedLoopPowerControl::save(common::BinaryWriter& w) const {
-  w.f64(power_dbm_);
-  w.f64(power_watt_);
-  w.boolean(saturated_);
+template <typename Self, typename Archive>
+void ClosedLoopPowerControl::fields(Self& loop, Archive& ar) {
+  ar.field(loop.power_dbm_);
+  ar.field(loop.power_watt_);
+  ar.field(loop.saturated_);
 }
 
-void ClosedLoopPowerControl::load(common::BinaryReader& r) {
-  power_dbm_ = r.f64();
-  power_watt_ = r.f64();
-  saturated_ = r.boolean();
+void ClosedLoopPowerControl::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool ClosedLoopPowerControl::load(common::BinaryReader& r) {
+  return r.load_whole(*this, fields);
 }
 
 }  // namespace wcdma::power

@@ -57,9 +57,11 @@ class ClosedLoopPowerControl {
   /// Checkpoint support: the cached wattage round-trips bit-exactly too, so
   /// a restored loop never re-derives it through pow().
   void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& loop, Archive& ar);
   static double to_watt(double dbm);
 
   PowerControlConfig config_;

@@ -2,7 +2,8 @@
 //
 // A FaultPlan names one deliberate failure a worker inflicts on itself --
 // die at a frame, stall past the supervisor's timeout, corrupt the
-// checkpoint it just wrote, or silently drop its result file.  Faults are
+// checkpoint it just wrote, or exit 0 without writing its final checkpoint
+// (the shard's result).  Faults are
 // self-injected (the worker process carries its own plan and triggers it
 // from inside the frame loop) so the trigger point is deterministic: "kill
 // at frame N" means after exactly N frames of the in-flight item, not
@@ -32,7 +33,7 @@ enum class FaultKind : std::uint8_t {
   kKill,               // raise(SIGKILL) after stepping the trigger frame
   kStall,              // sleep forever; the supervisor's timeout must fire
   kCorruptCheckpoint,  // damage the just-written checkpoint, then die
-  kDropResult,         // finish the shard but never write the result file
+  kDropResult,         // finish the shard but never write the final checkpoint
 };
 
 enum class CorruptMode : std::uint8_t { kBitFlip = 0, kTruncate };

@@ -9,51 +9,50 @@ namespace wcdma::runner {
 
 namespace {
 
-// Both archives hold SimMetrics encodings, so a metrics field moves both
-// versions.  v2: the metrics carry `requests_granted`.
-constexpr std::uint32_t kResultMagic = 0x53525357;      // "WSRS" little-endian
-constexpr std::uint32_t kResultVersion = 2;
+// The checkpoint holds SimMetrics encodings, so a metrics field moves its
+// version.  v2: the metrics carry `requests_granted`.
 constexpr std::uint32_t kCheckpointMagic = 0x43525357;  // "WSRC" little-endian
 constexpr std::uint32_t kCheckpointVersion = 2;
 
-void write_header(common::BinaryWriter& w, const ShardHeader& h) {
-  w.u64(h.shard);
-  w.u64(h.workers);
-  w.u64(h.item_begin);
-  w.u64(h.item_end);
-  w.u64(h.master_seed);
+template <typename Self, typename Archive>
+void header_fields(Self& h, Archive& ar) {
+  ar.field(h.shard);
+  ar.field(h.workers);
+  ar.field(h.item_begin);
+  ar.field(h.item_end);
+  ar.field(h.master_seed);
 }
 
-ShardHeader read_header(common::BinaryReader& r) {
-  ShardHeader h;
-  h.shard = r.u64();
-  h.workers = r.u64();
-  h.item_begin = r.u64();
-  h.item_end = r.u64();
-  h.master_seed = r.u64();
-  return h;
+/// The checkpoint layout.  A reader starts from the header the run
+/// expects, and refuses an archive of any other shard or run.
+template <typename Self, typename Archive>
+void checkpoint_fields(Self& ck, Archive& ar) {
+  ar.expect(kCheckpointMagic);
+  ar.expect(kCheckpointVersion);
+  ar.blame("has a wrong magic/version");
+  ar.expect(ck.header);
+  ar.blame("belongs to a different shard/run");
+  ar.field(ck.next_item);
+  ar.check([&] {
+    return ck.next_item >= ck.header.item_begin && ck.next_item <= ck.header.item_end;
+  });
+  ar.blame("progress cursor is out of range");
+  // One metrics record per completed item; the cursor gives their count.
+  if constexpr (Archive::kLoads) {
+    ck.completed.resize(ar.ok() ? ck.next_item - ck.header.item_begin : 0);
+  }
+  for (std::size_t i = 0; i < ck.completed.size(); ++i) {
+    ar.field(ck.completed[i]);
+    ar.blame([&] {
+      return "item " + std::to_string(ck.header.item_begin + i) + " failed to decode";
+    });
+  }
+  ar.vec(ck.snapshot);
 }
 
 bool fail(std::string* error, const std::string& message) {
   if (error) *error = message;
   return false;
-}
-
-/// Footer + magic/version gate shared by both decoders; on success `r` is
-/// positioned after the version field and covers the payload only.
-bool open_archive(const std::vector<std::uint8_t>& bytes, std::uint32_t magic,
-                  std::uint32_t version, const char* what,
-                  common::BinaryReader* reader, std::string* error) {
-  if (bytes.size() <= common::kSealBytes) {
-    return fail(error, std::string(what) + " truncated below the crc footer");
-  }
-  if (!common::unseal(bytes, reader)) {
-    return fail(error, std::string(what) + " failed its crc32 check");
-  }
-  if (reader->u32() != magic || reader->u32() != version) {
-    return fail(error, std::string(what) + " has a wrong magic/version");
-  }
-  return true;
 }
 
 /// Boundary s of the cost split: the smallest k minimising
@@ -139,60 +138,17 @@ bool write_file_atomic(const std::string& path,
   return true;
 }
 
-std::vector<std::uint8_t> encode_shard_result(
-    const ShardHeader& header, const std::vector<sim::SimMetrics>& items) {
-  WCDMA_ASSERT(items.size() == header.item_end - header.item_begin);
-  common::BinaryWriter w;
-  w.u32(kResultMagic);
-  w.u32(kResultVersion);
-  write_header(w, header);
-  for (const sim::SimMetrics& m : items) m.save(w);
-  common::seal(w);
-  return w.take();
-}
+void ShardHeader::save(common::BinaryWriter& w) const { header_fields(*this, w); }
 
-bool decode_shard_result(const std::vector<std::uint8_t>& bytes,
-                         const ShardHeader& expect,
-                         std::vector<sim::SimMetrics>* items,
-                         std::string* error) {
-  items->clear();
-  common::BinaryReader r(nullptr, 0);
-  if (!open_archive(bytes, kResultMagic, kResultVersion, "result file", &r,
-                    error)) {
-    return false;
-  }
-  const ShardHeader h = read_header(r);
-  if (!r.ok() || !(h == expect)) {
-    return fail(error, "result file belongs to a different shard/run");
-  }
-  const std::size_t count = expect.item_end - expect.item_begin;
-  items->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!(*items)[i].load(r)) {
-      items->clear();
-      return fail(error,
-                  "result file item " + std::to_string(expect.item_begin + i) +
-                      " failed to decode");
-    }
-  }
-  if (!r.ok() || !r.at_end()) {
-    items->clear();
-    return fail(error, "result file has trailing or missing payload");
-  }
-  return true;
-}
+bool ShardHeader::load(common::BinaryReader& r) { return r.load_whole(*this, header_fields); }
 
 std::vector<std::uint8_t> encode_shard_checkpoint(const ShardCheckpoint& ck) {
   WCDMA_ASSERT(ck.next_item >= ck.header.item_begin &&
                ck.next_item <= ck.header.item_end);
   WCDMA_ASSERT(ck.completed.size() == ck.next_item - ck.header.item_begin);
+  WCDMA_ASSERT(ck.next_item < ck.header.item_end || ck.snapshot.empty());
   common::BinaryWriter w;
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
-  write_header(w, ck.header);
-  w.u64(ck.next_item);
-  for (const sim::SimMetrics& m : ck.completed) m.save(w);
-  w.blob(ck.snapshot);
+  checkpoint_fields(ck, w);
   common::seal(w);
   return w.take();
 }
@@ -201,33 +157,19 @@ bool decode_shard_checkpoint(const std::vector<std::uint8_t>& bytes,
                              const ShardHeader& expect, ShardCheckpoint* out,
                              std::string* error) {
   *out = ShardCheckpoint{};
+  if (bytes.size() <= common::kSealBytes) {
+    return fail(error, "checkpoint truncated below the crc footer");
+  }
   common::BinaryReader r(nullptr, 0);
-  if (!open_archive(bytes, kCheckpointMagic, kCheckpointVersion, "checkpoint",
-                    &r, error)) {
-    return false;
-  }
-  const ShardHeader h = read_header(r);
-  if (!r.ok() || !(h == expect)) {
-    return fail(error, "checkpoint belongs to a different shard/run");
-  }
-  out->header = h;
-  out->next_item = r.u64();
-  if (!r.ok() || out->next_item < h.item_begin || out->next_item > h.item_end) {
-    return fail(error, "checkpoint progress cursor is out of range");
-  }
-  const std::size_t completed =
-      static_cast<std::size_t>(out->next_item - h.item_begin);
-  out->completed.resize(completed);
-  for (std::size_t i = 0; i < completed; ++i) {
-    if (!out->completed[i].load(r)) {
-      return fail(error, "checkpoint item " + std::to_string(h.item_begin + i) +
-                             " failed to decode");
-    }
-  }
-  r.blob(out->snapshot);
+  if (!common::unseal(bytes, &r)) return fail(error, "checkpoint failed its crc32 check");
+  ShardCheckpoint ck;
+  ck.header = expect;
+  checkpoint_fields(ck, r);
   if (!r.ok() || !r.at_end()) {
-    return fail(error, "checkpoint has trailing or missing payload");
+    return fail(error, "checkpoint " + (r.failure().empty() ? "has trailing or missing payload"
+                                                            : r.failure()));
   }
+  *out = std::move(ck);
   return true;
 }
 

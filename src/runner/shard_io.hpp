@@ -1,25 +1,23 @@
 // On-disk shard interchange for the multi-process sweep runner.
 //
 // A worker owns one contiguous block of (scenario x replication) item
-// indices and communicates with the supervisor through exactly two files,
-// both versioned little-endian archives (common/serialize.hpp) with a
-// crc32 footer and an identity header binding them to one (spec, shard,
-// worker-count, master-seed) tuple:
+// indices and communicates with the supervisor through exactly one file:
+// its checkpoint, a versioned little-endian archive (common/serialize.hpp)
+// with a crc32 footer and an identity header binding it to one (spec,
+// shard, worker-count, master-seed) tuple.  It holds the metrics of the
+// completed items plus a Simulator::snapshot() archive of the in-flight
+// item at its last checkpoint frame, and is rewritten atomically (temp +
+// rename) at each one.  A retried worker resumes from it instead of frame
+// 0.  A finished shard writes its final checkpoint -- every item
+// completed, no snapshot -- which is the shard's result: the supervisor
+// merges the final checkpoints in item-index order, so the merged sweep is
+// byte-identical to the in-process path for any worker count.
 //
-//  * result file  -- the shard's finished per-item SimMetrics, written
-//    once, atomically (temp + rename), when every item is done.  The
-//    supervisor merges result files in item-index order, so the merged
-//    sweep is byte-identical to the in-process path for any worker count.
-//  * checkpoint file -- the shard's progress mid-run: metrics of the
-//    completed items plus a Simulator::snapshot() archive of the in-flight
-//    item at its last checkpoint frame.  A retried worker resumes from
-//    here instead of frame 0; a checkpoint that fails its checksum or
-//    identity check is detected before a single field is trusted.
-//
-// Decoders fail soft with an attributed reason string -- the supervisor
-// turns that into either a discard-and-restart (still bit-identical, the
-// items are deterministic from their seeds) or a hard error naming the
-// shard and file, never silent data loss.
+// The decoder fails soft with an attributed reason string, checksum and
+// identity first, before a single field is trusted -- the supervisor turns
+// that into either a discard-and-restart (still bit-identical, the items
+// are deterministic from their seeds) or a hard error naming the shard and
+// file, never silent data loss.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +26,11 @@
 #include <vector>
 
 #include "src/sim/metrics.hpp"
+
+namespace wcdma::common {
+class BinaryWriter;
+class BinaryReader;
+}  // namespace wcdma::common
 
 namespace wcdma::runner {
 
@@ -51,7 +54,7 @@ ShardRange shard_range(std::size_t total, std::size_t shard,
 ShardRange shard_range(const std::vector<std::uint64_t>& costs,
                        std::size_t shard, std::size_t workers);
 
-/// Identity header of both shard file kinds: a file is only trusted when
+/// Identity header of the shard checkpoint: a file is only trusted when
 /// every field matches the run that expects it.
 struct ShardHeader {
   std::uint64_t shard = 0;
@@ -65,6 +68,8 @@ struct ShardHeader {
            item_begin == o.item_begin && item_end == o.item_end &&
            master_seed == o.master_seed;
   }
+  void save(common::BinaryWriter& w) const;
+  bool load(common::BinaryReader& r);
 };
 
 /// Whole-file read; false on any I/O error.
@@ -74,27 +79,21 @@ bool read_file(const std::string& path, std::vector<std::uint8_t>* out);
 bool write_file_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes);
 
-// --- Result files ---------------------------------------------------------
-std::vector<std::uint8_t> encode_shard_result(
-    const ShardHeader& header, const std::vector<sim::SimMetrics>& items);
-/// Verifies checksum + identity before decoding; on failure returns false
-/// with the reason in *error (when non-null) and leaves *items empty.
-bool decode_shard_result(const std::vector<std::uint8_t>& bytes,
-                         const ShardHeader& expect,
-                         std::vector<sim::SimMetrics>* items,
-                         std::string* error);
-
 // --- Checkpoint files ------------------------------------------------------
 struct ShardCheckpoint {
   ShardHeader header;
   /// First incomplete item; `completed` holds [header.item_begin, next_item).
+  /// header.item_end in the final checkpoint.
   std::uint64_t next_item = 0;
   std::vector<sim::SimMetrics> completed;
   /// Simulator::snapshot() of the in-flight item at the checkpoint frame;
-  /// empty when the checkpoint sits exactly on an item boundary.
+  /// empty when the checkpoint sits exactly on an item boundary, as the
+  /// final one does.
   std::vector<std::uint8_t> snapshot;
 };
 std::vector<std::uint8_t> encode_shard_checkpoint(const ShardCheckpoint& ck);
+/// Verifies checksum + identity before decoding; on failure returns false
+/// with the reason in *error (when non-null) and leaves *out empty.
 bool decode_shard_checkpoint(const std::vector<std::uint8_t>& bytes,
                              const ShardHeader& expect, ShardCheckpoint* out,
                              std::string* error);

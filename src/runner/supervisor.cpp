@@ -46,15 +46,9 @@ struct ShardState {
   double ready_s = 0.0;     // backoff gate for the next launch
   bool timed_out = false;
   bool resume_next = false;
-  std::string result_path;
   std::string checkpoint_path;
-  std::vector<sim::SimMetrics> items;  // decoded result when kDone
+  std::vector<sim::SimMetrics> items;  // the final checkpoint's, when kDone
 };
-
-std::string shard_file(const std::string& dir, std::size_t shard,
-                       const char* suffix) {
-  return dir + "/shard-" + std::to_string(shard) + suffix;
-}
 
 ShardHeader header_for(const sweep::SweepSpec& spec, const ShardState& state,
                        std::size_t shard, std::size_t workers) {
@@ -77,7 +71,6 @@ pid_t launch_worker(const sweep::SweepSpec& spec,
   job.spec = spec;
   job.shard = shard;
   job.workers = workers;
-  job.result_path = state.result_path;
   job.checkpoint_path = state.checkpoint_path;
   job.checkpoint_every_frames = options.checkpoint_every_frames;
   job.resume = state.resume_next;
@@ -146,12 +139,10 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
 
   std::size_t done = 0;
   for (std::size_t s = 0; s < workers; ++s) {
-    shards[s].result_path = shard_file(options.work_dir, s, ".result");
-    shards[s].checkpoint_path = shard_file(options.work_dir, s, ".ckpt");
+    shards[s].checkpoint_path = options.work_dir + "/shard-" + std::to_string(s) + ".ckpt";
     // A stale file from an earlier run must never satisfy this one; the
     // identity header would refuse it, but remove it anyway so "missing"
     // failures attribute cleanly.
-    std::remove(shards[s].result_path.c_str());
     std::remove(shards[s].checkpoint_path.c_str());
     if (shards[s].range.size() == 0) {
       shards[s].status = ShardStatus::kDone;
@@ -255,19 +246,25 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
       }
       st.pid = -1;
       if (WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == kWorkerOk) {
+        // A finished shard's result is its final checkpoint.
         std::vector<std::uint8_t> bytes;
+        ShardCheckpoint ck;
         std::string why;
         const ShardHeader expect = header_for(spec, st, s, workers);
-        if (read_file(st.result_path, &bytes) &&
-            decode_shard_result(bytes, expect, &st.items, &why)) {
-          st.status = ShardStatus::kDone;
-          ++done;
-          items_done += st.items.size();
-          if (options.progress) options.progress(items_done, costs.size());
-          continue;
+        if (read_file(st.checkpoint_path, &bytes) &&
+            decode_shard_checkpoint(bytes, expect, &ck, &why)) {
+          if (ck.next_item == expect.item_end) {
+            st.items = std::move(ck.completed);
+            st.status = ShardStatus::kDone;
+            ++done;
+            items_done += st.items.size();
+            if (options.progress) options.progress(items_done, costs.size());
+            continue;
+          }
+          why = "it stops before item " + std::to_string(ck.next_item);
         }
         const std::string reason =
-            "result file " + st.result_path + " missing or invalid (" +
+            "final checkpoint " + st.checkpoint_path + " missing or invalid (" +
             (why.empty() ? "unreadable file" : why) + ")";
         std::string abort_why;
         if (!schedule_retry(s, reason, &abort_why)) return abort_with(s, abort_why);
@@ -292,7 +289,6 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
     for (std::size_t i = 0; i < st.items.size(); ++i) {
       per_item[st.range.begin + i] = st.items[i];
     }
-    std::remove(st.result_path.c_str());
     std::remove(st.checkpoint_path.c_str());
   }
   out.result = sweep::merge_item_metrics(spec, per_item);

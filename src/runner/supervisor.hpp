@@ -2,10 +2,10 @@
 //
 // run_supervised_sweep() shards the (scenario x replication) grid across N
 // forked worker processes (src/runner/worker.hpp) in contiguous blocks of
-// about equal cost (item_costs()), watches them, and merges their result files
-// through sweep::merge_item_metrics() -- the same merge the in-process
-// runner ends in, so the output is byte-identical to sweep::run_sweep()
-// for any worker count.  The supervisor owns the robustness contract:
+// about equal cost (item_costs()), watches them, and merges their final
+// checkpoints through sweep::merge_item_metrics() -- the same merge the
+// in-process runner ends in, so the output is byte-identical to
+// sweep::run_sweep() for any worker count.  The supervisor owns the robustness contract:
 //
 //  * crash detection -- exit codes and signals are attributed per shard;
 //  * wall-clock timeouts -- a stalled worker is SIGKILLed at its deadline;
@@ -51,9 +51,10 @@ struct SupervisorOptions {
   int max_retries = 2;
   double backoff_base_s = 0.05;
   double backoff_cap_s = 2.0;
-  /// Frames between worker checkpoints; 0 disables checkpointing.
+  /// Frames between worker checkpoints; 0 writes only each shard's final
+  /// checkpoint (its result), so a retried shard restarts from frame 0.
   std::int64_t checkpoint_every_frames = 256;
-  /// Directory for shard result/checkpoint files; must exist.
+  /// Directory for the shard checkpoint files; must exist.
   std::string work_dir = ".";
   /// Injected fault, forwarded to the worker whose shard it names.  A
   /// fault naming a shard that starts no worker (past the shard count, or
@@ -61,8 +62,9 @@ struct SupervisorOptions {
   FaultPlan fault;
   /// Corrupt checkpoint = hard error instead of discard-and-restart.
   bool strict_checkpoint = false;
-  /// Called with (items done, items total) each time a shard's result
-  /// decodes, so the count only grows and its last call reads total.
+  /// Called with (items done, items total) each time a shard's final
+  /// checkpoint decodes, so the count only grows and its last call reads
+  /// total.
   sweep::ProgressFn progress;
 };
 

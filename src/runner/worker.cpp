@@ -126,18 +126,19 @@ int run_worker(const WorkerJob& job) {
   }
 
   if (fault_armed && job.fault.kind == FaultKind::kDropResult) {
-    // Finish "successfully" without the result file: the supervisor must
-    // attribute the missing file to this shard and retry, never merge a
-    // partial grid.
+    // Finish "successfully" without the final checkpoint: the supervisor
+    // must attribute the missing result to this shard and retry, never
+    // merge a partial grid.
     return kWorkerOk;
   }
-  if (!write_file_atomic(job.result_path,
-                         encode_shard_result(ck.header, ck.completed))) {
-    std::fprintf(stderr, "worker shard %zu: cannot write result %s\n",
-                 job.shard, job.result_path.c_str());
+  // The final checkpoint is the shard's result.
+  ck.next_item = range.end;
+  ck.snapshot.clear();
+  if (!write_file_atomic(job.checkpoint_path, encode_shard_checkpoint(ck))) {
+    std::fprintf(stderr, "worker shard %zu: cannot write final checkpoint %s\n",
+                 job.shard, job.checkpoint_path.c_str());
     return kWorkerIoError;
   }
-  std::remove(job.checkpoint_path.c_str());
   return kWorkerOk;
 }
 

@@ -1,7 +1,7 @@
 // One sweep-shard worker process: runs a contiguous block of the
 // (scenario x replication) grid through the deterministic item_config()
 // seeding, checkpoints its progress every `checkpoint_every_frames`
-// frames, and writes its per-item metrics as one atomic result file.
+// frames, and ends in a final checkpoint holding every item's metrics.
 //
 // run_worker() is the whole process body: the supervisor calls it in a
 // forked child, on its own SweepSpec, for the CLI and the tests alike.  The
@@ -24,17 +24,16 @@ namespace wcdma::runner {
 inline constexpr int kWorkerOk = 0;
 /// The checkpoint it was told to resume from failed integrity/decoding.
 inline constexpr int kWorkerBadCheckpoint = 3;
-/// A result/checkpoint file could not be written (I/O error, full disk).
+/// The checkpoint could not be written (I/O error, full disk).
 inline constexpr int kWorkerIoError = 4;
 
 struct WorkerJob {
   sweep::SweepSpec spec;
   std::size_t shard = 0;
   std::size_t workers = 1;
-  std::string result_path;
   std::string checkpoint_path;
-  /// Frames between checkpoint writes within an item; 0 disables
-  /// checkpointing (a retried shard restarts from frame 0).
+  /// Frames between checkpoint writes within an item; 0 writes only the
+  /// final checkpoint (a retried shard restarts from frame 0).
   std::int64_t checkpoint_every_frames = 0;
   /// Resume from checkpoint_path instead of the shard's first item.  The
   /// supervisor validates the file before setting this; an unusable

@@ -42,7 +42,6 @@ sweep::SweepSpec e4_delay_fl() {
   spec.axes = {sweep::axis_data_users({4, 8, 12, 16, 20, 24}),
                sweep::axis_scheduler(headline_schedulers())};
   spec.replications = 3;
-  spec.common_random_numbers = true;  // paired comparison across schedulers
   return spec;
 }
 
@@ -54,7 +53,6 @@ sweep::SweepSpec e5_delay_rl() {
   spec.axes = {sweep::axis_data_users({4, 8, 12, 16, 20, 24}),
                sweep::axis_scheduler(headline_schedulers())};
   spec.replications = 3;
-  spec.common_random_numbers = true;  // paired comparison across schedulers
   return spec;
 }
 
@@ -66,7 +64,6 @@ sweep::SweepSpec e8_synergy() {
   spec.axes = {sweep::axis_fixed_mode({0, 3}),
                sweep::axis_scheduler({"jaba-sd", "fcfs-single"})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // every cell of the 2x2 sees one drop
   return spec;
 }
 
@@ -101,7 +98,6 @@ sweep::SweepSpec e10_objectives() {
   }
   spec.axes = {axis};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // same drop under every objective
   return spec;
 }
 
@@ -134,7 +130,6 @@ sweep::SweepSpec e11_mac_states() {
   spec.axes = {timers, sweep::axis_objective({ObjectiveKind::kJ2DelayAware,
                                               ObjectiveKind::kJ1MaxRate})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // paired across timers and objectives
   return spec;
 }
 
@@ -149,7 +144,6 @@ sweep::SweepSpec e12a_feedback_delay() {
   spec.base.phy.fixed_mode = 3;
   spec.axes = {sweep::axis_feedback_delay_frames({0, 1, 4, 8})};
   spec.replications = 1;
-  spec.common_random_numbers = true;
   return spec;
 }
 
@@ -161,7 +155,6 @@ sweep::SweepSpec e12b_kappa_margin() {
   spec.base.data.forward_fraction = 0.0;  // reverse link: kappa matters there
   spec.axes = {sweep::axis_kappa_margin_db({0.0, 2.0, 6.0})};
   spec.replications = 1;
-  spec.common_random_numbers = true;
   return spec;
 }
 
@@ -172,7 +165,6 @@ sweep::SweepSpec e12c_scrm_retry() {
   spec.base.data.users = 20;
   spec.axes = {sweep::axis_scrm_retry_s({0.02, 0.26, 1.0})};
   spec.replications = 1;
-  spec.common_random_numbers = true;
   return spec;
 }
 
@@ -184,7 +176,6 @@ sweep::SweepSpec e12d_reduced_set() {
   spec.base.active_set.max_size = 3;
   spec.axes = {sweep::axis_reduced_set({1, 2, 3})};
   spec.replications = 1;
-  spec.common_random_numbers = true;
   return spec;
 }
 

@@ -2,9 +2,9 @@
 // paper's figures), shared by the sweep presets and the tests.
 //
 // Every experiment is a SweepSpec over one canonical scenario, run by the
-// sweep engine's deterministic (scenario x replication) runner: per-item
-// seeds derive from (master seed, scenario, replication), paired
-// comparisons use common random numbers, and merged metrics are
+// sweep engine's deterministic (scenario x replication) runner: replication
+// r draws one seed from the master seed in every scenario (common random
+// numbers, so comparisons are paired), and merged metrics are
 // bit-identical for any thread count.  Each spec is registered as a sweep
 // preset under its own `name` (src/sweep/presets.cpp), so
 // `sweep_main --preset e4-delay-fl --format table` prints the experiment's

@@ -149,51 +149,32 @@ void FarFieldAggregator::refresh(FrameState& state, const std::uint32_t* anchor,
   for (double& w : reverse_far_w_) w = w > 0.0 ? w : 0.0;
 }
 
-void FarFieldAggregator::save(common::BinaryWriter& w) const {
-  w.boolean(active_);
-  if (!active_) return;
-  w.vec_f64(tx_sum_);
-  w.vec_f64(applied_tx_w_);
-  w.vec_i32(applied_carrier_);
-  w.vec_u32(applied_anchor_);
-  w.vec_f64(reverse_far_w_);
-}
-
-bool FarFieldAggregator::load(common::BinaryReader& r) {
+template <typename Self, typename Archive>
+void FarFieldAggregator::fields(Self& agg, Archive& ar) {
   // Activity is decided at init from the config + provider; a snapshot
   // taken under a different far-field mode is not restorable.
-  if (r.boolean() != active_) return false;
-  if (!active_) return r.ok();
-  std::vector<double> tx, applied_tx, rev;
-  std::vector<int> carrier;
-  std::vector<std::uint32_t> anchor;
-  r.vec_f64(tx);
-  r.vec_f64(applied_tx);
-  r.vec_i32(carrier);
-  r.vec_u32(anchor);
-  r.vec_f64(rev);
-  if (!r.ok() || tx.size() != tx_sum_.size() ||
-      applied_tx.size() != applied_tx_w_.size() ||
-      carrier.size() != applied_carrier_.size() ||
-      anchor.size() != applied_anchor_.size() ||
-      rev.size() != reverse_far_w_.size()) {
-    return false;
-  }
+  ar.expect(agg.active_);
+  if (!agg.active_) return;
+  ar.field(agg.tx_sum_);
+  ar.field(agg.applied_tx_w_);
+  ar.field(agg.applied_carrier_);
+  ar.field(agg.applied_anchor_);
+  ar.field(agg.reverse_far_w_);
   // The anchors and carriers index the TX buckets on the next frame (and
   // in tx_buckets_match_rebuild), so they are range-checked here.
-  for (const std::uint32_t a : anchor) {
-    if (a >= num_cells_) return false;
-  }
-  for (const int c : carrier) {
-    if (c < 0 || c >= carriers_) return false;
-  }
-  tx_sum_ = std::move(tx);
-  applied_tx_w_ = std::move(applied_tx);
-  applied_carrier_ = std::move(carrier);
-  applied_anchor_ = std::move(anchor);
-  reverse_far_w_ = std::move(rev);
-  return true;
+  ar.check([&] {
+    for (const std::uint32_t a : agg.applied_anchor_) {
+      if (a >= agg.num_cells_) return false;
+    }
+    for (const int c : agg.applied_carrier_) {
+      if (c < 0 || c >= agg.carriers_) return false;
+    }
+    return true;
+  });
 }
+
+void FarFieldAggregator::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool FarFieldAggregator::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
 bool FarFieldAggregator::tx_buckets_match_rebuild(double rel_tol) const {
   if (!active_) return true;

@@ -118,6 +118,8 @@ class FarFieldAggregator {
   bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& agg, Archive& ar);
   double gain_of(std::size_t anchor, std::size_t cell) const {
     return ring_gain_[anchor * num_rings_ + ring_of_[anchor * num_cells_ + cell]];
   }

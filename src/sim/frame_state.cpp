@@ -226,71 +226,40 @@ bool FrameState::fading_clocks_valid() const {
   return true;
 }
 
-namespace {
-
-void save_rngs(common::BinaryWriter& w, const std::vector<common::Rng>& v) {
-  w.u64(v.size());
-  for (const common::Rng& r : v) r.save(w);
-}
-
-void save_rngs(common::BinaryWriter& w, const common::RngBank& bank) {
-  w.u64(bank.size());
-  bank.save(w);
-}
-
-// Streams are sized at init from the layout; a snapshot from a different
-// world shape must not resize them.
-bool load_rngs(common::BinaryReader& r, std::vector<common::Rng>& v) {
-  return r.sized_vec(v, [&r](common::Rng& x) { return x.load(r); });
-}
-
-bool load_rngs(common::BinaryReader& r, common::RngBank& bank) {
-  return r.seq(8) == bank.size() && r.ok() && bank.load(r);
-}
-
-}  // namespace
-
-void FrameState::save(common::BinaryWriter& w) const {
-  w.i64(frame_);
-  save_rngs(w, shadow_rng_);
-  w.vec_f64(shadow_db_);
-  save_rngs(w, fade_rng_);
-  w.vec_f64(fade_re_);
-  w.vec_f64(fade_im_);
-  w.vec_i64(fade_frame_);
-  w.vec_f64(far_fl_w_);
-  if (!culls_) return;
-  w.u64(candidate_epoch());
-  w.vec_f64(refresh_left_s_);
-  for (const std::vector<std::size_t>& cells : candidates_) {
-    w.u64(cells.size());  // vec_u32's layout, which load() reads back
-    for (std::size_t k : cells) w.u32(static_cast<std::uint32_t>(k));
-  }
-}
-
-bool FrameState::load(common::BinaryReader& r) {
-  frame_ = r.i64();
-  if (!load_rngs(r, shadow_rng_) || !r.sized_vec(shadow_db_)) return false;
-  if (!load_rngs(r, fade_rng_) || !r.sized_vec(fade_re_) || !r.sized_vec(fade_im_) ||
-      !r.sized_vec(fade_frame_) || !r.sized_vec(far_fl_w_)) {
-    return false;
-  }
-  if (culls_) {
+template <typename Self, typename Archive>
+void FrameState::fields(Self& state, Archive& ar) {
+  ar.field(state.frame_);
+  // Streams and lanes are sized at init from the layout; a snapshot from a
+  // different world shape must not resize them.
+  ar.expect(state.shadow_rng_.size());
+  ar.field(state.shadow_rng_);
+  ar.field(state.shadow_db_);
+  ar.field(state.fade_rng_);
+  ar.field(state.fade_re_);
+  ar.field(state.fade_im_);
+  ar.field(state.fade_frame_);
+  ar.field(state.far_fl_w_);
+  if (!state.culls_) return;
+  std::uint64_t epoch = state.candidate_epoch();
+  ar.field(epoch);
+  ar.field(state.refresh_left_s_);
+  std::vector<std::uint32_t> cells;  // a set's archive form
+  for (auto& set : state.candidates_) {
+    cells.assign(set.begin(), set.end());
+    ar.vec(cells);
+    if constexpr (Archive::kLoads) set.assign(cells.begin(), cells.end());
     // Every set is checked before the transpose's counting sort indexes
     // with it: a CRC-valid archive is not a trusted one.
-    const std::uint64_t epoch = r.u64();
-    if (!r.sized_vec(refresh_left_s_)) return false;
-    std::vector<std::vector<std::size_t>> sets(num_users_);
-    std::vector<std::uint32_t> cells;
-    for (std::vector<std::size_t>& set : sets) {
-      r.vec_u32(cells);
-      set.assign(cells.begin(), cells.end());
-      if (!r.ok() || !set_well_formed(set)) return false;
-    }
-    epoch_.store(epoch, std::memory_order_relaxed);
-    candidates_ = std::move(sets);
+    ar.check([&] { return state.set_well_formed(set); });
   }
-  rebuild_transpose();
+  if constexpr (Archive::kLoads) state.epoch_.store(epoch, std::memory_order_relaxed);
+}
+
+void FrameState::save(common::BinaryWriter& w) const { fields(*this, w); }
+
+bool FrameState::load(common::BinaryReader& r) {
+  fields(*this, r);
+  if (r.ok()) rebuild_transpose();
   return r.ok();
 }
 

@@ -168,6 +168,9 @@ class FrameState {
   bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& state, Archive& ar);
+
   /// Up to kSize candidate links of consecutive users, each with its
   /// user's AR(1) pair and its clamped squared distance.
   struct LinkBlock {

@@ -8,10 +8,12 @@ namespace wcdma::sim {
 
 namespace {
 
-// What each kind of accumulator does when the field list is walked.
-// Counters and sums add; StreamingMoments and Histogram merge, save and
-// load themselves; a vector does each element, behind a u64 length that
-// load() takes only at the length the struct was built with.
+// What each kind of accumulator does when the field list is walked to
+// merge.  Counters and sums add; StreamingMoments and Histogram merge
+// themselves; a vector merges element by element.  The checkpoint walks the
+// same list through the archive vocabulary (common/serialize.hpp), where a
+// vector is a lane load() takes only at the length the struct was built
+// with.
 
 void merge_field(double& a, double b) { a += b; }
 void merge_field(std::int64_t& a, std::int64_t b) { a += b; }
@@ -25,33 +27,9 @@ void merge_field(std::vector<T>& a, const std::vector<T>& b) {
   for (std::size_t i = 0; i < a.size(); ++i) merge_field(a[i], b[i]);
 }
 
-void save_field(common::BinaryWriter& w, double v) { w.f64(v); }
-void save_field(common::BinaryWriter& w, std::int64_t v) { w.i64(v); }
-template <typename T>
-void save_field(common::BinaryWriter& w, const T& v) {
-  v.save(w);
-}
-template <typename T>
-void save_field(common::BinaryWriter& w, const std::vector<T>& v) {
-  w.u64(v.size());
-  for (const T& x : v) save_field(w, x);
-}
-
-bool load_field(common::BinaryReader& r, double& v) {
-  v = r.f64();
-  return true;
-}
-bool load_field(common::BinaryReader& r, std::int64_t& v) {
-  v = r.i64();
-  return true;
-}
-template <typename T>
-bool load_field(common::BinaryReader& r, T& v) {
-  return v.load(r);
-}
-template <typename T>
-bool load_field(common::BinaryReader& r, std::vector<T>& v) {
-  return r.sized_vec(v, [&r](T& x) { return load_field(r, x); });
+template <typename Self, typename Archive>
+void archive_fields(Self& m, Archive& ar) {
+  SimMetrics::for_each_field([&](const char*, auto member) { ar.field(m.*member); });
 }
 
 std::string f17(double v) { return common::format_double(v, 17); }
@@ -96,17 +74,8 @@ void SimMetrics::merge(const SimMetrics& other) {
       [&](const char*, auto member) { merge_field(this->*member, other.*member); });
 }
 
-void SimMetrics::save(common::BinaryWriter& w) const {
-  for_each_field([&](const char*, auto member) { save_field(w, this->*member); });
-}
-
-bool SimMetrics::load(common::BinaryReader& r) {
-  bool ok = true;
-  for_each_field([&](const char*, auto member) {
-    ok = ok && load_field(r, this->*member);
-  });
-  return ok && r.ok();
-}
+void SimMetrics::save(common::BinaryWriter& w) const { archive_fields(*this, w); }
+bool SimMetrics::load(common::BinaryReader& r) { return r.load_whole(*this, archive_fields); }
 
 std::string to_json(const SimMetrics& m) {
   std::string out = "{\"metrics\":{";

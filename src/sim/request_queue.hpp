@@ -68,17 +68,16 @@ class RequestQueues {
 
   int carriers() const { return carriers_; }
 
-  void save(common::BinaryWriter& w) const {
-    w.u64(buckets_.size());
-    for (const std::vector<int>& b : buckets_) w.vec_i32(b);
-  }
-  bool load(common::BinaryReader& r) {
-    if (r.seq(8) != buckets_.size()) return false;  // shape fixed at init
-    for (std::vector<int>& b : buckets_) r.vec_i32(b);
-    return r.ok();
-  }
+  void save(common::BinaryWriter& w) const { fields(*this, w); }
+  bool load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& q, Archive& ar) {
+    ar.expect(q.buckets_.size());  // shape fixed at init
+    for (auto& bucket : q.buckets_) ar.vec(bucket);
+  }
+
   std::size_t index(bool forward, int carrier) const {
     return (forward ? 0 : 1) * static_cast<std::size_t>(carriers_) +
            static_cast<std::size_t>(carrier);

@@ -882,79 +882,88 @@ constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 constexpr std::uint32_t kSnapshotVersion = 8;
 }  // namespace
 
-std::vector<std::uint8_t> Simulator::snapshot() const {
-  validate_invariants();
-  common::BinaryWriter w;
-  w.u32(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
+template <typename Archive>
+void Simulator::header_fields(Archive& ar) const {
+  ar.expect(kSnapshotMagic);
+  ar.expect(kSnapshotVersion);
   // Config fingerprint: restore() only accepts archives taken from a
   // simulator built on the same world shape, seed, and policy stack --
   // everything else about the config is reproduced by construction.
-  w.u64(config_.seed);
-  w.u64(users_.size());
-  w.u64(layout_.num_cells());
-  w.i32(config_.placement.carriers);
-  w.f64(config_.frame_s);
-  w.str(config_.admission.policy);
-  w.str(config_.csi.provider);
+  ar.expect(config_.seed);
+  ar.expect(users_.size());
+  ar.expect(layout_.num_cells());
+  ar.expect(config_.placement.carriers);
+  ar.expect(config_.frame_s);
+  ar.expect(config_.admission.policy);
+  ar.expect(config_.csi.provider);
+}
 
-  w.f64(now_s_);
-  w.i64(frame_count_);
-  w.f64(far_refresh_left_s_);
-  rng_.save(w);
+template <typename Self, typename Archive>
+void Simulator::body_fields(Self& sim, Archive& ar, std::int64_t max_frame) {
+  // A CRC-valid archive is not a trusted one.  The loads size-check every
+  // lane before writing it and range-check what they index with on the
+  // spot (candidate sets, far-field anchors and carriers); everything else
+  // is checked once, by check_invariants() after the walk.
+  ar.field(sim.now_s_);
+  ar.field(sim.frame_count_);
+  // run(), the sweep workers, service_main and perfbench all stop at the
+  // configured horizon, so an archive clock beyond it is forged, and the
+  // next frame's lazy fading replay would chase it.
+  ar.check([&] { return sim.frame_count_ <= max_frame; });
+  ar.field(sim.far_refresh_left_s_);
+  ar.field(sim.rng_);
 
-  w.u64(stations_.size());
-  for (const BaseStation& bs : stations_) {
-    w.f64(bs.forward_w);
-    w.f64(bs.received_w);
+  ar.expect(sim.stations_.size());
+  for (auto& bs : sim.stations_) {
+    ar.field(bs.forward_w);
+    ar.field(bs.received_w);
   }
-  w.vec_f64(prev_tx_w_);
-  w.vec_i32(user_carrier_);
-  w.vec_f64(injected_bits_);
-  queues_.save(w);
+  ar.field(sim.prev_tx_w_);
+  ar.field(sim.user_carrier_);
+  ar.field(sim.injected_bits_);
+  ar.field(sim.queues_);
 
-  w.u64(users_.size());
-  for (const User& u : users_) {
-    w.i32(u.carrier);
-    u.mobility->save(w);
-    u.active_set.save(w);
-    u.fl_pc.save(w);
-    u.rl_pc.save(w);
-    if (u.voice) u.voice->save(w);
-    if (u.data) u.data->save(w);
-    u.mac.save(w);
-    if (u.fixed) u.fixed->save(w);
-    w.boolean(u.voice_active);
-    w.boolean(u.has_pending);
-    w.f64(u.pending_bits);
-    w.f64(u.pending_arrival_s);
-    w.f64(u.next_eligible_s);
-    w.boolean(u.burst.active);
-    w.i32(u.burst.m);
-    w.f64(u.burst.remaining_bits);
-    w.f64(u.burst.arrival_s);
-    w.f64(u.burst.setup_left_s);
-    w.u64(u.burst.distance_bin);
+  ar.expect(sim.users_.size());
+  for (auto& u : sim.users_) {
+    ar.field(u.carrier);
+    ar.field(*u.mobility);
+    ar.field(u.active_set);
+    ar.field(u.fl_pc);
+    ar.field(u.rl_pc);
+    if (u.voice) ar.field(*u.voice);
+    if (u.data) ar.field(*u.data);
+    ar.field(u.mac);
+    if (u.fixed) ar.field(*u.fixed);
+    ar.field(u.voice_active);
+    ar.field(u.has_pending);
+    ar.field(u.pending_bits);
+    ar.field(u.pending_arrival_s);
+    ar.field(u.next_eligible_s);
+    ar.field(u.burst.active);
+    ar.field(u.burst.m);
+    ar.field(u.burst.remaining_bits);
+    ar.field(u.burst.arrival_s);
+    ar.field(u.burst.setup_left_s);
+    ar.field(u.burst.distance_bin);
   }
 
-  state_.save(w);
-  far_field_.save(w);
-  admission_policy_->save_state(w);
-  metrics_.save(w);
+  ar.field(sim.state_);
+  ar.field(sim.far_field_);
+  ar.field(*sim.admission_policy_);
+  ar.field(sim.metrics_);
+}
+
+std::vector<std::uint8_t> Simulator::snapshot() const {
+  validate_invariants();
+  common::BinaryWriter w;
+  header_fields(w);
+  body_fields(*this, w, total_frames());
   common::seal(w);
   return w.take();
 }
 
 bool Simulator::check_snapshot_header(common::BinaryReader& r) const {
-  if (r.u32() != kSnapshotMagic || r.u32() != kSnapshotVersion) return false;
-  if (r.u64() != config_.seed) return false;
-  if (r.u64() != users_.size()) return false;
-  if (r.u64() != layout_.num_cells()) return false;
-  if (r.i32() != config_.placement.carriers) return false;
-  // lint-allow(DET-FLOAT-EQ): config fingerprint; any bit difference must refuse
-  if (r.f64() != config_.frame_s) return false;
-  if (r.str() != config_.admission.policy) return false;
-  if (r.str() != config_.csi.provider) return false;
+  header_fields(r);
   return r.ok();
 }
 
@@ -980,57 +989,7 @@ bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
 }
 
 bool Simulator::restore_body(common::BinaryReader& r, std::int64_t max_frame) {
-  // A CRC-valid archive is not a trusted one.  The loads size-check every
-  // lane before writing it and range-check what they index with on the
-  // spot (candidate sets, far-field anchors and carriers); everything else
-  // is checked once, by check_invariants() at the end.
-  now_s_ = r.f64();
-  frame_count_ = r.i64();
-  // run(), the sweep workers, service_main and perfbench all stop at the
-  // configured horizon, so an archive clock beyond it is forged, and the
-  // next frame's lazy fading replay would chase it.
-  if (frame_count_ > max_frame) return false;
-  far_refresh_left_s_ = r.f64();
-  if (!rng_.load(r)) return false;
-
-  if (r.seq(16) != stations_.size()) return false;
-  for (BaseStation& bs : stations_) {
-    bs.forward_w = r.f64();
-    bs.received_w = r.f64();
-  }
-  if (!r.sized_vec(prev_tx_w_) || !r.sized_vec(user_carrier_) ||
-      !r.sized_vec(injected_bits_) || !queues_.load(r)) {
-    return false;
-  }
-
-  if (r.seq(1) != users_.size()) return false;
-  for (User& u : users_) {
-    u.carrier = r.i32();
-    if (!u.mobility->load(r) || !u.active_set.load(r)) return false;
-    u.fl_pc.load(r);
-    u.rl_pc.load(r);
-    if ((u.voice && !u.voice->load(r)) || (u.data && !u.data->load(r)) ||
-        !u.mac.load(r) || (u.fixed && !u.fixed->load(r))) {
-      return false;
-    }
-    u.voice_active = r.boolean();
-    u.has_pending = r.boolean();
-    u.pending_bits = r.f64();
-    u.pending_arrival_s = r.f64();
-    u.next_eligible_s = r.f64();
-    u.burst.active = r.boolean();
-    u.burst.m = r.i32();
-    u.burst.remaining_bits = r.f64();
-    u.burst.arrival_s = r.f64();
-    u.burst.setup_left_s = r.f64();
-    u.burst.distance_bin = static_cast<std::size_t>(r.u64());
-    if (!r.ok()) return false;
-  }
-
-  if (!state_.load(r)) return false;
-  if (!far_field_.load(r)) return false;
-  if (!admission_policy_->load_state(r)) return false;
-  if (!metrics_.load(r)) return false;
+  body_fields(*this, r, max_frame);
   return r.ok() && r.at_end() && check_invariants();
 }
 

@@ -325,8 +325,18 @@ class Simulator {
     return static_cast<std::size_t>(carrier) * 2 + (forward ? 0 : 1);
   }
 
-  /// Archive fingerprint check (magic/version/config); reads from `r` but
-  /// mutates no simulator state, leaving `r` positioned at the body.
+  /// The snapshot layout, listed once (common/serialize.hpp): snapshot()
+  /// walks both halves with a writer, restore() with a reader.  The header
+  /// is the archive fingerprint (magic/version/config), expected field by
+  /// field and never written into the simulator; the body is every user,
+  /// station and sub-model state a later frame reads, and refuses a frame
+  /// clock past `max_frame`.
+  template <typename Archive>
+  void header_fields(Archive& ar) const;
+  template <typename Self, typename Archive>
+  static void body_fields(Self& sim, Archive& ar, std::int64_t max_frame);
+  /// Archive fingerprint check; reads from `r` but mutates no simulator
+  /// state, leaving `r` positioned at the body.
   bool check_snapshot_header(common::BinaryReader& r) const;
   /// Body restore, ending in check_invariants(): mutates state and may
   /// partially apply on a truncated, corrupt or forged archive -- restore()

@@ -23,7 +23,6 @@ SweepSpec paper_default() {
   spec.base.seed = 2001042;
   spec.axes = {axis_scheduler(kCoreSchedulers), axis_data_users({8, 16})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -35,7 +34,6 @@ SweepSpec hotspot_cell() {
   spec.base = scenario::hotspot_cell_config(7701);
   spec.axes = {axis_scheduler(kCoreSchedulers), axis_data_users({8, 16, 24})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -55,7 +53,6 @@ SweepSpec highway_mobility() {
   spec.axes = {axis_max_speed_kmh({60.0, 90.0, 120.0}),
                axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -76,7 +73,6 @@ SweepSpec data_heavy() {
   spec.axes = {axis_data_users({12, 18, 24}),
                axis_objective({ObjectiveKind::kJ1MaxRate, ObjectiveKind::kJ2DelayAware})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -95,7 +91,6 @@ SweepSpec degraded_channel() {
   spec.base.seed = 6607;
   spec.axes = {axis_shadowing_sigma_db({8.0, 10.0, 12.0}), axis_fixed_mode({0, 4})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -108,7 +103,6 @@ SweepSpec uniform_hex7() {
   spec.base = scenario::uniform_hex7().to_config();
   spec.axes = {axis_scheduler(kCoreSchedulers), axis_load_scale({0.75, 1.0, 1.25})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -119,7 +113,6 @@ SweepSpec hotspot_center() {
   spec.base = scenario::hotspot_center().to_config();
   spec.axes = {axis_scheduler(kCoreSchedulers), axis_data_users({16, 24, 32})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -131,7 +124,6 @@ SweepSpec highway_corridor() {
   spec.axes = {axis_max_speed_kmh({60.0, 90.0, 120.0}),
                axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -143,7 +135,6 @@ SweepSpec enterprise_data() {
   spec.axes = {axis_carriers({1, 2}),
                axis_objective({ObjectiveKind::kJ1MaxRate, ObjectiveKind::kJ2DelayAware})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -160,7 +151,6 @@ SweepSpec csi_providers() {
   spec.axes = {axis_csi_provider({"exhaustive", "culled"}),
                axis_load_scale({1.0, 2.0})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -178,7 +168,6 @@ SweepSpec large_hex() {
   spec.base.csi.provider = "culled";
   spec.axes = {axis_load_scale({1.0, 1.5})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -191,7 +180,6 @@ SweepSpec carrier_balance() {
   spec.axes = {axis_policy({"jaba-sd", "hand-down"}),
                axis_load_scale({1.0, 1.5})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -220,7 +208,6 @@ SweepSpec flash_crowd() {
   spec.axes = {axis_load_ramp_peak({1.0, 2.0, 4.0}),
                axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 2;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
@@ -235,7 +222,6 @@ SweepSpec sim_threads() {
   spec.axes = {axis_sim_threads({1, 4}),
                axis_csi_provider({"exhaustive", "culled"})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // identical streams: rows must match
   return spec;
 }
 
@@ -253,7 +239,6 @@ SweepSpec smoke() {
   spec.base.seed = 1105;
   spec.axes = {axis_scheduler({"jaba-sd", "fcfs"})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 

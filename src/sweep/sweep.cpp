@@ -228,14 +228,12 @@ const SweepSpec& SweepSpec::validate() const {
   return *this;
 }
 
-std::uint64_t item_seed(std::uint64_t master_seed, std::size_t scenario_index,
-                        std::size_t replication_index) {
-  // Two mixing rounds: first fold in the scenario, then the replication.
-  // Collisions between distinct (scenario, replication) pairs are
-  // birthday-improbable for realistic grid sizes, not impossible.
-  common::SplitMix64 scenario_stream(master_seed +
-                                     0x9e3779b97f4a7c15ULL * (scenario_index + 1));
-  common::SplitMix64 item_stream(scenario_stream.next() +
+std::uint64_t item_seed(std::uint64_t master_seed, std::size_t replication_index) {
+  // Two mixing rounds, the first over a fixed offset, then the replication.
+  // Collisions between distinct replications are birthday-improbable, not
+  // impossible.
+  common::SplitMix64 first_round(master_seed + 0x9e3779b97f4a7c15ULL);
+  common::SplitMix64 item_stream(first_round.next() +
                                  0xbf58476d1ce4e5b9ULL * (replication_index + 1));
   return item_stream.next();
 }
@@ -260,8 +258,7 @@ sim::SystemConfig item_config(const SweepSpec& spec, std::size_t item) {
   const std::size_t scenario_index = item / spec.replications;
   const std::size_t replication = item % spec.replications;
   Scenario scenario = spec.scenario(scenario_index);
-  scenario.config.seed = item_seed(
-      spec.base.seed, spec.common_random_numbers ? 0 : scenario_index, replication);
+  scenario.config.seed = item_seed(spec.base.seed, replication);
   return scenario.config;
 }
 

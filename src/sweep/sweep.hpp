@@ -86,12 +86,10 @@ struct SweepSpec {
   std::string name;
   sim::SystemConfig base;
   std::vector<Axis> axes;
+  /// Replication r draws the same seed in every scenario (common random
+  /// numbers), so compared grid cells see identical user drops and channel
+  /// realisations: a paired comparison with reduced variance.
   std::size_t replications = 1;
-  /// Common random numbers: replication r draws the same seed in every
-  /// scenario, so compared grid cells see identical user drops and channel
-  /// realisations (paired comparison, variance reduction).  Off by default:
-  /// each (scenario, replication) item gets an independent stream.
-  bool common_random_numbers = false;
 
   /// Product of axis sizes (1 when there are no axes).
   std::size_t scenario_count() const;
@@ -102,21 +100,19 @@ struct SweepSpec {
   const SweepSpec& validate() const;
 };
 
-/// Deterministic seed for one (scenario, replication) work item.  Derived
-/// from the master seed by two SplitMix64 mixing rounds so distinct items
-/// never share a stream.
-std::uint64_t item_seed(std::uint64_t master_seed, std::size_t scenario_index,
-                        std::size_t replication_index);
+/// Deterministic seed of replication `replication_index` in every scenario
+/// (common random numbers).  Derived from the master seed by two SplitMix64
+/// mixing rounds so distinct replications never share a stream.
+std::uint64_t item_seed(std::uint64_t master_seed, std::size_t replication_index);
 
 /// Total (scenario x replication) work items; item `i` is
 /// (scenario i / replications, replication i % replications).
 std::size_t item_count(const SweepSpec& spec);
 
 /// The exact SystemConfig work item `item` runs under -- scenario axes
-/// applied to the base plus the derived item_seed() (honouring
-/// common_random_numbers).  Shared by the in-process runner and the
-/// multi-process workers (src/runner/), so both execute identical
-/// simulations by construction.
+/// applied to the base plus its replication's item_seed().  Shared by the
+/// in-process runner and the multi-process workers (src/runner/), so both
+/// execute identical simulations by construction.
 sim::SystemConfig item_config(const SweepSpec& spec, std::size_t item);
 
 struct ScenarioResult {

@@ -42,17 +42,14 @@ void DataSource::notify_burst_done() {
   next_arrival_s_ = rng_.exponential(config_.mean_reading_s);
 }
 
-void DataSource::save(common::BinaryWriter& w) const {
-  rng_.save(w);
-  w.f64(next_arrival_s_);
-  w.boolean(in_flight_);
+template <typename Self, typename Archive>
+void DataSource::fields(Self& source, Archive& ar) {
+  ar.field(source.rng_);
+  ar.field(source.next_arrival_s_);
+  ar.field(source.in_flight_);
 }
 
-bool DataSource::load(common::BinaryReader& r) {
-  if (!rng_.load(r)) return false;
-  next_arrival_s_ = r.f64();
-  in_flight_ = r.boolean();
-  return r.ok();
-}
+void DataSource::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool DataSource::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
 }  // namespace wcdma::traffic

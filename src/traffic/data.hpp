@@ -46,11 +46,15 @@ class DataSource {
 
   bool waiting_for_completion() const { return in_flight_; }
 
-  /// load() is false on a short read or an RNG state Rng::load refuses.
+  /// load() refuses, leaving the source as it was, a short read or an RNG
+  /// state Rng::load refuses.
   void save(common::BinaryWriter& w) const;
   bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& source, Archive& ar);
+
   DataTrafficConfig config_;
   common::Rng rng_;
   double next_arrival_s_;

@@ -1,5 +1,7 @@
 #include "src/traffic/voice.hpp"
 
+#include <cmath>
+
 #include "src/common/assert.hpp"
 #include "src/common/serialize.hpp"
 
@@ -24,17 +26,18 @@ bool VoiceSource::step(double dt) {
   return active_;
 }
 
-void VoiceSource::save(common::BinaryWriter& w) const {
-  rng_.save(w);
-  w.boolean(active_);
-  w.f64(time_left_);
+template <typename Self, typename Archive>
+void VoiceSource::fields(Self& source, Archive& ar) {
+  ar.field(source.rng_);
+  ar.field(source.active_);
+  ar.field(source.time_left_);
+  // A live clock is finite and >= 0: the constructor draws it from an
+  // exponential, and step() leaves it positive.  step() loops while the
+  // frame outlasts the clock, so a forged negative one would never end.
+  ar.check([&] { return std::isfinite(source.time_left_) && source.time_left_ >= 0.0; });
 }
 
-bool VoiceSource::load(common::BinaryReader& r) {
-  if (!rng_.load(r)) return false;
-  active_ = r.boolean();
-  time_left_ = r.f64();
-  return r.ok();
-}
+void VoiceSource::save(common::BinaryWriter& w) const { fields(*this, w); }
+bool VoiceSource::load(common::BinaryReader& r) { return r.load_whole(*this, fields); }
 
 }  // namespace wcdma::traffic

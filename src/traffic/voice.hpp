@@ -36,11 +36,16 @@ class VoiceSource {
     return config_.mean_on_s / (config_.mean_on_s + config_.mean_off_s);
   }
 
-  /// load() is false on a short read or an RNG state Rng::load refuses.
+  /// load() refuses, leaving the source as it was, a short read, an RNG
+  /// state Rng::load refuses, or a talk/silence clock that is negative or
+  /// not finite.
   void save(common::BinaryWriter& w) const;
   bool load(common::BinaryReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void fields(Self& source, Archive& ar);
+
   VoiceConfig config_;
   common::Rng rng_;
   bool active_;

@@ -481,7 +481,7 @@ std::vector<double> saved_timers(const ActiveSet& as) {
   as.save(w);
   common::BinaryReader r(w.bytes());
   std::vector<double> timers;
-  r.vec_f64(timers);
+  r.vec(timers);
   return timers;
 }
 
@@ -625,7 +625,7 @@ std::vector<std::uint8_t> active_set_archive(const std::vector<double>& timers,
                                              const std::vector<std::uint64_t>& members,
                                              bool initialised) {
   common::BinaryWriter w;
-  w.vec_f64(timers);
+  w.vec(timers);
   w.u64(members.size());
   for (const std::uint64_t m : members) w.u64(m);
   w.boolean(initialised);

@@ -416,7 +416,7 @@ TEST(Histogram, MergeAddsCounts) {
 std::vector<std::uint8_t> histogram_archive(const std::vector<std::uint64_t>& counts,
                                             std::uint64_t total) {
   BinaryWriter w;
-  w.vec_u64(counts);
+  w.vec(counts);
   w.u64(total);
   return w.take();
 }
@@ -555,8 +555,8 @@ TEST(BinaryReader, SoftFailsAtEveryTruncationPoint) {
   BinaryWriter w;
   w.u32(0xDEADBEEF);
   w.str("fingerprint");
-  w.vec_f64({1.0, -2.5, 3.25});
-  w.blob(blob);
+  w.vec(std::vector<double>{1.0, -2.5, 3.25});
+  w.vec(blob);
   w.boolean(true);
   w.i64(-42);
   const std::vector<std::uint8_t> bytes = w.take();
@@ -568,9 +568,9 @@ TEST(BinaryReader, SoftFailsAtEveryTruncationPoint) {
     r.u32();
     r.str();
     std::vector<double> v;
-    r.vec_f64(v);
+    r.vec(v);
     std::vector<std::uint8_t> b = {0xAA};
-    r.blob(b);
+    r.vec(b);
     // A failed bulk read hands back nothing, never a partial copy.
     EXPECT_TRUE(b.empty() || b == blob) << "cut at " << cut;
     r.boolean();
@@ -583,10 +583,10 @@ TEST(BinaryReader, SoftFailsAtEveryTruncationPoint) {
   EXPECT_EQ(full.u32(), 0xDEADBEEFu);
   EXPECT_EQ(full.str(), "fingerprint");
   std::vector<double> v;
-  full.vec_f64(v);
+  full.vec(v);
   EXPECT_EQ(v, (std::vector<double>{1.0, -2.5, 3.25}));
   std::vector<std::uint8_t> b;
-  full.blob(b);
+  full.vec(b);
   EXPECT_EQ(b, blob);
   EXPECT_TRUE(full.boolean());
   EXPECT_EQ(full.i64(), -42);
@@ -660,16 +660,16 @@ TEST(BinaryWriter, MatchesALittleEndianReferenceEncoderByteForByte) {
         case 5: w.boolean(x & 1u); ref.le(x & 1u, 1); break;
         case 6: w.f64(d); ref.f64(d); break;
         case 7: w.str(std::string(raw.begin(), raw.end())); ref.seq(raw, 1); break;
-        case 8: w.blob(raw); ref.seq(raw, 1); break;
+        case 8: w.vec(raw); ref.seq(raw, 1); break;
         case 9:
-          w.vec_f64(doubles);
+          w.vec(doubles);
           ref.le(n, 8);
           for (const double v : doubles) ref.f64(v);
           break;
-        case 10: w.vec_u32(narrow); ref.seq(narrow, 4); break;
-        case 11: w.vec_u64(wide); ref.seq(wide, 8); break;
-        case 12: w.vec_i32(ints); ref.seq(ints, 4); break;
-        default: w.vec_i64(longs); ref.seq(longs, 8); break;
+        case 10: w.vec(narrow); ref.seq(narrow, 4); break;
+        case 11: w.vec(wide); ref.seq(wide, 8); break;
+        case 12: w.vec(ints); ref.seq(ints, 4); break;
+        default: w.vec(longs); ref.seq(longs, 8); break;
       }
     }
     ASSERT_EQ(w.bytes(), ref.bytes) << "trial " << trial;
@@ -742,7 +742,7 @@ TEST(Crc32, MatchesTheIeeeCheckValueAndSeesEveryBit) {
 // the destination as it was.
 TEST(BinaryReader, SizedVecTakesOnlyALaneOfTheDestinationsLength) {
   BinaryWriter w;
-  w.vec_i64({5, -6});
+  w.vec(std::vector<std::int64_t>{5, -6});
   const std::vector<std::uint8_t> bytes = w.take();
   std::vector<std::int64_t> v = {1, 2};
   BinaryReader whole(bytes);
@@ -774,7 +774,7 @@ TEST(BinaryReader, ImplausibleSizePrefixFailsInsteadOfAllocating) {
   const std::vector<std::uint8_t> bytes = w.take();
   BinaryReader r(bytes);
   std::vector<double> v;
-  r.vec_f64(v);
+  r.vec(v);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(v.empty());
 }

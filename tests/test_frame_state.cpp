@@ -271,7 +271,6 @@ TEST(SimThreads, SweepAxisLeavesMetricsIdentical) {
   spec.base.warmup_s = 1.0;
   spec.axes = {sweep::axis_sim_threads({1, 4})};
   spec.replications = 1;
-  spec.common_random_numbers = true;
   const sweep::SweepResult r = sweep::run_sweep(spec, 0);
   ASSERT_EQ(r.scenarios.size(), 2u);
   EXPECT_TRUE(metrics_identical(r.scenarios[0].merged, r.scenarios[1].merged));

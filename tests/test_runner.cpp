@@ -255,33 +255,34 @@ TEST(ShardRangeTest, CostSplitMovesThePaperSweepBoundaries) {
   EXPECT_TRUE(moved);
 }
 
+// A finished shard's result is its final checkpoint: every item's metrics
+// and no snapshot.
 TEST(ShardArchive, ResultRoundTripsAndRefusesDamage) {
   const sweep::SweepSpec spec = tiny_spec();
-  std::vector<sim::SimMetrics> items;
+  ShardCheckpoint result;
+  result.header = {0, 2, 0, 2, spec.base.seed};
+  result.next_item = 2;
   for (std::size_t i = 0; i < 2; ++i) {
-    items.push_back(sim::Simulator(sweep::item_config(spec, i)).run());
+    result.completed.push_back(sim::Simulator(sweep::item_config(spec, i)).run());
   }
-  ShardHeader header;
-  header.shard = 0;
-  header.workers = 2;
-  header.item_begin = 0;
-  header.item_end = 2;
-  header.master_seed = spec.base.seed;
+  const ShardHeader& header = result.header;
 
-  const std::vector<std::uint8_t> bytes = encode_shard_result(header, items);
-  std::vector<sim::SimMetrics> back;
+  const std::vector<std::uint8_t> bytes = encode_shard_checkpoint(result);
+  ShardCheckpoint back;
   std::string why;
-  ASSERT_TRUE(decode_shard_result(bytes, header, &back, &why)) << why;
-  ASSERT_EQ(back.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_TRUE(metrics_identical(back[i], items[i]));
+  ASSERT_TRUE(decode_shard_checkpoint(bytes, header, &back, &why)) << why;
+  EXPECT_EQ(back.next_item, header.item_end);
+  EXPECT_TRUE(back.snapshot.empty());
+  ASSERT_EQ(back.completed.size(), result.completed.size());
+  for (std::size_t i = 0; i < result.completed.size(); ++i) {
+    EXPECT_TRUE(metrics_identical(back.completed[i], result.completed[i]));
   }
 
   // A single flipped bit anywhere trips the crc footer.
   for (std::size_t i = 0; i < bytes.size(); i += 13) {
     std::vector<std::uint8_t> damaged = bytes;
     damaged[i] ^= 0x04;
-    EXPECT_FALSE(decode_shard_result(damaged, header, &back, &why))
+    EXPECT_FALSE(decode_shard_checkpoint(damaged, header, &back, &why))
         << "flip at " << i;
   }
   // Truncation -- below and above the footer boundary.
@@ -289,7 +290,7 @@ TEST(ShardArchive, ResultRoundTripsAndRefusesDamage) {
                                 bytes.size() / 2, bytes.size() - 1}) {
     std::vector<std::uint8_t> trunc(bytes.begin(),
                                     bytes.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(decode_shard_result(trunc, header, &back, &why))
+    EXPECT_FALSE(decode_shard_checkpoint(trunc, header, &back, &why))
         << "cut at " << cut;
   }
   // An intact archive from the wrong shard/run is refused by identity.
@@ -299,7 +300,7 @@ TEST(ShardArchive, ResultRoundTripsAndRefusesDamage) {
                       +[](ShardHeader* h) { h->master_seed ^= 1; }}) {
     ShardHeader other = header;
     mutate(&other);
-    EXPECT_FALSE(decode_shard_result(bytes, other, &back, &why));
+    EXPECT_FALSE(decode_shard_checkpoint(bytes, other, &back, &why));
     EXPECT_NE(why.find("different shard"), std::string::npos) << why;
   }
 }
@@ -584,11 +585,9 @@ TEST(Supervisor, WorkerBadCheckpointExitIsTheResumeBackstop) {
   job.spec = spec;
   job.shard = 0;
   job.workers = 1;
-  job.result_path = dir.path + "/r.result";
   job.checkpoint_path = dir.path + "/r.ckpt";
   job.resume = true;
   EXPECT_EQ(run_worker(job), kWorkerBadCheckpoint);
-  std::remove(job.result_path.c_str());
   std::remove(job.checkpoint_path.c_str());
 }
 

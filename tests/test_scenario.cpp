@@ -185,7 +185,6 @@ TEST(MigratedBenches, SpecsAreWellFormed) {
                                        e10_objectives(), e11_mac_states()}) {
     SCOPED_TRACE(spec.name);
     spec.validate();
-    EXPECT_TRUE(spec.common_random_numbers);  // paired comparisons
     EXPECT_GE(spec.scenario_count(), 4u);
   }
   for (const sweep::SweepSpec& spec : {e12a_feedback_delay(), e12b_kappa_margin(),
@@ -193,7 +192,6 @@ TEST(MigratedBenches, SpecsAreWellFormed) {
     SCOPED_TRACE(spec.name);
     spec.validate();
     EXPECT_EQ(spec.axes.size(), 1u);
-    EXPECT_TRUE(spec.common_random_numbers);
   }
 }
 
@@ -223,7 +221,6 @@ TEST(MigratedBenches, ExperimentPresetsAreTheirScenarioBuilders) {
     EXPECT_EQ(built.name, e.preset);
     EXPECT_EQ(preset.base.seed, built.base.seed);
     EXPECT_EQ(preset.replications, built.replications);
-    EXPECT_EQ(preset.common_random_numbers, built.common_random_numbers);
     ASSERT_EQ(preset.axes.size(), built.axes.size());
     for (std::size_t a = 0; a < built.axes.size(); ++a) {
       EXPECT_EQ(preset.axes[a].name, built.axes[a].name);

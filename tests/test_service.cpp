@@ -10,9 +10,9 @@
 //  * checkpoint/restore: snapshot at frame k + resume into a fresh
 //    simulator equals the uninterrupted run, as a property across three
 //    master seeds; mismatched-config and forged archives (out-of-range
-//    indices, a frame clock past the horizon, a delay histogram whose
-//    counts do not fit, also in shard result files) are refused with state
-//    untouched;
+//    indices, a frame clock past the horizon, a negative voice clock, a
+//    delay histogram whose counts do not fit, also in a shard's final
+//    checkpoint) are refused with state untouched;
 //  * protocol nacks: malformed, duplicate, out-of-order, and
 //    unknown-target events nack with the catalogue's result codes and
 //    leave all state unchanged, and the trace reader rejects malformed
@@ -583,8 +583,41 @@ TEST(CheckpointRestore, RefusesAnAllZeroRngStream) {
   EXPECT_TRUE(victim.restore(with_master_words(1)));
 }
 
-/// Offset of the request-queue section: it follows the injection lane, a
-/// vec_f64 of one -1.0 ("nothing buffered") per user, and opens with the
+// VoiceSource::step() loops while the frame outlasts the talk/silence
+// clock, so a forged negative clock would keep the next frame from ending.
+// restore() refuses a CRC-valid archive holding a negative, NaN or infinite
+// clock and keeps the victim's own state; nothing here steps a restored
+// world.
+TEST(CheckpointRestore, RefusesAForgedVoiceClock) {
+  const sim::SystemConfig cfg = hotspot_config(7);
+  ASSERT_GT(cfg.voice.users, 0);  // users order: voice, then data
+  sim::Simulator victim(cfg);
+  victim.step_frame();  // the first hand-off update fills the active sets
+  const std::vector<std::uint8_t> archive = victim.snapshot();
+  // User 0's voice clock follows its active set's member list (a count n
+  // and n cells) and initialised flag, its two power-control loops (dBm,
+  // watts and a saturation flag each), and its voice stream and talk flag.
+  const std::vector<std::size_t> lists = member_list_offsets(archive, victim.num_cells());
+  ASSERT_EQ(lists.size(), victim.num_users());
+  const std::size_t clock =
+      lists.front() + 8 + 8 * u64_at(archive, lists.front()) + 1 + 2 * 17 + 41 + 1;
+  const auto with_clock = [&](double seconds) {
+    std::vector<std::uint8_t> forged = archive;
+    std::uint64_t bits;
+    std::memcpy(&bits, &seconds, sizeof(bits));
+    put_u64(forged, clock, bits);
+    reseal(forged);
+    return forged;
+  };
+  expect_refused(victim, with_clock(-1e300), "a clock of -1e300 s");
+  expect_refused(victim, with_clock(std::nan("")), "a NaN clock");
+  expect_refused(victim, with_clock(HUGE_VAL), "an infinite clock");
+  // Any other clock is one: the offset held user 0's.
+  EXPECT_TRUE(victim.restore(with_clock(0.5)));
+}
+
+/// Offset of the request-queue section: it follows the injection lane, an
+/// f64 lane of one -1.0 ("nothing buffered") per user, and opens with the
 /// bucket count, two per carrier.
 std::vector<std::size_t> queue_section_offsets(const std::vector<std::uint8_t>& a,
                                                std::size_t users, int carriers) {
@@ -605,7 +638,7 @@ std::vector<std::size_t> queue_section_offsets(const std::vector<std::uint8_t>& 
 }
 
 /// Offset of user 0's candidate set in a culling provider's snapshot: the
-/// refresh-timer lane (a vec_f64 of one entry per user) followed by one
+/// refresh-timer lane (an f64 lane of one entry per user) followed by one
 /// set per user -- a count of 1 to `cells`, then that many ascending
 /// in-range u32 cells.
 std::vector<std::size_t> candidate_set_offsets(const std::vector<std::uint8_t>& a,
@@ -629,9 +662,9 @@ std::vector<std::size_t> candidate_set_offsets(const std::vector<std::uint8_t>& 
   return found;
 }
 
-/// Offset of the far-field aggregator's applied-carrier lane: a vec_i32 of
+/// Offset of the far-field aggregator's applied-carrier lane: an i32 lane of
 /// one in-range carrier per user, directly followed by the applied-anchor
-/// lane, a vec_u32 of one in-range cell per user.
+/// lane, a u32 lane of one in-range cell per user.
 std::vector<std::size_t> far_field_carrier_offsets(const std::vector<std::uint8_t>& a,
                                                    std::size_t users, std::size_t cells,
                                                    int carriers) {
@@ -757,8 +790,8 @@ TEST(CheckpointRestore, RefusesCrcValidArchivesWithOutOfRangeIndices) {
     expect_refused(victim, forged, "user carrier 2 of 2");
   }
 
-  // The per-user carrier mirror the reverse gather indexes stations by: a
-  // vec_i32 of one carrier per user, followed by the next per-user lane.
+  // The per-user carrier mirror the reverse gather indexes stations by: an
+  // i32 lane of one carrier per user, followed by the next per-user lane.
   {
     std::vector<std::size_t> found;
     for (std::size_t at = 0; at + 16 + 4 * users < archive.size(); ++at) {
@@ -882,21 +915,23 @@ void step_histogram_donor(sim::Simulator& donor) {
 }
 
 /// Offset of the delay histogram's count vector in `archive`, which ends
-/// in the encoding of `metrics` and a crc footer: the vector's size prefix
-/// follows the burst-delay moments, 40 bytes into the metrics.
+/// in the encoding of `metrics`, `tail` more bytes and a crc footer: the
+/// vector's size prefix follows the burst-delay moments, 40 bytes into the
+/// metrics.
 std::size_t delay_counts_offset(const std::vector<std::uint8_t>& archive,
-                                const sim::SimMetrics& metrics) {
+                                const sim::SimMetrics& metrics, std::size_t tail = 0) {
   common::BinaryWriter w;
   metrics.save(w);
-  return archive.size() - common::kSealBytes - w.bytes().size() + 40;
+  return archive.size() - common::kSealBytes - tail - w.bytes().size() + 40;
 }
 
 /// `archive` resealed with its delay histogram's last bin cut: an empty
 /// bin, so the total still equals the sum of the counts and only the
 /// vector's length is wrong.
 std::vector<std::uint8_t> cut_last_delay_bin(std::vector<std::uint8_t> archive,
-                                             const sim::SimMetrics& metrics) {
-  const std::size_t counts = delay_counts_offset(archive, metrics);
+                                             const sim::SimMetrics& metrics,
+                                             std::size_t tail = 0) {
+  const std::size_t counts = delay_counts_offset(archive, metrics, tail);
   const std::uint64_t bins = u64_at(archive, counts);
   EXPECT_EQ(bins, metrics.delay_hist.bins().size());
   const std::size_t last = counts + 8 + 8 * (bins - 1);
@@ -936,22 +971,26 @@ TEST(CheckpointRestore, RefusesAForgedDelayHistogram) {
   ASSERT_TRUE(victim.restore(resealed));
 }
 
-// Shard result files carry the same metrics encoding, so the supervisor
-// must refuse the same forgery there.
+// A shard's result, its final checkpoint, carries the same metrics
+// encoding, so the supervisor must refuse the same forgery there.
 TEST(CheckpointRestore, ShardResultRefusesAForgedDelayHistogram) {
   sim::Simulator donor(scenario::hotspot_cell_config(13));
   step_histogram_donor(donor);
-  const runner::ShardHeader header{0, 1, 0, 1, 13};
-  const std::vector<std::uint8_t> file =
-      runner::encode_shard_result(header, {donor.metrics()});
-  std::vector<sim::SimMetrics> items;
+  runner::ShardCheckpoint result;
+  result.header = runner::ShardHeader{0, 1, 0, 1, 13};
+  result.next_item = 1;
+  result.completed = {donor.metrics()};
+  const runner::ShardHeader& header = result.header;
+  const std::vector<std::uint8_t> file = runner::encode_shard_checkpoint(result);
+  runner::ShardCheckpoint back;
   std::string error;
-  ASSERT_TRUE(runner::decode_shard_result(file, header, &items, &error)) << error;
+  ASSERT_TRUE(runner::decode_shard_checkpoint(file, header, &back, &error)) << error;
 
-  EXPECT_FALSE(runner::decode_shard_result(cut_last_delay_bin(file, donor.metrics()),
-                                           header, &items, &error));
+  // The empty snapshot's u64 length follows the metrics.
+  EXPECT_FALSE(runner::decode_shard_checkpoint(
+      cut_last_delay_bin(file, donor.metrics(), 8), header, &back, &error));
   EXPECT_NE(error.find("item 0 failed to decode"), std::string::npos) << error;
-  EXPECT_TRUE(items.empty());
+  EXPECT_TRUE(back.completed.empty());
 }
 
 TEST(CheckpointRestore, ServiceCheckpointCarriesBufferedInjections) {

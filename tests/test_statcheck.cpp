@@ -91,7 +91,6 @@ struct EquivalenceTolerances {
 void expect_culled_matches(sweep::SweepSpec spec, const EquivalenceTolerances& tol) {
   spec.axes.insert(spec.axes.begin(),
                    sweep::axis_csi_provider({"exhaustive", "culled"}));
-  spec.common_random_numbers = true;  // paired drops/traffic per replication
   const sweep::SweepResult r = sweep::run_sweep(spec, common::default_thread_count());
   ASSERT_EQ(r.scenarios.size() % 2, 0u);
   const std::size_t half = r.scenarios.size() / 2;

@@ -66,7 +66,7 @@ void print_usage() {
       "  --backoff S           base retry delay; doubles per retry, no jitter\n"
       "                        (default: 0.05)\n"
       "  --checkpoint-every N  frames between worker checkpoints (default:\n"
-      "                        256; 0 disables checkpointing)\n"
+      "                        256; 0 keeps only each shard's final one)\n"
       "  --fault SPEC          inject one worker fault (testing), e.g.\n"
       "                        kill:shard=1,frame=50  stall:shard=0,frame=10\n"
       "                        corrupt-checkpoint:shard=0,mode=bitflip\n"

@@ -1,10 +1,10 @@
 // E13 — google-benchmark microbenchmarks for the computational kernels:
 // simplex LP solves, exact branch-and-bound and the greedy engine at
-// admission-problem sizes, region construction, channel evolution, and the
+// admission-problem sizes, a round's problem build, channel evolution, and the
 // full simulator frame step.
 #include <benchmark/benchmark.h>
 
-#include "src/admission/measurement.hpp"
+#include "src/admission/policy.hpp"
 #include "src/admission/schedulers.hpp"
 #include "src/channel/fading.hpp"
 #include "src/common/rng.hpp"
@@ -83,24 +83,30 @@ void BM_KnapsackDp(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackDp)->Arg(8)->Arg(32);
 
-void BM_ForwardRegionBuild(benchmark::State& state) {
+void BM_ForwardProblemBuild(benchmark::State& state) {
   const std::size_t nd = static_cast<std::size_t>(state.range(0));
-  admission::ForwardLinkInputs in;
-  in.cell_load_watt.assign(19, 10.0);
-  in.p_max_watt = 20.0;
-  in.gamma_s = 3.2;
-  in.users.resize(nd);
+  admission::FrameContext ctx;
+  ctx.num_cells = 19;
+  ctx.forward_load_watt.assign(19, 10.0);
+  ctx.p_max_watt = 20.0;
+  ctx.gamma_s = 3.2;
   common::Rng rng(5);
-  for (auto& u : in.users) {
-    u.reduced_active_set = {{rng.uniform_int(19), rng.uniform(0.01, 0.5)},
-                            {rng.uniform_int(19), rng.uniform(0.01, 0.5)}};
-    u.alpha_fl = 1.8;
+  for (std::size_t j = 0; j < nd; ++j) {
+    admission::FrameRequest r;
+    r.q_bits = 1e5;
+    r.tx_cap = 16;
+    r.reduced_set = {{rng.uniform_int(19), 1.0}, {rng.uniform_int(19), 1.0}};
+    r.fch_power_watt = rng.uniform(0.01, 0.5);
+    r.alpha_fl = 1.8;
+    ctx.requests.push_back(r);
   }
+  std::vector<std::size_t> round(nd);
+  for (std::size_t j = 0; j < nd; ++j) round[j] = j;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(build_forward_region(in));
+    benchmark::DoNotOptimize(ctx.make_problem(mac::LinkDirection::kForward, 0, round));
   }
 }
-BENCHMARK(BM_ForwardRegionBuild)->Arg(8)->Arg(32);
+BENCHMARK(BM_ForwardProblemBuild)->Arg(8)->Arg(32);
 
 void BM_Ar1FadingStep(benchmark::State& state) {
   channel::Ar1Fading fading(30.0, 0.02, common::Rng(6));

@@ -20,15 +20,14 @@ namespace {
 
 admission::BurstProblem random_problem(common::Rng& rng, std::size_t nd,
                                        std::size_t cells) {
-  admission::Region region;
-  region.a = common::Matrix(cells, nd, 0.0);
+  common::Matrix a(cells, nd, 0.0);
   for (std::size_t k = 0; k < cells; ++k) {
     for (std::size_t j = 0; j < nd; ++j) {
-      region.a(k, j) = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.05, 1.0);
+      a(k, j) = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.05, 1.0);
     }
   }
-  region.b.resize(cells);
-  for (auto& b : region.b) b = rng.uniform(1.0, 8.0);
+  common::Vector b(cells);
+  for (auto& v : b) v = rng.uniform(1.0, 8.0);
   std::vector<admission::RequestView> requests(nd);
   for (std::size_t j = 0; j < nd; ++j) {
     requests[j].user = static_cast<int>(j);
@@ -36,7 +35,7 @@ admission::BurstProblem random_problem(common::Rng& rng, std::size_t nd,
     requests[j].waiting_s = rng.uniform(0.0, 8.0);
     requests[j].delta_beta = rng.uniform(0.1, 2.0);
   }
-  return make_burst_problem(std::move(region), std::move(requests),
+  return make_burst_problem(std::move(a), std::move(b), std::move(requests),
                             admission::ObjectiveKind::kJ2DelayAware, {}, {}, 9600.0,
                             0.080, 16);
 }

@@ -7,51 +7,47 @@
 // the full dynamic simulator.
 #include <cstdio>
 
-#include "src/admission/measurement.hpp"
 #include "src/admission/policy.hpp"
 #include "src/common/table.hpp"
 
 using namespace wcdma;
 
 int main() {
-  // ---- Measurement sub-layer: forward-link admissible region (Eq. 7-8).
-  admission::ForwardLinkInputs fl;
-  fl.p_max_watt = 20.0;
-  fl.gamma_s = 3.2;
-  fl.cell_load_watt = {9.0, 12.0};  // current loading of the two cells
+  // ---- Measurement sub-layer: two cells' forward loads and the Eq. 7-24
+  // parameters (FrameContext defaults: P_max = 20 W, gamma_s = 3.2, J2).
+  admission::FrameContext ctx;
+  ctx.num_cells = 2;
+  ctx.forward_load_watt = {9.0, 12.0};  // current loading of the two cells
 
   // Four requests: users 0/1 homed on cell 0, users 2/3 on cell 1; user 3
   // is in soft hand-off with both cells (two reduced-active-set legs).
-  fl.users.resize(4);
-  fl.users[0].reduced_active_set = {{0, 0.050}};          // strong channel
-  fl.users[1].reduced_active_set = {{0, 0.220}};          // weak (cell edge)
-  fl.users[2].reduced_active_set = {{1, 0.080}};
-  fl.users[3].reduced_active_set = {{1, 0.120}, {0, 0.120}};
-  fl.users[3].alpha_fl = 1.8;  // two-leg SCH transmission costs extra power
-
-  admission::Region region = build_forward_region(fl);
-
-  // ---- Request views: channel-adaptive throughput ratios and waits.
-  std::vector<admission::RequestView> requests(4);
+  // Each carries its FCH power, channel-adaptive throughput ratio, wait
+  // and burst size.
+  const double fch_w[4] = {0.050, 0.220, 0.080, 0.120};  // user 1: cell edge
   const double q[4] = {200e3, 120e3, 400e3, 80e3};       // burst bits
   const double waits[4] = {0.1, 2.5, 0.4, 11.0};         // seconds queued
   const double dbeta[4] = {1.6, 0.35, 1.1, 0.8};         // Eq. 4 ratios
   for (int j = 0; j < 4; ++j) {
-    requests[j].user = j;
-    requests[j].q_bits = q[j];
-    requests[j].waiting_s = waits[j];
-    requests[j].delta_beta = dbeta[j];
+    admission::FrameRequest r;
+    r.user = j;
+    r.q_bits = q[j];
+    r.waiting_s = waits[j];
+    r.delta_beta = dbeta[j];
+    r.tx_cap = ctx.max_sgr;
+    r.fch_power_watt = fch_w[j];
+    r.reduced_set = {{j < 2 ? 0u : 1u, 1.0}};  // (cell, gain)
+    ctx.requests.push_back(r);
   }
+  ctx.requests[3].reduced_set.push_back({0, 1.0});
+  ctx.requests[3].alpha_fl = 1.8;  // two-leg SCH transmission costs extra power
 
-  // ---- Scheduling sub-layer: J2 (delay-aware) objective, Eq. 20-24.
-  admission::DelayPenaltyConfig penalty;
-  mac::MacTimersConfig timers;
-  admission::BurstProblem problem = admission::make_burst_problem(
-      region, requests, admission::ObjectiveKind::kJ2DelayAware, penalty, timers,
-      /*fch_bit_rate=*/9600.0, /*min_burst_s=*/0.080, /*max_sgr=*/16);
+  // ---- Scheduling sub-layer: the round's integer program (Eq. 7-8 rows,
+  // J2 objective, Eq. 24 bounds).
+  const admission::BurstProblem problem =
+      ctx.make_problem(mac::LinkDirection::kForward, /*carrier=*/0, {0, 1, 2, 3});
 
-  std::printf("Admissible region (A m <= b):\n%s", problem.region.a.to_string().c_str());
-  std::printf("b = [ %.3g %.3g ]\n\n", problem.region.b[0], problem.region.b[1]);
+  std::printf("Admissible region (A m <= b):\n%s", problem.a.to_string().c_str());
+  std::printf("b = [ %.3g %.3g ]\n\n", problem.b[0], problem.b[1]);
 
   common::Table table({"scheduler", "m0", "m1", "m2", "m3", "objective", "granted"});
   for (const char* name :

@@ -13,54 +13,91 @@ constexpr double kTiny = 1e-30;  // matches the simulator's measurement floor
 
 }  // namespace
 
+// The measurement sub-layer (Section 3.1): each row of A m <= b is one
+// cell's headroom on `carrier`, priced against the round's requests.
+//
+// Forward link (power limited): a burst is admissible if every base station
+// in the user's reduced active set retains headroom
+//
+//   P_k + gamma_s * sum_j m_j P_{j,k} alpha_j^{FL}  <=  P_max     (Eq. 7)
+//   a_{kj} = gamma_s * P_{j,k} * alpha_j^{FL}                     (Eq. 8)
+//
+// Reverse link (interference limited): the extra rise at every cell must
+// stay within the cap,
+//
+//   L_k + sum_j m_j Y_{j,k}  <=  L_max                            (Eq. 16)
+//
+// with, after normalising row k by L_k,
+//
+//   b_{kj} = gamma_s * zeta_j * xi_{j,k}^{RL} * alpha_j^{RL}      soft-HO k
+//                                                                 (Eq. 12/18)
+//   b_{k'j} = b_{host,j} * (xi_{j,k'}^{FL} / xi_{j,host}^{FL})    non-SHO k'
+//             * kappa * (L_host / L_k')                           (Eq. 13-15)
+//
+// The non-SHO row projects the mobile's received power from the host cell
+// onto neighbour k' through the forward-pilot path-loss ratio (path loss is
+// reciprocal) plus the shadowing margin kappa.  RHS: L_max/L_k - 1.  Both
+// right-hand sides are clamped to b >= 0: an already-overloaded cell admits
+// no new burst but keeps m = 0 feasible.
 BurstProblem FrameContext::make_problem(mac::LinkDirection direction, int carrier,
                                         const std::vector<std::size_t>& subset) const {
   WCDMA_ASSERT(carrier >= 0 && carrier < carriers);
+  WCDMA_ASSERT(gamma_s > 0.0);
   const std::size_t nd = subset.size();
-  Region region;
+  common::Matrix a(num_cells, nd, 0.0);
+  common::Vector b(num_cells, 0.0);
 
   if (direction == mac::LinkDirection::kForward) {
-    ForwardLinkInputs inputs;
-    inputs.p_max_watt = p_max_watt;
-    inputs.gamma_s = gamma_s;
-    inputs.cell_load_watt.resize(num_cells);
+    WCDMA_ASSERT(p_max_watt > 0.0);
     for (std::size_t k = 0; k < num_cells; ++k) {
-      inputs.cell_load_watt[k] = forward_load(k, carrier);
+      b[k] = std::max(0.0, p_max_watt - forward_load(k, carrier));
     }
-    inputs.users.resize(nd);
     for (std::size_t j = 0; j < nd; ++j) {
       const FrameRequest& r = requests[subset[j]];
-      auto& m = inputs.users[j];
-      m.alpha_fl = r.alpha_fl;
-      for (const auto& [k, gain] : r.reduced_set) {
-        (void)gain;
-        m.reduced_active_set.push_back({k, r.fch_power_watt});
+      WCDMA_ASSERT(r.alpha_fl > 0.0 && r.fch_power_watt >= 0.0);
+      for (const auto& leg : r.reduced_set) {
+        WCDMA_ASSERT(leg.first < num_cells);
+        a(leg.first, j) = gamma_s * r.fch_power_watt * r.alpha_fl;  // Eq. 8
       }
     }
-    region = build_forward_region(inputs);
   } else {
-    ReverseLinkInputs inputs;
-    inputs.l_max_watt = l_max_watt;
-    inputs.gamma_s = gamma_s;
-    inputs.kappa = kappa_linear;
-    inputs.cell_interference_watt.resize(num_cells);
+    WCDMA_ASSERT(l_max_watt > 0.0 && kappa_linear >= 1.0);
     for (std::size_t k = 0; k < num_cells; ++k) {
-      inputs.cell_interference_watt[k] = reverse_interference(k, carrier);
+      const double l_k = reverse_interference(k, carrier);
+      WCDMA_ASSERT(l_k > 0.0);
+      b[k] = std::max(0.0, l_max_watt / l_k - 1.0);
     }
-    inputs.users.resize(nd);
     for (std::size_t j = 0; j < nd; ++j) {
       const FrameRequest& r = requests[subset[j]];
-      auto& m = inputs.users[j];
-      m.zeta = r.zeta;
-      m.alpha_rl = r.alpha_rl;
+      WCDMA_ASSERT(!r.reduced_set.empty() && r.zeta > 0.0 && r.alpha_rl > 0.0);
+      // Soft-handoff rows (Eq. 12 / first case of Eq. 18), from the pilot
+      // Ec/Io xi^RL each leg's base station measures.
       for (const auto& [k, gain] : r.reduced_set) {
-        const double xi_rl = r.pilot_tx_watt * gain /
-                             std::max(reverse_interference(k, carrier), kTiny);
-        m.soft_handoff.push_back({k, std::max(xi_rl, kTiny)});
+        WCDMA_ASSERT(k < num_cells);
+        const double xi_rl =
+            r.pilot_tx_watt * gain / std::max(reverse_interference(k, carrier), kTiny);
+        a(k, j) = gamma_s * r.zeta * std::max(xi_rl, kTiny) * r.alpha_rl;
       }
-      m.scrm_pilots = r.scrm_pilots;
+
+      // Neighbour rows via the SCRM forward-pilot projection (Eq. 13-15);
+      // the host cell's own report is the projection's denominator.
+      const std::size_t host = r.reduced_set.front().first;
+      double host_fl_pilot = 0.0;
+      for (const auto& [k, pilot] : r.scrm_pilots) {
+        if (k == host) host_fl_pilot = pilot;
+      }
+      if (host_fl_pilot <= 0.0) continue;  // no usable report: skip projection
+      const double host_row = a(host, j);
+      const double l_host = reverse_interference(host, carrier);
+      for (const auto& [k, pilot] : r.scrm_pilots) {
+        WCDMA_ASSERT(k < num_cells);
+        if (a(k, j) > 0.0) continue;  // already a SHO row
+        if (pilot <= 0.0) continue;
+        const double path_ratio = pilot / host_fl_pilot;
+        a(k, j) = host_row * path_ratio * kappa_linear *
+                  (l_host / reverse_interference(k, carrier));
+      }
     }
-    region = build_reverse_region(inputs);
   }
 
   std::vector<RequestView> views(nd);
@@ -74,7 +111,7 @@ BurstProblem FrameContext::make_problem(mac::LinkDirection direction, int carrie
   }
 
   BurstProblem problem =
-      make_burst_problem(std::move(region), std::move(views), objective, penalty,
+      make_burst_problem(std::move(a), std::move(b), std::move(views), objective, penalty,
                          timers, fch_bit_rate, min_burst_s, max_sgr);
   for (std::size_t j = 0; j < nd; ++j) {
     problem.upper[j] = std::min(problem.upper[j], requests[subset[j]].tx_cap);
@@ -93,7 +130,7 @@ Allocation solve_round(Scheduler& scheduler, const FrameContext& ctx,
                        std::vector<PolicyGrant>* grants) {
   const BurstProblem problem = ctx.make_problem(direction, carrier, subset);
   Allocation alloc = scheduler.schedule(problem);
-  WCDMA_ASSERT(problem.region.admits(alloc.m));
+  WCDMA_ASSERT(opt::ip_feasible(problem, alloc.m));
   for (std::size_t j = 0; j < subset.size(); ++j) {
     if (alloc.m[j] > 0) grants->push_back({subset[j], alloc.m[j], carrier});
   }

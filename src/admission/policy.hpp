@@ -24,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/admission/measurement.hpp"
 #include "src/admission/schedulers.hpp"
 #include "src/mac/scrm.hpp"
 
@@ -55,8 +54,9 @@ struct FrameRequest {
   double zeta = 2.0;             // FCH-to-pilot TX ratio at the mobile
   /// Reduced active set, strongest first: (cell, local-mean gain to it).
   std::vector<std::pair<std::size_t, double>> reduced_set;
-  /// SCRM pilot reports (up to 8 strongest forward pilots, footnote 6).
-  std::vector<ReverseUserMeasurement::PilotReport> scrm_pilots;
+  /// SCRM pilot reports, strongest first: (cell, forward pilot Ec/Io
+  /// xi^FL, linear), up to the 8 strongest (footnote 6).
+  std::vector<std::pair<std::size_t, double>> scrm_pilots;
 };
 
 /// Read-only per-frame measurement snapshot handed to AdmissionPolicy.
@@ -72,7 +72,7 @@ struct FrameContext {
   /// This frame's total received power per (cell, carrier) domain (L_k).
   std::vector<double> reverse_interference_watt;
 
-  // Region and objective parameters (from SystemConfig).
+  // Admissible-region and objective parameters (from SystemConfig).
   double p_max_watt = 20.0;
   double l_max_watt = 0.0;
   double gamma_s = 3.2;
@@ -98,9 +98,11 @@ struct FrameContext {
     return reverse_interference_watt[station_index(cell, carrier)];
   }
 
-  /// Assembles the measurement sub-layer's BurstProblem (region, objective
-  /// coefficients, Eq. 24 bounds) for `subset` (indices into `requests`)
-  /// priced on `carrier`.  Pure: callable for any carrier, any subset.
+  /// Writes the round's BurstProblem for `subset` (indices into
+  /// `requests`) priced on `carrier`: the forward (Eq. 7-8) or reverse
+  /// (Eq. 12-18) rows of A m <= b straight from this context's loads and
+  /// each request's measurements, the objective coefficients and the
+  /// Eq. 24 bounds.  Pure: callable for any carrier, any subset.
   BurstProblem make_problem(mac::LinkDirection direction, int carrier,
                             const std::vector<std::size_t>& subset) const;
 };

@@ -20,26 +20,27 @@
 #include <vector>
 
 #include "src/admission/objectives.hpp"
-#include "src/admission/region.hpp"
 #include "src/common/rng.hpp"
 #include "src/opt/branch_bound.hpp"
 
 namespace wcdma::admission {
 
-/// The assembled per-frame scheduling problem for one link direction.
-struct BurstProblem {
-  Region region;                      // the direction's admissible region
-  std::vector<RequestView> requests;  // column j <-> requests[j]
-  std::vector<double> c;              // objective coefficients (J1 or J2)
-  std::vector<int> upper;             // Eq. 24 bounds u_j
+/// One scheduling round's integer program (Eq. 19-24) for one link
+/// direction: maximise c' m over the direction's admissible region
+/// A m <= b (b >= 0, so m = 0 rejecting all stays feasible) and the Eq. 24
+/// bounds m_j <= u_j.  Column j <-> requests[j].
+struct BurstProblem : opt::IntegerProgram {
+  std::vector<RequestView> requests;
 
   std::size_t size() const { return requests.size(); }
-  opt::IntegerProgram to_ip() const;
 };
 
-/// Builds the BurstProblem from its pieces; validates dimensions.
-BurstProblem make_burst_problem(Region region, std::vector<RequestView> requests,
-                                ObjectiveKind kind, const DelayPenaltyConfig& penalty,
+/// Builds the BurstProblem over the region A m <= b: the objective
+/// coefficients (J1 or J2) and Eq. 24 bounds of `requests`; validates
+/// dimensions.
+BurstProblem make_burst_problem(common::Matrix a, common::Vector b,
+                                std::vector<RequestView> requests, ObjectiveKind kind,
+                                const DelayPenaltyConfig& penalty,
                                 const mac::MacTimersConfig& timers, double fch_bit_rate,
                                 double min_burst_s, int max_sgr);
 

@@ -53,6 +53,6 @@ double dot(const Vector& a, const Vector& b);
 double sum(const Vector& v);
 
 /// True iff A x <= b + tol element-wise.
-bool satisfies(const Matrix& a, const Vector& x, const Vector& b, double tol = 1e-9);
+bool satisfies(const Matrix& a, const Vector& x, const Vector& b, double tol);
 
 }  // namespace wcdma::common

@@ -1,8 +1,8 @@
 // Strict number parsers shared by the command-line tools (sweep_main,
-// service_main).  Each accepts the whole argument or nothing: trailing
-// text, an empty string, a value out of range and a non-finite double are
-// all refused, so a flag never runs on a silently wrapped or truncated
-// value.
+// service_main) and the fault-plan grammar (src/runner/fault.hpp).  Each
+// accepts the whole text or nothing: trailing text, an empty string, a
+// value out of range and a non-finite double are all refused, so a flag
+// never runs on a silently wrapped or truncated value.
 #pragma once
 
 #include <cerrno>
@@ -10,14 +10,15 @@
 #include <cstdlib>
 #include <limits>
 
-namespace wcdma::cli {
+namespace wcdma::common {
 
 /// Parses a non-negative decimal that fits T.  strtoull silently wraps
-/// negative input ("-1" -> 2^64-1), and a cast would wrap anything past T's
-/// range ("4294967296" -> 0 in an int); both are refused.
+/// negative input ("-1" -> 2^64-1, also after leading blanks), and a cast
+/// would wrap anything past T's range ("4294967296" -> 0 in an int); the
+/// text must start with a digit, and a value past T's range is refused.
 template <class T>
 bool parse_count(const char* text, T* out) {
-  if (text[0] == '-') return false;
+  if (text[0] < '0' || text[0] > '9') return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
@@ -44,4 +45,4 @@ inline bool parse_positive_double(const char* text, double* out) {
   return true;
 }
 
-}  // namespace wcdma::cli
+}  // namespace wcdma::common

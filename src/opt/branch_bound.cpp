@@ -9,6 +9,15 @@ namespace wcdma::opt {
 
 namespace {
 
+// The grant checks' tolerances, absolute for now.  A x <= b holds when no
+// row exceeds its bound by more than kFitTol; one more unit of a variable
+// fits a row when the row's slack is short of it by at most kUnitFitSlack
+// (greedy_increments), or when the slack's quotient by the row's
+// coefficient rounds up to the next integer within kUnitFitSlack
+// (grant_in_order).
+constexpr double kFitTol = 1e-9;
+constexpr double kUnitFitSlack = 1e-12;
+
 struct Node {
   std::vector<int> lo;
   std::vector<int> hi;
@@ -51,6 +60,10 @@ double ip_objective(const IntegerProgram& p, const std::vector<int>& x) {
   return acc;
 }
 
+bool ip_feasible(const IntegerProgram& p, const std::vector<int>& x) {
+  return ip_feasible(p, x, kFitTol);
+}
+
 bool ip_feasible(const IntegerProgram& p, const std::vector<int>& x, double tol) {
   if (x.size() != p.c.size()) return false;
   for (std::size_t j = 0; j < x.size(); ++j) {
@@ -87,7 +100,7 @@ std::vector<int> greedy_increments(const IntegerProgram& p) {
       for (std::size_t r = 0; r < k; ++r) {
         const double a = p.a(r, j);
         if (a <= 0.0) continue;
-        if (a > slack[r] + 1e-12) {
+        if (a > slack[r] + kUnitFitSlack) {
           fits = false;
           break;
         }
@@ -105,6 +118,45 @@ std::vector<int> greedy_increments(const IntegerProgram& p) {
     if (best_j == n) break;
     ++x[best_j];
     for (std::size_t r = 0; r < k; ++r) slack[r] -= p.a(r, best_j);
+  }
+  return x;
+}
+
+namespace {
+
+// Largest value of variable j that fits the remaining slack, up to cap.
+int max_feasible_grant(const IntegerProgram& p, const common::Vector& slack,
+                       std::size_t j, int cap) {
+  int best = cap;
+  for (std::size_t r = 0; r < p.a.rows(); ++r) {
+    const double a = p.a(r, j);
+    if (a <= 0.0) continue;
+    const int fit = static_cast<int>(std::floor(slack[r] / a + kUnitFitSlack));
+    best = std::min(best, fit);
+    if (best <= 0) return 0;
+  }
+  return best;
+}
+
+void consume(const IntegerProgram& p, common::Vector& slack, std::size_t j, int grant) {
+  for (std::size_t r = 0; r < p.a.rows(); ++r) {
+    slack[r] -= p.a(r, j) * static_cast<double>(grant);
+    WCDMA_DEBUG_ASSERT(slack[r] >= -kFitTol);
+  }
+}
+
+}  // namespace
+
+std::vector<int> grant_in_order(const IntegerProgram& p,
+                                const std::vector<std::size_t>& order, bool first_only) {
+  std::vector<int> x(p.c.size(), 0);
+  common::Vector slack = p.b;
+  for (const std::size_t j : order) {
+    const int grant = max_feasible_grant(p, slack, j, p.upper[j]);
+    if (grant <= 0) continue;
+    x[j] = grant;
+    consume(p, slack, j, grant);
+    if (first_only) break;
   }
   return x;
 }

@@ -11,6 +11,7 @@
 // millisecond; a node limit keeps worst cases bounded.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,16 +53,26 @@ class BranchBoundSolver {
   Options options_{};
 };
 
+// Every test of a grant against A x <= b lives in branch_bound.cpp, which
+// names its tolerances once.
+
 /// Greedy feasible solution by repeated best-marginal-utility increments;
 /// used as the B&B incumbent and exposed because it *is* the polynomial
 /// JABA-SD scheduling heuristic (see admission/schedulers).
 std::vector<int> greedy_increments(const IntegerProgram& problem);
 
+/// In-order fill (the FCFS and Random baselines): each variable of `order`
+/// in turn takes the largest value the remaining slack and its bound allow;
+/// `first_only` stops after the first positive grant.
+std::vector<int> grant_in_order(const IntegerProgram& problem,
+                                const std::vector<std::size_t>& order, bool first_only);
+
 /// Objective value of an integer point.
 double ip_objective(const IntegerProgram& problem, const std::vector<int>& x);
 
-/// True iff x is within bounds and satisfies A x <= b (+tol).
-bool ip_feasible(const IntegerProgram& problem, const std::vector<int>& x,
-                 double tol = 1e-9);
+/// True iff x is within bounds and satisfies A x <= b within the grant
+/// checks' tolerance, or within `tol` where one is given.
+bool ip_feasible(const IntegerProgram& problem, const std::vector<int>& x);
+bool ip_feasible(const IntegerProgram& problem, const std::vector<int>& x, double tol);
 
 }  // namespace wcdma::opt

@@ -1,20 +1,12 @@
 #include "src/runner/fault.hpp"
 
-#include <cstdlib>
 #include <vector>
+
+#include "src/common/parse.hpp"
 
 namespace wcdma::runner {
 
 namespace {
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 bool fail(std::string* error, const std::string& message) {
   if (error) *error = message;
@@ -63,17 +55,20 @@ bool FaultPlan::parse(const std::string& text, FaultPlan* out,
       }
       const std::string key = part.substr(0, eq);
       const std::string value = part.substr(eq + 1);
-      std::uint64_t n = 0;
       if (key == "shard") {
-        if (!parse_u64(value, &n)) return fail(error, "bad shard '" + value + "'");
-        plan.shard = static_cast<std::size_t>(n);
+        if (!common::parse_count(value.c_str(), &plan.shard)) {
+          return fail(error, "bad shard '" + value + "'");
+        }
         have_shard = true;
       } else if (key == "frame") {
-        if (!parse_u64(value, &n)) return fail(error, "bad frame '" + value + "'");
-        plan.frame = static_cast<std::int64_t>(n);
+        if (!common::parse_count(value.c_str(), &plan.frame)) {
+          return fail(error, "bad frame '" + value + "'");
+        }
       } else if (key == "item") {
-        if (!parse_u64(value, &n)) return fail(error, "bad item '" + value + "'");
-        plan.item = static_cast<std::size_t>(n);
+        // SIZE_MAX is the "any item" sentinel, not an item.
+        if (!common::parse_count(value.c_str(), &plan.item) || plan.item == SIZE_MAX) {
+          return fail(error, "bad item '" + value + "'");
+        }
       } else if (key == "mode") {
         if (value == "bitflip") {
           plan.mode = CorruptMode::kBitFlip;

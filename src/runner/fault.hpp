@@ -20,6 +20,9 @@
 //
 // By default a fault fires on the shard's first attempt only, so retries
 // recover; `attempts=all` makes it fire every attempt (the give-up path).
+// The supervisor refuses a plan whose first attempt would inject nothing
+// (a frame, item or checkpoint its shard never reaches) or never end (a
+// stall with no timeout).
 #pragma once
 
 #include <cstddef>
@@ -46,8 +49,9 @@ struct FaultPlan {
   /// kKill/kStall: trigger after stepping this frame of the in-flight item.
   /// kCorruptCheckpoint: first checkpoint written at a frame >= this.
   std::int64_t frame = 0;
-  /// Optional binding to one global item index; SIZE_MAX (the default)
-  /// matches the first item that reaches the trigger frame.
+  /// Optional binding to one global item index; SIZE_MAX (the default,
+  /// which the grammar cannot spell) matches the first item that reaches
+  /// the trigger frame.
   std::size_t item = SIZE_MAX;
   CorruptMode mode = CorruptMode::kBitFlip;
   /// false (default): first attempt only, so the retry path recovers.

@@ -100,6 +100,47 @@ std::string describe_exit(int wait_status, const ShardState& state,
   return "exit code " + std::to_string(code);
 }
 
+/// Why a fault aimed at the shard holding `range` never fires on its first
+/// attempt, which steps each item of the shard from frame 0, or would
+/// never end; "" when one of the items it may hit reaches its trigger.
+std::string refuse_fault(const sweep::SweepSpec& spec, const SupervisorOptions& options,
+                         ShardRange range) {
+  const FaultPlan& fault = options.fault;
+  if (fault.item != SIZE_MAX) {
+    if (fault.item < range.begin || fault.item >= range.end) {
+      return "its item " + std::to_string(fault.item) + " is outside the shard's items " +
+             std::to_string(range.begin) + "-" + std::to_string(range.end - 1);
+    }
+    range = {fault.item, fault.item + 1};
+  }
+  if (fault.kind == FaultKind::kDropResult) return "";
+  if (fault.kind == FaultKind::kStall && options.timeout_s <= 0.0) {
+    return "a stall ends only at a timeout, and none is set";
+  }
+  // Kill and stall fire after stepping frame 1..frames of an item; a
+  // corrupt-checkpoint fault at the first checkpoint at or after its
+  // frame, and checkpoints land on the cadence's multiples before the last
+  // frame.  The shard's longest item bounds both.
+  std::int64_t frames = 0;
+  for (std::size_t i = range.begin; i < range.end; ++i) {
+    frames = std::max(frames, sweep::item_config(spec, i).total_frames());
+  }
+  std::int64_t first = 1, last = frames;
+  if (fault.kind == FaultKind::kCorruptCheckpoint) {
+    const std::int64_t every = options.checkpoint_every_frames;
+    if (every <= 0 || every >= frames) {
+      return "no checkpoint falls in its items' " + std::to_string(frames) +
+             " frames (one every " + std::to_string(every) + ")";
+    }
+    first = 0;
+    last = (frames - 1) / every * every;
+  }
+  if (fault.frame >= first && fault.frame <= last) return "";
+  return "its frame " + std::to_string(fault.frame) + " is outside " +
+         std::to_string(first) + "-" + std::to_string(last) +
+         ", the frames it can fire at";
+}
+
 }  // namespace
 
 SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
@@ -118,9 +159,11 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
     shards[s].range = shard_range(costs, s, workers);
   }
 
-  // A fault aimed at a shard that starts no worker would never fire, and a
-  // recovery run would pass without injecting anything: refuse it before
-  // anything is forked or written.
+  // A fault that would never fire -- aimed at a shard that starts no
+  // worker, at an item outside its shard, or at a frame or checkpoint its
+  // items never reach -- would let a recovery run pass without injecting
+  // anything, and a stall with no timeout would hang the sweep: refuse
+  // both before anything is forked or written.
   if (options.fault.enabled()) {
     const std::size_t target = options.fault.shard;
     const std::string cut = "the sweep cuts " + std::to_string(workers) + " shard(s)";
@@ -133,6 +176,11 @@ SupervisorResult run_supervised_sweep(const sweep::SweepSpec& spec,
       out.error = "fault names shard " + std::to_string(target) +
                   ", which starts no worker: " + cut +
                   " and the cost split leaves shard " + std::to_string(target) + " empty";
+      return out;
+    }
+    const std::string why = refuse_fault(spec, options, shards[target].range);
+    if (!why.empty()) {
+      out.error = "fault on shard " + std::to_string(target) + " refused: " + why;
       return out;
     }
   }

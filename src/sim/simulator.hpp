@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/admission/measurement.hpp"
 #include "src/admission/policy.hpp"
 #include "src/cell/active_set.hpp"
 #include "src/cell/geometry.hpp"

@@ -1,6 +1,7 @@
-// Core-contribution tests: the measurement sub-layer's admissible regions
-// (Eq. 6-18), the J1/J2 objectives with MAC set-up penalties (Eq. 19-24),
-// and the scheduler family, including randomized feasibility properties and
+// Core-contribution tests: the measurement sub-layer's admissible-region
+// rows as FrameContext::make_problem writes them (Eq. 6-18), the J1/J2
+// objectives with MAC set-up penalties (Eq. 19-24), and the scheduler
+// family, including randomized feasibility properties and
 // optimality-ordering checks.
 #include <gtest/gtest.h>
 
@@ -8,10 +9,8 @@
 #include <set>
 #include <string>
 
-#include "src/admission/measurement.hpp"
 #include "src/admission/objectives.hpp"
 #include "src/admission/policy.hpp"
-#include "src/admission/region.hpp"
 #include "src/admission/schedulers.hpp"
 #include "src/common/rng.hpp"
 
@@ -19,111 +18,115 @@ namespace wcdma::admission {
 namespace {
 
 using common::Rng;
+using opt::ip_feasible;
 
 // ---------------------------------------------------------------- regions
 
+/// A one-carrier context whose cells carry `loads` as both their forward
+/// power P_k and their received power L_k (each test reads one link),
+/// holding one request on the reduced active set `cells`: gain 1 to each
+/// and a 1e-15 W pilot, so xi^RL = 1e-15 / L_k.
+FrameContext context(const std::vector<double>& loads, std::vector<std::size_t> cells) {
+  FrameContext ctx;
+  ctx.num_cells = loads.size();
+  ctx.forward_load_watt = loads;
+  ctx.reverse_interference_watt = loads;
+  FrameRequest r;
+  r.q_bits = 1e6;
+  r.tx_cap = 16;
+  r.pilot_tx_watt = 1.0e-15;
+  for (const std::size_t k : cells) r.reduced_set.push_back({k, 1.0});
+  ctx.requests = {r};
+  return ctx;
+}
+
+constexpr auto kForward = mac::LinkDirection::kForward;
+constexpr auto kReverse = mac::LinkDirection::kReverse;
+
 TEST(ForwardRegion, CoefficientMatchesEq8) {
-  ForwardLinkInputs in;
-  in.p_max_watt = 20.0;
-  in.gamma_s = 8.0;
-  in.cell_load_watt = {12.0, 5.0};
-  in.users.resize(1);
-  in.users[0].reduced_active_set = {{0, 0.25}};
-  in.users[0].alpha_fl = 1.8;
-  const Region r = build_forward_region(in);
-  ASSERT_EQ(r.a.rows(), 2u);
-  ASSERT_EQ(r.a.cols(), 1u);
-  EXPECT_NEAR(r.a(0, 0), 8.0 * 0.25 * 1.8, 1e-12);  // gamma_s * P_jk * alpha
-  EXPECT_DOUBLE_EQ(r.a(1, 0), 0.0);                 // not in reduced set
-  EXPECT_NEAR(r.b[0], 8.0, 1e-12);                  // P_max - P_k
-  EXPECT_NEAR(r.b[1], 15.0, 1e-12);
+  FrameContext ctx = context({12.0, 5.0}, {0});  // P_max = 20
+  ctx.gamma_s = 8.0;
+  ctx.requests[0].fch_power_watt = 0.25;
+  ctx.requests[0].alpha_fl = 1.8;
+  const BurstProblem p = ctx.make_problem(kForward, 0, {0});
+  ASSERT_EQ(p.a.rows(), 2u);
+  ASSERT_EQ(p.a.cols(), 1u);
+  EXPECT_NEAR(p.a(0, 0), 8.0 * 0.25 * 1.8, 1e-12);  // gamma_s * P_jk * alpha
+  EXPECT_DOUBLE_EQ(p.a(1, 0), 0.0);                 // not in reduced set
+  EXPECT_NEAR(p.b[0], 8.0, 1e-12);                  // P_max - P_k
+  EXPECT_NEAR(p.b[1], 15.0, 1e-12);
 }
 
 TEST(ForwardRegion, OverloadedCellClampsToZero) {
-  ForwardLinkInputs in;
-  in.p_max_watt = 10.0;
-  in.cell_load_watt = {12.0};  // above P_max already
-  in.users.resize(1);
-  in.users[0].reduced_active_set = {{0, 0.1}};
-  const Region r = build_forward_region(in);
-  EXPECT_DOUBLE_EQ(r.b[0], 0.0);  // m = 0 stays feasible; nothing admitted
-  EXPECT_TRUE(r.admits({0}));
-  EXPECT_FALSE(r.admits({1}));
+  FrameContext ctx = context({12.0}, {0});  // above P_max already
+  ctx.p_max_watt = 10.0;
+  ctx.requests[0].fch_power_watt = 0.1;
+  const BurstProblem p = ctx.make_problem(kForward, 0, {0});
+  EXPECT_DOUBLE_EQ(p.b[0], 0.0);  // m = 0 stays feasible; nothing admitted
+  EXPECT_TRUE(ip_feasible(p, {0}));
+  EXPECT_FALSE(ip_feasible(p, {1}));
 }
 
 TEST(ForwardRegion, MultiLegUserLoadsBothCells) {
-  ForwardLinkInputs in;
-  in.p_max_watt = 20.0;
-  in.gamma_s = 2.0;
-  in.cell_load_watt = {10.0, 10.0};
-  in.users.resize(1);
-  in.users[0].reduced_active_set = {{0, 0.3}, {1, 0.2}};
-  const Region r = build_forward_region(in);
-  EXPECT_GT(r.a(0, 0), 0.0);
-  EXPECT_GT(r.a(1, 0), 0.0);
+  FrameContext ctx = context({10.0, 10.0}, {0, 1});
+  ctx.gamma_s = 2.0;
+  ctx.requests[0].fch_power_watt = 0.3;
+  const BurstProblem p = ctx.make_problem(kForward, 0, {0});
+  EXPECT_GT(p.a(0, 0), 0.0);
+  EXPECT_GT(p.a(1, 0), 0.0);
 }
 
 TEST(ReverseRegion, ShoCoefficientMatchesEq18) {
-  ReverseLinkInputs in;
-  in.l_max_watt = 4.0e-13;
-  in.gamma_s = 8.0;
-  in.kappa = 1.585;
-  in.cell_interference_watt = {1.0e-13, 2.0e-13};
-  in.users.resize(1);
-  auto& u = in.users[0];
-  u.zeta = 2.0;
-  u.alpha_rl = 0.8;
-  u.soft_handoff = {{0, 0.01}};
-  u.scrm_pilots = {{0, 0.05}, {1, 0.02}};
-  const Region r = build_reverse_region(in);
-  ASSERT_EQ(r.a.rows(), 2u);
+  FrameContext ctx = context({1.0e-13, 2.0e-13}, {0});  // xi^RL at cell 0: 0.01
+  ctx.l_max_watt = 4.0e-13;
+  ctx.gamma_s = 8.0;
+  ctx.kappa_linear = 1.585;
+  FrameRequest& r = ctx.requests[0];
+  r.zeta = 2.0;
+  r.alpha_rl = 0.8;
+  r.scrm_pilots = {{0, 0.05}, {1, 0.02}};
+  const BurstProblem p = ctx.make_problem(kReverse, 0, {0});
+  ASSERT_EQ(p.a.rows(), 2u);
   // SHO row: gamma_s * zeta * xi_rl * alpha = 8 * 2 * 0.01 * 0.8.
-  EXPECT_NEAR(r.a(0, 0), 0.128, 1e-12);
+  EXPECT_NEAR(p.a(0, 0), 0.128, 1e-12);
   // Neighbour row: SHO coeff * (xi_fl'/xi_fl_host) * kappa * (L_host/L_k').
-  EXPECT_NEAR(r.a(1, 0), 0.128 * (0.02 / 0.05) * 1.585 * (1.0e-13 / 2.0e-13), 1e-12);
+  EXPECT_NEAR(p.a(1, 0), 0.128 * (0.02 / 0.05) * 1.585 * (1.0e-13 / 2.0e-13), 1e-12);
   // RHS: L_max / L_k - 1.
-  EXPECT_NEAR(r.b[0], 3.0, 1e-9);
-  EXPECT_NEAR(r.b[1], 1.0, 1e-9);
+  EXPECT_NEAR(p.b[0], 3.0, 1e-9);
+  EXPECT_NEAR(p.b[1], 1.0, 1e-9);
 }
 
 TEST(ReverseRegion, MissingHostPilotSkipsProjection) {
-  ReverseLinkInputs in;
-  in.l_max_watt = 4.0e-13;
-  in.cell_interference_watt = {1.0e-13, 1.0e-13};
-  in.users.resize(1);
-  auto& u = in.users[0];
-  u.soft_handoff = {{0, 0.01}};
-  u.scrm_pilots = {{1, 0.02}};  // host (cell 0) pilot absent
-  const Region r = build_reverse_region(in);
-  EXPECT_GT(r.a(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(r.a(1, 0), 0.0);
+  FrameContext ctx = context({1.0e-13, 1.0e-13}, {0});
+  ctx.l_max_watt = 4.0e-13;
+  ctx.requests[0].scrm_pilots = {{1, 0.02}};  // host (cell 0) pilot absent
+  const BurstProblem p = ctx.make_problem(kReverse, 0, {0});
+  EXPECT_GT(p.a(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(p.a(1, 0), 0.0);
 }
 
 TEST(ReverseRegion, OverloadedCellClamps) {
-  ReverseLinkInputs in;
-  in.l_max_watt = 1.0e-13;
-  in.cell_interference_watt = {2.0e-13};  // rise already above cap
-  in.users.resize(1);
-  in.users[0].soft_handoff = {{0, 0.01}};
-  in.users[0].scrm_pilots = {{0, 0.05}};
-  const Region r = build_reverse_region(in);
-  EXPECT_DOUBLE_EQ(r.b[0], 0.0);
+  FrameContext ctx = context({2.0e-13}, {0});  // rise already above cap
+  ctx.l_max_watt = 1.0e-13;
+  ctx.requests[0].scrm_pilots = {{0, 0.05}};
+  const BurstProblem p = ctx.make_problem(kReverse, 0, {0});
+  EXPECT_DOUBLE_EQ(p.b[0], 0.0);
 }
 
-TEST(Region, AdmitsChecksEveryRow) {
-  Region r;
-  r.a = common::Matrix{{1.0, 0.0}, {0.0, 2.0}};
-  r.b = {1.0, 2.0};
-  EXPECT_TRUE(r.admits({1, 1}));
-  EXPECT_FALSE(r.admits({2, 0}));  // first row
-  EXPECT_FALSE(r.admits({0, 2}));  // second row
-}
-
-TEST(Region, AdmitsRejectsNegativeAssignments) {
-  Region a;
-  a.a = common::Matrix{{1.0}};
-  a.b = {10.0};
-  EXPECT_FALSE(a.admits({-1}));
+TEST(MakeProblem, ColumnsFollowTheSubsetAndBoundsTakeTheTxCap) {
+  // Two forward requests on different cells, handed over in reverse order.
+  FrameContext ctx = context({5.0, 5.0}, {0});
+  ctx.gamma_s = 2.0;
+  ctx.requests.push_back(ctx.requests[0]);
+  ctx.requests[1].reduced_set = {{1, 1.0}};
+  ctx.requests[0].fch_power_watt = 0.5;
+  ctx.requests[1].fch_power_watt = 0.25;
+  ctx.requests[1].tx_cap = 3;
+  const BurstProblem p = ctx.make_problem(kForward, 0, {1, 0});
+  EXPECT_DOUBLE_EQ(p.a(1, 0), 2.0 * 0.25);  // column j prices subset[j]
+  EXPECT_DOUBLE_EQ(p.a(0, 1), 2.0 * 0.5);
+  EXPECT_DOUBLE_EQ(p.a(0, 0), 0.0);
+  EXPECT_EQ(p.upper, (std::vector<int>{3, 16}));  // tx_cap, then Eq. 24's M
 }
 
 // ---------------------------------------------------------------- objectives
@@ -235,15 +238,14 @@ TEST(DurationBound, BurstDurationIdentity) {
 // ---------------------------------------------------------------- problems
 
 BurstProblem random_problem(Rng& rng, std::size_t nd, std::size_t cells) {
-  Region region;
-  region.a = common::Matrix(cells, nd, 0.0);
+  common::Matrix a(cells, nd, 0.0);
   for (std::size_t k = 0; k < cells; ++k) {
     for (std::size_t j = 0; j < nd; ++j) {
-      region.a(k, j) = rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.05, 1.0);
+      a(k, j) = rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.05, 1.0);
     }
   }
-  region.b.resize(cells);
-  for (auto& b : region.b) b = rng.uniform(0.5, 6.0);
+  common::Vector b(cells);
+  for (auto& v : b) v = rng.uniform(0.5, 6.0);
 
   std::vector<RequestView> requests(nd);
   for (std::size_t j = 0; j < nd; ++j) {
@@ -253,7 +255,7 @@ BurstProblem random_problem(Rng& rng, std::size_t nd, std::size_t cells) {
     requests[j].delta_beta = rng.uniform(0.1, 2.0);
     requests[j].priority = rng.bernoulli(0.2) ? 0.5 : 0.0;
   }
-  return make_burst_problem(std::move(region), std::move(requests),
+  return make_burst_problem(std::move(a), std::move(b), std::move(requests),
                             ObjectiveKind::kJ2DelayAware, {}, {}, 9600.0, 0.080, 16);
 }
 
@@ -266,9 +268,11 @@ TEST(BurstProblem, WiresCoefficientsAndBounds) {
     EXPECT_GE(u, 1);
     EXPECT_LE(u, 16);
   }
-  const auto ip = p.to_ip();
-  EXPECT_EQ(ip.a.rows(), 3u);
-  EXPECT_EQ(ip.c, p.c);
+  EXPECT_EQ(p.a.rows(), 3u);
+  EXPECT_EQ(p.a.cols(), 5u);
+  EXPECT_EQ(p.b.size(), 3u);
+  EXPECT_EQ(p.c,
+            objective_coefficients(p.requests, ObjectiveKind::kJ2DelayAware, {}, {}));
 }
 
 // Feasibility property: every scheduler's output satisfies the admissible
@@ -285,7 +289,7 @@ TEST_P(SchedulerFeasibility, OutputAlwaysAdmissible) {
   auto scheduler = make_scheduler(name, static_cast<std::uint64_t>(seed));
   const Allocation a = scheduler->schedule(p);
   ASSERT_EQ(a.m.size(), nd);
-  EXPECT_TRUE(p.region.admits(a.m));
+  EXPECT_TRUE(ip_feasible(p, a.m));
   for (std::size_t j = 0; j < nd; ++j) {
     EXPECT_GE(a.m[j], 0);
     EXPECT_LE(a.m[j], p.upper[j]);
@@ -321,11 +325,15 @@ TEST_P(JabaDominance, ExactBeatsBaselines) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, JabaDominance, ::testing::Range(0, 20));
 
+/// A J1 problem over A m <= b with the default Eq. 24 constants.
+BurstProblem j1_problem(common::Matrix a, common::Vector b,
+                        std::vector<RequestView> requests) {
+  return make_burst_problem(std::move(a), std::move(b), std::move(requests),
+                            ObjectiveKind::kJ1MaxRate, {}, {}, 9600.0, 0.080, 16);
+}
+
 TEST(FcfsScheduler, ServesLongestWaitingFirst) {
   // One resource unit; the older request must win it.
-  Region region;
-  region.a = common::Matrix{{1.0, 1.0}};
-  region.b = {4.0};
   std::vector<RequestView> requests(2);
   requests[0].user = 0;
   requests[0].q_bits = 1e6;
@@ -335,8 +343,7 @@ TEST(FcfsScheduler, ServesLongestWaitingFirst) {
   requests[1].q_bits = 1e6;
   requests[1].waiting_s = 5.0;  // older
   requests[1].delta_beta = 1.0;
-  const BurstProblem p = make_burst_problem(region, requests, ObjectiveKind::kJ1MaxRate,
-                                            {}, {}, 9600.0, 0.080, 16);
+  const BurstProblem p = j1_problem({{1.0, 1.0}}, {4.0}, requests);
   FcfsScheduler fcfs;
   const Allocation a = fcfs.schedule(p);
   EXPECT_EQ(a.m[1], 4);  // older request takes everything
@@ -344,9 +351,6 @@ TEST(FcfsScheduler, ServesLongestWaitingFirst) {
 }
 
 TEST(FcfsScheduler, SingleBurstGrantsExactlyOne) {
-  Region region;
-  region.a = common::Matrix{{0.1, 0.1, 0.1}};
-  region.b = {100.0};  // room for everyone
   std::vector<RequestView> requests(3);
   for (int j = 0; j < 3; ++j) {
     requests[j].user = j;
@@ -354,8 +358,8 @@ TEST(FcfsScheduler, SingleBurstGrantsExactlyOne) {
     requests[j].waiting_s = j;  // user 2 oldest
     requests[j].delta_beta = 1.0;
   }
-  const BurstProblem p = make_burst_problem(region, requests, ObjectiveKind::kJ1MaxRate,
-                                            {}, {}, 9600.0, 0.080, 16);
+  // Room for everyone.
+  const BurstProblem p = j1_problem({{0.1, 0.1, 0.1}}, {100.0}, requests);
   FcfsScheduler fcfs(/*single_burst=*/true);
   const Allocation a = fcfs.schedule(p);
   EXPECT_EQ(a.granted_count(), 1);
@@ -363,9 +367,6 @@ TEST(FcfsScheduler, SingleBurstGrantsExactlyOne) {
 }
 
 TEST(EqualShareScheduler, UniformGrants) {
-  Region region;
-  region.a = common::Matrix{{1.0, 1.0, 1.0}};
-  region.b = {9.0};
   std::vector<RequestView> requests(3);
   for (int j = 0; j < 3; ++j) {
     requests[j].user = j;
@@ -373,8 +374,7 @@ TEST(EqualShareScheduler, UniformGrants) {
     requests[j].waiting_s = 1.0;
     requests[j].delta_beta = 1.0;
   }
-  const BurstProblem p = make_burst_problem(region, requests, ObjectiveKind::kJ1MaxRate,
-                                            {}, {}, 9600.0, 0.080, 16);
+  const BurstProblem p = j1_problem({{1.0, 1.0, 1.0}}, {9.0}, requests);
   EqualShareScheduler eq;
   const Allocation a = eq.schedule(p);
   EXPECT_EQ(a.m, (std::vector<int>{3, 3, 3}));
@@ -382,9 +382,6 @@ TEST(EqualShareScheduler, UniformGrants) {
 
 TEST(EqualShareScheduler, ShrinksServedSetWhenTight) {
   // Capacity for only one unit: serve the longest-waiting request alone.
-  Region region;
-  region.a = common::Matrix{{1.0, 1.0}};
-  region.b = {1.0};
   std::vector<RequestView> requests(2);
   requests[0].user = 0;
   requests[0].q_bits = 1e6;
@@ -394,8 +391,7 @@ TEST(EqualShareScheduler, ShrinksServedSetWhenTight) {
   requests[1].q_bits = 1e6;
   requests[1].waiting_s = 1.0;
   requests[1].delta_beta = 1.0;
-  const BurstProblem p = make_burst_problem(region, requests, ObjectiveKind::kJ1MaxRate,
-                                            {}, {}, 9600.0, 0.080, 16);
+  const BurstProblem p = j1_problem({{1.0, 1.0}}, {1.0}, requests);
   EqualShareScheduler eq;
   const Allocation a = eq.schedule(p);
   EXPECT_EQ(a.m[0], 1);
@@ -421,9 +417,6 @@ TEST(Schedulers, EmptyProblemYieldsEmptyAllocation) {
 }
 
 TEST(Schedulers, ZeroCapacityGrantsNothing) {
-  Region region;
-  region.a = common::Matrix{{1.0, 1.0}};
-  region.b = {0.0};
   std::vector<RequestView> requests(2);
   for (int j = 0; j < 2; ++j) {
     requests[j].user = j;
@@ -431,8 +424,7 @@ TEST(Schedulers, ZeroCapacityGrantsNothing) {
     requests[j].waiting_s = 1.0;
     requests[j].delta_beta = 1.0;
   }
-  const BurstProblem p = make_burst_problem(region, requests, ObjectiveKind::kJ1MaxRate,
-                                            {}, {}, 9600.0, 0.080, 16);
+  const BurstProblem p = j1_problem({{1.0, 1.0}}, {0.0}, requests);
   for (const std::string& name : policy_names()) {
     auto sched = make_scheduler(name, 1);
     EXPECT_EQ(sched->schedule(p).granted_count(), 0) << name;

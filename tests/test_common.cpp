@@ -341,9 +341,10 @@ TEST(Matrix, Multiply) {
 
 TEST(Matrix, Satisfies) {
   Matrix a{{1.0, 1.0}};
-  EXPECT_TRUE(satisfies(a, {1.0, 1.0}, {2.0}));
-  EXPECT_TRUE(satisfies(a, {1.0, 1.0}, {2.0 - 1e-12}));
-  EXPECT_FALSE(satisfies(a, {1.0, 1.5}, {2.0}));
+  const double tol = 1e-9;
+  EXPECT_TRUE(satisfies(a, {1.0, 1.0}, {2.0}, tol));
+  EXPECT_TRUE(satisfies(a, {1.0, 1.0}, {2.0 - 1e-12}, tol));
+  EXPECT_FALSE(satisfies(a, {1.0, 1.5}, {2.0}, tol));
 }
 
 TEST(Matrix, VectorHelpers) {

@@ -336,6 +336,22 @@ TEST(BranchBound, RealSpinningRoundsProveTheirOptimum) {
   }
 }
 
+TEST(IpFeasible, ChecksEveryRowAndRejectsNegativeAssignments) {
+  const IntegerProgram p{Matrix{{1.0, 0.0}, {0.0, 2.0}}, {1.0, 2.0}, {1.0, 1.0}, {5, 5}};
+  EXPECT_TRUE(ip_feasible(p, {1, 1}));
+  EXPECT_FALSE(ip_feasible(p, {2, 0}));  // first row
+  EXPECT_FALSE(ip_feasible(p, {0, 2}));  // second row
+  EXPECT_FALSE(ip_feasible(p, {-1, 0}));
+}
+
+TEST(GrantInOrder, EachVariableTakesWhatTheSlackLeavesInTurn) {
+  // x2 fills the shared row up to its bound, x0 takes the rest, x1 none;
+  // first_only stops after the first grant.
+  const IntegerProgram p{Matrix{{1.0, 1.0, 1.0}}, {5.0}, {1.0, 1.0, 1.0}, {4, 4, 4}};
+  EXPECT_EQ(grant_in_order(p, {2, 0, 1}, false), (std::vector<int>{1, 0, 4}));
+  EXPECT_EQ(grant_in_order(p, {2, 0, 1}, true), (std::vector<int>{0, 0, 4}));
+}
+
 TEST(Greedy, AlwaysFeasible) {
   Rng rng(77);
   for (int trial = 0; trial < 100; ++trial) {

@@ -9,8 +9,8 @@
 
 #include <cmath>
 
-#include "src/admission/measurement.hpp"
 #include "src/admission/objectives.hpp"
+#include "src/admission/policy.hpp"
 #include "src/admission/schedulers.hpp"
 #include "src/channel/fading.hpp"
 #include "src/common/rng.hpp"
@@ -141,39 +141,49 @@ TEST(FadingModels, JakesAndAr1AgreeOnLagOneCorrelation) {
 
 // -------------------------------------------------- measurement invariances
 
+/// One request on cell 0 (gain 1), priced on a one-carrier context.
+admission::BurstProblem one_request_round(admission::FrameContext ctx,
+                                          mac::LinkDirection direction,
+                                          admission::FrameRequest r) {
+  r.q_bits = 1e6;
+  r.reduced_set = {{0, 1.0}};
+  ctx.requests = {r};
+  return ctx.make_problem(direction, 0, {0});
+}
+
 TEST(ReverseRegion, ScalingInterferenceRescalesBudgetOnly) {
   // Multiplying every cell's measured interference AND the cap by the same
-  // factor leaves the region unchanged (the rows are self-normalised).
-  admission::ReverseLinkInputs in;
-  in.l_max_watt = 4.0e-13;
-  in.gamma_s = 3.2;
-  in.cell_interference_watt = {1.0e-13, 2.0e-13};
-  in.users.resize(1);
-  in.users[0].soft_handoff = {{0, 0.01}};
-  in.users[0].scrm_pilots = {{0, 0.05}, {1, 0.02}};
-  const admission::Region base = build_reverse_region(in);
-
-  admission::ReverseLinkInputs scaled = in;
-  scaled.l_max_watt *= 10.0;
-  for (auto& l : scaled.cell_interference_watt) l *= 10.0;
-  const admission::Region scaled_region = build_reverse_region(scaled);
-
+  // factor leaves the region unchanged (the rows are self-normalised).  The
+  // pilot scales too, so the measured xi^RL stays 0.01 at cell 0.
+  auto region = [](double scale) {
+    admission::FrameContext ctx;
+    ctx.num_cells = 2;
+    ctx.l_max_watt = 4.0e-13 * scale;
+    ctx.reverse_interference_watt = {1.0e-13 * scale, 2.0e-13 * scale};
+    admission::FrameRequest r;
+    r.pilot_tx_watt = 1.0e-15 * scale;
+    r.scrm_pilots = {{0, 0.05}, {1, 0.02}};
+    return one_request_round(ctx, mac::LinkDirection::kReverse, r);
+  };
+  const admission::BurstProblem base = region(1.0);
+  const admission::BurstProblem scaled = region(10.0);
   for (std::size_t k = 0; k < base.b.size(); ++k) {
-    EXPECT_NEAR(base.b[k], scaled_region.b[k], 1e-12);
-    EXPECT_NEAR(base.a(k, 0), scaled_region.a(k, 0), 1e-12);
+    EXPECT_NEAR(base.b[k], scaled.b[k], 1e-12);
+    EXPECT_NEAR(base.a(k, 0), scaled.a(k, 0), 1e-12);
   }
 }
 
 TEST(ForwardRegion, CoefficientsScaleWithGammaS) {
-  admission::ForwardLinkInputs in;
-  in.p_max_watt = 20.0;
-  in.gamma_s = 2.0;
-  in.cell_load_watt = {5.0};
-  in.users.resize(1);
-  in.users[0].reduced_active_set = {{0, 0.1}};
-  const admission::Region r1 = build_forward_region(in);
-  in.gamma_s = 4.0;
-  const admission::Region r2 = build_forward_region(in);
+  admission::FrameContext ctx;
+  ctx.num_cells = 1;
+  ctx.gamma_s = 2.0;
+  ctx.forward_load_watt = {5.0};
+  admission::FrameRequest r;
+  r.fch_power_watt = 0.1;
+  const auto fwd = mac::LinkDirection::kForward;
+  const admission::BurstProblem r1 = one_request_round(ctx, fwd, r);
+  ctx.gamma_s = 4.0;
+  const admission::BurstProblem r2 = one_request_round(ctx, fwd, r);
   EXPECT_NEAR(r2.a(0, 0), 2.0 * r1.a(0, 0), 1e-12);
   EXPECT_NEAR(r2.b[0], r1.b[0], 1e-12);  // budget unchanged
 }
@@ -184,10 +194,6 @@ TEST(J2AntiStarvation, AgingEventuallyFlipsTheGrant) {
   // One unit of capacity, two requests: a good-channel user and a weak-
   // channel user.  Under J1 the good channel always wins; under J2 the
   // weak user's waiting-time boost must eventually overturn the decision.
-  admission::Region region;
-  region.a = Matrix{{1.0, 1.0}};
-  region.b = {1.0};
-
   auto build = [&](double wait_weak, admission::ObjectiveKind kind) {
     std::vector<admission::RequestView> reqs(2);
     reqs[0] = {.user = 0, .q_bits = 1e5, .waiting_s = 0.0, .priority = 0.0,
@@ -197,8 +203,8 @@ TEST(J2AntiStarvation, AgingEventuallyFlipsTheGrant) {
     admission::DelayPenaltyConfig penalty;
     penalty.lambda = 2.0;
     penalty.mu = 0.5;
-    return admission::make_burst_problem(region, reqs, kind, penalty, {}, 9600.0,
-                                         0.080, 16);
+    return admission::make_burst_problem(Matrix{{1.0, 1.0}}, {1.0}, reqs, kind, penalty,
+                                         {}, 9600.0, 0.080, 16);
   };
 
   admission::JabaSdScheduler jaba;

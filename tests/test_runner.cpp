@@ -156,6 +156,12 @@ TEST(FaultPlanSpec, ErrorsNameTheOffendingToken) {
       {"kill:shard=0,frame", "key=value"},
       {"corrupt-checkpoint:shard=0,mode=zap", "zap"},
       {"kill:shard=0,attempts=twice", "twice"},
+      // Out of range, not wrapped into a negative frame or "any item".
+      {"kill:shard=1,frame=9223372036854775808", "'9223372036854775808'"},
+      {"kill:shard=1,frame=99999999999999999999", "'99999999999999999999'"},
+      {"kill:shard=18446744073709551616,frame=5", "'18446744073709551616'"},
+      {"kill:shard=1,frame=40,item=18446744073709551615", "'18446744073709551615'"},
+      {"kill:shard=1,frame=40,item= -1", "' -1'"},
   };
   for (const auto& c : cases) {
     FaultPlan plan;
@@ -490,6 +496,61 @@ TEST(Supervisor, RefusesAFaultAimedAtAShardTheCostSplitLeavesEmpty) {
   EXPECT_NE(refused.error.find("empty"), std::string::npos) << refused.error;
 }
 
+TEST(Supervisor, RefusesAFaultItsShardNeverReaches) {
+  // A fault naming a live shard but a trigger its items never hit on the
+  // first attempt -- a frame outside 1..frames, an item of another shard,
+  // a checkpoint never written -- or a stall no timeout ends is refused
+  // before any worker forks.  The last frame and the last checkpoint do
+  // fire, and recover.
+  const sweep::SweepSpec spec = tiny_spec();
+  const std::int64_t frames = sweep::item_config(spec, 0).total_frames();
+  const std::int64_t last_ck = (frames - 1) / 32 * 32;
+  const std::size_t item1 = shard_range(item_costs(spec), 1, 2).begin;
+  ASSERT_GT(item1, 0u);  // item 0 belongs to shard 0
+  const std::string reference = sweep::to_csv(sweep::run_sweep(spec, 1));
+  const struct {
+    FaultKind kind;
+    std::int64_t frame;
+    std::size_t item;
+    std::int64_t every;
+    double timeout_s;
+    const char* refusal;  // nullptr: the fault fires
+  } cases[] = {
+      {FaultKind::kKill, 0, SIZE_MAX, 32, 0.0, "its frame 0 is outside 1-"},
+      {FaultKind::kKill, frames + 1, SIZE_MAX, 32, 0.0, "is outside 1-"},
+      {FaultKind::kStall, frames + 1, SIZE_MAX, 32, 5.0, "is outside 1-"},
+      {FaultKind::kStall, 40, SIZE_MAX, 32, 0.0, "none is set"},
+      {FaultKind::kKill, 40, 0, 32, 0.0, "its item 0 is outside the shard's items"},
+      {FaultKind::kDropResult, 0, 0, 32, 0.0, "its item 0 is outside the shard's items"},
+      {FaultKind::kCorruptCheckpoint, 40, SIZE_MAX, 0, 0.0, "no checkpoint falls in"},
+      {FaultKind::kCorruptCheckpoint, last_ck + 1, SIZE_MAX, 32, 0.0, "is outside 0-"},
+      {FaultKind::kKill, frames, item1, 32, 0.0, nullptr},
+      {FaultKind::kCorruptCheckpoint, last_ck, item1, 32, 0.0, nullptr},
+  };
+  for (const auto& c : cases) {
+    WorkDir dir;
+    SupervisorOptions options = fast_options(dir.path);
+    options.workers = 2;
+    options.timeout_s = c.timeout_s;
+    options.checkpoint_every_frames = c.every;
+    options.fault.kind = c.kind;
+    options.fault.shard = 1;
+    options.fault.frame = c.frame;
+    options.fault.item = c.item;
+    const SupervisorResult sup = run_supervised_sweep(spec, options);
+    if (c.refusal == nullptr) {
+      ASSERT_TRUE(sup.ok) << sup.error;
+      EXPECT_EQ(sup.crashes, 1);
+      EXPECT_EQ(sweep::to_csv(sup.result), reference);
+      continue;
+    }
+    ASSERT_FALSE(sup.ok) << c.refusal;
+    EXPECT_NE(sup.error.find("fault on shard 1 refused"), std::string::npos) << sup.error;
+    EXPECT_NE(sup.error.find(c.refusal), std::string::npos) << sup.error;
+    EXPECT_EQ(sup.crashes, 0);
+  }
+}
+
 TEST(Supervisor, StallPastTheTimeoutIsKilledAndRetried) {
   const sweep::SweepSpec spec = tiny_spec();
   const std::string reference = sweep::to_csv(sweep::run_sweep(spec, 1));
@@ -644,6 +705,14 @@ TEST(SweepMainCli, RefusesAFaultAimedAtAShardThatStartsNoWorker) {
   const std::string text = read_text_file(err);
   EXPECT_NE(text.find("shard 7"), std::string::npos) << text;
   EXPECT_NE(text.find("2 shard(s)"), std::string::npos) << text;
+  // Without --workers no worker starts at all: a usage error.
+  const int inline_status = std::system(
+      (std::string(bin) + " --preset smoke --fault kill:shard=0,frame=10 --output " +
+       dir.path + "/inline.csv 2> " + err)
+          .c_str());
+  ASSERT_TRUE(WIFEXITED(inline_status));
+  EXPECT_EQ(WEXITSTATUS(inline_status), 2);
+  EXPECT_NE(read_text_file(err).find("--fault needs --workers"), std::string::npos);
 }
 
 TEST(SweepMainCli, RefusesIntegerFlagsThatDoNotFitTheirType) {

@@ -27,17 +27,17 @@
 #include <vector>
 
 #include "src/admission/policy.hpp"
+#include "src/common/parse.hpp"
 #include "src/runner/shard_io.hpp"
 #include "src/scenario/experiments.hpp"
 #include "src/service/service.hpp"
 #include "src/sim/channel_state.hpp"
 #include "src/sim/simulator.hpp"
-#include "tools/cli_parse.hpp"
 
 using namespace wcdma;
-using cli::parse_count;
-using cli::parse_nonneg_double;
-using cli::parse_positive_double;
+using common::parse_count;
+using common::parse_nonneg_double;
+using common::parse_positive_double;
 
 namespace {
 
@@ -52,7 +52,8 @@ void print_usage() {
       "  --warmup S            warmup in seconds (default: 2)\n"
       "  --voice-users N       override voice population\n"
       "  --data-users N        override data population\n"
-      "  --record FILE         write the run as a JSONL event trace\n"
+      "  --record FILE         write the run as a JSONL event trace (from\n"
+      "                        frame 0, so not with --resume)\n"
       "  --replay FILE         replay a recorded trace instead of running\n"
       "  --checkpoint FILE     write a snapshot archive at --checkpoint-at\n"
       "  --checkpoint-at K     frame index to snapshot at (default: 0)\n"
@@ -194,6 +195,13 @@ int main(int argc, char** argv) {
       !(record_path.empty() && resume_path.empty() && checkpoint_path.empty())) {
     std::fprintf(stderr,
                  "service_main: --replay excludes --record/--checkpoint/--resume\n");
+    return 2;
+  }
+  // A v1 trace has no start frame: one recorded from a resumed frame would
+  // replay from frame 0 and be refused.
+  if (!record_path.empty() && !resume_path.empty()) {
+    std::fprintf(stderr, "service_main: --record excludes --resume"
+                         " (a trace starts at frame 0)\n");
     return 2;
   }
 

@@ -20,17 +20,17 @@
 #include <string>
 
 #include "src/admission/policy.hpp"
+#include "src/common/parse.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/runner/supervisor.hpp"
 #include "src/sim/channel_state.hpp"
 #include "src/sweep/presets.hpp"
 #include "src/sweep/sweep.hpp"
-#include "tools/cli_parse.hpp"
 
 using namespace wcdma;
-using cli::parse_count;
-using cli::parse_nonneg_double;
-using cli::parse_positive_double;
+using common::parse_count;
+using common::parse_nonneg_double;
+using common::parse_positive_double;
 
 namespace {
 
@@ -67,8 +67,10 @@ void print_usage() {
       "                        (default: 0.05)\n"
       "  --checkpoint-every N  frames between worker checkpoints (default:\n"
       "                        256; 0 keeps only each shard's final one)\n"
-      "  --fault SPEC          inject one worker fault (testing), e.g.\n"
-      "                        kill:shard=1,frame=50  stall:shard=0,frame=10\n"
+      "  --fault SPEC          inject one worker fault (testing; needs\n"
+      "                        --workers), e.g.\n"
+      "                        kill:shard=1,frame=50\n"
+      "                        stall:shard=0,frame=10 (needs --timeout)\n"
       "                        corrupt-checkpoint:shard=0,mode=bitflip\n"
       "                        drop-result:shard=2\n"
       "  --strict-checkpoint   corrupt checkpoint = hard error instead of\n"
@@ -289,6 +291,12 @@ int main(int argc, char** argv) {
     std::string why;
     if (!runner::FaultPlan::parse(fault_spec, &fault, &why)) {
       std::fprintf(stderr, "sweep_main: bad --fault spec: %s\n", why.c_str());
+      return 2;
+    }
+    // Only a forked worker injects a fault: without one the run would pass
+    // without injecting anything.
+    if (fault.enabled() && workers == 0) {
+      std::fprintf(stderr, "sweep_main: --fault needs --workers\n");
       return 2;
     }
   }
